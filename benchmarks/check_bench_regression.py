@@ -8,18 +8,16 @@ engine's rounds/sec regressed by more than the allowed fraction.
 Raw rounds/sec are only comparable between runs on the same machine, and CI
 runners are not the machine the baseline was committed from.  The default
 mode therefore *normalizes* each report's engine rounds/sec by its own
-legacy rounds/sec -- the engine/legacy speedup -- which cancels the hardware
-factor and regresses only when the engine got slower *relative to the same
-code's legacy path*.  Pass ``--absolute`` for raw rounds/sec comparisons
-between runs on one machine.
+reference rounds/sec -- the engine/reference speedup -- which cancels the
+hardware factor and regresses only when the engine got slower *relative to
+the same code's reference engine*.  Pass ``--absolute`` for raw rounds/sec
+comparisons between runs on one machine.
 
-The PR-2 ``batched`` engine, the PR-3 ``vector`` engine, and the PR-6
-``kernel`` lanes (``kernel`` = FULL traces, ``kernel_counters`` = the
-counters-only lane) are gated by default (``--engines``).  A report that
-lacks an engine's column or the requested network size -- e.g. a baseline
-committed before that engine existed -- is *skipped* for that engine with a
-warning instead of failing with a ``KeyError``, so the gate stays usable
-across baseline generations.
+Both production lanes are gated by default (``--engines``): ``kernel``
+(FULL traces) and ``kernel_counters`` (the counters-only loop).  Naming a
+lane the engine no longer has (``fast``, ``batched``, ``vector``) fails the
+gate rather than skipping it.  A baseline that lacks an engine's column or
+the requested network size is skipped for that engine with a warning.
 
 The PR-7 suite-throughput report (``bench_suite_throughput.py`` writing
 ``BENCH_suite.json``) is gated separately via ``--suite-fresh``: its headline
@@ -64,16 +62,20 @@ def _row_for(report: dict, n: int) -> Optional[dict]:
     return None
 
 
+#: Engine lanes deleted from the engine; gating one is a configuration error.
+REMOVED_LANES = ("fast", "batched", "vector")
+
+
 def _metric(row: dict, engine: str, absolute: bool):
     """``(value, None)`` for the gated metric, or ``(None, reason)``."""
     engine_rps = row.get(f"{engine}_rps")
     if engine_rps is None:
         return None, f"lacks the '{engine}_rps' column"
     if not absolute:
-        legacy_rps = row.get("legacy_rps")
-        if not legacy_rps:
-            return None, "lacks a usable 'legacy_rps' denominator"
-        return engine_rps / legacy_rps, None
+        reference_rps = row.get("reference_rps")
+        if not reference_rps:
+            return None, "lacks a usable 'reference_rps' denominator"
+        return engine_rps / reference_rps, None
     return engine_rps, None
 
 
@@ -86,7 +88,14 @@ def check_engine(
     absolute: bool,
 ) -> Optional[bool]:
     """Gate one engine; True=pass, False=fail, None=skipped (data missing)."""
-    unit = "rounds/sec" if absolute else f"{engine}/legacy speedup"
+    if engine in REMOVED_LANES:
+        print(
+            f"FAIL [{engine}]: the {engine} lane was removed from the engine; "
+            "gate 'kernel' and 'kernel_counters' instead",
+            file=sys.stderr,
+        )
+        return False
+    unit = "rounds/sec" if absolute else f"{engine}/reference speedup"
     for name, report in (("baseline", baseline), ("fresh", fresh)):
         if _row_for(report, at_n) is None:
             sizes = [r.get("n") for r in report.get("workloads", [])]
@@ -238,15 +247,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engines",
-        default="batched,vector,kernel,kernel_counters",
+        default="kernel,kernel_counters",
         help="comma-separated engine names to gate (each needs an <engine>_rps "
-        "column; engines missing from either report are skipped with a warning)",
+        "column; engines missing from either report are skipped with a "
+        "warning, removed lanes fail)",
     )
     parser.add_argument(
         "--absolute",
         action="store_true",
         help="compare raw rounds/sec (same-machine runs only) instead of the "
-        "hardware-independent engine/legacy speedup",
+        "hardware-independent engine/reference speedup",
     )
     parser.add_argument(
         "--suite-fresh",

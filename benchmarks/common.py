@@ -69,7 +69,6 @@ def build_lb_simulator(
     environment: Environment,
     scheduler=None,
     master_seed: int = 0,
-    record_frames: Optional[bool] = None,
     trace_mode: Optional[TraceMode] = None,
     batch_path: bool = True,
 ) -> Simulator:
@@ -78,21 +77,10 @@ def build_lb_simulator(
     This is the low-level escape hatch kept for harnesses that hand-build
     graphs or environments; spec-expressible workloads use
     :mod:`repro.scenarios` instead (see ``docs/scenarios.md``).
-    ``record_frames`` is deprecated exactly as on the
-    :class:`~repro.simulation.engine.Simulator` constructor -- pass
-    ``trace_mode=`` instead.
     """
     rng = random.Random(master_seed)
     if scheduler is None:
         scheduler = IIDScheduler(graph, probability=0.5, seed=master_seed)
-    if record_frames is not None:
-        warnings.warn(
-            "build_lb_simulator(record_frames=...) is deprecated; pass trace_mode=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if trace_mode is None:
-            trace_mode = TraceMode.FULL if record_frames else TraceMode.EVENTS
     return Simulator(
         graph,
         make_lb_processes(graph, params, rng),

@@ -210,7 +210,7 @@ class ParallelSweepRunner:
         ``common`` holds keyword arguments passed to ``run`` at *every* grid
         point (grid values win on collision).  It is how benchmarks thread
         fixed configuration -- round budgets, engine selection such as the
-        simulator's ``fast_path`` / ``batch_path`` / ``vector_path`` flags --
+        simulator's ``fast_path`` / ``batch_path`` flags --
         through the process pool without baking it into the grid or the
         result rows.
 

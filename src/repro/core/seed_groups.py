@@ -41,6 +41,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.caches import bounded_put
 from repro.core.local_broadcast import (
     STATE_SENDING,
     DataFrame,
@@ -58,7 +59,8 @@ Vertex = Hashable
 #: pure function of its seed and kappa, so equal keys decode to equal
 #: buffers -- repeated workloads (benchmark repeats, suite trials sharing a
 #: master seed) skip the pool parse entirely.  Bounded FIFO like the
-#: scheduler delta cache: inserts past the cap evict the oldest entry.
+#: scheduler delta cache: inserts past the cap evict the oldest entry
+#: (through :func:`~repro.caches.bounded_put`, safe across threads).
 _DECODE_CACHE: Dict[tuple, tuple] = {}
 _DECODE_CACHE_MAXSIZE = 4096
 
@@ -250,9 +252,7 @@ class _SeedCohort:
         self.bs = bs
         self.cum = cum
         self.active = active
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_MAXSIZE:
-            del _DECODE_CACHE[next(iter(_DECODE_CACHE))]
-        _DECODE_CACHE[key] = (flags, bs, cum, active)
+        bounded_put(_DECODE_CACHE, key, (flags, bs, cum, active), _DECODE_CACHE_MAXSIZE)
 
 
 class SeedAgreementCohort:

@@ -41,6 +41,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.caches import bounded_put
 from repro.dualgraph.graph import DualGraph, Edge, TopologyIndex, normalize_edge
 
 _TWO_64 = float(1 << 64)  # shared by _edge_round_hash and the IID fast paths, which must agree
@@ -71,8 +72,9 @@ class SchedulerDeltaCache:
     * Values are the exact tuples
       :meth:`LinkScheduler._compute_unreliable_edge_ids` would return --
       byte-identical schedules, byte-identical traces.
-    * The cache is bounded (FIFO eviction at ``maxsize`` entries); eviction
-      only ever costs recomputation, never correctness.  :meth:`preload`
+    * The cache is bounded (FIFO eviction at ``maxsize`` entries, through
+      the thread-safe :func:`~repro.caches.bounded_put`); eviction only ever
+      costs recomputation, never correctness.  :meth:`preload`
       raises the bound to fit an explicitly prebuilt table (see its
       docstring).
 
@@ -100,10 +102,11 @@ class SchedulerDeltaCache:
             dict(table) if table else {}
         )
         # The frozenset views of the same deltas, cached separately: the
-        # vectorized resolver consumes sets, and building a frozenset over a
-        # few thousand ids every round costs more than the whole rest of a
-        # sparse round's resolution.  Set views are process-local (rebuilt
-        # from the id tuples after a preload) and bounded like the id table.
+        # kernel resolver's lone-transmitter rounds consume sets, and building
+        # a frozenset over a few thousand ids every round costs more than the
+        # whole rest of a sparse round's resolution.  Set views are
+        # process-local (rebuilt from the id tuples after a preload) and
+        # bounded like the id table.
         self._set_table: Dict[Tuple[Hashable, int], FrozenSet[int]] = {}
         self._maxsize = maxsize
         self.hits = 0
@@ -120,10 +123,7 @@ class SchedulerDeltaCache:
 
     def store(self, key: Hashable, round_number: int, ids: Tuple[int, ...]) -> None:
         """Record a computed delta (evicting the oldest entry when full)."""
-        table = self._table
-        if self._maxsize is not None and len(table) >= self._maxsize:
-            table.pop(next(iter(table)))
-        table[(key, round_number)] = ids
+        bounded_put(self._table, (key, round_number), ids, self._maxsize)
 
     def lookup_set(self, key: Hashable, round_number: int) -> Optional[FrozenSet[int]]:
         """The cached frozenset view of a delta, or ``None`` when unbuilt."""
@@ -131,10 +131,7 @@ class SchedulerDeltaCache:
 
     def store_set(self, key: Hashable, round_number: int, ids: FrozenSet[int]) -> None:
         """Record a delta's frozenset view (same FIFO bound as the id table)."""
-        table = self._set_table
-        if self._maxsize is not None and len(table) >= self._maxsize:
-            table.pop(next(iter(table)))
-        table[(key, round_number)] = ids
+        bounded_put(self._set_table, (key, round_number), ids, self._maxsize)
 
     def preload(self, table: Mapping[Tuple[Hashable, int], Tuple[int, ...]]) -> None:
         """Merge a prebuilt ``(key, round) -> ids`` table into the cache.
@@ -401,10 +398,10 @@ class LinkScheduler(ABC):
         """The round's inclusion delta as a frozenset of dense edge ids.
 
         The set view of :meth:`unreliable_edge_ids_for_round`, memoized per
-        ``(round, topology version)``.  The vectorized reception resolver
-        intersects it with each transmitter's precomputed incident-edge-id
+        ``(round, topology version)``.  The kernel reception resolver
+        intersects it with a lone transmitter's precomputed incident-edge-id
         set (:attr:`~repro.dualgraph.graph.TopologyIndex.unreliable_incident_ids`),
-        keeping the whole unreliable-edge step in C-level set operations.
+        one C-level set operation instead of a per-round bitmask decode.
         """
         key = (round_number, self._graph.topology_version)
         if key == self._ids_set_memo_key:
@@ -479,13 +476,12 @@ class LinkScheduler(ABC):
     def unreliable_edge_included(self, edge_id: int, round_number: int) -> bool:
         """Whether one unreliable edge (by dense id) is scheduled this round.
 
-        The engine's point-query (PR-2) fast path asks only about the edges
-        incident to the round's transmitters, which for sparse transmission
-        patterns is far fewer edges than the whole of ``E' \\ E``.  The
-        default answers from the memoized set view of the round's full id
-        delta; schedulers whose per-edge decision is O(1) (e.g.
-        :class:`IIDScheduler`) override this so that never-queried edges cost
-        nothing at all.
+        A point query about one edge, for consumers that need only the edges
+        incident to a few vertices -- far fewer than the whole of
+        ``E' \\ E`` for sparse transmission patterns.  The default answers
+        from the memoized set view of the round's full id delta; schedulers
+        whose per-edge decision is O(1) (e.g. :class:`IIDScheduler`) override
+        this so that never-queried edges cost nothing at all.
         """
         return edge_id in self.unreliable_edge_id_set_for_round(round_number)
 

@@ -64,7 +64,6 @@ class TopologyIndex:
         "unreliable_id_of",
         "unreliable_u",
         "unreliable_v",
-        "unreliable_adjacency",
         "unreliable_incident_ids",
         "unreliable_neighbor_by_eid",
         "_fingerprint",
@@ -107,16 +106,10 @@ class TopologyIndex:
             u_adj[b].append((a, eid))
         self.unreliable_u: Tuple[int, ...] = tuple(endpoint_u)
         self.unreliable_v: Tuple[int, ...] = tuple(endpoint_v)
-        # Per-vertex (neighbor index, edge id) pairs over E' \ E: the engine
-        # walks exactly the unreliable edges incident to each transmitter.
-        self.unreliable_adjacency: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple(row) for row in u_adj
-        )
-        # The same incidence split into the two flat views the vectorized
-        # resolver consumes: a frozenset of incident edge ids per vertex (for
-        # C-level intersection with a round's scheduled-edge-id set) and an
-        # eid -> other-endpoint map per vertex.  Rows are in ascending edge-id
-        # order, matching ``unreliable_adjacency``.
+        # Per-vertex incidence over E' \ E in the two flat views the kernel
+        # resolver consumes: a frozenset of incident edge ids per vertex (its
+        # bitmask form is intersected with a round's scheduled-edge mask) and
+        # an eid -> other-endpoint map per vertex.
         self.unreliable_incident_ids: Tuple[FrozenSet[int], ...] = tuple(
             frozenset(eid for _, eid in row) for row in u_adj
         )

@@ -183,10 +183,7 @@ def materialize(spec: ScenarioSpec, trial_index: int = 0) -> BuiltScenario:
         environment=environment,
         trace_mode=resolve_trace_mode(spec),
         fast_path=engine.fast_path,
-        vector_path=engine.vector_path,
         batch_path=engine.batch_path,
-        kernel=engine.kernel,
-        profile=engine.profile,
     )
     return BuiltScenario(
         spec=spec,
@@ -562,7 +559,7 @@ def _delta_identity(spec: ScenarioSpec) -> str:
     payload: Dict[str, Any] = {
         "topology": spec.topology.to_dict(),
         "scheduler": spec.scheduler.to_dict(),
-        "fast": spec.engine.fast_path and spec.engine.vector_path,
+        "fast": spec.engine.fast_path,
         "master_seed": spec.run.master_seed,
         "seed_policy": spec.run.seed_policy,
         "rounds": spec.run.rounds,
@@ -613,7 +610,7 @@ def prebuild_delta_table(
     params-only mode -- against the already-sampled topology (one topology
     sample per call, never a throwaway simulator).
     """
-    if not (spec.engine.fast_path and spec.engine.vector_path):
+    if not spec.engine.fast_path:
         return None
     if spec.run.trials > 1 and spec.run.seed_policy != "fixed":
         if _component_rerandomizes_per_trial(TOPOLOGIES, spec.topology):

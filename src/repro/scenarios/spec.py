@@ -40,7 +40,10 @@ _SEED_POLICIES = TRIAL_SEED_POLICIES
 #: :func:`repro.scenarios.metrics.required_trace_mode`).
 AUTO_TRACE_MODE = "auto"
 _TRACE_MODES = tuple(mode.value for mode in TraceMode) + (AUTO_TRACE_MODE,)
-_KERNELS = ("auto", "python", "numpy", "off")
+#: Engine keys of removed lane knobs (the vector resolver toggle and the
+#: kernel backend selector): accepted and ignored on load, so every manifest
+#: written before their removal still loads with its identity intact.
+_LEGACY_ENGINE_KEYS = ("vector_path", "kernel")
 
 
 def _json_canonical(data: Any) -> str:
@@ -224,29 +227,20 @@ class EngineConfig:
     scenario declares (``"full"`` when it declares none, the safe historical
     default).
 
-    ``kernel`` selects the engine's array-kernel backend (``"auto"`` /
-    ``"python"`` / ``"numpy"`` / ``"off"``; see ``Simulator``).  The default
-    ``"auto"`` is omitted from the serialized form so the fingerprints of
-    every pre-existing spec are unchanged -- and since all lanes produce
-    byte-identical traces, the backend choice deliberately does *not*
-    participate in spec identity for cache keying.
+    ``profile`` copies the engine's per-section timers into each trial
+    record's ``perf_stats``.  The legacy keys ``vector_path`` and ``kernel``
+    are accepted and ignored by :meth:`from_dict`.
     """
 
     fast_path: bool = True
-    vector_path: bool = True
     batch_path: bool = True
     trace_mode: str = "full"
-    kernel: str = "auto"
     profile: bool = False
 
     def __post_init__(self) -> None:
         if self.trace_mode not in _TRACE_MODES:
             raise ValueError(
                 f"trace_mode must be one of {_TRACE_MODES}, got {self.trace_mode!r}"
-            )
-        if self.kernel not in _KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_KERNELS}, got {self.kernel!r}"
             )
 
     @property
@@ -264,23 +258,17 @@ class EngineConfig:
         return TraceMode(self.trace_mode)
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "fast_path": self.fast_path,
-            "vector_path": self.vector_path,
             "batch_path": self.batch_path,
             "trace_mode": self.trace_mode,
             "profile": self.profile,
         }
-        if self.kernel != "auto":
-            # Omitted at the default for fingerprint stability (mirrors how
-            # ScenarioSpec omits an empty metrics list).
-            data["kernel"] = self.kernel
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
         allowed = [f.name for f in fields(cls)]
-        _reject_unknown_keys(data, allowed, "engine config")
+        _reject_unknown_keys(data, allowed + list(_LEGACY_ENGINE_KEYS), "engine config")
         return cls(**{key: data[key] for key in allowed if key in data})
 
 

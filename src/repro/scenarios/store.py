@@ -12,8 +12,8 @@ A trial's key is the SHA-256 of three canonical-JSON components:
 
 * the **trial identity** (:func:`scenario_trial_identity`): the scenario's
   canonical form *minus* everything the executed trial does not depend on --
-  the spec's ``name``/``description``, the engine path/kernel flags (all
-  lanes are byte-identical by the trace-identity contract), the declared
+  the spec's ``name``/``description``, the engine path flags (all lanes
+  are byte-identical by the trace-identity contract), the declared
   metrics, and the run policy's ``trials``/``master_seed``/``seed_policy``
   (which only matter through the resolved seed);
 * the **trial seed**, resolved through the single shared helper
@@ -164,7 +164,7 @@ def metrics_signature(spec: ScenarioSpec) -> str:
     the record), and :data:`STORE_SCHEMA_VERSION`.  Changing any of these --
     adding a metric, changing its args, switching trace modes -- changes the
     signature and therefore misses the old cache entries; everything else
-    (engine lanes, kernel backend) deliberately does not.
+    (engine lanes) deliberately does not.
     """
     if spec.engine.is_auto_trace_mode:
         trace_mode = required_trace_mode(spec.metrics).value

@@ -12,74 +12,45 @@
 * the environment delivers inputs before transmissions and consumes outputs
   after receptions.
 
-Reception resolution has several implementations that produce identical
-results:
+Reception resolution has two implementations that produce identical results:
 
-* the **kernel lanes** (default when the vector path engages; ``kernel=``)
-  re-express the vectorized resolver as flat array kernels over buffers
-  allocated once per Simulator: with numpy, candidate collection is one
-  ``concatenate`` / ``repeat`` / ``bincount`` pipeline; without numpy, the
-  vector algorithm runs over reusable candidate/sender buffers.  Cohort
-  drivers that opt in additionally bulk-decode each seed cohort's shared
-  decisions into array buffers and advance member streams with one bulk
-  ``skip`` per flush, and a counters-only lane skips event materialization
-  when the trace provably keeps nothing but counters.
+* the **kernel** (production) resolver runs the collision rule as big-integer
+  bitmask algebra over the graph's integer-indexed
+  :class:`~repro.dualgraph.graph.TopologyIndex`.  Reliable neighborhoods are
+  masks precomputed once per topology; unreliable edges consult the scheduler
+  through its per-round delta
+  (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_ids_for_round`),
+  decoded into one scheduled-edge mask per round.  The deltas are shared
+  across trials by the :class:`~repro.dualgraph.adversary.SchedulerDeltaCache`
+  and the decoded masks by :data:`_SCHED_MASK_CACHE`, both keyed on the
+  scheduler's delta cache key; schedulers without a key decode their own mask
+  every round.
+* the **generic** (reference) resolver asks the scheduler for the round's full
+  topology edge set and scans it.  It is used for ``fast_path=False``, for
+  adaptive schedulers (whose edge choice depends on the round's transmitters)
+  and for schedulers that override
+  :meth:`~repro.dualgraph.adversary.LinkScheduler.resolve_topology`.
 
-* the **vectorized path** (default for oblivious schedulers) works on flat
-  per-round structures over the graph's integer-indexed
-  :class:`~repro.dualgraph.graph.TopologyIndex`.  Collision candidates are
-  bulk-collected per transmitter neighborhood slice (one C-level ``extend``
-  of the precomputed CSR row per transmitter), last-transmitter ids are
-  bulk-filled with ``dict.fromkeys`` over the same slices, and the collision
-  counters fall out of one C-level ``Counter`` pass over the candidate list.
-  Reliable-edge contributions come entirely from the per-transmitter CSR
-  slices precomputed once per topology; only unreliable edges consult the
-  scheduler, via a per-round scheduled-edge-id *set*
-  (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_id_set_for_round`)
-  intersected with each transmitter's precomputed incident-id set.  Those
-  per-round deltas are shared across trials by the
-  :class:`~repro.dualgraph.adversary.SchedulerDeltaCache`, so in sweeps the
-  scheduler hashing is paid once per sweep point, not once per trial.
-* the **point-query fast path** (``vector_path=False``; the PR-1/PR-2
-  resolver) is transmitter-centric with explicit Python loops: each
-  transmitter bumps a collision counter on its reliable neighbors via the
-  CSR adjacency and point-queries the scheduler
-  (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_included`)
-  for exactly the unreliable edges incident to transmitters.  It never
-  materializes a round's full delta, which makes it the better choice for
-  one-shot runs of hash-driven schedulers with very sparse transmission
-  patterns, and it doubles as a reference implementation in the vectorized
-  path's regression tests.
-* the **generic path** asks the scheduler for the round's full topology edge
-  set and scans it.  It is kept for adaptive schedulers (whose edge choice
-  depends on the round's transmitters) and for schedulers that override
-  :meth:`~repro.dualgraph.adversary.LinkScheduler.resolve_topology`, and it
-  doubles as the reference implementation in determinism regression tests.
-
-Independently of reception resolution, *process stepping* has two
-implementations that also produce identical results:
-
-* **batched stepping** (default): processes exposing a batch group key
-  (:meth:`~repro.simulation.process.Process.batch_group_key`) are stepped by
-  shared cohort drivers -- one ``transmit_round`` / ``receive_round`` call
-  per driver per round instead of two method calls per process -- which lets
-  homogeneous populations share per-round decisions and skip dormant members
-  entirely.  Ungrouped processes in the same run are stepped per-process.
-* **per-process stepping** steps every process individually and doubles as
-  the reference implementation in the batching regression tests.
-
-In both stepping modes the ``on_round_start`` / ``on_round_end`` hook loops
-only visit processes whose class actually overrides those hooks (detected
-once at construction); for hook-free populations the loops vanish.
+Processes exposing a batch group key
+(:meth:`~repro.simulation.process.Process.batch_group_key`) are stepped by
+shared cohort drivers -- one ``transmit_round`` / ``receive_round`` call per
+driver per round, which lets homogeneous populations share per-round
+decisions -- and all other processes individually.  ``batch_path=False``
+steps every process individually, the reference stepping mode.  Both modes
+run through one event loop.  When the trace keeps only counters and provably
+nothing observes event objects, rounds run through a counters-only loop that
+never materializes reception events.  Both loops time their sections
+(``inputs`` / ``transmit`` / ``resolve`` / ``deliver`` / ``outputs``) into
+:attr:`Simulator.perf_stats`.  The ``on_round_start`` / ``on_round_end`` hook
+loops only visit processes whose class overrides those hooks.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from collections import Counter
 from typing import Any, Dict, Hashable, List, Mapping, Optional
 
+from repro.caches import bounded_put
 from repro.dualgraph.adversary import LinkScheduler, NoUnreliableScheduler
 from repro.dualgraph.graph import DualGraph
 from repro.simulation.environment import Environment, NullEnvironment
@@ -97,6 +68,9 @@ Vertex = Hashable
 _SCHED_MASK_CACHE: Dict[Any, int] = {}
 _SCHED_MASK_CACHE_MAXSIZE = 8192
 
+#: The round-loop sections :attr:`Simulator.perf_stats` accumulates.
+_SECTIONS = ("inputs", "transmit", "resolve", "deliver", "outputs")
+
 
 class Simulator:
     """Drive a set of processes over a dual graph for a number of rounds.
@@ -112,49 +86,17 @@ class Simulator:
         edges (topology always equals ``G``).
     environment:
         The input/output environment; defaults to a :class:`NullEnvironment`.
-    record_frames:
-        **Deprecated** legacy knob (a ``DeprecationWarning`` is emitted when
-        it is passed explicitly): ``False`` mapped to
-        ``trace_mode=TraceMode.EVENTS`` and ``True`` to ``TraceMode.FULL``.
-        Use ``trace_mode=`` instead.
     trace_mode:
-        Explicit :class:`TraceMode` (overrides ``record_frames``; default
+        The :class:`TraceMode` the trace records under (default
         ``TraceMode.FULL``).
     fast_path:
-        Use the indexed transmitter-centric reception resolvers when the
-        scheduler allows it.  Disable to force the generic edge-set resolver
-        (used by regression tests and as the "seed engine" benchmark
-        baseline); all resolvers produce identical traces.
-    vector_path:
-        Within the fast path, resolve receptions with the vectorized
-        flat-array resolver (see module docstring); requires the scheduler's
-        per-round delta set, which the :class:`SchedulerDeltaCache` shares
-        across trials.  Disable to fall back to the PR-1/PR-2 point-query
-        resolver (which never materializes full deltas); both produce
-        identical traces.  Ignored when the fast path itself is off.
+        Resolve receptions with the bitmask kernel when the scheduler allows
+        it (see module docstring).  Disable to force the generic reference
+        resolver; both produce identical traces.
     batch_path:
-        Step batchable processes through shared cohort drivers (see module
-        docstring).  Disable to force per-process stepping for every process
-        (used by regression tests and as the "PR-1 fast engine" benchmark
-        baseline); both produce identical traces.
-    kernel:
-        The array-kernel lanes riding on the vector path: ``"auto"``
-        (default) engages them with numpy when importable and the pure-python
-        ``array`` kernels otherwise; ``"numpy"`` requests numpy but falls
-        back to python when absent; ``"python"`` forces the python kernels;
-        ``"off"`` disables both kernel lanes (the configuration every
-        pre-kernel lane is benchmarked and regression-tested under).  When
-        engaged, reception resolution uses flat array kernels over reusable
-        round buffers, batch drivers that opt in (``enable_kernel``) step
-        seed cohorts through bulk-decoded decision buffers, and -- when the
-        trace mode is ``COUNTERS`` and no consumer can observe event objects
-        -- rounds run through a counters-only lane that skips event
-        materialization entirely.  Every lane produces byte-identical traces
-        (identical aggregate counters in ``COUNTERS`` mode).
-    profile:
-        Collect per-section wall-clock totals in :attr:`perf_stats`
-        (``inputs`` / ``transmit`` / ``resolve`` / ``deliver`` / ``outputs``).
-        Off by default; profiling adds a few timer calls per round.
+        Step batchable processes through shared cohort drivers.  Disable to
+        step every process individually (the reference); both produce
+        identical traces.
     """
 
     def __init__(
@@ -163,13 +105,9 @@ class Simulator:
         processes: Mapping[Vertex, Process],
         scheduler: Optional[LinkScheduler] = None,
         environment: Optional[Environment] = None,
-        record_frames: Optional[bool] = None,
         trace_mode: Optional[TraceMode] = None,
         fast_path: bool = True,
-        vector_path: bool = True,
         batch_path: bool = True,
-        kernel: str = "auto",
-        profile: bool = False,
     ) -> None:
         missing = graph.vertices - set(processes)
         if missing:
@@ -181,57 +119,19 @@ class Simulator:
         self._processes: Dict[Vertex, Process] = dict(processes)
         self._scheduler = scheduler if scheduler is not None else NoUnreliableScheduler(graph)
         self._environment = environment if environment is not None else NullEnvironment()
-        if record_frames is not None:
-            warnings.warn(
-                "Simulator(record_frames=...) is deprecated; pass "
-                "trace_mode=TraceMode.FULL (record_frames=True) or "
-                "trace_mode=TraceMode.EVENTS (record_frames=False) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if trace_mode is None:
-                trace_mode = TraceMode.FULL if record_frames else TraceMode.EVENTS
         self._trace = ExecutionTrace(mode=trace_mode)
         self._current_round = 0
         self._started = False
-        self.perf_stats: Dict[str, float] = {}
-        self._profile = bool(profile)
+        #: Wall-clock seconds spent per round-loop section, always collected.
+        self.perf_stats: Dict[str, float] = dict.fromkeys(_SECTIONS, 0.0)
 
         self._fast = bool(fast_path) and self._supports_fast_path()
-        self._vector = self._fast and bool(vector_path)
-
-        # Kernel backend resolution.  The kernel lanes ride on the vector
-        # path's flat structures and the scheduler delta interface, so they
-        # engage only when the vector path does; "auto" prefers numpy and
-        # falls back to the pure-python array kernels, exactly like an
-        # explicit "numpy" request on an interpreter without numpy.
-        if kernel not in ("auto", "python", "numpy", "off"):
-            raise ValueError(
-                f"kernel must be one of 'auto', 'python', 'numpy', 'off', got {kernel!r}"
-            )
-        self._np = None
-        backend: Optional[str] = None
-        if kernel != "off" and self._vector:
-            if kernel == "python":
-                backend = "python"
-            else:
-                try:
-                    import numpy
-
-                    self._np = numpy
-                    backend = "numpy"
-                except ImportError:
-                    backend = "python"
-        self._kernel_backend = backend
-
-        # Round-scoped reusable buffers (kernel lanes only; the vector path
-        # keeps its per-round allocations as the pinned reference): allocated
-        # once per Simulator, reset at the start of each use.
+        # Round-scoped reusable buffers of the kernel resolver and the
+        # counters-only loop: allocated once, reset at the start of each use.
         self._kr_masks: List[int] = []
         self._kr_receptions: Dict[Vertex, Any] = {}
         self._kr_transmissions: Dict[Vertex, Any] = {}
         self._kr_outputs: List[Any] = []
-
         if self._fast:
             self._bind_index()
 
@@ -245,11 +145,12 @@ class Simulator:
         if batch_path:
             self._build_batch_groups()
 
-        # Kernel stepping: drivers that opt in (duck-typed enable_kernel)
-        # defer member stream advancement and stats to bulk flushes; the
-        # engine settles them at every run() boundary.
+        # Kernel stepping: with the kernel resolver, drivers that opt in
+        # (duck-typed enable_kernel) step seed cohorts through bulk-decoded
+        # decision buffers and defer member stream advancement and stats to
+        # bulk flushes; the engine settles them at every run() boundary.
         self._kernel_drivers: List[Any] = []
-        if backend is not None:
+        if self._fast:
             for driver in self._batch_drivers:
                 enable = getattr(driver, "enable_kernel", None)
                 if enable is not None and enable():
@@ -269,53 +170,33 @@ class Simulator:
             if type(p).on_round_end is not Process.on_round_end
         ]
 
-        # Counters-only kernel lane: engages when it is provable that no
-        # consumer will ever read event objects -- the trace keeps counters
-        # only, every process is stepped by a kernel driver that can count
-        # receptions without materializing RecvOutputs, there are no round
-        # hooks, and the environment uses the base-class observation methods
-        # (a subclass hook could inspect recv events the lane never builds).
-        env_type = type(self._environment)
-        self._counters_lane = (
-            self._trace.mode is TraceMode.COUNTERS
-            and backend is not None
-            and bool(self._batch_drivers)
-            and not self._ungrouped
-            and len(self._kernel_drivers) == len(self._batch_drivers)
-            and all(
-                hasattr(driver, "receive_round_counters")
-                for driver in self._batch_drivers
-            )
-            and not self._round_start_hooks
-            and not self._round_end_hooks
-            and env_type.observe_outputs is Environment.observe_outputs
-            and env_type._on_recv is Environment._on_recv
-        )
-        # Surface *why* the top lane did not engage (None when it did): the
-        # silent part of lane selection -- e.g. a traffic environment whose
-        # ``_on_recv`` hook quietly drops the run off the counters lane --
-        # becomes a recorded, assertable reason instead of a perf mystery.
-        self._lane_fallback = self._counters_fallback_reason(env_type, backend)
+        # Surface *why* the counters-only loop did not engage (None when it
+        # did): a traffic environment whose ``_on_recv`` hook quietly drops
+        # the run off that loop becomes a recorded, assertable reason instead
+        # of a perf mystery.
+        self._lane_fallback = self._counters_fallback_reason()
+        self._counters_lane = self._lane_fallback is None
 
-    def _counters_fallback_reason(
-        self, env_type: type, backend: Optional[str]
-    ) -> Optional[str]:
-        """The first condition that kept the counters-only lane off.
+    def _counters_fallback_reason(self) -> Optional[str]:
+        """The first condition that keeps the counters-only loop off, or
+        ``None`` when it engages.
 
-        Mirrors the eligibility conjunction above, in order, so the reported
-        reason is the same check an engineer would hit stepping through it.
+        The loop engages only when no consumer can ever read event objects:
+        the trace keeps counters only, every process is stepped by a kernel
+        driver that counts receptions without materializing RecvOutputs,
+        there are no round hooks, and the environment uses the base-class
+        observation methods (a subclass hook could inspect recv events the
+        loop never builds).
         """
-        if self._counters_lane:
-            return None
         if self._trace.mode is not TraceMode.COUNTERS:
             return (
                 f"trace mode is '{self._trace.mode.value}' "
                 "(the counters lane needs 'counters')"
             )
-        if backend is None:
+        if not self._fast:
             return (
-                "no kernel backend engaged (kernel lanes need fast_path + "
-                "vector_path and kernel != 'off')"
+                "receptions resolve through the reference resolver "
+                "(fast_path off, adaptive scheduler, or custom resolve_topology)"
             )
         if not self._batch_drivers:
             return "no batch group drivers (processes expose no cohort key)"
@@ -339,9 +220,12 @@ class Simulator:
                 "process round hooks (on_round_start/on_round_end) need "
                 "per-round event stepping"
             )
+        env_type = type(self._environment)
         if env_type.observe_outputs is not Environment.observe_outputs:
             return f"environment {env_type.__name__} overrides observe_outputs"
-        return f"environment {env_type.__name__} overrides _on_recv"
+        if env_type._on_recv is not Environment._on_recv:
+            return f"environment {env_type.__name__} overrides _on_recv"
+        return None
 
     def _build_batch_groups(self) -> None:
         groups: Dict[Any, Any] = {}
@@ -375,61 +259,34 @@ class Simulator:
         )
 
     def _bind_index(self) -> None:
+        """Bind the kernel resolver's views of the graph's topology index.
+
+        The kernel runs the collision rule as big-integer bitmask algebra, so
+        it needs per-vertex reliable neighborhoods and incident unreliable
+        edge ids as bit masks, plus the single-bit table for assembling
+        per-round masks.  A round's working set is then a few hundred bytes
+        of ints, which is what keeps the mask operations cache-resident.
+        """
         index = self._graph.topology_index()
-        self._index = index
         self._index_version = self._graph.topology_version
         self._idx_of = index.index_of
         self._vertex_of = index.vertices
         self._g_neighbors = index.g_neighbors
-        self._u_adjacency = index.unreliable_adjacency
-        n = index.n
-        self._tx_flags = bytearray(n)
-        self._hits = [0] * n
-        self._last_sender = [0] * n
-        # Vector-path views: per-vertex incident unreliable edge ids (for set
-        # intersection with the round's scheduled delta) and eid -> neighbor
-        # maps, both precomputed once per topology by the index.
         self._u_incident = index.unreliable_incident_ids
         self._u_neighbor_of = index.unreliable_neighbor_by_eid
         self._has_unreliable = index.num_unreliable_edges > 0
-        # Kernel-resolver views (built only when a kernel backend is
-        # engaged): the python kernel resolver runs the whole collision rule
-        # as big-integer bitmask algebra, so it needs per-vertex reliable
-        # neighborhoods and incident unreliable edge ids as bit masks, plus
-        # the single-bit table for assembling per-round masks.  A round's
-        # working set is then a few hundred bytes of ints instead of the
-        # ~64KB frozenset hash tables the per-round delta sets occupy, which
-        # is what makes the mask ops cache-resident.
-        if self._kernel_backend is not None:
-            bit = self._v_bit = [1 << i for i in range(n)]
-            self._g_vmasks = [
-                sum(bit[j] for j in row) for row in index.g_neighbors
-            ]
-            self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
-            self._u_inc_masks = [
-                sum(1 << eid for eid in eids) for eids in self._u_incident
-            ]
-            # The scheduled-edge bitmask is memoized process-wide under the
-            # scheduler's delta cache key (same sharing license as the delta
-            # sets themselves); None disables the mask path.
-            self._sched_mask_key = (
-                self._scheduler.delta_cache_key() if self._has_unreliable else None
-            )
-        # Numpy-kernel views: per-vertex neighbor rows as index arrays (for
-        # one concatenate per round instead of per-transmitter extends), row
-        # lengths (for the matching repeat of sender ids), and a sender
-        # scratch buffer.  Rebuilt with the rest of the index on topology
-        # changes so the arrays stay in sync with the vertex numbering.
-        np = self._np
-        if np is not None:
-            self._np_rows = [
-                np.array(row, dtype=np.intp) for row in index.g_neighbors
-            ]
-            self._np_row_lens = np.array(
-                [len(row) for row in index.g_neighbors], dtype=np.intp
-            )
-            self._np_sender = np.zeros(n, dtype=np.intp)
-            self._np_n = n
+        bit = self._v_bit = [1 << i for i in range(index.n)]
+        self._g_vmasks = [sum(bit[j] for j in row) for row in index.g_neighbors]
+        self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
+        self._u_inc_masks = [
+            sum(1 << eid for eid in eids) for eids in self._u_incident
+        ]
+        # The scheduled-edge bitmask is memoized process-wide under the
+        # scheduler's delta cache key (same sharing license as the delta sets
+        # themselves); None means the scheduler offers no such identity.
+        self._sched_mask_key = (
+            self._scheduler.delta_cache_key() if self._has_unreliable else None
+        )
 
     # ------------------------------------------------------------------
     # accessors
@@ -457,13 +314,8 @@ class Simulator:
 
     @property
     def uses_fast_path(self) -> bool:
-        """Whether receptions are resolved via the indexed fast path."""
+        """Whether receptions are resolved by the bitmask kernel."""
         return self._fast
-
-    @property
-    def uses_vector_path(self) -> bool:
-        """Whether receptions are resolved via the vectorized flat-array path."""
-        return self._vector
 
     @property
     def uses_batch_stepping(self) -> bool:
@@ -471,39 +323,24 @@ class Simulator:
         return bool(self._batch_drivers)
 
     @property
-    def uses_kernel(self) -> bool:
-        """Whether the array-kernel lanes (resolver and, when batched, cohort
-        stepping) are engaged."""
-        return self._kernel_backend is not None
-
-    @property
-    def kernel_backend(self) -> Optional[str]:
-        """``"numpy"`` or ``"python"`` when the kernel is engaged, else None."""
-        return self._kernel_backend
-
-    @property
     def uses_counters_lane(self) -> bool:
-        """Whether rounds run through the counters-only kernel lane."""
+        """Whether rounds run through the counters-only loop."""
         return self._counters_lane
 
     @property
     def lane(self) -> str:
-        """The engine lane rounds actually run through, most-optimized first:
-        ``counters-kernel-<backend>``, ``kernel-<backend>``, ``vector``,
-        ``fast``, or ``reference``."""
+        """The engine lane rounds actually run through: ``counters-kernel``
+        (kernel resolver, counters-only loop), ``kernel`` (kernel resolver,
+        event loop) or ``reference`` (generic resolver, event loop)."""
         if self._counters_lane:
-            return f"counters-kernel-{self._kernel_backend}"
-        if self._kernel_backend is not None:
-            return f"kernel-{self._kernel_backend}"
-        if self._vector:
-            return "vector"
+            return "counters-kernel"
         if self._fast:
-            return "fast"
+            return "kernel"
         return "reference"
 
     @property
     def lane_fallback(self) -> Optional[str]:
-        """Why the counters-only lane did not engage (``None`` when it did)."""
+        """Why the counters-only loop did not engage (``None`` when it did)."""
         return self._lane_fallback
 
     @property
@@ -526,20 +363,7 @@ class Simulator:
             for process in self._processes.values():
                 process.on_start()
             self._started = True
-        if self._counters_lane:
-            step = (
-                self._run_one_round_kernel_counters_profiled
-                if self._profile
-                else self._run_one_round_kernel_counters
-            )
-        elif self._batch_drivers:
-            step = (
-                self._run_one_round_batched_profiled
-                if self._profile
-                else self._run_one_round_batched
-            )
-        else:
-            step = self._run_one_round_profiled if self._profile else self._run_one_round
+        step = self._run_round_counters if self._counters_lane else self._run_round
         for _ in range(rounds):
             self._current_round += 1
             step(self._current_round)
@@ -568,74 +392,39 @@ class Simulator:
     # ------------------------------------------------------------------
     # one round of the Section 2 execution model
     # ------------------------------------------------------------------
-    def _run_one_round(self, round_number: int) -> None:
-        trace = self._trace
-        trace.note_round(round_number)
-        processes = self._processes
-
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
-
-        # 1. environment inputs
+    def _apply_inputs(self, round_number: int) -> None:
+        """Hand the environment's inputs for the round to their processes."""
         inputs = self._environment.inputs_for_round(round_number)
-        for vertex, vertex_inputs in inputs.items():
-            process = processes[vertex]
-            for inp in vertex_inputs:
-                process.on_input(round_number, inp)
-                trace.record_event(
-                    _as_bcast_event(vertex, inp, round_number)
-                )
+        if inputs:
+            trace = self._trace
+            processes = self._processes
+            for vertex, vertex_inputs in inputs.items():
+                process = processes[vertex]
+                for inp in vertex_inputs:
+                    process.on_input(round_number, inp)
+                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
 
-        # 2. transmission decisions
-        transmissions: Dict[Vertex, Any] = {}
-        for vertex, process in processes.items():
-            frame = process.transmit(round_number)
-            if frame is not None:
-                transmissions[vertex] = frame
-        trace.record_transmissions(round_number, transmissions)
-
-        # 3. topology for this round and reception resolution
-        receptions = self._resolve_receptions(round_number, transmissions)
-        trace.record_receptions(round_number, receptions)
-        get_reception = receptions.get
-        for vertex, process in processes.items():
-            process.on_receive(round_number, get_reception(vertex))
-
-        # 4. outputs
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
-        round_outputs = []
-        for process in self._ordered_processes:
-            if process._pending_outputs:
-                for event in process.drain_outputs():
-                    trace.record_event(event)
-                    round_outputs.append(event)
-        self._environment.observe_outputs(round_number, round_outputs)
-
-    def _run_one_round_batched(self, round_number: int) -> None:
-        """`_run_one_round` with grouped processes stepped by their drivers.
+    def _run_round(self, round_number: int) -> None:
+        """One round through the event loop.
 
         Grouped processes get no per-round ``transmit`` / ``on_receive``
         dispatch at all; their drivers add transmissions to, and consume
         receptions from, the same round-level dicts the per-process loops
-        use, which is what keeps traces byte-identical across the stepping
-        modes (events are drained in registration order either way).
+        use, and events are drained in registration order either way, which
+        is what keeps traces byte-identical across the stepping modes.  With
+        no drivers this is plain per-process stepping.
         """
+        perf = self.perf_stats
+        clock = time.perf_counter
         trace = self._trace
         trace.note_round(round_number)
 
+        # 1. environment inputs
+        t0 = clock()
         for process in self._round_start_hooks:
             process.on_round_start(round_number)
-
-        # 1. environment inputs
-        inputs = self._environment.inputs_for_round(round_number)
-        if inputs:
-            processes = self._processes
-            for vertex, vertex_inputs in inputs.items():
-                process = processes[vertex]
-                for inp in vertex_inputs:
-                    process.on_input(round_number, inp)
-                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
+        self._apply_inputs(round_number)
+        t1 = clock()
 
         # 2. transmission decisions
         transmissions: Dict[Vertex, Any] = {}
@@ -646,16 +435,19 @@ class Simulator:
             if frame is not None:
                 transmissions[vertex] = frame
         trace.record_transmissions(round_number, transmissions)
+        t2 = clock()
 
         # 3. topology for this round and reception resolution
         receptions = self._resolve_receptions(round_number, transmissions)
         trace.record_receptions(round_number, receptions)
+        t3 = clock()
         for driver in self._batch_drivers:
             driver.receive_round(round_number, receptions)
         if self._ungrouped:
             get_reception = receptions.get
             for vertex, process in self._ungrouped.items():
                 process.on_receive(round_number, get_reception(vertex))
+        t4 = clock()
 
         # 4. outputs
         for process in self._round_end_hooks:
@@ -667,189 +459,36 @@ class Simulator:
                     trace.record_event(event)
                     round_outputs.append(event)
         self._environment.observe_outputs(round_number, round_outputs)
+        t5 = clock()
 
-    def _run_one_round_profiled(self, round_number: int) -> None:
-        """`_run_one_round` with per-section wall-clock accounting.
+        perf["inputs"] += t1 - t0
+        perf["transmit"] += t2 - t1
+        perf["resolve"] += t3 - t2
+        perf["deliver"] += t4 - t3
+        perf["outputs"] += t5 - t4
 
-        Kept as a separate copy so the unprofiled hot loop carries no timer
-        overhead at all.
+    def _run_round_counters(self, round_number: int) -> None:
+        """One round through the counters-only loop.
+
+        :meth:`_run_round` specialized for the configuration the constructor
+        proved safe: every process is driven by a kernel batch driver, the
+        trace keeps only counters, and the environment observes through the
+        base-class methods.  Receptions are therefore counted by the drivers
+        (no ``RecvOutput`` objects, no per-process drain scan -- drivers hand
+        back the round's materialized outputs, which are acks only) and the
+        transmission/output containers are the Simulator's round-scoped
+        reusable buffers.  Aggregate counters match the event loop exactly;
+        event *lists* are empty in ``COUNTERS`` mode either way, so nothing
+        observable is lost.
         """
         perf = self.perf_stats
         clock = time.perf_counter
         trace = self._trace
         trace.note_round(round_number)
-        processes = self._processes
 
         t0 = clock()
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
-        inputs = self._environment.inputs_for_round(round_number)
-        for vertex, vertex_inputs in inputs.items():
-            process = processes[vertex]
-            for inp in vertex_inputs:
-                process.on_input(round_number, inp)
-                trace.record_event(_as_bcast_event(vertex, inp, round_number))
+        self._apply_inputs(round_number)
         t1 = clock()
-        perf["inputs"] = perf.get("inputs", 0.0) + (t1 - t0)
-
-        transmissions: Dict[Vertex, Any] = {}
-        for vertex, process in processes.items():
-            frame = process.transmit(round_number)
-            if frame is not None:
-                transmissions[vertex] = frame
-        trace.record_transmissions(round_number, transmissions)
-        t2 = clock()
-        perf["transmit"] = perf.get("transmit", 0.0) + (t2 - t1)
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        trace.record_receptions(round_number, receptions)
-        t3 = clock()
-        perf["resolve"] = perf.get("resolve", 0.0) + (t3 - t2)
-
-        get_reception = receptions.get
-        for vertex, process in processes.items():
-            process.on_receive(round_number, get_reception(vertex))
-        t4 = clock()
-        perf["deliver"] = perf.get("deliver", 0.0) + (t4 - t3)
-
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
-        round_outputs = []
-        for process in self._ordered_processes:
-            if process._pending_outputs:
-                for event in process.drain_outputs():
-                    trace.record_event(event)
-                    round_outputs.append(event)
-        self._environment.observe_outputs(round_number, round_outputs)
-        t5 = clock()
-        perf["outputs"] = perf.get("outputs", 0.0) + (t5 - t4)
-
-    def _run_one_round_batched_profiled(self, round_number: int) -> None:
-        """`_run_one_round_batched` with per-section wall-clock accounting."""
-        perf = self.perf_stats
-        clock = time.perf_counter
-        trace = self._trace
-        trace.note_round(round_number)
-
-        t0 = clock()
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
-        inputs = self._environment.inputs_for_round(round_number)
-        if inputs:
-            processes = self._processes
-            for vertex, vertex_inputs in inputs.items():
-                process = processes[vertex]
-                for inp in vertex_inputs:
-                    process.on_input(round_number, inp)
-                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
-        t1 = clock()
-        perf["inputs"] = perf.get("inputs", 0.0) + (t1 - t0)
-
-        transmissions: Dict[Vertex, Any] = {}
-        for driver in self._batch_drivers:
-            driver.transmit_round(round_number, transmissions)
-        for vertex, process in self._ungrouped.items():
-            frame = process.transmit(round_number)
-            if frame is not None:
-                transmissions[vertex] = frame
-        trace.record_transmissions(round_number, transmissions)
-        t2 = clock()
-        perf["transmit"] = perf.get("transmit", 0.0) + (t2 - t1)
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        trace.record_receptions(round_number, receptions)
-        t3 = clock()
-        perf["resolve"] = perf.get("resolve", 0.0) + (t3 - t2)
-
-        for driver in self._batch_drivers:
-            driver.receive_round(round_number, receptions)
-        if self._ungrouped:
-            get_reception = receptions.get
-            for vertex, process in self._ungrouped.items():
-                process.on_receive(round_number, get_reception(vertex))
-        t4 = clock()
-        perf["deliver"] = perf.get("deliver", 0.0) + (t4 - t3)
-
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
-        round_outputs = []
-        for process in self._ordered_processes:
-            if process._pending_outputs:
-                for event in process.drain_outputs():
-                    trace.record_event(event)
-                    round_outputs.append(event)
-        self._environment.observe_outputs(round_number, round_outputs)
-        t5 = clock()
-        perf["outputs"] = perf.get("outputs", 0.0) + (t5 - t4)
-
-    def _run_one_round_kernel_counters(self, round_number: int) -> None:
-        """One round of the counters-only kernel lane.
-
-        `_run_one_round_batched` specialized for the configuration the
-        constructor proved safe: every process is driven by a kernel batch
-        driver, the trace keeps only counters, and the environment observes
-        through the base-class methods.  Receptions are therefore counted by
-        the drivers (no ``RecvOutput`` objects, no per-process drain scan --
-        drivers hand back the round's materialized outputs, which are acks
-        only) and the transmission/output containers are the Simulator's
-        round-scoped reusable buffers.  Aggregate counters match the other
-        lanes exactly; event *lists* are empty in ``COUNTERS`` mode in every
-        lane, so nothing observable is lost.
-        """
-        trace = self._trace
-        trace.note_round(round_number)
-        environment = self._environment
-
-        inputs = environment.inputs_for_round(round_number)
-        if inputs:
-            processes = self._processes
-            for vertex, vertex_inputs in inputs.items():
-                process = processes[vertex]
-                for inp in vertex_inputs:
-                    process.on_input(round_number, inp)
-                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
-
-        transmissions = self._kr_transmissions
-        transmissions.clear()
-        for driver in self._batch_drivers:
-            driver.transmit_round(round_number, transmissions)
-        trace.record_transmissions(round_number, transmissions)
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        if receptions:
-            trace.count_receptions(len(receptions))
-
-        emitted = self._kr_outputs
-        del emitted[:]
-        recvs = 0
-        for driver in self._batch_drivers:
-            recvs += driver.receive_round_counters(round_number, receptions, emitted)
-        if recvs:
-            trace.count_recv_outputs(recvs)
-        if emitted:
-            for event in emitted:
-                trace.record_event(event)
-        environment.observe_outputs(round_number, emitted)
-
-    def _run_one_round_kernel_counters_profiled(self, round_number: int) -> None:
-        """`_run_one_round_kernel_counters` with per-section accounting."""
-        perf = self.perf_stats
-        clock = time.perf_counter
-        trace = self._trace
-        trace.note_round(round_number)
-        environment = self._environment
-
-        t0 = clock()
-        inputs = environment.inputs_for_round(round_number)
-        if inputs:
-            processes = self._processes
-            for vertex, vertex_inputs in inputs.items():
-                process = processes[vertex]
-                for inp in vertex_inputs:
-                    process.on_input(round_number, inp)
-                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
-        t1 = clock()
-        perf["inputs"] = perf.get("inputs", 0.0) + (t1 - t0)
 
         transmissions = self._kr_transmissions
         transmissions.clear()
@@ -857,13 +496,11 @@ class Simulator:
             driver.transmit_round(round_number, transmissions)
         trace.record_transmissions(round_number, transmissions)
         t2 = clock()
-        perf["transmit"] = perf.get("transmit", 0.0) + (t2 - t1)
 
         receptions = self._resolve_receptions(round_number, transmissions)
         if receptions:
             trace.count_receptions(len(receptions))
         t3 = clock()
-        perf["resolve"] = perf.get("resolve", 0.0) + (t3 - t2)
 
         emitted = self._kr_outputs
         del emitted[:]
@@ -873,14 +510,17 @@ class Simulator:
         if recvs:
             trace.count_recv_outputs(recvs)
         t4 = clock()
-        perf["deliver"] = perf.get("deliver", 0.0) + (t4 - t3)
 
-        if emitted:
-            for event in emitted:
-                trace.record_event(event)
-        environment.observe_outputs(round_number, emitted)
+        for event in emitted:
+            trace.record_event(event)
+        self._environment.observe_outputs(round_number, emitted)
         t5 = clock()
-        perf["outputs"] = perf.get("outputs", 0.0) + (t5 - t4)
+
+        perf["inputs"] += t1 - t0
+        perf["transmit"] += t2 - t1
+        perf["resolve"] += t3 - t2
+        perf["deliver"] += t4 - t3
+        perf["outputs"] += t5 - t4
 
     # ------------------------------------------------------------------
     # reception resolution
@@ -895,54 +535,38 @@ class Simulator:
         """
         if not transmissions:
             return {}
-        if self._fast:
-            if self._index_version != self._graph.topology_version:
-                # The graph was mutated mid-run (dynamic-topology experiment):
-                # refresh the index view so edge ids stay in sync with the
-                # schedulers, which key their own caches on the same version.
-                self._bind_index()
-            if self._vector:
-                backend = self._kernel_backend
-                if backend is None:
-                    return self._resolve_receptions_vector(round_number, transmissions)
-                if backend == "numpy":
-                    return self._resolve_receptions_kernel_numpy(
-                        round_number, transmissions
-                    )
-                return self._resolve_receptions_kernel_python(
-                    round_number, transmissions
-                )
-            return self._resolve_receptions_fast(round_number, transmissions)
-        return self._resolve_receptions_generic(round_number, transmissions)
+        if not self._fast:
+            return self._resolve_receptions_generic(round_number, transmissions)
+        if self._index_version != self._graph.topology_version:
+            # The graph was mutated mid-run (dynamic-topology experiment):
+            # refresh the index view so edge ids stay in sync with the
+            # schedulers, which key their own caches on the same version.
+            self._bind_index()
+        return self._resolve_receptions_kernel(round_number, transmissions)
 
-    def _resolve_receptions_kernel_python(
+    def _resolve_receptions_kernel(
         self, round_number: int, transmissions: Dict[Vertex, Any]
     ) -> Dict[Vertex, Any]:
         """The collision rule as big-integer bitmask algebra.
 
-        Computes exactly the receptions of :meth:`_resolve_receptions_vector`
-        with every per-candidate container replaced by arbitrary-precision
-        ints: each transmitter's reach this round is one mask over vertex
-        indices (precomputed reliable neighborhood ORed with the decoded
+        Each transmitter's reach this round is one mask over vertex indices
+        (precomputed reliable neighborhood ORed with the decoded
         scheduled-unreliable bits), candidates reached twice are
         ``collided |= seen & mask``, and the winners are one expression,
         ``seen & ~(collided | transmitters)``.  A single transmitter never
         collides with itself (reliable rows have no duplicates, scheduled
         unreliable edges are disjoint from G's edges, and there are no
-        self-loops), so the two-touch collision threshold is exact.  The
-        masks live in a few hundred bytes regardless of degree, where the
-        per-round frozenset delta views occupy ~64KB hash tables each -- the
-        bitmask pass stays cache-resident where set intersection thrashes.
+        self-loops), so the two-touch collision threshold is exact.
 
         Winner attribution needs no sender map: a winner was reached by
         exactly one transmitter, so intersecting each transmitter's mask with
         the winner mask partitions the winners.  The receptions dict's
-        *insertion order* differs from the vector path (ascending index per
-        transmitter rather than first-touch), which is observationally
-        irrelevant for the same reasons as the numpy resolver: frame maps
-        compare as dicts and events are drained in process-registration
-        order.  The returned dict is reused across rounds -- every
-        trace-recording path copies what it keeps.
+        *insertion order* (ascending index per transmitter) differs from the
+        generic resolver's, which is observationally irrelevant: frame maps
+        compare as dicts, events are drained in process-registration order,
+        and each process handles at most one reception per round.  The
+        returned dict is reused across rounds -- every trace-recording path
+        copies what it keeps.
         """
         idx_of = self._idx_of
         vertex_of = self._vertex_of
@@ -950,7 +574,8 @@ class Simulator:
         tx_indices = [idx_of[vertex] for vertex in transmissions]
         if len(tx_indices) == 1:
             # Lone transmitter: every candidate wins (one transmitter's
-            # candidates are duplicate-free, see above).
+            # candidates are duplicate-free, see above), and one set
+            # intersection with the round's delta beats a mask decode.
             i = tx_indices[0]
             frame = transmissions[vertex_of[i]]
             receptions = self._kr_receptions
@@ -969,15 +594,14 @@ class Simulator:
                             receptions[vertex_of[nbs[eid]]] = frame
             return receptions
 
-        if self._has_unreliable:
-            if self._sched_mask_key is None:
-                # No cross-instance delta identity (exotic scheduler): the
-                # mask decode would rebuild per round, so the pinned vector
-                # resolver is the better kernel here.
-                return self._resolve_receptions_vector(round_number, transmissions)
-            scheduled_mask = self._scheduled_edge_mask(round_number)
-        else:
+        if not self._has_unreliable:
             scheduled_mask = 0
+        elif self._sched_mask_key is None:
+            # No cross-instance delta identity: decode this scheduler's own
+            # delta, which no other instance may share.
+            scheduled_mask = self._edge_mask(round_number)
+        else:
+            scheduled_mask = self._scheduled_edge_mask(round_number)
 
         bit = self._v_bit
         gmasks = self._g_vmasks
@@ -1027,219 +651,30 @@ class Simulator:
                         break
         return receptions
 
-    def _scheduled_edge_mask(self, round_number: int) -> int:
+    def _edge_mask(self, round_number: int) -> int:
         """The round's scheduled unreliable edges as one edge-id bitmask.
 
-        Decoded once per ``(delta identity, round)`` process-wide (see
-        :data:`_SCHED_MASK_CACHE`); bit ``eid`` is set iff edge ``eid`` is
-        scheduled this round, so ``mask & incident_mask[i]`` is transmitter
-        ``i``'s scheduled unreliable edges in one C-level AND.
+        Bit ``eid`` is set iff edge ``eid`` is scheduled this round, so
+        ``mask & incident_mask[i]`` is transmitter ``i``'s scheduled
+        unreliable edges in one C-level AND.
         """
+        ids = self._scheduler.unreliable_edge_ids_for_round(round_number)
+        if not ids:
+            return 0
+        buf = bytearray(self._u_mask_bytes)
+        for eid in ids:
+            buf[eid >> 3] |= 1 << (eid & 7)
+        return int.from_bytes(buf, "little")
+
+    def _scheduled_edge_mask(self, round_number: int) -> int:
+        """:meth:`_edge_mask`, decoded once per ``(delta identity, round)``
+        process-wide (see :data:`_SCHED_MASK_CACHE`)."""
         key = (self._sched_mask_key, round_number)
         mask = _SCHED_MASK_CACHE.get(key)
         if mask is None:
-            buf = bytearray(self._u_mask_bytes)
-            for eid in self._scheduler.unreliable_edge_ids_for_round(round_number):
-                buf[eid >> 3] |= 1 << (eid & 7)
-            mask = int.from_bytes(buf, "little")
-            if len(_SCHED_MASK_CACHE) >= _SCHED_MASK_CACHE_MAXSIZE:
-                del _SCHED_MASK_CACHE[next(iter(_SCHED_MASK_CACHE))]
-            _SCHED_MASK_CACHE[key] = mask
+            mask = self._edge_mask(round_number)
+            bounded_put(_SCHED_MASK_CACHE, key, mask, _SCHED_MASK_CACHE_MAXSIZE)
         return mask
-
-    #: Transmitter count below which the numpy backend routes a round through
-    #: the pure-python kernel resolver instead: with only a handful of
-    #: transmitters the candidate arrays hold a few dozen elements and the
-    #: fixed per-call cost of the numpy ops (array construction, concatenate,
-    #: bincount) exceeds the whole python pass.  Both resolvers are
-    #: byte-identical, so the routing is invisible in traces.
-    _NUMPY_MIN_TX = 16
-
-    def _resolve_receptions_kernel_numpy(
-        self, round_number: int, transmissions: Dict[Vertex, Any]
-    ) -> Dict[Vertex, Any]:
-        """The collision rule as flat numpy kernels.
-
-        Candidate receivers are one ``concatenate`` over the transmitters'
-        precomputed neighbor-index arrays, matching sender ids one ``repeat``
-        of the transmitter ids by row length, collision counts one
-        ``bincount``, and the winners one boolean reduction -- no per-edge
-        Python work for reliable edges.  Unreliable edges keep the vector
-        path's per-transmitter frozenset intersection with the round's
-        scheduled delta (the sets are tiny and already precomputed; crossing
-        them into numpy per round costs more than it saves).
-
-        The receptions *dict insertion order* differs from the vector path
-        (ascending vertex index rather than first-touch), which is
-        observationally irrelevant: frame maps compare as dicts, events are
-        drained in process-registration order, and each member handles at
-        most one reception per round.  The sender scratch buffer carries
-        stale values between rounds by design -- it is only ever read at
-        indices whose collision count is exactly 1 this round, and those were
-        all just written.  Like the python kernel, the returned dict is
-        reused across rounds.
-        """
-        if len(transmissions) < self._NUMPY_MIN_TX:
-            return self._resolve_receptions_kernel_python(round_number, transmissions)
-        np = self._np
-        idx_of = self._idx_of
-        vertex_of = self._vertex_of
-        rows = self._np_rows
-
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
-        tx_arr = np.array(tx_indices, dtype=np.intp)
-        cand = np.concatenate([rows[i] for i in tx_indices])
-        senders = np.repeat(tx_arr, self._np_row_lens[tx_arr])
-
-        if self._has_unreliable:
-            scheduled = self._scheduler.unreliable_edge_id_set_for_round(round_number)
-            if scheduled:
-                incident = self._u_incident
-                neighbor_of = self._u_neighbor_of
-                js_list: List[int] = []
-                ks_list: List[int] = []
-                for i in tx_indices:
-                    hit = scheduled & incident[i]
-                    if hit:
-                        nbs = neighbor_of[i]
-                        for eid in hit:
-                            js_list.append(nbs[eid])
-                            ks_list.append(i)
-                if js_list:
-                    cand = np.concatenate(
-                        [cand, np.array(js_list, dtype=np.intp)]
-                    )
-                    senders = np.concatenate(
-                        [senders, np.array(ks_list, dtype=np.intp)]
-                    )
-
-        receptions = self._kr_receptions
-        receptions.clear()
-        if cand.size:
-            counts = np.bincount(cand, minlength=self._np_n)
-            sender_buf = self._np_sender
-            sender_buf[cand] = senders
-            ok = np.equal(counts, 1)
-            ok[tx_arr] = False
-            singles = np.flatnonzero(ok)
-            if singles.size:
-                single_senders = sender_buf[singles].tolist()
-                for j, s in zip(singles.tolist(), single_senders):
-                    receptions[vertex_of[j]] = transmissions[vertex_of[s]]
-        return receptions
-
-    def _resolve_receptions_vector(
-        self, round_number: int, transmissions: Dict[Vertex, Any]
-    ) -> Dict[Vertex, Any]:
-        """The vectorized collision-rule resolver (see module docstring).
-
-        Semantically identical to :meth:`_resolve_receptions_fast`, but the
-        per-(transmitter, neighbor) Python work is replaced by bulk C-level
-        operations over flat precomputed structures:
-
-        * candidate receivers are collected by extending one list with each
-          transmitter's precomputed CSR neighbor slice (reliable edges never
-          consult the scheduler);
-        * last-transmitter ids are bulk-filled per slice with
-          ``dict.fromkeys(slice, transmitter)`` -- unambiguous wherever the
-          collision count ends up exactly 1;
-        * scheduled unreliable edges come from one frozenset intersection per
-          transmitter between the round's delta set and the transmitter's
-          precomputed incident-edge-id set;
-        * collision counters are one ``Counter`` pass over the candidates.
-
-        First-touch candidate order matches the point-query resolver exactly
-        (reliable slices in transmitter order, then scheduled unreliable
-        edges in ascending edge id per transmitter), so the receptions dict
-        is built in the same insertion order and traces stay byte-identical.
-        """
-        idx_of = self._idx_of
-        vertex_of = self._vertex_of
-        rows = self._g_neighbors
-        tx = self._tx_flags
-        fromkeys = dict.fromkeys
-
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
-        for i in tx_indices:
-            tx[i] = 1
-
-        touched: List[int] = []
-        extend = touched.extend
-        sender: Dict[int, int] = {}
-        fill = sender.update
-        for i in tx_indices:
-            row = rows[i]
-            if row:
-                extend(row)
-                fill(fromkeys(row, i))
-
-        if self._has_unreliable:
-            scheduled = self._scheduler.unreliable_edge_id_set_for_round(round_number)
-            if scheduled:
-                incident = self._u_incident
-                neighbor_of = self._u_neighbor_of
-                for i in tx_indices:
-                    hit = scheduled & incident[i]
-                    if hit:
-                        nbs = neighbor_of[i]
-                        js = [nbs[eid] for eid in sorted(hit)]
-                        extend(js)
-                        fill(fromkeys(js, i))
-
-        receptions: Dict[Vertex, Any] = {}
-        if touched:
-            for j, count in Counter(touched).items():
-                if count == 1 and not tx[j]:
-                    receptions[vertex_of[j]] = transmissions[vertex_of[sender[j]]]
-        for i in tx_indices:
-            tx[i] = 0
-        return receptions
-
-    def _resolve_receptions_fast(
-        self, round_number: int, transmissions: Dict[Vertex, Any]
-    ) -> Dict[Vertex, Any]:
-        idx_of = self._idx_of
-        vertex_of = self._vertex_of
-        g_neighbors = self._g_neighbors
-        tx = self._tx_flags
-        hits = self._hits
-        last_sender = self._last_sender
-        touched: List[int] = []
-
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
-        for i in tx_indices:
-            tx[i] = 1
-
-        # Reliable edges: every transmitter bumps all its G-neighbors.
-        for i in tx_indices:
-            for j in g_neighbors[i]:
-                if not hits[j]:
-                    touched.append(j)
-                hits[j] += 1
-                last_sender[j] = i
-
-        # Unreliable edges: only those incident to a transmitter can carry or
-        # spoil a frame, so ask the scheduler about exactly those.  Each
-        # (transmitter, incident edge) pair is visited once; an edge between
-        # two transmitters is correctly counted at both endpoints.
-        u_adjacency = self._u_adjacency
-        included = self._scheduler.unreliable_edge_included
-        for i in tx_indices:
-            for j, eid in u_adjacency[i]:
-                if included(eid, round_number):
-                    if not hits[j]:
-                        touched.append(j)
-                    hits[j] += 1
-                    last_sender[j] = i
-
-        receptions: Dict[Vertex, Any] = {}
-        for j in touched:
-            if hits[j] == 1 and not tx[j]:
-                receptions[vertex_of[j]] = transmissions[vertex_of[last_sender[j]]]
-            hits[j] = 0
-        for i in tx_indices:
-            tx[i] = 0
-        return receptions
 
     def _resolve_receptions_generic(
         self, round_number: int, transmissions: Dict[Vertex, Any]

@@ -11,7 +11,6 @@ the dual graph, which keeps algorithm code and analysis code fully decoupled.
 from __future__ import annotations
 
 import enum
-import warnings
 from collections import defaultdict
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -27,7 +26,7 @@ class TraceMode(enum.Enum):
     * ``FULL`` -- events plus per-round transmission/reception frame maps (the
       historical default; required by the spec checkers that inspect frames).
     * ``EVENTS`` -- input/output events only; per-round frame maps are
-      dropped.  Equivalent to the legacy ``record_frames=False``.
+      dropped.
     * ``COUNTERS`` -- neither events nor frames are stored; only aggregate
       counters (rounds, events by kind, transmissions, receptions) survive.
       The cheapest mode for very long runs where the consumer reads nothing
@@ -66,35 +65,15 @@ class ExecutionTrace:
 
     Parameters
     ----------
-    record_frames:
-        **Deprecated** legacy knob (a ``DeprecationWarning`` is emitted when
-        it is passed explicitly): ``False`` was shorthand for
-        ``mode=TraceMode.EVENTS``.  Ignored when ``mode`` is given
-        explicitly; use ``mode=`` instead.
     mode:
         The :class:`TraceMode` controlling retention (default ``FULL``).
     """
 
-    def __init__(
-        self, record_frames: Optional[bool] = None, mode: Optional[TraceMode] = None
-    ) -> None:
-        if record_frames is not None:
-            warnings.warn(
-                "ExecutionTrace(record_frames=...) is deprecated; pass "
-                "mode=TraceMode.FULL or mode=TraceMode.EVENTS instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, mode: Optional[TraceMode] = None) -> None:
         if mode is None:
-            # Truthiness (not an identity check) so falsy non-bool legacy
-            # values like 0 keep mapping to EVENTS, exactly as before the
-            # deprecation and as Simulator's shim does.
-            if record_frames is None or record_frames:
-                mode = TraceMode.FULL
-            else:
-                mode = TraceMode.EVENTS
+            mode = TraceMode.FULL
         self._mode = mode
-        self._record_frames = mode is TraceMode.FULL
+        self._keep_frames = mode is TraceMode.FULL
         self._record_events = mode is not TraceMode.COUNTERS
         self._events: List[Event] = []
         self._bcasts: List[BcastInput] = []
@@ -167,11 +146,11 @@ class ExecutionTrace:
     def record_transmissions(self, round_number: int, frames: Dict[Vertex, Any]) -> None:
         if frames:
             self._num_transmissions += len(frames)
-            if self._record_frames:
+            if self._keep_frames:
                 self._transmissions[round_number] = dict(frames)
 
     def record_receptions(self, round_number: int, frames: Dict[Vertex, Optional[Any]]) -> None:
-        if self._record_frames:
+        if self._keep_frames:
             received = {v: f for v, f in frames.items() if f is not None}
             if received:
                 self._num_receptions += len(received)

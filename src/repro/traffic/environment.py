@@ -12,10 +12,9 @@ Delivery semantics follow the paper's abstract MAC layer: a message counts as
 *delivered* once every reliable neighbor of its origin has produced a
 ``recv`` for it -- the event the ack is supposed to certify.  Tracking that
 requires observing ``RecvOutput`` events, so this environment overrides
-``_on_recv``; the engine's counters-only kernel lane (which never
-materializes recv events) therefore disqualifies itself automatically and
-queued workloads run on the event-building lanes.  All event-building lanes
-(fast / batched / vector / kernel) remain available and byte-identical.
+``_on_recv``; the engine's counters-only loop (which never materializes recv
+events) therefore disqualifies itself automatically and queued workloads run
+through the event loop, on the kernel or the reference resolver alike.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ much less collision interference -- which is what drives delivery latency
 down under load.  The schedule is a pure function of ``(graph, forecast,
 frame)``: the scheduler stays oblivious, exposes the edge-id delta interface
 with lazily memoized per-slot masks (the :class:`PeriodicScheduler` pattern),
-and participates in the cross-trial delta cache and kernel lanes unchanged.
+and participates in the cross-trial delta cache and the kernel lane unchanged.
 
 Two prioritization variants exist:
 

@@ -1,13 +1,14 @@
-"""Determinism regression tests for the fast-path round engine.
+"""Determinism regression tests for the production round engine.
 
-The engine has two reception resolvers -- the generic edge-set path (the seed
-implementation, kept for adaptive schedulers) and the indexed transmitter-
-centric fast path -- and two process stepping modes -- per-process and
-batched cohort drivers.  These tests pin the contract that made the
-optimizations safe to ship: for any fixed seed every resolver/stepping
-combination, and every :class:`TraceMode`, observes exactly the same
-execution; and the parallel sweep runner produces exactly the serial sweep's
-rows.
+The engine has two reception resolvers -- the generic edge-set path (the
+Section-2 reference, also used for adaptive schedulers) and the indexed
+bitmask kernel -- and two process stepping modes -- per-process and batched
+cohort drivers.  These tests pin the contract that made the optimizations
+safe to ship: for any fixed seed every resolver/stepping combination, and
+every :class:`TraceMode`, observes exactly the same execution; and the
+parallel sweep runner produces exactly the serial sweep's rows.  The
+randomized counterpart over registry-built scenarios lives in
+``tests/test_property_differential.py``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ def _make_network():
     return graph
 
 
-def _build_simulator(
-    graph, fast_path, scheduler_key, trace_mode=TraceMode.FULL, vector_path=False
-):
+def _build_simulator(graph, fast_path, scheduler_key, trace_mode=TraceMode.FULL):
     params = LBParams.small_for_testing(
         delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
     )
@@ -66,23 +65,18 @@ def _build_simulator(
         environment=SingleShotEnvironment(senders=senders),
         trace_mode=trace_mode,
         fast_path=fast_path,
-        vector_path=vector_path,
     )
     return simulator, params
 
 
-class TestFastPathMatchesLegacy:
-    @pytest.mark.parametrize("resolver", ["point", "vector"])
+class TestKernelMatchesReference:
     @pytest.mark.parametrize("scheduler_key", sorted(SCHEDULER_FACTORIES))
-    def test_identical_traces_for_fixed_seed(self, scheduler_key, resolver):
+    def test_identical_traces_for_fixed_seed(self, scheduler_key):
         graph = _make_network()
-        fast_sim, params = _build_simulator(
-            graph, True, scheduler_key, vector_path=(resolver == "vector")
-        )
+        fast_sim, params = _build_simulator(graph, True, scheduler_key)
         legacy_sim, _ = _build_simulator(graph, False, scheduler_key)
-        assert fast_sim.uses_fast_path
-        assert fast_sim.uses_vector_path == (resolver == "vector")
-        assert not legacy_sim.uses_fast_path
+        assert fast_sim.uses_fast_path and fast_sim.lane == "kernel"
+        assert not legacy_sim.uses_fast_path and legacy_sim.lane == "reference"
 
         rounds = 2 * params.phase_length
         fast_trace = fast_sim.run(rounds)
@@ -107,40 +101,43 @@ class TestFastPathMatchesLegacy:
             make_lb_processes(graph, params, random.Random(1)),
             scheduler=CollisionAdaptiveAdversary(graph),
         )
-        # vector_path defaults to True, but an adaptive scheduler disables the
-        # whole fast path, vectorized resolution included.
+        # fast_path defaults to True, but an adaptive scheduler needs the
+        # round's transmitters, which only the generic resolver passes on.
         assert not simulator.uses_fast_path
-        assert not simulator.uses_vector_path
+        assert simulator.lane == "reference"
         simulator.run(params.phase_length)  # runs without error
 
-    def test_vector_resolver_matches_generic_under_adaptive_fallback(self):
-        """Requesting the vector path against an adaptive adversary must not
-        change the execution: both engines land on the generic resolver."""
+    def test_keyless_schedulers_bypass_the_process_mask_memo(self):
+        """Schedulers with no delta cache key (here ``full`` on a star whose
+        leaf-leaf links are unreliable) decode their own per-round mask: the
+        kernel matches the reference and never writes the shared memo."""
+        from repro.simulation import engine
 
-        def run_one(vector_path):
-            graph = _make_network()
-            params = LBParams.small_for_testing(
-                delta=graph.max_reliable_degree,
-                delta_prime=graph.max_potential_degree,
+        def build(fast_path):
+            graph = DualGraph(
+                list(range(6)),
+                reliable_edges=[(0, leaf) for leaf in range(1, 6)],
+                unreliable_edges=[(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
             )
+            params = LBParams.small_for_testing(delta=5, delta_prime=5)
             simulator = Simulator(
                 graph,
-                make_lb_processes(graph, params, random.Random(12)),
-                scheduler=CollisionAdaptiveAdversary(graph),
-                environment=SingleShotEnvironment(senders=sorted(graph.vertices)[:3]),
-                fast_path=True,
-                vector_path=vector_path,
+                make_lb_processes(graph, params, random.Random(4)),
+                scheduler=FullInclusionScheduler(graph),
+                environment=SaturatingEnvironment(senders=[1, 2, 3, 4]),
+                fast_path=fast_path,
             )
-            assert not simulator.uses_vector_path
-            return simulator.run(2 * params.phase_length)
+            return simulator, params
 
-        requested = run_one(True)
-        reference = run_one(False)
-        assert requested.events == reference.events
-        for round_number in range(1, requested.num_rounds + 1):
-            assert requested.receptions_in_round(
-                round_number
-            ) == reference.receptions_in_round(round_number)
+        kernel_sim, params = build(True)
+        reference_sim, _ = build(False)
+        assert kernel_sim.scheduler.delta_cache_key() is None
+        rounds = 2 * params.phase_length
+        memo_before = len(engine._SCHED_MASK_CACHE)
+        kernel_trace = kernel_sim.run(rounds)
+        assert len(engine._SCHED_MASK_CACHE) == memo_before
+        assert kernel_trace.num_receptions > 0
+        _assert_identical_traces(kernel_trace, reference_sim.run(rounds), rounds)
 
     def test_graph_mutation_between_runs_rebinds_index(self):
         graph = DualGraph([0, 1, 2, 3], reliable_edges=[(0, 1), (1, 2)])
@@ -169,7 +166,7 @@ class TestFastPathMatchesLegacy:
                     self._graph_ref.add_unreliable_edge(0, 3)
                 return super().inputs_for_round(round_number)
 
-        def run_one(fast_path, vector_path=False):
+        def run_one(fast_path):
             graph = DualGraph(
                 [0, 1, 2, 3],
                 reliable_edges=[(0, 1), (1, 2)],
@@ -182,22 +179,12 @@ class TestFastPathMatchesLegacy:
                 scheduler=IIDScheduler(graph, probability=0.6, seed=3),
                 environment=MutatingEnvironment(graph, senders=[0, 2]),
                 fast_path=fast_path,
-                vector_path=vector_path,
             )
             return simulator.run(2 * params.phase_length)
 
         fast_trace = run_one(True)
-        vector_trace = run_one(True, vector_path=True)
         legacy_trace = run_one(False)
-        assert fast_trace.events == legacy_trace.events
-        assert vector_trace.events == legacy_trace.events
-        for round_number in range(1, fast_trace.num_rounds + 1):
-            assert fast_trace.receptions_in_round(
-                round_number
-            ) == legacy_trace.receptions_in_round(round_number)
-            assert vector_trace.receptions_in_round(
-                round_number
-            ) == legacy_trace.receptions_in_round(round_number)
+        _assert_identical_traces(fast_trace, legacy_trace, fast_trace.num_rounds)
 
 
 class TestTraceModes:
@@ -230,26 +217,6 @@ class TestTraceModes:
         assert fast.event_counts == legacy.event_counts
         assert fast.num_transmissions == legacy.num_transmissions
         assert fast.num_receptions == legacy.num_receptions
-
-    def test_legacy_record_frames_flag_maps_to_events_mode_and_warns(self):
-        graph = _make_network()
-        params = LBParams.small_for_testing(
-            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
-        )
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(3)),
-                record_frames=False,
-            )
-        assert simulator.trace.mode is TraceMode.EVENTS
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(3)),
-                record_frames=True,
-            )
-        assert simulator.trace.mode is TraceMode.FULL
 
 
 class TestSchedulerDeltaInterface:
@@ -510,7 +477,7 @@ GRAPH_FACTORIES = {
 
 
 class TestBatchedStepping:
-    def _build(self, graph, batch_path, reuse=1, fast_path=None, vector_path=False):
+    def _build(self, graph, batch_path, reuse=1, fast_path=None):
         params = LBParams.small_for_testing(
             delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
         )
@@ -522,7 +489,6 @@ class TestBatchedStepping:
             scheduler=IIDScheduler(graph, probability=0.5, seed=7),
             environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
             fast_path=batch_path if fast_path is None else fast_path,
-            vector_path=vector_path,
             batch_path=batch_path,
         )
         return simulator, params
@@ -541,35 +507,6 @@ class TestBatchedStepping:
         _assert_identical_traces(
             batched_sim.run(rounds), generic_sim.run(rounds), rounds
         )
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    @pytest.mark.parametrize("reuse", [1, 2, 3])
-    def test_vectorized_identical_to_generic_path(self, graph_kind, reuse):
-        """The full production stack (vector resolver + batched stepping) vs
-        the seed engine, over geometric and region graphs and every seed
-        reuse factor."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        vector_sim, params = self._build(graph, True, reuse=reuse, vector_path=True)
-        generic_sim, _ = self._build(graph, False, reuse=reuse)
-        assert vector_sim.uses_vector_path and vector_sim.uses_batch_stepping
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(
-            vector_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    def test_vectorized_identical_to_point_query_resolver(self, graph_kind):
-        """Vector resolver vs the PR-2 point-query resolver, batched stepping
-        on both sides, so the only difference is reception resolution."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        vector_sim, params = self._build(graph, True, vector_path=True)
-        point_sim, _ = self._build(graph, True, vector_path=False)
-        assert vector_sim.uses_vector_path
-        assert point_sim.uses_fast_path and not point_sim.uses_vector_path
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(vector_sim.run(rounds), point_sim.run(rounds), rounds)
 
     def test_batched_identical_to_per_process_fast_path(self):
         graph = GRAPH_FACTORIES["geometric"]()
@@ -666,34 +603,17 @@ class TestBatchedStepping:
         assert batched.num_receptions == reference.num_receptions
 
 
-def _have_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-KERNEL_BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy", marks=pytest.mark.skipif(not _have_numpy(), reason="numpy not installed")
-    ),
-]
-
-
 class TestKernelLane:
-    """PR-6 array-kernel lanes: byte-identity, backend selection, fallback,
-    and the counters-only fast lane."""
+    """The kernel lane (bitmask resolver + bulk cohort stepping) and the
+    counters-only loop: byte-identity with the reference, fallback, and
+    run-boundary flushing."""
 
     def _build(
         self,
         graph,
-        kernel,
         reuse=1,
         trace_mode=TraceMode.FULL,
         fast_path=True,
-        vector_path=True,
         scheduler=None,
     ):
         params = LBParams.small_for_testing(
@@ -712,67 +632,40 @@ class TestKernelLane:
             environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
             trace_mode=trace_mode,
             fast_path=fast_path,
-            vector_path=vector_path,
             batch_path=fast_path,
-            kernel=kernel,
         )
         return simulator, params
 
     @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
     @pytest.mark.parametrize("reuse", [1, 2, 3])
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_kernel_identical_to_vector_path(self, graph_kind, reuse, backend):
-        """Each kernel backend vs the pinned vector path, geometric and
-        region topologies, every seed reuse factor."""
+    def test_kernel_identical_to_reference_engine(self, graph_kind, reuse):
+        """The production default vs the reference engine (generic resolver,
+        per-process stepping) over geometric and region topologies and every
+        seed reuse factor."""
         graph = GRAPH_FACTORIES[graph_kind]()
-        kernel_sim, params = self._build(graph, backend, reuse=reuse)
-        vector_sim, _ = self._build(graph, "off", reuse=reuse)
-        assert kernel_sim.uses_kernel and kernel_sim.kernel_backend == backend
-        assert vector_sim.uses_vector_path and not vector_sim.uses_kernel
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(kernel_sim.run(rounds), vector_sim.run(rounds), rounds)
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    def test_kernel_identical_to_generic_seed_engine(self, graph_kind):
-        """kernel="auto" (the production default) vs the seed engine."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        kernel_sim, params = self._build(graph, "auto")
-        generic_sim, _ = self._build(
-            graph, "off", fast_path=False, vector_path=False
-        )
-        assert kernel_sim.uses_kernel
-        assert kernel_sim.kernel_backend in ("python", "numpy")
-        assert not generic_sim.uses_fast_path
+        kernel_sim, params = self._build(graph, reuse=reuse)
+        reference_sim, _ = self._build(graph, reuse=reuse, fast_path=False)
+        assert kernel_sim.lane == "kernel" and kernel_sim.uses_batch_stepping
+        assert reference_sim.lane == "reference"
+        assert not reference_sim.uses_batch_stepping
 
         rounds = 3 * params.phase_length
         _assert_identical_traces(
-            kernel_sim.run(rounds), generic_sim.run(rounds), rounds
+            kernel_sim.run(rounds), reference_sim.run(rounds), rounds
         )
-
-    def test_auto_backend_matches_availability(self):
-        graph = GRAPH_FACTORIES["geometric"]()
-        simulator, _ = self._build(graph, "auto")
-        expected = "numpy" if _have_numpy() else "python"
-        assert simulator.kernel_backend == expected
 
     def test_adaptive_scheduler_disengages_kernel(self):
-        """An adaptive adversary disables the fast path and with it every
-        kernel lane; the requested backend must be silently ignored and the
-        execution must equal the generic engine's."""
+        """An adaptive adversary disables the kernel resolver (and with it
+        kernel cohort stepping); the execution must equal the reference
+        engine's."""
         graph = GRAPH_FACTORIES["geometric"]()
         kernel_sim, params = self._build(
-            graph, "auto", scheduler=CollisionAdaptiveAdversary(graph)
+            graph, scheduler=CollisionAdaptiveAdversary(graph)
         )
         generic_sim, _ = self._build(
-            graph,
-            "off",
-            fast_path=False,
-            vector_path=False,
-            scheduler=CollisionAdaptiveAdversary(graph),
+            graph, fast_path=False, scheduler=CollisionAdaptiveAdversary(graph)
         )
-        assert not kernel_sim.uses_kernel
-        assert kernel_sim.kernel_backend is None
+        assert kernel_sim.lane == "reference"
         assert not kernel_sim.uses_counters_lane
 
         rounds = 2 * params.phase_length
@@ -784,11 +677,10 @@ class TestKernelLane:
         """The counters-only lane must produce exactly the counters a full
         event trace reduces to (same event kinds, transmissions, receptions)."""
         graph = GRAPH_FACTORIES["geometric"]()
-        counters_sim, params = self._build(
-            graph, "auto", trace_mode=TraceMode.COUNTERS
-        )
-        full_sim, _ = self._build(graph, "off", trace_mode=TraceMode.FULL)
+        counters_sim, params = self._build(graph, trace_mode=TraceMode.COUNTERS)
+        full_sim, _ = self._build(graph, trace_mode=TraceMode.FULL, fast_path=False)
         assert counters_sim.uses_counters_lane
+        assert counters_sim.lane == "counters-kernel"
 
         rounds = 3 * params.phase_length
         counters_trace = counters_sim.run(rounds)
@@ -800,16 +692,35 @@ class TestKernelLane:
 
     def test_full_trace_mode_keeps_counters_lane_off(self):
         graph = GRAPH_FACTORIES["geometric"]()
-        simulator, _ = self._build(graph, "auto", trace_mode=TraceMode.FULL)
-        assert simulator.uses_kernel
+        simulator, _ = self._build(graph, trace_mode=TraceMode.FULL)
+        assert simulator.lane == "kernel"
         assert not simulator.uses_counters_lane
+        assert simulator.lane_fallback == (
+            "trace mode is 'full' (the counters lane needs 'counters')"
+        )
+
+    @pytest.mark.parametrize("trace_mode", [TraceMode.FULL, TraceMode.COUNTERS])
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_section_timers_are_always_on(self, trace_mode, fast_path):
+        graph = GRAPH_FACTORIES["geometric"]()
+        simulator, params = self._build(
+            graph, trace_mode=trace_mode, fast_path=fast_path
+        )
+        assert simulator.perf_stats == dict.fromkeys(
+            ("inputs", "transmit", "resolve", "deliver", "outputs"), 0.0
+        )
+        simulator.run(params.phase_length)
+        assert set(simulator.perf_stats) == {
+            "inputs", "transmit", "resolve", "deliver", "outputs"
+        }
+        assert simulator.perf_stats["resolve"] > 0.0
 
     def test_chunked_runs_resume_identically(self):
         """Kernel state (cohort buffers, deferred skips) must flush at run()
         boundaries so split runs equal one continuous run."""
         graph = GRAPH_FACTORIES["geometric"]()
-        whole_sim, params = self._build(graph, "auto")
-        split_sim, _ = self._build(graph, "auto")
+        whole_sim, params = self._build(graph)
+        split_sim, _ = self._build(graph)
         rounds = 3 * params.phase_length
         whole_trace = whole_sim.run(rounds)
         chunk = params.phase_length // 2

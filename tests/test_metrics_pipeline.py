@@ -276,26 +276,26 @@ class TestParamsOnlyResolution:
 
 
 class TestCountersLaneParity:
-    """PR-6: the counters-only kernel lane must feed metric reducers exactly
-    the rows the event-materializing paths produce."""
+    """The counters-only loop must feed metric reducers exactly the rows the
+    event-materializing reference produces."""
 
-    def test_counters_lane_metric_rows_match_vector_path(self):
+    def test_counters_lane_metric_rows_match_reference(self):
         spec = lb_spec_with(metrics=("counters",), trials=2, rounds=2)
         # A counters-only metric set resolves trace_mode="auto" to COUNTERS,
-        # and the default kernel="auto" then engages the counters lane.
+        # and the kernel resolver then engages the counters lane.
         assert resolve_trace_mode(spec) is TraceMode.COUNTERS
         assert materialize(spec).simulator.uses_counters_lane
 
         lane_rows = run(spec, keep=False).metric_rows
-        vector_spec = spec.with_overrides({"engine.kernel": "off"})
-        assert not materialize(vector_spec).simulator.uses_counters_lane
-        vector_rows = run(vector_spec, keep=False).metric_rows
-        assert lane_rows == vector_rows
+        reference_spec = spec.with_overrides({"engine.fast_path": False})
+        assert not materialize(reference_spec).simulator.uses_counters_lane
+        reference_rows = run(reference_spec, keep=False).metric_rows
+        assert lane_rows == reference_rows
 
     def test_event_metrics_keep_the_lane_off_and_still_agree(self):
         spec = lb_spec_with(metrics=("counters", "ack_delay"), trials=1, rounds=2)
         assert resolve_trace_mode(spec) is TraceMode.EVENTS
         assert not materialize(spec).simulator.uses_counters_lane
-        lane_off = run(spec.with_overrides({"engine.kernel": "off"}), keep=False)
-        lane_requested = run(spec, keep=False)
-        assert lane_requested.metric_rows == lane_off.metric_rows
+        reference = run(spec.with_overrides({"engine.fast_path": False}), keep=False)
+        production = run(spec, keep=False)
+        assert production.metric_rows == reference.metric_rows

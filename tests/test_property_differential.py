@@ -1,0 +1,145 @@
+"""Differential fuzzing of the production engine against the reference.
+
+Hypothesis draws random :class:`~repro.scenarios.spec.ScenarioSpec` trees
+from the component registries' ``sample_args`` -- topology x scheduler x
+algorithm x environment (``queued`` included) x trace mode -- and checks
+that the production engine (bitmask kernel resolver, kernel cohort stepping,
+counters-only loop where eligible) observes exactly the execution of the
+``engine.fast_path=False`` reference, and that the spec survives a JSON
+round trip with its fingerprint.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.scenarios import (
+    ALGORITHMS,
+    ENVIRONMENTS,
+    SCHEDULERS,
+    TOPOLOGIES,
+    AlgorithmSpec,
+    EngineConfig,
+    EnvironmentSpec,
+    RunPolicy,
+    ScenarioSpec,
+    SchedulerSpec,
+    TopologySpec,
+    materialize,
+)
+from repro.simulation.trace import TraceMode
+
+SCHEDULER_NAMES = (
+    "iid",
+    "periodic",
+    "none",
+    "full",
+    "anti_schedule",
+    "adaptive_collision",
+    "trace",
+    "tasa",
+)
+TRACE_MODES = tuple(mode.value for mode in TraceMode)
+SENDER_ENVIRONMENTS = ("single_shot", "saturating", "bursty")
+
+
+def _sample_graph(topology: TopologySpec, master_seed: int):
+    return TOPOLOGIES.get(topology.name)(master_seed, **topology.args)[0]
+
+
+@st.composite
+def scenario_specs(draw) -> ScenarioSpec:
+    master_seed = draw(st.integers(0, 2**16))
+    topology_name = draw(st.sampled_from(TOPOLOGIES.names()))
+    topology_args = TOPOLOGIES.sample_args(topology_name)
+    if "seed" in topology_args:
+        topology_args["seed"] = draw(st.integers(0, 50))
+    topology = TopologySpec(topology_name, topology_args)
+
+    scheduler_name = draw(st.sampled_from(SCHEDULER_NAMES))
+    scheduler_args = SCHEDULERS.sample_args(scheduler_name)
+    if scheduler_name == "iid":
+        scheduler_args["probability"] = draw(st.sampled_from((0.1, 0.5, 0.9)))
+        scheduler_args["seed"] = draw(st.integers(0, 50))
+    elif scheduler_name == "trace":
+        # A short cyclic schedule over the sampled graph's unreliable edges.
+        graph = _sample_graph(topology, master_seed)
+        edges = sorted(
+            (sorted(edge, key=repr) for edge in graph.unreliable_edges), key=repr
+        )
+        if edges:
+            scheduler_args["schedule"] = draw(
+                st.lists(
+                    st.lists(st.sampled_from(edges), max_size=6, unique_by=repr),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+
+    algorithm_name = draw(st.sampled_from(ALGORITHMS.names()))
+    environment_name = draw(st.sampled_from(ENVIRONMENTS.names()))
+    environment_args = ENVIRONMENTS.sample_args(environment_name)
+    if environment_name in SENDER_ENVIRONMENTS:
+        environment_args["senders"] = {
+            "select": "first",
+            "count": draw(st.integers(1, 4)),
+        }
+    elif environment_name == "queued":
+        environment_args["arrival"]["args"]["period"] = draw(st.integers(2, 12))
+
+    return ScenarioSpec(
+        name="differential",
+        topology=topology,
+        algorithm=AlgorithmSpec(algorithm_name, ALGORITHMS.sample_args(algorithm_name)),
+        scheduler=SchedulerSpec(scheduler_name, scheduler_args),
+        environment=EnvironmentSpec(environment_name, environment_args),
+        run=RunPolicy(
+            rounds=draw(st.integers(1, 120)),
+            rounds_unit="rounds",
+            master_seed=master_seed,
+            seed_policy="fixed",
+        ),
+        engine=EngineConfig(trace_mode=draw(st.sampled_from(TRACE_MODES))),
+    )
+
+
+def _execute(spec: ScenarioSpec):
+    built = materialize(spec)
+    return built.simulator, built.simulator.run(built.total_rounds)
+
+
+class TestProductionMatchesReference:
+    @given(scenario_specs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_production_trace_equals_reference(self, spec, reference_batched):
+        production_sim, production = _execute(spec)
+        reference_sim, reference = _execute(
+            spec.with_overrides(
+                {"engine.fast_path": False, "engine.batch_path": reference_batched}
+            )
+        )
+        assert reference_sim.lane == "reference"
+        assert production_sim.lane in ("reference", "kernel", "counters-kernel")
+
+        assert production.num_rounds == reference.num_rounds
+        assert production.event_counts == reference.event_counts
+        assert production.num_transmissions == reference.num_transmissions
+        assert production.num_receptions == reference.num_receptions
+        if spec.engine.trace_mode != "counters":
+            assert production.events == reference.events
+        if spec.engine.trace_mode == "full":
+            for round_number in range(1, production.num_rounds + 1):
+                assert production.transmissions_in_round(
+                    round_number
+                ) == reference.transmissions_in_round(round_number)
+                assert production.receptions_in_round(
+                    round_number
+                ) == reference.receptions_in_round(round_number)
+
+    @given(scenario_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_json_round_trip_keeps_the_fingerprint(self, spec):
+        restored = ScenarioSpec.from_json(spec.to_json())
+        assert restored == spec
+        assert restored.fingerprint() == spec.fingerprint()

@@ -16,6 +16,7 @@ Pinned contracts:
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import pickle
@@ -27,6 +28,7 @@ import pytest
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
+EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
 
 from repro import (
     IIDScheduler,
@@ -43,12 +45,12 @@ from repro.scenarios import (
     SCHEDULERS,
     TOPOLOGIES,
     AlgorithmSpec,
-    EngineConfig,
     EnvironmentSpec,
     Registry,
     RunPolicy,
     ScenarioSpec,
     SchedulerSpec,
+    SuiteSpec,
     TopologySpec,
     build,
     materialize,
@@ -58,6 +60,7 @@ from repro.scenarios import (
     run_spec_point,
 )
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.store import trial_key
 from repro.simulation.trace import TraceMode
 
 
@@ -204,31 +207,70 @@ class TestFingerprint:
             != spec.with_overrides({"topology.args.n": 15}).fingerprint()
         )
 
-    def test_kernel_field_round_trips_and_default_stays_out_of_identity(self):
-        """PR-6: ``engine.kernel`` serializes only when pinned away from
-        "auto", so every pre-kernel spec keeps its fingerprint; a pinned
-        backend round-trips through JSON like any other field."""
+    def test_engine_profile_round_trips(self):
+        profiled = small_spec(**{"engine.profile": True})
+        restored = ScenarioSpec.from_json(profiled.to_json())
+        assert restored == profiled and restored.engine.profile
+        assert restored.fingerprint() == profiled.fingerprint()
+        assert profiled.fingerprint() != small_spec().fingerprint()
+
+
+class TestLegacyEngineKeys:
+    """Removed engine knobs (``vector_path``, ``kernel``) stay loadable."""
+
+    #: ``trial_key(small_spec(), 0)``, as computed when the knobs still
+    #: existed: stores filled back then must keep hitting.
+    PINNED_TRIAL_KEY = "f77fb39d3c9c81dd0227aa1234993234"
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"vector_path": False},
+            {"vector_path": True},
+            {"kernel": "off"},
+            {"kernel": "python"},
+            {"kernel": "numpy"},
+            {"kernel": "auto"},
+            {"vector_path": False, "kernel": "numpy"},
+        ],
+    )
+    def test_legacy_keys_load_as_the_default_spec(self, legacy):
         base = small_spec()
-        assert base.engine.kernel == "auto"
-        assert "kernel" not in base.engine.to_dict()
-        explicit_auto = base.with_overrides({"engine.kernel": "auto"})
-        assert explicit_auto == base
-        assert explicit_auto.fingerprint() == base.fingerprint()
+        data = base.to_dict()
+        data["engine"].update(legacy)
+        loaded = ScenarioSpec.from_dict(data)
+        assert loaded == base
+        assert loaded.fingerprint() == base.fingerprint()
+        assert trial_key(loaded, 0) == trial_key(base, 0) == self.PINNED_TRIAL_KEY
+        overridden = base.with_overrides({f"engine.{k}": v for k, v in legacy.items()})
+        assert overridden == base
 
-        pinned = base.with_overrides({"engine.kernel": "python"})
-        restored = ScenarioSpec.from_json(pinned.to_json())
-        assert restored == pinned and restored.engine.kernel == "python"
-        assert restored.fingerprint() == pinned.fingerprint()
-        assert pinned.fingerprint() != base.fingerprint()
+    def test_legacy_keys_leave_the_serialized_form(self):
+        assert set(small_spec().engine.to_dict()) == {
+            "fast_path", "batch_path", "trace_mode", "profile"
+        }
 
-        with pytest.raises(ValueError, match="kernel"):
-            EngineConfig(kernel="cuda")
+    def test_other_unknown_engine_keys_are_still_rejected(self):
+        data = small_spec().to_dict()
+        data["engine"]["warp_path"] = True
+        with pytest.raises(ValueError, match="warp_path"):
+            ScenarioSpec.from_dict(data)
 
-    def test_kernel_field_reaches_the_simulator(self):
-        off = materialize(small_spec(**{"engine.kernel": "off"})).simulator
-        assert not off.uses_kernel and off.kernel_backend is None
-        python = materialize(small_spec(**{"engine.kernel": "python"})).simulator
-        assert python.uses_kernel and python.kernel_backend == "python"
+    @pytest.mark.parametrize(
+        "path",
+        sorted(
+            glob.glob(os.path.join(EXAMPLES_DIR, "**", "*.json"), recursive=True)
+        ),
+        ids=os.path.basename,
+    )
+    def test_every_checked_in_example_loads(self, path):
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if "entries" in data:
+            spec = SuiteSpec.load(path)
+        else:
+            spec = ScenarioSpec.load(path)
+        assert spec.fingerprint()
 
 
 class TestRegistries:
@@ -306,10 +348,12 @@ class TestTraceIdentity:
             ) == hand_trace.receptions_in_round(round_number)
 
     def test_build_returns_configured_simulator(self):
-        spec = small_spec(**{"engine.vector_path": False, "engine.trace_mode": "events"})
+        spec = small_spec(**{"engine.batch_path": False, "engine.trace_mode": "events"})
         simulator = build(spec)
-        assert simulator.uses_fast_path and not simulator.uses_vector_path
+        assert simulator.lane == "kernel" and not simulator.uses_batch_stepping
         assert simulator.trace.mode is TraceMode.EVENTS
+        reference = build(spec.with_overrides({"engine.fast_path": False}))
+        assert reference.lane == "reference"
 
 
 class TestRunPolicy:
@@ -527,30 +571,6 @@ class TestCLI:
         assert "iid" in payload["scheduler"]
         assert "random_geographic" in payload["topology"]
         assert "single_shot" in payload["environment"]
-
-
-class TestDeprecations:
-    def test_build_lb_simulator_record_frames_warns(self):
-        from benchmarks.common import build_lb_simulator
-
-        graph, _ = random_geographic_network(10, side=3.0, rng=2, require_connected=True)
-        delta, delta_prime = graph.degree_bounds()
-        params = LBParams.small_for_testing(delta=delta, delta_prime=delta_prime)
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            simulator = build_lb_simulator(
-                graph,
-                params,
-                SingleShotEnvironment(senders=[0]),
-                record_frames=False,
-            )
-        assert simulator.trace.mode is TraceMode.EVENTS
-
-    def test_execution_trace_record_frames_warns(self):
-        from repro.simulation.trace import ExecutionTrace
-
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            trace = ExecutionTrace(record_frames=False)
-        assert trace.mode is TraceMode.EVENTS
 
 
 class TestBenchJobsParsing:

@@ -232,7 +232,7 @@ class TestQueuedEnvironment:
             engine=EngineConfig(trace_mode="counters"),
         )
         built = materialize(spec, 0)
-        assert built.simulator.lane != "counters-kernel-numpy"
+        assert built.simulator.lane == "kernel"
         assert built.simulator.lane_fallback == (
             "environment QueuedEnvironment overrides _on_recv"
         )
@@ -255,7 +255,7 @@ class TestQueuedEnvironment:
             engine=EngineConfig(trace_mode="counters"),
         )
         result = run(spec, keep=False)
-        assert result.perf_stats["lane"].startswith("counters-kernel-")
+        assert result.perf_stats["lane"] == "counters-kernel"
         assert result.perf_stats["lane_fallback"] is None
 
 
@@ -401,39 +401,20 @@ class TestTrafficExecution:
         [("tasa", None), ("longest_queue", None), ("iid", {"probability": 0.5})],
     )
     def test_engine_lane_parity_for_queued_workloads(self, scheduler, scheduler_args):
-        generic = self._events(
-            EngineConfig(fast_path=False, vector_path=False, batch_path=False),
+        reference = self._events(
+            EngineConfig(fast_path=False, batch_path=False),
             scheduler,
             scheduler_args,
         )
-        fast = self._events(
-            EngineConfig(fast_path=True, vector_path=False, batch_path=False),
+        per_process = self._events(
+            EngineConfig(fast_path=True, batch_path=False),
             scheduler,
             scheduler_args,
         )
-        batched = self._events(
-            EngineConfig(fast_path=True, vector_path=False, batch_path=True),
-            scheduler,
-            scheduler_args,
-        )
-        vector = self._events(
-            EngineConfig(fast_path=True, vector_path=True, batch_path=True),
-            scheduler,
-            scheduler_args,
-        )
-        kernel_python = self._events(
-            EngineConfig(
-                fast_path=True, vector_path=True, batch_path=True, kernel="python"
-            ),
-            scheduler,
-            scheduler_args,
-        )
-        assert fast[0] == generic[0]
-        assert batched[0] == generic[0]
-        assert vector[0] == generic[0]
-        assert kernel_python[0] == generic[0]
-        for other in (fast, batched, vector, kernel_python):
-            assert other[1] == generic[1]
+        production = self._events(EngineConfig(), scheduler, scheduler_args)
+        for other in (per_process, production):
+            assert other[0] == reference[0]
+            assert other[1] == reference[1]
 
     def test_serial_and_parallel_run_many_rows_match(self):
         def strip_timing(rows):
