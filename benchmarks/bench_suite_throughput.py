@@ -1,30 +1,28 @@
-"""Suite throughput benchmark: cold vs warm (result store) vs sharded runs.
+"""Suite throughput benchmark: cold vs warm (result store) vs fleet runs.
 
-This is the PR-7 performance yardstick for the content-addressed
-:class:`~repro.scenarios.store.ResultStore` and the sharded suite executor.
-It builds a synthetic seed-agreement suite (every trial is a standalone
+This is the performance yardstick for the content-addressed
+:class:`~repro.scenarios.store.ResultStore` and the fleet executor.  It
+builds a synthetic seed-agreement suite (every trial is a standalone
 ``SeedAlg`` run to completion -- cheap enough to benchmark, expensive enough
-that recomputation dominates store I/O) and times three executions:
+that recomputation dominates store I/O) and times two executions:
 
 * **cold** -- a fresh store: every trial executes and is written back;
 * **warm** -- the same store again: every trial must be a cache hit
   (``store.misses == 0``) and the assembled metric rows must be
-  *byte-identical* to the cold run's;
-* **sharded** -- the suite split ``1/2`` + ``2/2`` over a second fresh
-  store, merged via :func:`~repro.scenarios.suite.merge_reports`, whose
-  deterministic content must equal the unsharded report's.
+  *byte-identical* to the cold run's.
 
 The headline is ``warm_speedup = cold_s / warm_s``: how much faster a rerun
 is when every record is served from the store.  The committed baseline at
 the repo root is ``BENCH_suite.json``; CI regenerates a ``--quick`` report
-and gates ``warm_speedup`` (and the two identity booleans) through
+and gates ``warm_speedup`` (and the identity booleans) through
 ``check_bench_regression.py --suite-fresh``.  The speedup is a ratio of two
 runs on the same host, so it is comparable across machines.
 
 The PR-10 ``fleet`` section benchmarks the multi-process work-stealing
 executor (:func:`~repro.scenarios.fleet.run_suite_fleet`) on a *skewed*
-workload -- one task modeled an order of magnitude heavier than the rest, the
-case where a fixed ``1/N`` shard split would straggle behind its heavy shard.
+workload -- one task modeled several times heavier than the rest, the case
+where a fixed ``1/N`` split of the task list would straggle behind its heavy
+slice.
 Per-task cost is modeled as blocking latency through the executor's
 ``task_runner`` seam and **both arms run the same executor** (``workers=1``
 vs ``workers=4``), so the ratio measures dispatch overlap and steal balance
@@ -67,10 +65,8 @@ from repro.scenarios import (
     SuiteSpec,
     TopologySpec,
     deterministic_report_dict,
-    merge_reports,
     run_suite,
     run_suite_fleet,
-    run_suite_shard,
 )
 from repro.scenarios.fleet import default_task_runner
 
@@ -164,8 +160,8 @@ def build_skew_suite() -> SuiteSpec:
     """16 trivially-cheap tasks whose *modeled* costs are heavily skewed.
 
     Entry 0 carries :data:`SKEW_HEAVY_S`; the rest carry
-    :data:`SKEW_LIGHT_S`.  A static ``1/4`` shard split would leave the
-    heavy shard straggling ~2x behind; dynamic leases let the other workers
+    :data:`SKEW_LIGHT_S`.  A static ``1/4`` split would leave the heavy
+    slice straggling ~2x behind; dynamic leases let the other workers
     drain the light tail while one worker sits on the heavy task.
     """
     entries: List[SuiteEntry] = []
@@ -283,16 +279,6 @@ def run_benchmark(quick: bool = False, jobs: Optional[int] = None) -> Dict[str, 
         store_dir = os.path.join(workdir, "store")
         cold, cold_s = _timed(lambda: run_suite(suite, jobs=jobs, store=store_dir))
         warm, warm_s = _timed(lambda: run_suite(suite, jobs=jobs, store=store_dir))
-
-        # Sharded run over a second fresh store: two shards, then merge.
-        shard_dir = os.path.join(workdir, "shard-store")
-        shard1, shard1_s = _timed(
-            lambda: run_suite_shard(suite, 1, 2, jobs=jobs, store=shard_dir)
-        )
-        shard2, shard2_s = _timed(
-            lambda: run_suite_shard(suite, 2, 2, jobs=jobs, store=shard_dir)
-        )
-        merged, merge_s = _timed(lambda: merge_reports(suite, [shard1, shard2]))
         cold_det = deterministic_report_dict(cold.to_dict())
         fleet = run_fleet_benchmark(suite, workdir, cold_det)
     finally:
@@ -312,11 +298,6 @@ def run_benchmark(quick: bool = False, jobs: Optional[int] = None) -> Dict[str, 
         "warm_hits": int(warm.store_stats["hits"]),
         "warm_misses": int(warm.store_stats["misses"]),
         "rows_identical": _metric_rows_blob(cold) == _metric_rows_blob(warm),
-        "shard1_s": shard1_s,
-        "shard2_s": shard2_s,
-        "sharded_s": shard1_s + shard2_s,
-        "merge_s": merge_s,
-        "merge_identical": deterministic_report_dict(merged.to_dict()) == cold_det,
         "target_warm_speedup": TARGET_WARM_SPEEDUP,
         "fleet": fleet,
     }
@@ -334,13 +315,6 @@ def render_table(report: Dict[str, Any]) -> str:
             "mode": "warm (all hits)",
             "elapsed_s": round(report["warm_s"], 4),
             "speedup_vs_cold": round(report["warm_speedup"], 1),
-        },
-        {
-            "mode": "sharded 2x (fresh store)",
-            "elapsed_s": round(report["sharded_s"], 4),
-            "speedup_vs_cold": round(
-                report["cold_s"] / report["sharded_s"] if report["sharded_s"] else 0.0, 2
-            ),
         },
     ]
     fleet = report.get("fleet")
@@ -364,8 +338,7 @@ def render_table(report: Dict[str, Any]) -> str:
         f"warm rerun {report['warm_speedup']:.0f}x over cold "
         f"(target >= {report['target_warm_speedup']:.0f}x); "
         f"warm misses={report['warm_misses']}, "
-        f"rows identical={report['rows_identical']}, "
-        f"merged == unsharded: {report['merge_identical']}"
+        f"rows identical={report['rows_identical']}"
     )
     if fleet:
         title += (
@@ -404,8 +377,6 @@ def main(argv=None) -> int:
         failures.append("warm rerun's metric rows differ from the cold run's")
     if report["warm_misses"] != 0:
         failures.append(f"warm rerun recomputed {report['warm_misses']} trial(s)")
-    if not report["merge_identical"]:
-        failures.append("merged shard report differs from the unsharded report")
     fleet = report.get("fleet", {})
     if not fleet.get("skew_identical"):
         failures.append("fleet skew report differs from its serial (workers=1) run")

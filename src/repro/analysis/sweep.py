@@ -92,8 +92,8 @@ def derive_trial_seed(master_seed: int, trial_index: int, seed_policy: str = "de
 
     This is the single documented helper behind
     :meth:`repro.scenarios.spec.RunPolicy.trial_seed`: serial ``run()``
-    loops, ``run(jobs=...)`` worker pools, suite workers, shard partitions
-    and the result store's cache keys all resolve trial ``i`` of a scenario
+    loops, ``run(jobs=...)`` worker pools, suite and fleet workers, and the
+    result store's cache keys all resolve trial ``i`` of a scenario
     through this function, so they provably draw identical seeds.
 
     Policies:
@@ -225,10 +225,11 @@ class ParallelSweepRunner:
 
         ``on_result``, when given, is called in the parent process with each
         completed row *in canonical grid order* (serial and pooled runs
-        alike) before the row is appended to the result -- the hook suite
-        checkpointing uses to persist progress incrementally: when the
-        process dies mid-sweep, every row already handed to ``on_result``
-        is a canonical-order prefix of the full sweep.
+        alike) before the row is appended to the result -- the hook
+        :func:`repro.scenarios.suite.run_suite` uses to write each record to
+        the result store as it lands: when the process dies mid-sweep, every
+        row already handed to ``on_result`` is a canonical-order prefix of
+        the full sweep.
         """
         points = list(iter_grid_points(grid))
         seeds: List[Optional[int]] = [

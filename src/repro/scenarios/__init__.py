@@ -20,17 +20,19 @@ policy, round-trips through JSON, and carries a stable
   :class:`~repro.scenarios.spec.MetricSpec` entries on a scenario;
 * :mod:`repro.scenarios.suite` -- scenario suites: a JSON
   :class:`~repro.scenarios.suite.SuiteSpec` manifest of many specs run (with
-  per-spec and per-trial parallelism, deterministic ``k/N`` sharding, and
-  checkpoint/resume) into one :class:`~repro.scenarios.suite.SuiteReport`;
+  per-spec and per-trial parallelism, serially, on a pool, or on the
+  :mod:`repro.scenarios.fleet` of leased OS workers) into one
+  :class:`~repro.scenarios.suite.SuiteReport`;
 * :mod:`repro.scenarios.store` -- the content-addressed
   :class:`~repro.scenarios.store.ResultStore`: per-trial records keyed by
   (scenario content identity, trial seed, metrics signature), consulted by
-  every execution path before re-running a trial;
+  every execution path before re-running a trial, and the only checkpoint:
+  a killed run resumes by rerunning against the same store;
 * :mod:`repro.scenarios.jobs` / :mod:`repro.scenarios.service` -- the async
   scenario service (``python -m repro serve``): a durable, deduplicating
   HTTP job queue over :func:`~repro.scenarios.suite.run_suite`, with NDJSON
-  progress streaming, retry with backoff, and checkpointed graceful
-  shutdown (:class:`~repro.scenarios.jobs.JobManager`);
+  progress streaming, retry with backoff, and graceful shutdown that
+  resumes from the store (:class:`~repro.scenarios.jobs.JobManager`);
 * ``python -m repro`` -- the ``run`` / ``sweep`` / ``suite`` / ``serve`` /
   ``store`` / ``list`` CLI over scenario and suite JSON files
   (:mod:`repro.scenarios.cli`).
@@ -99,17 +101,13 @@ from repro.scenarios.suite import (
     SuiteEntry,
     SuiteEntryResult,
     SuiteReport,
-    SuiteShard,
     SuiteSpec,
     deterministic_report_dict,
-    merge_reports,
-    parse_shard,
     run_suite,
-    run_suite_shard,
-    shard_tasks,
 )
 from repro.scenarios.fleet import (
     DEFAULT_LEASE_TTL_S,
+    FleetTaskError,
     default_task_runner,
     run_suite_fleet,
 )
@@ -175,18 +173,14 @@ __all__ = [
     "SuiteEntry",
     "SuiteEntryResult",
     "SuiteReport",
-    "SuiteShard",
     "run_suite",
-    "run_suite_shard",
-    "merge_reports",
-    "shard_tasks",
-    "parse_shard",
     "deterministic_report_dict",
     "SuiteCancelled",
     # fleet execution
     "run_suite_fleet",
     "default_task_runner",
     "DEFAULT_LEASE_TTL_S",
+    "FleetTaskError",
     # service
     "JobManager",
     "Job",

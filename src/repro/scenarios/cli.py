@@ -12,16 +12,14 @@ Subcommands:
   trial, optionally on a worker pool) and print its pooled per-group report;
   ``--json`` / ``--markdown`` write the full :class:`~repro.scenarios.suite.SuiteReport`.
   ``--store DIR`` serves/persists trials through the content-addressed
-  result store; ``--shard k/N`` executes one deterministic slice of the task
-  list (writing a shard file under the store), ``--merge`` reassembles the
-  saved shards into the full report, ``--resume`` journals finished
-  tasks to a checkpoint so a killed run restarts where it stopped, and
-  ``--fleet N`` dispatches the task list across N OS worker processes with
-  crash-safe work-stealing leases (:func:`repro.scenarios.fleet.run_suite_fleet`).
+  result store, which is also the checkpoint: rerunning a killed run against
+  the same store executes only what is missing.  ``--fleet N`` dispatches
+  the task list across N OS worker processes with crash-safe work-stealing
+  leases (:func:`repro.scenarios.fleet.run_suite_fleet`).
 * ``serve --store DIR`` -- run the async scenario service: an HTTP job
   queue accepting suite/scenario submissions with in-flight + at-rest
-  dedup, NDJSON progress streaming, per-job retry, and checkpointed
-  graceful shutdown (see docs/service.md).
+  dedup, NDJSON progress streaming, per-job retry, and graceful shutdown
+  that resumes from the store (see docs/service.md).
 * ``store stats|gc DIR`` -- inspect or compact a result store.
 * ``list`` -- the registered components (including metrics), with their
   sample arguments.
@@ -34,9 +32,7 @@ back to strings, so ``--set scheduler.args.probability=0.25`` and
 from __future__ import annotations
 
 import argparse
-import glob
 import json
-import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -47,14 +43,7 @@ from repro.scenarios.runtime import run, run_many
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultStore
 from repro.scenarios.fleet import run_suite_fleet
-from repro.scenarios.suite import (
-    SuiteShard,
-    SuiteSpec,
-    merge_reports,
-    parse_shard,
-    run_suite,
-    run_suite_shard,
-)
+from repro.scenarios.suite import SuiteSpec, run_suite
 
 
 def _parse_value(text: str) -> Any:
@@ -181,24 +170,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_run_dir(store_dir: str, fingerprint: str) -> str:
-    """Where one suite's shard files and checkpoints live inside a store."""
-    return os.path.join(store_dir, "suite", fingerprint)
-
-
 def _cmd_suite(args: argparse.Namespace) -> int:
     suite = SuiteSpec.load(args.suite)
-    fingerprint = suite.fingerprint()
-    if (args.shard or args.merge or args.resume) and not args.store:
-        raise SystemExit("--shard/--merge/--resume need --store DIR for their on-disk state")
-    if args.fleet is not None and (args.shard or args.merge or args.resume):
-        raise SystemExit(
-            "--fleet replaces --shard/--merge/--resume: leases partition the "
-            "task list dynamically and the result store is the checkpoint "
-            "(rerun the same --fleet command to resume)"
-        )
-    run_dir = _suite_run_dir(args.store, fingerprint) if args.store else None
-
     if args.fleet is not None:
         if args.fleet < 1:
             raise SystemExit(f"--fleet needs at least 1 worker, got {args.fleet}")
@@ -215,58 +188,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 f"fleet      : {stats['workers']} worker process(es), "
                 f"{stats['steals']} lease steal(s)"
             )
-    elif args.merge:
-        paths = sorted(glob.glob(os.path.join(run_dir, "shard-*-of-*.json")))
-        if not paths:
-            raise SystemExit(f"--merge found no shard files under {run_dir}")
-        try:
-            report = merge_reports(suite, [SuiteShard.load(path) for path in paths])
-        except ValueError as error:
-            raise SystemExit(f"merge failed: {error}")
-        if not args.quiet:
-            print(f"merged     : {len(paths)} shard file(s) from {run_dir}")
-    elif args.shard:
-        shard_index, shard_count = parse_shard(args.shard)
-        name = f"shard-{shard_index}-of-{shard_count}"
-        checkpoint = (
-            os.path.join(run_dir, name + ".checkpoint.jsonl") if args.resume else None
-        )
-        shard = run_suite_shard(
-            suite,
-            shard_index,
-            shard_count,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            prebuild=not args.no_prebuild,
-            store=args.store,
-            checkpoint=checkpoint,
-            resume=args.resume,
-        )
-        path = shard.save(os.path.join(run_dir, name + ".json"))
-        if checkpoint is not None and os.path.exists(checkpoint):
-            os.remove(checkpoint)
-        stats = shard.stats
-        print(
-            f"shard {shard_index}/{shard_count}: {stats['tasks']} task(s) "
-            f"({stats['hits']} from store, {stats['resumed']} resumed, "
-            f"{stats['misses']} executed) in {shard.elapsed_s:.2f}s"
-        )
-        print(f"wrote {path}")
-        return 0
     else:
-        checkpoint = (
-            os.path.join(run_dir, "run.checkpoint.jsonl")
-            if run_dir is not None and args.resume
-            else None
-        )
         report = run_suite(
             suite,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             prebuild=not args.no_prebuild,
             store=args.store,
-            checkpoint=checkpoint,
-            resume=args.resume,
         )
     if not args.quiet:
         print(
@@ -279,7 +207,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             stats = report.store_stats
             print(
                 f"store      : {stats['hits']} of {stats['tasks']} task(s) from the "
-                f"store, {stats['resumed']} resumed, {stats['misses']} executed"
+                f"store, {stats['misses']} executed"
             )
         print()
         print(report.format_table(by="entry", columns=args.columns))
@@ -458,26 +386,8 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="content-addressed result store: completed trials are served from "
-        "here instead of re-executing, fresh ones are persisted (see docs/store.md)",
-    )
-    suite_parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/N",
-        help="execute only shard K of N (1-based, deterministic partition) and "
-        "write the shard file under --store instead of a report",
-    )
-    suite_parser.add_argument(
-        "--merge",
-        action="store_true",
-        help="merge the shard files saved under --store into the full report "
-        "(fails if any shard is missing)",
-    )
-    suite_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="journal finished tasks to a checkpoint under --store and, when "
-        "one exists from a killed run, trust its records instead of re-executing",
+        "here instead of re-executing, fresh ones are persisted, so rerunning "
+        "a killed run resumes it (see docs/store.md)",
     )
     suite_parser.add_argument(
         "--fleet",
@@ -485,8 +395,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="execute across N OS worker processes with dynamic work-stealing "
-        "leases (crash-safe; the --store doubles as the resume checkpoint); "
-        "replaces --shard/--merge/--resume",
+        "leases (crash-safe; the --store is the resume checkpoint)",
     )
     suite_parser.set_defaults(func=_cmd_suite)
 
@@ -498,7 +407,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--store",
         required=True,
         metavar="DIR",
-        help="result-store root: at-rest dedup, the job journal, checkpoints "
+        help="result-store root: trial records, at-rest dedup, the job journal "
         "and persisted reports all live here",
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")

@@ -1,10 +1,9 @@
 """Fleet suite execution: multi-process work-stealing over leased task chunks.
 
-:func:`run_suite_fleet` replaces the static ``--shard k/N`` partition (where
-every worker owns a fixed round-robin slice and the run finishes at the pace
-of the unluckiest worker) with *dynamic leasing*: the coordinator chunks the
-suite's canonical ``(entry, trial)`` task list, writes a board file, and
-spawns N independent OS processes that race to claim chunks one at a time.
+:func:`run_suite_fleet` spreads a suite over N OS processes by *dynamic
+leasing*: the coordinator chunks the suite's canonical ``(entry, trial)``
+task list, writes a board file, and spawns N independent OS processes that
+race to claim chunks one at a time.
 A fast worker that drains its chunk simply claims another; a straggling chunk
 never blocks more than the one worker holding it.
 
@@ -21,18 +20,23 @@ with the same POSIX ``flock`` + fsync idiom as the
 * **stealing** takes the exclusive lock, re-reads, and re-owns the lease only
   if its heartbeat is older than the TTL -- so a worker that dies (crash,
   SIGKILL, OOM) has its chunk reclaimed by survivors, while a live worker's
-  lease is never touched.
+  lease is never touched;
+* **failure** -- a task whose runner raises is recorded in its lease (task,
+  entry id, trial, exception type, message, traceback) and the lease turns
+  ``failed``: it is never stolen, because trials are deterministic and a
+  retry would raise again.  The coordinator stops the other workers and
+  raises :class:`FleetTaskError` naming the task.
 
 Correctness never depends on the TTL: executed records land in the
 content-addressed result store *before* the lease is updated, workers consult
 the store before executing a task, and a duplicated execution (a steal racing
 a slow-but-alive owner) writes byte-identical records resolved
 last-write-wins.  The store is therefore both the result channel and the
-resume checkpoint -- re-running a killed fleet skips everything that finished.
+only checkpoint -- re-running a killed fleet skips everything that finished.
 
 The merged :class:`~repro.scenarios.suite.SuiteReport` assembles through the
-same :func:`~repro.scenarios.suite._assemble_report` path as serial runs and
-shard merges, so its deterministic content
+same :func:`~repro.scenarios.suite._assemble_report` path as serial runs, so
+its deterministic content
 (:func:`~repro.scenarios.suite.deterministic_report_dict`) is byte-identical
 to ``run_suite``'s no matter which worker executed which task, how many died,
 or how work was stolen.
@@ -70,10 +74,11 @@ from repro.scenarios.store import (
 )
 from repro.scenarios.suite import (
     SuiteCancelled,
+    SuiteReport,
     SuiteSpec,
     _assemble_report,
     _flatten_tasks,
-    SuiteReport,
+    _plan_tasks,
 )
 
 #: Version tag written into every board and lease file, so a future layout
@@ -85,6 +90,29 @@ FLEET_PROTOCOL_VERSION = 1
 #: chunk): a too-short TTL at worst duplicates work, never corrupts it,
 #: because records are content-addressed and byte-identical.
 DEFAULT_LEASE_TTL_S = 5.0
+
+#: Lease states that end a chunk's life: nobody claims or steals it again.
+_SETTLED_STATES = ("done", "failed")
+
+
+class FleetTaskError(RuntimeError):
+    """A fleet task's runner raised: the run stops and names the task.
+
+    ``failure`` is the record the failing worker wrote into its lease
+    (``task``, ``entry``, ``trial``, ``type``, ``message``, ``traceback``);
+    ``steals`` counts lease steals observed before the failure.  Records
+    completed before the failure stay in the store.
+    """
+
+    def __init__(self, failure: Dict[str, Any], steals: int) -> None:
+        self.failure = failure
+        self.steals = steals
+        super().__init__(
+            f"fleet task {failure.get('task')} (entry {failure.get('entry')!r}, "
+            f"trial {failure.get('trial')}) raised {failure.get('type')}: "
+            f"{failure.get('message')}\n--- worker traceback ---\n"
+            f"{failure.get('traceback', '').rstrip()}"
+        )
 
 
 def default_task_runner(spec: ScenarioSpec, trial_index: int) -> Dict[str, Any]:
@@ -266,7 +294,7 @@ def _try_steal_lease(
             lease = None
         if not isinstance(lease, dict):
             lease = None
-        if lease is not None and lease.get("state") == "done":
+        if lease is not None and lease.get("state") in _SETTLED_STATES:
             return None
         if not _lease_expired(lease, path, ttl_s):
             return None
@@ -321,7 +349,7 @@ def _claim_any_chunk(
     for chunk_index in order:
         path = _lease_path(leases_dir, chunk_index)
         lease = _read_json(path)
-        if lease is not None and lease.get("state") == "done":
+        if lease is not None and lease.get("state") in _SETTLED_STATES:
             continue
         if lease is not None and lease.get("owner") == owner:
             continue
@@ -334,10 +362,10 @@ def _claim_any_chunk(
     return None
 
 
-def _all_chunks_done(leases_dir: str, chunk_count: int) -> bool:
+def _all_chunks_settled(leases_dir: str, chunk_count: int) -> bool:
     for chunk_index in range(chunk_count):
         lease = _read_json(_lease_path(leases_dir, chunk_index))
-        if lease is None or lease.get("state") != "done":
+        if lease is None or lease.get("state") not in _SETTLED_STATES:
             return False
     return True
 
@@ -354,11 +382,14 @@ def _fleet_worker_main(
 ) -> int:
     """One fleet worker: claim chunks, execute their tasks, mark them done.
 
-    Runs in a forked child.  Exits 0 once every chunk on the board is done
-    (whether this worker did the work or just observed it); any exception
-    prints a traceback and exits 1 -- the coordinator surfaces nonzero exits
-    only if tasks were actually left unfinished, so one crashed worker whose
-    chunks the survivors reclaim does not fail the run.
+    Runs in a forked child.  Exits 0 once every chunk on the board is
+    settled (whether this worker did the work or just observed it).  A task
+    that raises is recorded in the chunk's lease, which turns ``failed``,
+    and the worker exits 1; the coordinator turns that record into a
+    :class:`FleetTaskError`.  Any other exception prints a traceback and
+    exits 1 -- the coordinator surfaces nonzero exits only if tasks were
+    actually left unfinished, so one crashed worker whose chunks the
+    survivors reclaim does not fail the run.
     """
     suite = SuiteSpec.from_json(suite_json)
     # A fresh (non-shared) instance: the fork inherited the parent's LRU
@@ -381,7 +412,7 @@ def _fleet_worker_main(
             leases_dir, chunk_count, board_chunks, owner, lease_ttl_s, worker_id
         )
         if claim is None:
-            if _all_chunks_done(leases_dir, chunk_count):
+            if _all_chunks_settled(leases_dir, chunk_count):
                 return 0
             # Other workers hold live leases on everything left: wait for
             # them to finish (or for one to die and its lease to expire).
@@ -398,8 +429,28 @@ def _fleet_worker_main(
             # died between the store write and the lease update.
             record = store.get(spec, trial_index)
             if record is None:
-                record = task_runner(spec, trial_index)
-                store.put(spec, trial_index, record)
+                try:
+                    record = task_runner(spec, trial_index)
+                    store.put(spec, trial_index, record)
+                except Exception as exc:
+                    failure = {
+                        "task": task_id,
+                        "entry": suite.entries[entry_index].id,
+                        "trial": trial_index,
+                        "type": type(exc).__name__,
+                        "message": str(exc),
+                        "traceback": traceback.format_exc(),
+                    }
+
+                    def mark_failed(lease: Dict[str, Any]) -> Dict[str, Any]:
+                        lease["state"] = "failed"
+                        lease["failure"] = failure
+                        lease["heartbeat"] = time.time()
+                        return lease
+
+                    if _update_lease(leases_dir, chunk_index, owner, mark_failed) is None:
+                        raise  # lease lost meanwhile: fall back to a plain crash
+                    return 1
 
             def mark_done(lease: Dict[str, Any]) -> Optional[Dict[str, Any]]:
                 done = {int(task) for task in lease.get("done", [])}
@@ -453,21 +504,25 @@ def _chunk_tasks(pending: Sequence[int], workers: int, chunk_size: Optional[int]
 
 def _progress_snapshot(
     leases_dir: str, chunk_count: int
-) -> Tuple[Set[int], int]:
-    """The set of task indices marked done across all leases, plus steal count."""
+) -> Tuple[Set[int], int, Optional[Dict[str, Any]]]:
+    """Task indices marked done across all leases, the steal count, and the
+    first failed lease's failure record (``None`` while nothing failed)."""
     done: Set[int] = set()
     steals = 0
+    failure: Optional[Dict[str, Any]] = None
     for chunk_index in range(chunk_count):
         lease = _read_json(_lease_path(leases_dir, chunk_index))
         if lease is None:
             continue
         steals += int(lease.get("steals", 0) or 0)
+        if failure is None and lease.get("state") == "failed":
+            failure = dict(lease.get("failure") or {})
         for task in lease.get("done", []):
             done.add(int(task))
         if lease.get("state") == "done":
             for task in lease.get("tasks", []):
                 done.add(int(task))
-    return done, steals
+    return done, steals, failure
 
 
 def run_suite_fleet(
@@ -491,7 +546,8 @@ def run_suite_fleet(
     lease board under ``<store>/suite/<fingerprint>/leases/``, forks the
     workers, and polls lease files for progress while they drain the board.
     Every executed record lands in the store, which doubles as the crash-safe
-    checkpoint: rerunning after any failure skips all finished work.
+    checkpoint: rerunning after a crash or cancellation skips all finished
+    work.
 
     The report is assembled exactly like ``run_suite``'s -- compare with
     :func:`~repro.scenarios.suite.deterministic_report_dict` and they are
@@ -500,7 +556,10 @@ def run_suite_fleet(
     coordinator *observes* completions, so their order reflects completion,
     not the canonical order).  ``should_stop`` cancels between observations:
     workers get SIGTERM, completed records stay durable, and
-    :class:`~repro.scenarios.suite.SuiteCancelled` is raised.
+    :class:`~repro.scenarios.suite.SuiteCancelled` is raised.  A task whose
+    runner raises stops the run the same way and raises
+    :class:`FleetTaskError` with the failing task's entry id, trial, and
+    exception.
 
     ``prebuild`` computes scheduler-delta tables in the coordinator and
     preloads the process-wide cache *before* forking, so every worker
@@ -558,38 +617,11 @@ def _run_fleet(
     ctx: Any,
     start: float,
 ) -> SuiteReport:
-    tasks = _flatten_tasks(suite)
+    # Store prescan: warm records need no lease at all.
+    tasks, records, pending, stats = _plan_tasks(suite, store, on_progress, should_stop)
     specs = [entry.scenario for entry in suite.entries]
     fingerprint = suite.fingerprint()
     total = len(tasks)
-
-    # Store prescan: warm records need no lease at all.
-    records: Dict[int, Dict[str, Any]] = {}
-    for index, (entry_index, trial_index) in enumerate(tasks):
-        hit = store.get(specs[entry_index], trial_index)
-        if hit is not None:
-            records[index] = hit
-    pending = [index for index in range(total) if index not in records]
-    stats = {
-        "tasks": total,
-        "resumed": 0,
-        "hits": len(records),
-        "misses": len(pending),
-    }
-    if on_progress is not None:
-        on_progress(
-            {
-                "event": "plan",
-                "tasks": total,
-                "resumed": 0,
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-            }
-        )
-    if should_stop is not None and should_stop():
-        raise SuiteCancelled(
-            f"cancelled before execution ({len(records)}/{total} tasks done)"
-        )
 
     steals = 0
     worker_exits: Dict[int, Optional[int]] = {}
@@ -640,9 +672,14 @@ def _run_fleet(
         observed: Set[int] = set()
         cancelled = False
         aborted = False
+        failure: Optional[Dict[str, Any]] = None
         try:
             while True:
-                done, steals = _progress_snapshot(leases_dir, len(chunks))
+                # Liveness first: once every worker has exited, the snapshot
+                # below is their final word (a failure recorded just before
+                # the last exit is not missed).
+                alive = any(process.is_alive() for process in processes)
+                done, steals, failure = _progress_snapshot(leases_dir, len(chunks))
                 fresh = sorted(done - observed)
                 for task_id in fresh:
                     observed.add(task_id)
@@ -658,10 +695,12 @@ def _run_fleet(
                                 "total": total,
                             }
                         )
+                if failure is not None:
+                    break
                 if should_stop is not None and should_stop():
                     cancelled = True
                     break
-                if not any(process.is_alive() for process in processes):
+                if not alive:
                     break
                 time.sleep(poll_s)
         except BaseException:
@@ -671,10 +710,12 @@ def _run_fleet(
             raise
         finally:
             for worker_id, process in enumerate(processes):
-                if (cancelled or aborted) and process.is_alive():
+                if (cancelled or aborted or failure is not None) and process.is_alive():
                     process.terminate()
                 process.join()
                 worker_exits[worker_id] = process.exitcode
+        if failure is not None:
+            raise FleetTaskError(failure, steals)
         if cancelled:
             raise SuiteCancelled(
                 f"cancelled after {len(records) + len(observed)}/{total} tasks "

@@ -14,15 +14,15 @@
   recomputed;
 * **durability** -- accepted jobs are journaled (fsynced) to
   ``<store>/service/jobs.jsonl`` *before* the submission is acknowledged,
-  and executions run with the PR-7 fsynced checkpoint plus the
-  content-addressed :class:`~repro.scenarios.store.ResultStore`, so a killed
-  server loses at most the in-flight trials: :meth:`JobManager.recover`
-  re-enqueues every accepted-but-unfinished job on startup and the resumed
-  execution serves finished trials from checkpoint/store;
+  and every executed trial lands (fsynced) in the content-addressed
+  :class:`~repro.scenarios.store.ResultStore`, which is the checkpoint, so
+  a killed server loses at most the in-flight trials:
+  :meth:`JobManager.recover` re-enqueues every accepted-but-unfinished job
+  on startup and the re-run execution serves finished trials from the store;
 * **robustness** -- a crashed or timed-out execution attempt is retried with
-  exponential backoff up to ``retries`` times, each attempt resuming from
-  the previous one's checkpoint; cooperative cancellation and graceful
-  shutdown ride the :class:`~repro.scenarios.suite.SuiteCancelled` hook
+  exponential backoff up to ``retries`` times, each attempt serving what
+  the previous one finished from the store; cooperative cancellation and
+  graceful shutdown ride the :class:`~repro.scenarios.suite.SuiteCancelled` hook
   (shutdown re-queues the interrupted job *without* journaling completion,
   so the next server run picks it up).
 
@@ -38,7 +38,7 @@ The ``REPRO_SERVICE_FAULT`` environment variable arms a deliberately broken
 execution path for the fault-injection tests (``tests/service/``):
 
 * ``crash:N`` -- the *first* attempt of each job raises after ``N`` executed
-  tasks (exercises retry + checkpoint resume inside one server life);
+  tasks (exercises retry + resume from the store inside one server life);
 * ``exit:N`` -- the process hard-exits (``os._exit``) after ``N`` executed
   tasks, once per process (exercises server kill + journal recovery).
 
@@ -217,7 +217,7 @@ class JobManager:
     store:
         A :class:`~repro.scenarios.store.ResultStore` (or its root path).
         Required: it provides at-rest dedup, the report cache, the job
-        journal's home, and trial-level caching for resumed executions.
+        journal's home, and the trial-level checkpoint of every execution.
     workers:
         Concurrent suite executions (asyncio worker tasks, each driving one
         blocking :func:`~repro.scenarios.suite.run_suite` in a thread).
@@ -227,7 +227,8 @@ class JobManager:
         First retry delay; doubles per subsequent attempt.
     timeout_s:
         Per-attempt wall-clock budget (``None`` = unlimited).  A timed-out
-        attempt is cancelled cooperatively and retried from its checkpoint.
+        attempt is cancelled cooperatively and retried; the retry serves
+        the finished trials from the store.
     default_jobs / default_prebuild:
         Per-suite execution defaults when a submission carries no options.
     fleet_workers / fleet_threshold:
@@ -311,14 +312,11 @@ class JobManager:
         return os.path.join(self.service_dir, "jobs.jsonl")
 
     def suite_dir(self, fingerprint: str) -> str:
-        """Shared with the CLI's shard layout: ``<store>/suite/<fp>/``."""
+        """Shared with the fleet's lease layout: ``<store>/suite/<fp>/``."""
         return os.path.join(self.store.root, "suite", fingerprint)
 
     def report_path(self, fingerprint: str) -> str:
         return os.path.join(self.suite_dir(fingerprint), "report.json")
-
-    def checkpoint_path(self, fingerprint: str) -> str:
-        return os.path.join(self.suite_dir(fingerprint), "service.checkpoint.jsonl")
 
     # ------------------------------------------------------------------
     # the accepted-job journal
@@ -455,9 +453,9 @@ class JobManager:
         """Graceful stop: interrupt running jobs at the next task boundary.
 
         Running executions raise :class:`SuiteCancelled` via their
-        ``should_stop`` hook; their checkpoints and journal accepts survive,
-        so the next server run resumes them with at most the in-flight
-        trials recomputed.
+        ``should_stop`` hook; their stored trials and journal accepts
+        survive, so the next server run resumes them with at most the
+        in-flight trials recomputed.
         """
         self.stopping = True
         for _ in self._worker_tasks:
@@ -562,8 +560,8 @@ class JobManager:
         """Request cancellation; returns whether the job was still live.
 
         A queued job is finalized immediately; a running one stops at its
-        next task boundary (its checkpoint survives, so a resubmission of
-        the same fingerprint resumes rather than restarts).
+        next task boundary (its finished trials stay in the store, so a
+        resubmission of the same fingerprint resumes rather than restarts).
         """
         if job.terminal:
             return False
@@ -590,13 +588,13 @@ class JobManager:
         """Record and fan one event out to every attached stream (loop only)."""
         event = {"job": job.id, **event}
         if event.get("event") in ("plan", "task"):
-            # Merge, not replace: the "plan" keys (tasks/resumed/hits/misses)
-            # stay visible in the descriptor while "task" events tick
-            # done/total forward.
+            # Merge, not replace: the "plan" keys (tasks/hits/misses) stay
+            # visible in the descriptor while "task" events tick done/total
+            # forward.
             job.progress.update(
                 {
                     key: event[key]
-                    for key in ("tasks", "resumed", "hits", "misses", "done", "total")
+                    for key in ("tasks", "hits", "misses", "done", "total")
                     if key in event
                 }
             )
@@ -650,7 +648,7 @@ class JobManager:
             if pending:
                 # Per-attempt timeout: stop the thread cooperatively at its
                 # next task boundary (its finished records stay durable in
-                # checkpoint + store), then retry from that checkpoint.
+                # the store), then retry, which serves them from there.
                 stop_flag["stop"] = True
                 try:
                     await future
@@ -667,7 +665,7 @@ class JobManager:
             except SuiteCancelled:
                 if self.stopping and not job.cancel_requested:
                     # Graceful shutdown: the job stays accepted (no journal
-                    # close), its checkpoint survives -> recovered next run.
+                    # close), its stored trials survive -> recovered next run.
                     job.state = "queued"
                     job.started_at = None
                     self._publish(job, {"event": "state", "state": "queued"})
@@ -735,10 +733,9 @@ class JobManager:
 
         fleet = self._fleet_size(job)
         if fleet >= 1:
-            # Multi-process dispatch: the store doubles as the checkpoint
-            # (every worker writes records there before marking its lease),
-            # so a crashed/retried attempt resumes exactly like the
-            # checkpointed serial path.
+            # Multi-process dispatch: every worker writes records to the
+            # store before marking its lease, so a crashed/retried attempt
+            # resumes from the store exactly like the in-process path.
             from repro.scenarios.fleet import run_suite_fleet
 
             self.counters["fleet_dispatched"] += 1
@@ -761,8 +758,6 @@ class JobManager:
             jobs=int(job.options.get("jobs", self.default_jobs)),
             prebuild=bool(job.options.get("prebuild", self.default_prebuild)),
             store=self.store,
-            checkpoint=self.checkpoint_path(job.fingerprint),
-            resume=True,
             on_progress=on_progress,
             should_stop=should_stop,
         )
@@ -818,8 +813,7 @@ class JobManager:
             if job.terminal:
                 continue
             # Per-job backlog: total comes from the live progress snapshot
-            # once a "plan" event landed (resume may shrink it below the
-            # suite's task count), the flattened suite before that.
+            # once a "plan" event landed, the flattened suite before that.
             total = int(job.progress.get("total", job.task_count))
             done = int(job.progress.get("done", 0))
             backlog[job.id] = {

@@ -353,7 +353,8 @@ class ThreadedService:
 
     ``start()`` blocks until the server is accepting connections and returns
     the base URL; ``stop()`` performs the same graceful shutdown as SIGTERM
-    (in-flight suites checkpoint and their jobs stay journaled).
+    (in-flight suites stop at a task boundary with their finished trials in
+    the store, and their jobs stay journaled).
     """
 
     def __init__(self, manager_kwargs: Dict[str, Any], host: str = "127.0.0.1") -> None:
@@ -432,7 +433,7 @@ async def _serve_async(
             pass
     await stop_event.wait()
     if not quiet:
-        print("shutting down: checkpointing in-flight jobs", flush=True)
+        print("shutting down: stopping in-flight jobs at a task boundary", flush=True)
     await service.stop()
     return 0
 

@@ -326,8 +326,8 @@ class RunPolicy:
         """The deterministic seed for one trial (see ``seed_policy``).
 
         Delegates to :func:`repro.analysis.sweep.derive_trial_seed` -- the
-        single helper every execution path (serial runs, worker pools, suite
-        shards, the result store's keys) resolves trial seeds through.
+        single helper every execution path (serial runs, worker pools, fleet
+        workers, the result store's keys) resolves trial seeds through.
         """
         if not 0 <= trial_index < self.trials:
             raise ValueError(f"trial_index must be in [0, {self.trials}), got {trial_index}")

@@ -3,8 +3,9 @@
 A :class:`ResultStore` persists executed trial records -- the picklable
 ``trial_record`` wire format of :mod:`repro.scenarios.runtime` (metrics row,
 counters, optional ``perf_stats``) -- under a content-derived key, so any
-repeated trial anywhere (a rerun suite, an overlapping sweep, a second shard
-of the same partition) becomes a near-free cache hit instead of a recompute.
+repeated trial anywhere (a rerun or resumed suite, an overlapping sweep, a
+fleet worker picking up a dead worker's chunk) becomes a near-free cache hit
+instead of a recompute.
 
 Keying
 ------

@@ -28,15 +28,13 @@ execution; entries sharing a ``group`` label pool their rows into group
 aggregates, which is how a suite reproduces a benchmark's
 several-specs-per-table-row arithmetic exactly.
 
-The flattened task list is also the unit of *distribution* and *durability*:
-
-* a content-addressed :class:`~repro.scenarios.store.ResultStore` consulted
-  per task skips every trial whose record is already stored;
-* :func:`run_suite_shard` executes one deterministic ``k/N`` partition of the
-  task list and :func:`merge_reports` reassembles complete shard sets into
-  the same :class:`SuiteReport` an unsharded run produces;
-* a JSONL checkpoint (``checkpoint=``/``resume=``) persists each finished
-  task record as it lands, so a killed run resumes without recomputing.
+The flattened task list is also the unit of *durability*: a
+content-addressed :class:`~repro.scenarios.store.ResultStore` consulted per
+task skips every trial whose record is already stored, and each freshly
+executed record is written back as it lands -- so the store is the
+checkpoint, and a killed or cancelled run resumes by rerunning against the
+same store (serially, on a pool, or on the fleet of
+:mod:`repro.scenarios.fleet`).
 """
 
 from __future__ import annotations
@@ -77,10 +75,9 @@ SUITE_VERSION = 1
 class SuiteCancelled(RuntimeError):
     """Raised when a ``should_stop`` hook halts suite execution.
 
-    Execution stops between tasks: every record already handed to the
-    checkpoint/store is durable, the in-flight trial (if any) is abandoned,
-    and the checkpoint file is *not* deleted -- a later run with
-    ``resume=True`` (or a warm store) picks up exactly where this one
+    Execution stops between tasks: every record already handed to the result
+    store is durable and the in-flight trial (if any) is abandoned, so a
+    later run against the same store picks up exactly where this one
     stopped.  The scenario service maps job cancellation and graceful
     shutdown onto this exception.
     """
@@ -324,9 +321,9 @@ class SuiteReport:
     entries: List[SuiteEntryResult] = field(default_factory=list)
     group_summaries: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     elapsed_s: float = 0.0
-    #: Cache accounting when the run used a result store, checkpoint, or
-    #: merge: ``tasks`` total, ``resumed`` from a checkpoint, ``hits`` served
-    #: by the store, ``misses`` actually executed.  ``None`` on plain runs.
+    #: Cache accounting when the run used a result store: ``tasks`` total,
+    #: ``hits`` served by the store, ``misses`` actually executed (the fleet
+    #: adds ``workers`` and ``steals``).  ``None`` on store-less runs.
     store_stats: Optional[Dict[str, int]] = None
 
     def __bool__(self) -> bool:
@@ -373,7 +370,7 @@ class SuiteReport:
         """A JSON-serializable report (what ``python -m repro suite --json`` writes).
 
         The ``store`` key (cache accounting) appears only when the run used a
-        result store, checkpoint, or shard merge; strip wall-clock keys with
+        result store; strip wall-clock keys with
         :func:`deterministic_report_dict` before comparing reports across
         runs.
         """
@@ -430,9 +427,8 @@ def _flatten_tasks(suite: SuiteSpec) -> List[Tuple[int, int]]:
     """The suite's canonical task list: ``(entry_index, trial_index)`` pairs.
 
     Entries in manifest order, trials in index order.  Every execution mode
-    (serial, pooled, sharded, resumed) works over this one ordering, which is
-    what makes shard partitions and checkpoint files stable across processes
-    and worker counts.
+    (serial, pooled, fleet, resumed from a store) works over this one
+    ordering, and reports assemble in it.
     """
     tasks: List[Tuple[int, int]] = []
     for entry_index, entry in enumerate(suite.entries):
@@ -441,332 +437,38 @@ def _flatten_tasks(suite: SuiteSpec) -> List[Tuple[int, int]]:
     return tasks
 
 
-def parse_shard(text: str) -> Tuple[int, int]:
-    """Parse a ``"k/N"`` shard selector (1-based) into ``(k, N)``."""
-    parts = str(text).split("/")
-    try:
-        if len(parts) != 2:
-            raise ValueError
-        index, count = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"shard selector must look like 'k/N' (e.g. '1/4'), got {text!r}"
-        ) from None
-    if count < 1 or not 1 <= index <= count:
-        raise ValueError(
-            f"shard selector {text!r} out of range: need 1 <= k <= N with N >= 1"
-        )
-    return index, count
-
-
-def shard_tasks(task_count: int, shard_index: int, shard_count: int) -> List[int]:
-    """Task indices belonging to shard ``k`` of ``N`` (1-based).
-
-    Task ``i`` goes to shard ``(i % N) + 1``: round-robin over the canonical
-    task order, so a suite whose entries differ wildly in cost still spreads
-    each entry's trials across all shards.
-    """
-    if shard_count < 1 or not 1 <= shard_index <= shard_count:
-        raise ValueError(
-            f"shard {shard_index}/{shard_count} out of range: need 1 <= k <= N"
-        )
-    return [i for i in range(task_count) if i % shard_count == shard_index - 1]
-
-
-@dataclass
-class SuiteShard:
-    """One shard's executed slice of a suite.
-
-    Holds the trial records (:func:`repro.scenarios.runtime.trial_record`
-    wire format) of every task index in the shard's deterministic partition,
-    plus enough identity -- suite fingerprint, ``k/N`` position, total task
-    count -- for :func:`merge_reports` to validate that a shard set is
-    complete and belongs together before assembling the report.
-    """
-
-    suite_fingerprint: str
-    shard_index: int
-    shard_count: int
-    task_count: int
-    records: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    elapsed_s: float = 0.0
-    stats: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "suite": self.suite_fingerprint,
-            "shard": [self.shard_index, self.shard_count],
-            "tasks": self.task_count,
-            "elapsed_s": self.elapsed_s,
-            "stats": dict(self.stats),
-            "records": {str(index): record for index, record in self.records.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SuiteShard":
-        _reject_unknown_keys(
-            data, ("suite", "shard", "tasks", "elapsed_s", "stats", "records"),
-            "suite shard",
-        )
-        shard = data.get("shard")
-        if not isinstance(shard, (list, tuple)) or len(shard) != 2:
-            raise ValueError("suite shard needs a 2-element 'shard' [k, N] field")
-        return cls(
-            suite_fingerprint=data["suite"],
-            shard_index=int(shard[0]),
-            shard_count=int(shard[1]),
-            task_count=int(data["tasks"]),
-            records={int(index): record for index, record in data.get("records", {}).items()},
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-            stats={key: int(value) for key, value in data.get("stats", {}).items()},
-        )
-
-    def save(self, path: str) -> str:
-        """Serialize atomically (temp file + rename), so a concurrent merge
-        never reads a half-written shard."""
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "SuiteShard":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-
-def _checkpoint_header(suite: SuiteSpec, shard_index: int, shard_count: int) -> Dict[str, Any]:
-    return {
-        "checkpoint": 1,
-        "suite": suite.fingerprint(),
-        "shard": [shard_index, shard_count],
-        "tasks": len(_flatten_tasks(suite)),
-    }
-
-
-def _checkpoint_line(payload: Mapping[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _load_checkpoint(path: str, header: Mapping[str, Any]) -> Dict[int, Dict[str, Any]]:
-    """Read a checkpoint's finished-task records, validating its identity.
-
-    The first line must match the expected header exactly -- resuming under
-    the wrong suite or shard position fails loudly instead of silently mixing
-    records.  Later lines that fail to parse (typically one partial trailing
-    line from a kill mid-append) are skipped with a :class:`RuntimeWarning`.
-    """
-    records: Dict[int, Dict[str, Any]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        try:
-            found = json.loads(first)
-        except json.JSONDecodeError:
-            raise ValueError(f"checkpoint {path!r} has an unreadable header line") from None
-        if found != dict(header):
-            raise ValueError(
-                f"checkpoint {path!r} belongs to a different run "
-                f"(header {found!r}, expected {dict(header)!r}); delete it or "
-                "point --resume at the matching suite and shard"
-            )
-        skipped = 0
-        for line in handle:
-            try:
-                payload = json.loads(line)
-                records[int(payload["task"])] = payload["record"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                skipped += 1
-        if skipped:
-            warnings.warn(
-                f"checkpoint {path!r}: skipped {skipped} unreadable line(s) "
-                "(expected after a kill mid-append); the affected task(s) will "
-                "be re-executed",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return records
-
-
-def _execute_tasks(
+def _plan_tasks(
     suite: SuiteSpec,
-    task_indices: Sequence[int],
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    prebuild: bool = True,
-    store: Any = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    shard_index: int = 1,
-    shard_count: int = 1,
-    on_progress: Optional[Any] = None,
-    should_stop: Optional[Any] = None,
-) -> Tuple[Dict[int, Dict[str, Any]], Dict[str, int]]:
-    """Produce the trial record of every requested task index.
+    store: Optional[ResultStore],
+    on_progress: Optional[Any],
+    should_stop: Optional[Any],
+) -> Tuple[List[Tuple[int, int]], Dict[int, Dict[str, Any]], List[int], Dict[str, int]]:
+    """Consult the store for every task, announce the plan, honour an early stop.
 
-    The shared execution core behind :func:`run_suite` and
-    :func:`run_suite_shard`.  Records come, in priority order, from the
-    resume checkpoint, then the result store, and only then from actual
-    execution (serial or pooled); computed records are written back to the
-    store and appended -- fsynced, in canonical task order -- to the
-    checkpoint as they finish, so a killed run loses at most the in-flight
-    trials.  Returns the records plus accounting
-    (``tasks``/``resumed``/``hits``/``misses``).
-
-    ``on_progress`` (a callable taking one dict) receives a ``"plan"`` event
-    once the checkpoint/store have been consulted (with the
-    resumed/hit/miss split) and a ``"task"`` event after every executed
-    record lands (after it has been checkpointed and stored, so a consumer
-    that persists the event never gets ahead of durability).  ``should_stop``
-    (a zero-argument callable) is polled between tasks; returning true raises
-    :class:`SuiteCancelled` with everything completed so far already durable.
+    The shared front half of :func:`run_suite` and the fleet coordinator.
+    Returns the canonical task list, the records the store already holds
+    (by task index), the still-pending task indices, and the accounting
+    (``tasks``/``hits``/``misses``).  ``on_progress`` receives one ``"plan"``
+    event carrying that accounting; a ``should_stop`` that is already true
+    raises :class:`SuiteCancelled` before anything executes.
     """
-    store = ResultStore.coerce(store)
     tasks = _flatten_tasks(suite)
-    specs = [entry.scenario for entry in suite.entries]
-    header = _checkpoint_header(suite, shard_index, shard_count)
     records: Dict[int, Dict[str, Any]] = {}
-    stats = {"tasks": len(task_indices), "resumed": 0, "hits": 0, "misses": 0}
-
-    if checkpoint is not None and resume and os.path.exists(checkpoint):
-        loaded = _load_checkpoint(checkpoint, header)
-        for index in task_indices:
-            if index in loaded:
-                records[index] = loaded[index]
-        stats["resumed"] = len(records)
-    for index in task_indices:
-        if store is None:
-            break
-        if index in records:
-            continue
-        entry_index, trial_index = tasks[index]
-        hit = store.get(specs[entry_index], trial_index)
-        if hit is not None:
-            records[index] = hit
-            stats["hits"] += 1
-    pending = [index for index in task_indices if index not in records]
-    stats["misses"] = len(pending)
-
-    total = len(task_indices)
+    if store is not None:
+        specs = [entry.scenario for entry in suite.entries]
+        for index, (entry_index, trial_index) in enumerate(tasks):
+            hit = store.get(specs[entry_index], trial_index)
+            if hit is not None:
+                records[index] = hit
+    pending = [index for index in range(len(tasks)) if index not in records]
+    stats = {"tasks": len(tasks), "hits": len(records), "misses": len(pending)}
     if on_progress is not None:
-        on_progress(
-            {
-                "event": "plan",
-                "tasks": total,
-                "resumed": stats["resumed"],
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-            }
-        )
+        on_progress({"event": "plan", **stats})
     if should_stop is not None and should_stop():
-        raise SuiteCancelled(f"cancelled before execution ({len(records)}/{total} tasks done)")
-
-    checkpoint_handle = None
-    if checkpoint is not None:
-        resuming = resume and os.path.exists(checkpoint)
-        directory = os.path.dirname(checkpoint)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        checkpoint_handle = open(checkpoint, "a" if resuming else "w", encoding="utf-8")
-        if not resuming:
-            checkpoint_handle.write(_checkpoint_line(header))
-            checkpoint_handle.flush()
-            os.fsync(checkpoint_handle.fileno())
-    try:
-        if pending:
-            common: Dict[str, Any] = {
-                "suite_specs": [spec.to_json(indent=None) for spec in specs],
-                "suite_tasks": tasks,
-            }
-            if prebuild:
-                # Only entries that still have work pending pay the prebuild;
-                # a warm store or checkpoint skips it entirely.
-                pending_entries = {tasks[index][0] for index in pending}
-                # Sparse-workload classification comes from environment
-                # registration metadata (Registry.workload), not name
-                # matching, so downstream-registered environments -- and the
-                # queued/traffic family, which is dense -- classify correctly.
-                sparse = [
-                    suite.entries[entry_index].id
-                    for entry_index in sorted(pending_entries)
-                    if ENVIRONMENTS.workload(specs[entry_index].environment.name)
-                    == "sparse"
-                ]
-                if sparse:
-                    shown = ", ".join(sparse[:3]) + (", ..." if len(sparse) > 3 else "")
-                    warnings.warn(
-                        f"run_suite(prebuild=True): skipping the scheduler-delta prebuild "
-                        f"for {len(sparse)} sparse-workload (e.g. single-shot) "
-                        f"entr{'y' if len(sparse) == 1 else 'ies'} "
-                        f"({shown}) -- a sparse workload leaves most of its run idle, so "
-                        "lazy per-round deltas beat a full-table prebuild; pass "
-                        "prebuild=False to silence this when the whole suite is sparse",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
-                seen_fingerprints = set()
-                for entry_index in sorted(pending_entries):
-                    spec = specs[entry_index]
-                    if ENVIRONMENTS.workload(spec.environment.name) == "sparse":
-                        continue
-                    fingerprint = spec.fingerprint()
-                    if fingerprint in seen_fingerprints:
-                        continue
-                    seen_fingerprints.add(fingerprint)
-                    try:
-                        table = prebuild_delta_table(spec, cache_dir=cache_dir)
-                    except (KeyError, TypeError, ValueError):
-                        # A broken entry fails loudly when it actually runs;
-                        # the prebuild pass is best-effort, as in run_many.
-                        continue
-                    if table:
-                        merged.update(table)
-                if merged:
-                    common[SCHEDULER_DELTA_TABLE_KWARG] = merged
-
-            def on_result(row: Dict[str, Any]) -> None:
-                index = row["task"]
-                trial = row["trial"]
-                records[index] = trial
-                entry_index, trial_index = tasks[index]
-                if store is not None:
-                    store.put(specs[entry_index], trial_index, trial)
-                if checkpoint_handle is not None:
-                    checkpoint_handle.write(
-                        _checkpoint_line({"task": index, "record": trial})
-                    )
-                    checkpoint_handle.flush()
-                    os.fsync(checkpoint_handle.fileno())
-                if on_progress is not None:
-                    on_progress(
-                        {
-                            "event": "task",
-                            "task": index,
-                            "entry": entry_index,
-                            "trial": trial_index,
-                            "done": len(records),
-                            "total": total,
-                        }
-                    )
-                if should_stop is not None and should_stop():
-                    raise SuiteCancelled(
-                        f"cancelled after {len(records)}/{total} tasks "
-                        "(completed records are checkpointed)"
-                    )
-
-            runner = ParallelSweepRunner(jobs=jobs)
-            runner.run(
-                {"task": list(pending)}, run_suite_task, common=common,
-                on_result=on_result,
-            )
-    finally:
-        if checkpoint_handle is not None:
-            checkpoint_handle.close()
-    return records, stats
+        raise SuiteCancelled(
+            f"cancelled before execution ({len(records)}/{len(tasks)} tasks done)"
+        )
+    return tasks, records, pending, stats
 
 
 def _assemble_report(
@@ -774,7 +476,7 @@ def _assemble_report(
 ) -> SuiteReport:
     """Build the :class:`SuiteReport` from a complete task-index -> record map.
 
-    The single assembly path shared by unsharded runs and shard merges:
+    The single assembly path shared by :func:`run_suite` and the fleet:
     records absorb in canonical task order, so the report is identical no
     matter which processes executed which tasks.
     """
@@ -812,8 +514,6 @@ def run_suite(
     cache_dir: Optional[str] = None,
     prebuild: bool = True,
     store: Any = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
     on_progress: Optional[Any] = None,
     should_stop: Optional[Any] = None,
 ) -> SuiteReport:
@@ -838,146 +538,108 @@ def run_suite(
 
     ``store`` (a :class:`~repro.scenarios.store.ResultStore` or its root
     path) serves already-computed trials from the content-addressed result
-    store and writes fresh ones back, making a warm rerun pure assembly --
-    cached records are absorbed verbatim, so the report matches the cold
-    run's byte for byte.  ``checkpoint`` names a JSONL file that accumulates
-    finished task records (fsynced per append); with ``resume=True`` an
-    existing checkpoint's records are trusted instead of re-executed, and the
-    file is deleted once the run completes.  Either facility sets the
-    report's ``store_stats``.
+    store and writes each fresh one back (fsynced) as it finishes, making a
+    warm rerun pure assembly -- cached records are absorbed verbatim, so the
+    report matches the cold run's byte for byte.  The store is also the
+    checkpoint: a killed or cancelled run resumes by rerunning against the
+    same store.  With a store the report's ``store_stats`` carry the
+    ``tasks``/``hits``/``misses`` accounting.
 
-    ``on_progress`` / ``should_stop`` stream per-task progress events and
-    cooperatively cancel the run (see :func:`_execute_tasks` /
-    :class:`SuiteCancelled`); a cancelled run keeps its checkpoint, so the
-    next ``resume=True`` run continues instead of restarting.
+    ``on_progress`` (a callable taking one dict) receives a ``"plan"`` event
+    once the store has been consulted (see :func:`_plan_tasks`) and a
+    ``"task"`` event after every executed record lands in the store, so a
+    consumer that persists the event never gets ahead of durability.
+    ``should_stop`` (a zero-argument callable) is polled between tasks;
+    returning true raises :class:`SuiteCancelled` with everything completed
+    so far already in the store.
     """
     start = time.perf_counter()
-    task_count = len(_flatten_tasks(suite))
-    records, stats = _execute_tasks(
-        suite,
-        list(range(task_count)),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        prebuild=prebuild,
-        store=store,
-        checkpoint=checkpoint,
-        resume=resume,
-        on_progress=on_progress,
-        should_stop=should_stop,
-    )
-    report = _assemble_report(suite, records)
-    if store is not None or checkpoint is not None:
-        report.store_stats = stats
-    if checkpoint is not None and os.path.exists(checkpoint):
-        os.remove(checkpoint)
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    store = ResultStore.coerce(store)
+    tasks, records, pending, stats = _plan_tasks(suite, store, on_progress, should_stop)
+    specs = [entry.scenario for entry in suite.entries]
+    total = len(tasks)
+    if pending:
+        common: Dict[str, Any] = {
+            "suite_specs": [spec.to_json(indent=None) for spec in specs],
+            "suite_tasks": tasks,
+        }
+        if prebuild:
+            # Only entries that still have work pending pay the prebuild;
+            # a warm store skips it entirely.
+            pending_entries = {tasks[index][0] for index in pending}
+            # Sparse-workload classification comes from environment
+            # registration metadata (Registry.workload), not name
+            # matching, so downstream-registered environments -- and the
+            # queued/traffic family, which is dense -- classify correctly.
+            sparse = [
+                suite.entries[entry_index].id
+                for entry_index in sorted(pending_entries)
+                if ENVIRONMENTS.workload(specs[entry_index].environment.name)
+                == "sparse"
+            ]
+            if sparse:
+                shown = ", ".join(sparse[:3]) + (", ..." if len(sparse) > 3 else "")
+                warnings.warn(
+                    f"run_suite(prebuild=True): skipping the scheduler-delta prebuild "
+                    f"for {len(sparse)} sparse-workload (e.g. single-shot) "
+                    f"entr{'y' if len(sparse) == 1 else 'ies'} "
+                    f"({shown}) -- a sparse workload leaves most of its run idle, so "
+                    "lazy per-round deltas beat a full-table prebuild; pass "
+                    "prebuild=False to silence this when the whole suite is sparse",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
+            seen_fingerprints = set()
+            for entry_index in sorted(pending_entries):
+                spec = specs[entry_index]
+                if ENVIRONMENTS.workload(spec.environment.name) == "sparse":
+                    continue
+                fingerprint = spec.fingerprint()
+                if fingerprint in seen_fingerprints:
+                    continue
+                seen_fingerprints.add(fingerprint)
+                try:
+                    table = prebuild_delta_table(spec, cache_dir=cache_dir)
+                except (KeyError, TypeError, ValueError):
+                    # A broken entry fails loudly when it actually runs;
+                    # the prebuild pass is best-effort, as in run_many.
+                    continue
+                if table:
+                    merged.update(table)
+            if merged:
+                common[SCHEDULER_DELTA_TABLE_KWARG] = merged
 
+        def on_result(row: Dict[str, Any]) -> None:
+            index = row["task"]
+            trial = row["trial"]
+            records[index] = trial
+            entry_index, trial_index = tasks[index]
+            if store is not None:
+                store.put(specs[entry_index], trial_index, trial)
+            if on_progress is not None:
+                on_progress(
+                    {
+                        "event": "task",
+                        "task": index,
+                        "entry": entry_index,
+                        "trial": trial_index,
+                        "done": len(records),
+                        "total": total,
+                    }
+                )
+            if should_stop is not None and should_stop():
+                where = " (completed records are in the result store)" if store else ""
+                raise SuiteCancelled(f"cancelled after {len(records)}/{total} tasks{where}")
 
-def run_suite_shard(
-    suite: SuiteSpec,
-    shard_index: int,
-    shard_count: int,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    prebuild: bool = True,
-    store: Any = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    on_progress: Optional[Any] = None,
-    should_stop: Optional[Any] = None,
-) -> SuiteShard:
-    """Execute shard ``k`` of ``N`` of the suite's canonical task list.
-
-    The partition is deterministic (:func:`shard_tasks`), so ``N`` hosts each
-    running one shard -- sharing nothing but the manifest -- cover every task
-    exactly once; :func:`merge_reports` over the saved shards then equals the
-    unsharded :func:`run_suite` report (modulo wall-clock fields; compare via
-    :func:`deterministic_report_dict`).  ``store``/``checkpoint``/``resume``
-    behave as in :func:`run_suite`, except the checkpoint is *not* deleted
-    here -- callers delete it after :meth:`SuiteShard.save` lands, so a crash
-    between execution and save still resumes cheaply.
-    """
-    start = time.perf_counter()
-    tasks = _flatten_tasks(suite)
-    indices = shard_tasks(len(tasks), shard_index, shard_count)
-    records, stats = _execute_tasks(
-        suite,
-        indices,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        prebuild=prebuild,
-        store=store,
-        checkpoint=checkpoint,
-        resume=resume,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        on_progress=on_progress,
-        should_stop=should_stop,
-    )
-    return SuiteShard(
-        suite_fingerprint=suite.fingerprint(),
-        shard_index=shard_index,
-        shard_count=shard_count,
-        task_count=len(tasks),
-        records=records,
-        elapsed_s=time.perf_counter() - start,
-        stats=stats,
-    )
-
-
-def merge_reports(suite: SuiteSpec, shards: Sequence[SuiteShard]) -> SuiteReport:
-    """Reassemble a complete shard set into one :class:`SuiteReport`.
-
-    Validates that every shard carries the suite's fingerprint, agrees on the
-    task count and shard count, and that together they cover every task index
-    exactly once; any gap or overlap raises instead of producing a silently
-    partial report.  Assembly runs through the same path as an unsharded
-    :func:`run_suite`, so the merged report's deterministic content
-    (:func:`deterministic_report_dict`) is identical to it.
-    """
-    if not shards:
-        raise ValueError("merge_reports needs at least one shard")
-    fingerprint = suite.fingerprint()
-    task_count = len(_flatten_tasks(suite))
-    shard_count = shards[0].shard_count
-    seen_positions: set = set()
-    records: Dict[int, Dict[str, Any]] = {}
-    for shard in shards:
-        if shard.suite_fingerprint != fingerprint:
-            raise ValueError(
-                f"shard {shard.shard_index}/{shard.shard_count} was produced from "
-                f"suite {shard.suite_fingerprint}, not this suite ({fingerprint})"
-            )
-        if shard.shard_count != shard_count:
-            raise ValueError(
-                f"mixed shard counts: {shard.shard_count} vs {shard_count}"
-            )
-        if shard.task_count != task_count:
-            raise ValueError(
-                f"shard {shard.shard_index}/{shard.shard_count} covers "
-                f"{shard.task_count} tasks but the suite flattens to {task_count}"
-            )
-        if shard.shard_index in seen_positions:
-            raise ValueError(f"duplicate shard {shard.shard_index}/{shard.shard_count}")
-        seen_positions.add(shard.shard_index)
-        for index, record in shard.records.items():
-            if index in records:
-                raise ValueError(f"task {index} appears in more than one shard")
-            records[index] = record
-    missing = [index for index in range(task_count) if index not in records]
-    if missing:
-        raise ValueError(
-            f"incomplete shard set: {len(shards)} of {shard_count} shard(s) "
-            f"present, {len(missing)} task(s) missing (first: {missing[:5]})"
+        runner = ParallelSweepRunner(jobs=jobs)
+        runner.run(
+            {"task": list(pending)}, run_suite_task, common=common, on_result=on_result
         )
     report = _assemble_report(suite, records)
-    report.elapsed_s = sum(shard.elapsed_s for shard in shards)
-    stats: Dict[str, int] = {"tasks": task_count, "resumed": 0, "hits": 0, "misses": 0}
-    for shard in shards:
-        for key in ("resumed", "hits", "misses"):
-            stats[key] += int(shard.stats.get(key, 0))
-    report.store_stats = stats
+    if store is not None:
+        report.store_stats = stats
+    report.elapsed_s = time.perf_counter() - start
     return report
 
 
@@ -992,9 +654,9 @@ def deterministic_report_dict(data: Any) -> Any:
     ``elapsed_s`` / ``rounds_per_s`` measure host timing and ``store``
     records cache accounting; everything else in a
     :meth:`SuiteReport.to_dict` is deterministic.  Two runs of the same suite
-    -- serial vs pooled, sharded-and-merged vs unsharded, cold vs a *fresh*
-    store -- must compare equal under this normalization; that equality is
-    what the shard-equivalence tests and the CI smoke assert.
+    -- serial vs pooled vs fleet, cold vs warm vs resumed from a partly
+    filled store -- must compare equal under this normalization; that
+    equality is what the execution-mode identity tests assert.
     """
     if isinstance(data, Mapping):
         return {

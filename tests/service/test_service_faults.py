@@ -3,8 +3,8 @@
 Every test asserts the same invariant from the PR-8 issue: whatever dies --
 a worker attempt (``crash:N``), the whole process (``exit:N`` /
 ``SIGKILL``), or a gracefully terminated server (``SIGTERM``) -- the
-journaled job is recovered, execution resumes from the fsynced checkpoint
-plus the trial store, and the final report equals a clean uninterrupted
+journaled job is recovered, execution resumes from the fsynced trial store
+(the only checkpoint), and the final report equals a clean uninterrupted
 run under :func:`deterministic_report_dict`.
 """
 
@@ -80,7 +80,7 @@ def recovered_job(url: str, fingerprint: str) -> dict:
     return matches[0]
 
 
-def test_worker_crash_mid_suite_retries_from_checkpoint(threaded_service):
+def test_worker_crash_mid_suite_retries_from_store(threaded_service):
     """``crash:2``: attempt 1 dies after 2 tasks; attempt 2 resumes, not restarts."""
     url, service = threaded_service(
         workers=1,
@@ -96,8 +96,8 @@ def test_worker_crash_mid_suite_retries_from_checkpoint(threaded_service):
     assert final["state"] == "done"
     assert final["attempts"] == 2  # one crash, one successful retry
     # The retry's plan shows the resumed prefix: the crashed attempt's two
-    # checkpointed tasks were served, not re-executed.
-    assert final["progress"]["resumed"] + final["progress"]["hits"] >= 2
+    # stored tasks were served, not re-executed.
+    assert final["progress"]["hits"] >= 2
 
     report = json.loads(fetch_report_bytes(url, submitted["job"]["id"]))
     assert deterministic_report_dict(report) == clean_report(payload)
@@ -146,14 +146,14 @@ def test_hard_exit_mid_suite_recovers_on_restart(server_process, tmp_path):
     assert job["origin"] == "recovered"
     final = wait_terminal(fresh.url, job["id"])
     assert final["state"] == "done"
-    # At least the pre-exit tasks came back from checkpoint/store.
-    assert final["progress"]["resumed"] + final["progress"]["hits"] >= 2
+    # At least the pre-exit tasks came back from the store.
+    assert final["progress"]["hits"] >= 2
 
     report = json.loads(fetch_report_bytes(fresh.url, job["id"]))
     assert deterministic_report_dict(report) == clean_report(payload)
 
 
-def test_sigterm_mid_suite_checkpoints_and_resumes(server_process, tmp_path):
+def test_sigterm_mid_suite_resumes_from_store(server_process, tmp_path):
     """Graceful shutdown: exit 0, job stays journaled, restart completes it."""
     store = str(tmp_path / "store")
     payload = slow_suite(trials=16)
@@ -170,7 +170,7 @@ def test_sigterm_mid_suite_checkpoints_and_resumes(server_process, tmp_path):
     assert job["origin"] == "recovered"
     final = wait_terminal(fresh.url, job["id"])
     assert final["state"] == "done"
-    assert final["progress"]["resumed"] + final["progress"]["hits"] >= 2
+    assert final["progress"]["hits"] >= 2
 
     report = json.loads(fetch_report_bytes(fresh.url, job["id"]))
     assert deterministic_report_dict(report) == clean_report(payload)

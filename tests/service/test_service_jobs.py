@@ -8,6 +8,7 @@ torn journal lines, duplicate accepts, cancel-while-running.
 from __future__ import annotations
 
 import asyncio
+import glob
 import json
 import os
 
@@ -85,6 +86,32 @@ def test_submit_journals_before_ack(tmp_path):
     run_async(main())
 
 
+def test_execution_checkpoints_only_into_the_store(tmp_path):
+    """A finished job leaves its trials in the store and its report under
+    ``suite/<fp>/`` -- and no side checkpoint file anywhere."""
+    payload = tiny_suite("store-only", entry_count=2, trials=2)
+
+    async def main():
+        manager = manager_for(tmp_path)
+        await manager.start()
+        job, _ = manager.submit(*parse_submission({"suite": payload}))
+        await drive(manager, job)
+        return manager, job
+
+    manager, job = run_async(main())
+    assert job.state == "done"
+    assert job.progress["misses"] == 4
+    assert sorted(os.listdir(manager.suite_dir(job.fingerprint))) == ["report.json"]
+    suite = SuiteSpec.from_dict(payload)
+    assert all(
+        manager.store.get(entry.scenario, trial) is not None
+        for entry in suite.entries
+        for trial in range(entry.scenario.run.trials)
+    )
+    pattern = os.path.join(manager.store.root, "**", "*.checkpoint.jsonl")
+    assert not glob.glob(pattern, recursive=True)
+
+
 def test_recover_tolerates_torn_tail_and_compacts(tmp_path):
     suite, _ = parse_submission({"suite": tiny_suite("torn")})
     manager = manager_for(tmp_path)
@@ -146,7 +173,7 @@ def test_recover_drops_unreadable_suites_with_warning(tmp_path):
 # ----------------------------------------------------------------------
 # cancellation
 # ----------------------------------------------------------------------
-def test_cancel_running_job_keeps_checkpoint_for_resume(tmp_path):
+def test_cancel_running_job_keeps_stored_trials_for_resume(tmp_path):
     payload = tiny_suite("cancel-run", entry_count=3, trials=2)  # 6 tasks
 
     async def main():
@@ -173,7 +200,17 @@ def test_cancel_running_job_keeps_checkpoint_for_resume(tmp_path):
     if job.state == "done":  # the last task raced the cancel -- nothing to resume
         return
     assert job.state == "cancelled"
-    assert os.path.exists(manager.checkpoint_path(job.fingerprint))
+    # The finished prefix is in the result store -- the only checkpoint.
+    suite = SuiteSpec.from_dict(payload)
+    stored = [
+        (entry.id, trial)
+        for entry in suite.entries
+        for trial in range(entry.scenario.run.trials)
+        if manager.store.get(entry.scenario, trial) is not None
+    ]
+    assert stored
+    pattern = os.path.join(manager.store.root, "**", "*.checkpoint.jsonl")
+    assert not glob.glob(pattern, recursive=True)
 
     async def resume():
         fresh = JobManager(store=manager.store, workers=1, backoff_s=0.01)
@@ -185,9 +222,9 @@ def test_cancel_running_job_keeps_checkpoint_for_resume(tmp_path):
 
     resumed = run_async(resume())
     assert resumed.state == "done"
-    # The cancelled prefix was resumed from checkpoint/store, not re-run.
-    assert resumed.progress["resumed"] + resumed.progress["hits"] >= 1
-    assert resumed.progress["misses"] < 6
+    # The cancelled prefix was served from the store, not re-run.
+    assert resumed.progress["hits"] == len(stored)
+    assert resumed.progress["misses"] == 6 - len(stored)
 
 
 def test_cancel_terminal_job_is_a_noop(tmp_path):

@@ -8,6 +8,8 @@ The headline invariants from the PR-10 issue:
 * the result store is the crash-safe checkpoint -- a warm rerun executes
   nothing, and a fleet whose worker is SIGKILLed mid-task still converges to
   the clean serial report because survivors reclaim the expired lease;
+* a task whose runner raises fails the run at once with an error naming the
+  task, and its lease is never stolen;
 * the service integration (JobManager fleet dispatch + queue-depth
   backpressure) preserves report identity and surfaces its decisions in
   ``/stats``.
@@ -42,8 +44,17 @@ from repro.scenarios import (
     run_suite_fleet,
 )
 from repro.scenarios.cli import main as cli_main
-from repro.scenarios.fleet import default_task_runner
-from repro.scenarios.jobs import JobManager, parse_submission
+from repro.scenarios.fleet import (
+    FleetTaskError,
+    _all_chunks_settled,
+    _claim_any_chunk,
+    _lease_path,
+    _try_steal_lease,
+    _write_fsynced,
+    default_task_runner,
+)
+from repro.scenarios.jobs import FaultPlan, JobManager, parse_submission
+from repro.scenarios.suite import SuiteCancelled
 
 
 def fleet_scenario(name: str, seed: int, trials: int = 1) -> ScenarioSpec:
@@ -192,22 +203,76 @@ def test_cli_suite_fleet_matches_serial(tmp_path, capsys):
     assert deterministic_report_dict(json.loads(out_path.read_text())) == serial
 
 
-def test_cli_fleet_excludes_shard_flags(tmp_path):
-    manifest = tmp_path / "fleet.json"
-    manifest.write_text(fleet_suite().to_json())
-    with pytest.raises(SystemExit, match="--fleet replaces"):
-        cli_main(
-            [
-                "suite",
-                str(manifest),
-                "--fleet",
-                "2",
-                "--store",
-                str(tmp_path / "store"),
-                "--shard",
-                "1/2",
-            ]
+# ----------------------------------------------------------------------
+# poison tasks: a raising task fails the run with its cause, no steals
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fleet_poison_task_fails_fast_with_its_cause(tmp_path, workers):
+    """With one worker, the failing worker is the last to exit: the
+    coordinator's final lease snapshot must still report the failure."""
+    suite = fleet_suite(entry_count=2, trials=3)
+    store = str(tmp_path / "store")
+
+    def poisoned(spec, trial_index):
+        if spec.name == "e1" and trial_index == 2:
+            raise ValueError("deliberately poisoned trial")
+        return default_task_runner(spec, trial_index)
+
+    with pytest.raises(FleetTaskError) as excinfo:
+        run_suite_fleet(
+            suite, workers=workers, store=store, chunk_size=1, prebuild=False,
+            task_runner=poisoned,
         )
+    error = excinfo.value
+    assert error.steals == 0
+    assert error.failure["task"] == 5
+    assert error.failure["entry"] == "e1"
+    assert error.failure["trial"] == 2
+    assert error.failure["type"] == "ValueError"
+    assert error.failure["message"] == "deliberately poisoned trial"
+    assert "in poisoned" in error.failure["traceback"]
+    message = str(error)
+    for part in ("entry 'e1'", "trial 2", "ValueError", "deliberately poisoned trial"):
+        assert part in message
+
+    # Nothing else was lost: a rerun with a healthy runner resumes from the
+    # store (sweeping the failed lease) and matches the serial report.
+    rerun = run_suite_fleet(suite, workers=2, store=store, prebuild=False)
+    assert det(rerun) == det(run_suite(suite, jobs=1, prebuild=False))
+    assert rerun.store_stats["misses"] >= 1
+
+
+def test_failed_lease_is_never_stolen(tmp_path):
+    leases_dir = str(tmp_path / "leases")
+    os.makedirs(leases_dir)
+    failed = {
+        "lease": 1, "chunk": 0, "tasks": [0, 1], "owner": "w0-pid1",
+        "heartbeat": 0.0, "done": [], "state": "failed", "steals": 0,
+        "failure": {"task": 0, "entry": "e0", "trial": 0, "type": "ValueError"},
+    }
+    _write_fsynced(_lease_path(leases_dir, 0), failed)
+    # Long past any TTL, yet neither a steal nor a claim takes it ...
+    assert _try_steal_lease(leases_dir, 0, ttl_s=0.01, new_owner="w1") is None
+    assert _claim_any_chunk(leases_dir, 1, [[0, 1]], "w1", 0.01, 0) is None
+    # ... and it settles the board, so idle workers exit instead of waiting.
+    assert _all_chunks_settled(leases_dir, 1)
+    with open(_lease_path(leases_dir, 0), encoding="utf-8") as handle:
+        assert json.load(handle)["owner"] == "w0-pid1"
+
+
+def test_fleet_cancelled_run_resumes_from_the_store(tmp_path):
+    suite = fleet_suite()
+    store = str(tmp_path / "store")
+    observed = []
+    with pytest.raises(SuiteCancelled, match="in the result store"):
+        run_suite_fleet(
+            suite, workers=2, store=store, chunk_size=1, prebuild=False,
+            on_progress=lambda e: observed.append(e) if e["event"] == "task" else None,
+            should_stop=lambda: bool(observed),
+        )
+    rerun = run_suite_fleet(suite, workers=2, store=store, prebuild=False)
+    assert rerun.store_stats["hits"] >= len(observed) >= 1
+    assert det(rerun) == det(run_suite(suite, jobs=1, prebuild=False))
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +346,42 @@ def test_jobmanager_fleet_dispatch_preserves_report(tmp_path):
     assert job.state == "done"
     assert stats["fleet"]["dispatched"] == 1
     assert stats["fleet"]["workers"] == 2
+    with open(report_path, encoding="utf-8") as handle:
+        assert deterministic_report_dict(json.load(handle)) == serial
+
+
+@pytest.mark.service
+def test_jobmanager_fleet_retry_resumes_from_the_store(tmp_path):
+    """A fleet attempt that crashes after 2 observed tasks is retried, and
+    the retry serves those tasks from the store instead of re-running them."""
+    suite = fleet_suite(entry_count=2, trials=2)
+    serial = det(run_suite(suite, jobs=1, prebuild=False))
+
+    async def main():
+        manager = JobManager(
+            store=str(tmp_path / "store"),
+            workers=1,
+            backoff_s=0.01,
+            fleet_workers=2,
+            fleet_threshold=2,
+            fault_plan=FaultPlan(kind="crash", after_tasks=2),
+        )
+        await manager.start()
+        job, _ = manager.submit(*parse_submission({"suite": suite.to_dict()}))
+        queue = manager.subscribe(job)
+        try:
+            while not job.terminal:
+                await asyncio.wait_for(queue.get(), timeout=60)
+        finally:
+            manager.unsubscribe(job, queue)
+        report_path = manager.report_path(job.fingerprint)
+        await manager.shutdown()
+        return job, report_path
+
+    job, report_path = asyncio.run(main())
+    assert job.state == "done"
+    assert job.attempts == 2
+    assert job.progress["hits"] >= 2
     with open(report_path, encoding="utf-8") as handle:
         assert deterministic_report_dict(json.load(handle)) == serial
 

@@ -11,8 +11,13 @@ noted on the pinned tables).
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import pytest
@@ -73,18 +78,16 @@ from repro.scenarios import (
     SchedulerSpec,
     SuiteCancelled,
     SuiteEntry,
-    SuiteShard,
     SuiteSpec,
     TopologySpec,
     deterministic_report_dict,
-    merge_reports,
-    parse_shard,
     run,
     run_suite,
-    run_suite_shard,
-    shard_tasks,
 )
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.runtime import trial_record
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_scenario(name="small", seed=3, trials=1, metrics=("counters", "ack_delay")):
@@ -278,73 +281,15 @@ def det(report) -> dict:
     return deterministic_report_dict(report.to_dict())
 
 
-class TestSharding:
-    def test_parse_shard(self):
-        assert parse_shard("2/4") == (2, 4)
-        assert parse_shard("1/1") == (1, 1)
-        for bad in ("0/2", "3/2", "2", "x/y", "1/0"):
-            with pytest.raises(ValueError):
-                parse_shard(bad)
-
-    def test_shard_tasks_partition_exactly(self):
-        indices = [shard_tasks(10, k, 3) for k in (1, 2, 3)]
-        assert sorted(i for part in indices for i in part) == list(range(10))
-        assert indices[0] == [0, 3, 6, 9]  # round-robin over canonical order
-        with pytest.raises(ValueError, match="out of range"):
-            shard_tasks(10, 4, 3)
-
-    def test_shard_merge_equals_unsharded(self):
-        suite = small_suite(trials=2)
-        full = run_suite(suite, jobs=1)
-        shards = [run_suite_shard(suite, k, 2, jobs=1) for k in (1, 2)]
-        merged = merge_reports(suite, shards)
-        assert det(merged) == det(full)
-        assert merged.store_stats["tasks"] == 4
-
-    def test_shard_save_load_round_trip(self, tmp_path):
-        suite = small_suite(trials=2)
-        shard = run_suite_shard(suite, 2, 2, jobs=1)
-        path = str(tmp_path / "shard-2-of-2.json")
-        shard.save(path)
-        assert SuiteShard.load(path) == shard
-
-    def test_merge_validates_the_shard_set(self, tmp_path):
-        suite = small_suite(trials=2)
-        shard1 = run_suite_shard(suite, 1, 2, jobs=1)
-        shard2 = run_suite_shard(suite, 2, 2, jobs=1)
-        with pytest.raises(ValueError, match="incomplete shard set"):
-            merge_reports(suite, [shard1])
-        with pytest.raises(ValueError, match="duplicate shard"):
-            merge_reports(suite, [shard1, shard1])
-        imposter = SuiteShard(
-            suite_fingerprint="0" * 16,
-            shard_index=2,
-            shard_count=2,
-            task_count=shard2.task_count,
-            records=shard2.records,
-        )
-        with pytest.raises(ValueError, match="was produced from"):
-            merge_reports(suite, [shard1, imposter])
-
-
 class TestSuiteStore:
     def test_warm_rerun_serves_every_task_from_the_store(self, tmp_path):
         suite = small_suite(trials=2)
         root = str(tmp_path / "store")
         cold = run_suite(suite, jobs=1, store=root)
-        assert cold.store_stats == {"tasks": 4, "resumed": 0, "hits": 0, "misses": 4}
+        assert cold.store_stats == {"tasks": 4, "hits": 0, "misses": 4}
         warm = run_suite(suite, jobs=1, store=root)
-        assert warm.store_stats == {"tasks": 4, "resumed": 0, "hits": 4, "misses": 0}
+        assert warm.store_stats == {"tasks": 4, "hits": 4, "misses": 0}
         assert det(warm) == det(cold)
-
-    def test_sharded_run_shares_the_store(self, tmp_path):
-        """Shard 2 re-runs nothing that shard 1 already stored -- and a
-        second pass over either shard is pure cache."""
-        suite = small_suite(trials=2)
-        root = str(tmp_path / "store")
-        run_suite_shard(suite, 1, 2, jobs=1, store=root)
-        again = run_suite_shard(suite, 1, 2, jobs=1, store=root)
-        assert again.stats == {"tasks": 2, "resumed": 0, "hits": 2, "misses": 0}
 
     def test_store_path_and_instance_are_equivalent(self, tmp_path):
         suite = small_suite()
@@ -355,62 +300,59 @@ class TestSuiteStore:
         assert warm.store_stats["misses"] == 0
 
 
-class TestCheckpointResume:
-    def _checkpoint_lines(self, suite, records, tasks=None):
-        header = {
-            "checkpoint": 1,
-            "suite": suite.fingerprint(),
-            "shard": [1, 1],
-            "tasks": 4,
-        }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for index in tasks if tasks is not None else sorted(records):
-            payload = {"task": index, "record": records[index]}
-            lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-
-    def test_resume_trusts_the_checkpoint_and_finishes_the_rest(self, tmp_path):
-        suite = small_suite(trials=2)
-        full = run_suite(suite, jobs=1)
-        records = run_suite_shard(suite, 1, 1, jobs=1).records
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        with open(checkpoint, "w") as handle:  # as if killed after 2 of 4 tasks
-            handle.write(self._checkpoint_lines(suite, records, tasks=[0, 1]))
-        resumed = run_suite(suite, jobs=1, checkpoint=checkpoint, resume=True)
-        assert resumed.store_stats == {"tasks": 4, "resumed": 2, "hits": 0, "misses": 2}
-        assert det(resumed) == det(full)
-        assert not os.path.exists(checkpoint)  # deleted once the run completes
-
-    def test_resume_skips_a_torn_trailing_line(self, tmp_path):
-        suite = small_suite(trials=2)
-        records = run_suite_shard(suite, 1, 1, jobs=1).records
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        with open(checkpoint, "w") as handle:
-            handle.write(self._checkpoint_lines(suite, records, tasks=[0]))
-            handle.write('{"task": 1, "record"')  # the kill mid-append
-        with pytest.warns(RuntimeWarning, match="unreadable line"):
-            resumed = run_suite(suite, jobs=1, checkpoint=checkpoint, resume=True)
-        assert resumed.store_stats["resumed"] == 1
-        assert resumed.store_stats["misses"] == 3  # the torn task re-executed
-
-    def test_resume_rejects_a_foreign_checkpoint(self, tmp_path):
-        suite = small_suite(trials=2)
-        other = small_suite(trials=1)
-        records = run_suite_shard(other, 1, 1, jobs=1).records
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        header = {
-            "checkpoint": 1,
-            "suite": other.fingerprint(),
-            "shard": [1, 1],
-            "tasks": 2,
-        }
-        with open(checkpoint, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            handle.write(
-                json.dumps({"task": 0, "record": records[0]}, sort_keys=True) + "\n"
+def derived_suite(trials=2):
+    """``small_suite`` with per-trial seeds, so every task has its own store key
+    (under ``fixed`` seeds an entry's trials share one record)."""
+    return SuiteSpec(
+        name="derived-suite",
+        entries=tuple(
+            SuiteEntry(
+                id=entry.id,
+                scenario=entry.scenario.with_overrides({"run.seed_policy": "derived"}),
+                group=entry.group,
             )
-        with pytest.raises(ValueError, match="belongs to a different run"):
-            run_suite(suite, jobs=1, checkpoint=checkpoint, resume=True)
+            for entry in small_suite(trials=trials).entries
+        ),
+    )
+
+
+class TestStoreResume:
+    """The result store is the only checkpoint: a rerun against it resumes."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partially_filled_store_resumes(self, tmp_path, jobs):
+        suite = derived_suite(trials=2)  # 4 tasks
+        clean = det(run_suite(suite, jobs=1, prebuild=False))
+        store = ResultStore(str(tmp_path / "store"))
+        # As if a killed run had finished entry a and the first trial of b.
+        for entry_index, trial_index in [(0, 0), (0, 1), (1, 0)]:
+            spec = suite.entries[entry_index].scenario
+            store.put(spec, trial_index, trial_record(spec, trial_index))
+        resumed = run_suite(suite, jobs=jobs, prebuild=False, store=store.root)
+        assert resumed.store_stats == {"tasks": 4, "hits": 3, "misses": 1}
+        assert det(resumed) == clean
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cancelled_run_resumes_from_the_store(self, tmp_path, jobs):
+        suite = derived_suite(trials=2)
+        root = str(tmp_path / "store")
+        completed = []
+
+        with pytest.raises(SuiteCancelled, match="in the result store"):
+            run_suite(
+                suite,
+                jobs=jobs,
+                prebuild=False,
+                store=root,
+                on_progress=lambda e: completed.append(e) if e["event"] == "task" else None,
+                should_stop=lambda: len(completed) >= 1,
+            )
+        assert len(completed) == 1
+
+        # The rerun serves the finished prefix and matches a clean run.
+        resumed = run_suite(suite, prebuild=False, store=root)
+        assert resumed.store_stats == {"tasks": 4, "hits": 1, "misses": 3}
+        assert det(resumed) == det(run_suite(suite, prebuild=False))
 
 
 class TestProgressAndCancellation:
@@ -420,7 +362,7 @@ class TestProgressAndCancellation:
         suite = small_suite(trials=2)  # 4 tasks
         events = []
         run_suite(suite, on_progress=events.append)
-        assert events[0] == {"event": "plan", "tasks": 4, "resumed": 0, "hits": 0, "misses": 4}
+        assert events[0] == {"event": "plan", "tasks": 4, "hits": 0, "misses": 4}
         task_events = events[1:]
         assert [e["event"] for e in task_events] == ["task"] * 4
         assert [e["done"] for e in task_events] == [1, 2, 3, 4]
@@ -437,45 +379,23 @@ class TestProgressAndCancellation:
         events = []
         run_suite(suite, store=store, on_progress=events.append)
         assert events == [
-            {"event": "plan", "tasks": 2, "resumed": 0, "hits": 2, "misses": 0}
+            {"event": "plan", "tasks": 2, "hits": 2, "misses": 0}
         ]
 
-    def test_should_stop_cancels_and_leaves_the_checkpoint(self, tmp_path):
-        suite = small_suite(trials=2)
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
+    def test_store_less_cancel_promises_nothing_durable(self):
         completed = []
-
-        def stop_after_first():
-            return len(completed) >= 1
-
-        with pytest.raises(SuiteCancelled, match="checkpointed"):
+        with pytest.raises(SuiteCancelled) as excinfo:
             run_suite(
-                suite,
-                checkpoint=checkpoint,
-                resume=True,
+                small_suite(trials=2),
                 on_progress=lambda e: completed.append(e) if e["event"] == "task" else None,
-                should_stop=stop_after_first,
+                should_stop=lambda: bool(completed),
             )
-        assert len(completed) == 1
-        assert os.path.exists(checkpoint)  # cancellation preserves it
-
-        # A resumed run trusts the checkpointed prefix and matches a clean run.
-        resumed = run_suite(suite, checkpoint=checkpoint, resume=True)
-        assert resumed.store_stats["resumed"] == 1
-        assert resumed.store_stats["misses"] == 3
-        assert det(resumed) == det(run_suite(suite))
-        assert not os.path.exists(checkpoint)  # consumed by the completed run
+        assert str(excinfo.value) == "cancelled after 1/4 tasks"
+        assert run_suite(small_suite(), prebuild=False).store_stats is None
 
     def test_should_stop_before_any_task(self):
         with pytest.raises(SuiteCancelled, match="cancelled before execution"):
             run_suite(small_suite(), should_stop=lambda: True)
-
-    def test_hooks_thread_through_shards(self):
-        suite = small_suite(trials=2)
-        events = []
-        run_suite_shard(suite, 1, 2, on_progress=events.append)
-        assert events[0]["event"] == "plan" and events[0]["tasks"] == 2
-        assert [e["done"] for e in events[1:]] == [1, 2]
 
 
 class TestSuiteCLI:
@@ -507,33 +427,32 @@ class TestSuiteCLI:
         out = capsys.readouterr().out
         assert "ack_delay" in out and "lb_spec" in out
 
-    def test_shard_flags_require_store(self, tmp_path):
-        manifest_path = str(tmp_path / "suite.json")
-        small_suite().save(manifest_path)
-        with pytest.raises(SystemExit, match="--store"):
-            cli_main(["suite", manifest_path, "--shard", "1/2"])
+    def test_suite_cli_has_no_shard_or_resume_flags(self, capsys):
+        """The store is the only resume mechanism: rerun the same command."""
+        with pytest.raises(SystemExit):
+            cli_main(["suite", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--store" in help_text
+        for flag in ("--shard", "--merge", "--resume"):
+            assert flag not in help_text
 
-    def test_cli_shard_merge_matches_unsharded(self, tmp_path, capsys):
-        """The full CLI workflow: two shard invocations over a shared store,
-        then --merge; the merged report's deterministic content equals an
-        unsharded run_suite."""
-        suite = small_suite(trials=2)
+    def test_cli_rerun_resumes_from_a_partial_store(self, tmp_path, capsys):
+        suite = derived_suite(trials=2)
         manifest_path = str(tmp_path / "suite.json")
         suite.save(manifest_path)
-        store_dir = str(tmp_path / "store")
-        for shard in ("1/2", "2/2"):
-            assert cli_main(
-                ["suite", manifest_path, "--store", store_dir, "--shard", shard, "-q"]
-            ) == 0
-        json_path = str(tmp_path / "merged.json")
+        store = ResultStore(str(tmp_path / "store"))
+        spec = suite.entries[1].scenario
+        store.put(spec, 1, trial_record(spec, 1))
+        json_path = str(tmp_path / "report.json")
         assert cli_main(
-            ["suite", manifest_path, "--store", store_dir, "--merge",
-             "--json", json_path, "-q"]
+            ["suite", manifest_path, "--store", store.root, "--no-prebuild",
+             "--json", json_path]
         ) == 0
-        capsys.readouterr()
-        merged = json.loads(open(json_path).read())
-        expected = run_suite(suite, jobs=1)
-        assert deterministic_report_dict(merged) == det(expected)
+        assert "1 of 4 task(s) from the store, 3 executed" in capsys.readouterr().out
+        report = json.loads(open(json_path).read())
+        assert report["store"] == {"tasks": 4, "hits": 1, "misses": 3}
+        expected = run_suite(suite, jobs=1, prebuild=False)
+        assert deterministic_report_dict(report) == det(expected)
 
     def test_cli_warm_rerun_reports_store_hits(self, tmp_path, capsys):
         manifest_path = str(tmp_path / "suite.json")
@@ -558,6 +477,74 @@ class TestSuiteCLI:
         assert stats["entries"] == 2
         assert cli_main(["store", "gc", store_dir]) == 0
         assert "kept 2" in capsys.readouterr().out
+
+
+def slow_cli_suite(trials=16):
+    """~50ms per task: long enough to SIGKILL a serial CLI run mid-suite."""
+    return SuiteSpec.from_dict(
+        {
+            "name": "cli-kill",
+            "entries": [
+                {
+                    "id": "cli-kill-e0",
+                    "scenario": {
+                        "name": "cli-kill-e0",
+                        "topology": {"name": "clique", "args": {"n": 10}},
+                        "algorithm": {"name": "uniform"},
+                        "environment": {
+                            "name": "saturating",
+                            "args": {"senders": {"count": 2, "select": "first"}},
+                        },
+                        "run": {
+                            "rounds": 3000,
+                            "rounds_unit": "rounds",
+                            "trials": trials,
+                            "master_seed": 99,
+                        },
+                        "metrics": [{"name": "counters"}],
+                    },
+                }
+            ],
+        }
+    )
+
+
+@pytest.mark.fault_injection
+def test_serial_cli_sigkill_resumes_from_the_store(tmp_path):
+    """SIGKILL a serial ``python -m repro suite --store`` after its first store
+    append; rerunning the same command serves that prefix and finishes with
+    the uninterrupted run's report."""
+    suite = slow_cli_suite()
+    manifest_path = str(tmp_path / "suite.json")
+    suite.save(manifest_path)
+    store_dir = str(tmp_path / "store")
+    json_path = str(tmp_path / "report.json")
+    command = [
+        sys.executable, "-m", "repro", "suite", manifest_path,
+        "--store", store_dir, "--no-prebuild", "--json", json_path, "-q",
+    ]
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    buckets = os.path.join(store_dir, "objects", "*.jsonl")
+
+    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(os.path.getsize(path) for path in glob.glob(buckets)):
+            assert child.poll() is None, "the run finished before any store append"
+            assert time.monotonic() < deadline, "no store append within 60s"
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    assert not os.path.exists(json_path)
+
+    subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
+    report = json.loads(open(json_path).read())
+    assert report["store"]["hits"] >= 1
+    assert report["store"]["hits"] + report["store"]["misses"] == 16
+    expected = run_suite(suite, jobs=1, prebuild=False)
+    assert deterministic_report_dict(report) == det(expected)
 
 
 class TestBenchmarkReproduction:
