@@ -23,7 +23,9 @@ Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_engine.py            # full grid
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_engine.py --jobs 4   # pool over n
+
+Grid points run one after another: a throughput benchmark must not time
+them side by side.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -49,7 +51,7 @@ from repro import (
 from repro.analysis.sweep import format_table
 from repro.simulation.environment import SaturatingEnvironment
 
-from benchmarks.common import add_jobs_argument, run_sweep, save_table
+from benchmarks.common import run_sweep, save_table
 
 #: Approximate points per unit area; keeps the reliable degree roughly
 #: constant as n grows (side scales with sqrt(n)).
@@ -208,14 +210,11 @@ def run_workload_point(n: int, rounds_by_n: Dict[int, int]) -> Dict[str, Any]:
     }
 
 
-def run_engine_benchmark(quick: bool = False, jobs: Optional[int] = None):
+def run_engine_benchmark(quick: bool = False):
     sizes = QUICK_SIZES if quick else FULL_SIZES
     rounds_by_n = QUICK_ROUNDS if quick else FULL_ROUNDS
     return run_sweep(
-        {"n": list(sizes)},
-        run_workload_point,
-        jobs=jobs,
-        common={"rounds_by_n": rounds_by_n},
+        {"n": list(sizes)}, run_workload_point, common={"rounds_by_n": rounds_by_n}
     )
 
 
@@ -223,10 +222,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small grid for CI smoke runs")
     parser.add_argument("--output", default=DEFAULT_OUTPUT, help="path of the JSON report")
-    add_jobs_argument(parser)
     args = parser.parse_args(argv)
 
-    result = run_engine_benchmark(quick=args.quick, jobs=args.jobs)
+    result = run_engine_benchmark(quick=args.quick)
 
     columns = [
         "n",

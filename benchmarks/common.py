@@ -22,7 +22,7 @@ from repro import (
     Simulator,
     make_lb_processes,
 )
-from repro.analysis.sweep import ParallelSweepRunner, SweepResult, format_table
+from repro.analysis.sweep import SweepResult, format_table, sweep
 
 # The density-profile table and degree-targeted sampler moved into the
 # scenario component library (so the ``target_degree`` registered topology
@@ -193,19 +193,13 @@ def add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 def run_sweep(
     grid: Mapping[str, Sequence[Any]],
     run: Callable[..., Mapping[str, Any]],
-    jobs: Optional[int] = None,
-    base_seed: Optional[int] = None,
     common: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
-    """Run a benchmark grid serially or on a process pool.
+    """Run a benchmark grid serially (:func:`repro.analysis.sweep.sweep`).
 
-    ``jobs=None`` falls back to ``$BENCH_JOBS`` (default 1, i.e. the classic
-    serial :func:`repro.analysis.sweep.sweep`).  Rows are identical and in
-    identical order regardless of the worker count; with ``base_seed`` set,
-    per-point derived seeds are injected as the ``seed`` keyword argument.
     ``common`` keyword arguments (fixed workload/engine configuration) are
-    passed to ``run`` at every grid point.
+    passed to ``run`` at every grid point -- grid values win on collision --
+    and stay out of the result rows.
     """
-    if jobs is None:
-        jobs = default_jobs()
-    return ParallelSweepRunner(jobs=jobs, base_seed=base_seed).run(grid, run, common=common)
+    fixed = dict(common or {})
+    return sweep(grid, lambda **point: run(**{**fixed, **point}))

@@ -9,7 +9,7 @@ This package reproduces, as a runnable Python library, the system described in
   and oblivious link schedulers (the adversary).
 * :mod:`repro.simulation` -- a synchronous round-based radio simulator with
   the paper's collision rules, deterministic environments, execution traces,
-  metrics, and multi-trial drivers.
+  and metrics.
 * :mod:`repro.core` -- the paper's contribution: the ``Seed(δ, ε)`` seed
   agreement specification and the ``SeedAlg`` algorithm, the
   ``LB(t_ack, t_prog, ε)`` local broadcast specification and the ``LBAlg``
@@ -85,11 +85,9 @@ from repro.simulation import (
     Simulator,
     SingleShotEnvironment,
     TraceMode,
-    TrialResult,
     ack_delays,
     delivery_report,
     progress_report,
-    run_trials,
     unique_seed_owner_counts,
 )
 from repro.core import (
@@ -118,13 +116,7 @@ from repro.baselines import (
 from repro.mac import AbstractMacNode, FloodClient, MacClient, run_flood
 from repro.analysis import theory
 from repro.analysis.stats import empirical_error_rate, summarize, wilson_interval
-from repro.analysis.sweep import (
-    ParallelSweepRunner,
-    SweepResult,
-    format_table,
-    parallel_sweep,
-    sweep,
-)
+from repro.analysis.sweep import SweepResult, format_table, sweep
 from repro import scenarios
 from repro.scenarios import (
     AlgorithmSpec,
@@ -181,8 +173,6 @@ __all__ = [
     "BurstyEnvironment",
     "ExecutionTrace",
     "TraceMode",
-    "run_trials",
-    "TrialResult",
     "ack_delays",
     "delivery_report",
     "progress_report",
@@ -233,8 +223,6 @@ __all__ = [
     "wilson_interval",
     "summarize",
     "sweep",
-    "parallel_sweep",
-    "ParallelSweepRunner",
     "SweepResult",
     "format_table",
     "__version__",

@@ -19,12 +19,10 @@ from repro.analysis.stats import (
     wilson_interval,
 )
 from repro.analysis.sweep import (
-    ParallelSweepRunner,
     SweepResult,
     derive_point_seed,
     format_table,
     iter_grid_points,
-    parallel_sweep,
     sweep,
 )
 
@@ -37,8 +35,6 @@ __all__ = [
     "empirical_error_rate",
     "wilson_interval",
     "sweep",
-    "parallel_sweep",
-    "ParallelSweepRunner",
     "iter_grid_points",
     "derive_point_seed",
     "SweepResult",

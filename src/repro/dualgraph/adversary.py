@@ -81,10 +81,11 @@ class SchedulerDeltaCache:
     A process-wide instance (:func:`process_delta_cache`) is attached to
     every scheduler at construction; :meth:`LinkScheduler.attach_delta_cache`
     swaps in a private cache (or ``None`` to disable caching).  For
-    :class:`~repro.analysis.sweep.ParallelSweepRunner` fan-out, a prebuilt
-    table (:func:`prebuild_scheduler_deltas`) can be shipped to workers
-    through the reserved ``scheduler_delta_table`` common kwarg, which
-    preloads each worker's process cache before any trial runs.
+    multi-process suite runs, a prebuilt table
+    (:func:`prebuild_scheduler_deltas`) preloads each worker's process cache
+    before any trial runs: :func:`repro.scenarios.suite.run_suite` ships it
+    through its pool initializer and the fleet coordinator preloads it before
+    forking.
     """
 
     __slots__ = ("_table", "_set_table", "_maxsize", "hits", "misses")
@@ -195,10 +196,10 @@ def preload_process_delta_cache(
     """Merge a prebuilt delta table into the process-wide cache.
 
     This is the worker-side half of cross-process delta sharing: a parent
-    builds the table once (:func:`prebuild_scheduler_deltas`), ships it
-    through :class:`~repro.analysis.sweep.ParallelSweepRunner`'s reserved
-    ``scheduler_delta_table`` common kwarg, and every worker preloads it here
-    before running its grid points.
+    builds the table once (:func:`prebuild_scheduler_deltas`) and
+    :func:`repro.scenarios.suite.run_suite` installs this function as its
+    process pool's initializer, so every worker preloads the table before
+    running its first task.
     """
     _PROCESS_DELTA_CACHE.preload(table)
 

@@ -11,9 +11,8 @@ policy, round-trips through JSON, and carries a stable
 * :func:`~repro.scenarios.runtime.run` -- spec to a
   :class:`~repro.scenarios.runtime.RunResult` (metrics, traces, perf stats);
 * :func:`~repro.scenarios.runtime.run_many` -- an override grid over a spec,
-  dispatched to :class:`~repro.analysis.sweep.ParallelSweepRunner` workers as
-  serialized specs (never pickled closures), with scheduler-delta tables
-  prebuilt and shared by spec fingerprint;
+  run as a one-entry-per-point suite through
+  :func:`~repro.scenarios.suite.run_suite`;
 * :mod:`repro.scenarios.metrics` -- the declarative metrics pipeline:
   registered trace reducers (``register_metric``) with minimum-trace-mode
   metadata and :mod:`repro.analysis.stats`-backed aggregation, named by
@@ -77,7 +76,6 @@ from repro.scenarios.runtime import (
     resolve_trace_mode,
     run,
     run_many,
-    run_spec_point,
     run_trial,
 )
 from repro.scenarios.spec import (
@@ -160,7 +158,6 @@ __all__ = [
     "run",
     "run_trial",
     "run_many",
-    "run_spec_point",
     "prebuild_delta_table",
     "resolve_senders",
     # result store

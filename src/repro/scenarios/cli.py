@@ -6,8 +6,9 @@ Subcommands:
   :class:`~repro.scenarios.runtime.RunResult` summary.  Exits non-zero when
   the result is empty (no trial ran a round / nothing was ever transmitted),
   which is what the CI smoke job asserts against.
-* ``sweep SCENARIO.json --grid path=v1,v2,...`` -- fan an override grid out
-  over the parallel sweep runner (``--jobs``) and print the result table.
+* ``sweep SCENARIO.json --grid path=v1,v2,...`` -- run an override grid as a
+  suite (one entry per point, optionally on a ``--jobs`` worker pool) and
+  print the result table.
 * ``suite SUITE.json`` -- run a scenario-suite manifest (every entry, every
   trial, optionally on a worker pool) and print its pooled per-group report;
   ``--json`` / ``--markdown`` write the full :class:`~repro.scenarios.suite.SuiteReport`.

@@ -61,9 +61,9 @@ import sys
 import tempfile
 import time
 import traceback
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dualgraph.adversary import preload_process_delta_cache
 from repro.scenarios.runtime import trial_record
 from repro.scenarios.spec import ScenarioSpec, _json_canonical
 from repro.scenarios.store import (
@@ -79,6 +79,7 @@ from repro.scenarios.suite import (
     _assemble_report,
     _flatten_tasks,
     _plan_tasks,
+    _prebuild_pending_deltas,
 )
 
 #: Version tag written into every board and lease file, so a future layout
@@ -101,7 +102,8 @@ class FleetTaskError(RuntimeError):
     ``failure`` is the record the failing worker wrote into its lease
     (``task``, ``entry``, ``trial``, ``type``, ``message``, ``traceback``);
     ``steals`` counts lease steals observed before the failure.  Records
-    completed before the failure stay in the store.
+    completed before the failure stay in the caller's result store; a run
+    without one used a private temporary store, which is deleted.
     """
 
     def __init__(self, failure: Dict[str, Any], steals: int) -> None:
@@ -555,7 +557,8 @@ def run_suite_fleet(
     ``"task"`` event shapes as ``run_suite`` (task events are emitted as the
     coordinator *observes* completions, so their order reflects completion,
     not the canonical order).  ``should_stop`` cancels between observations:
-    workers get SIGTERM, completed records stay durable, and
+    workers get SIGTERM, completed records stay in the caller's store (a
+    private store is deleted), and
     :class:`~repro.scenarios.suite.SuiteCancelled` is raised.  A task whose
     runner raises stops the run the same way and raises
     :class:`FleetTaskError` with the failing task's entry id, trial, and
@@ -573,7 +576,6 @@ def run_suite_fleet(
 
     if workers < 1:
         raise ValueError(f"run_suite_fleet needs workers >= 1, got {workers}")
-    start = time.perf_counter()
     runner = task_runner if task_runner is not None else default_task_runner
 
     owned_tmp: Optional[tempfile.TemporaryDirectory] = None
@@ -595,7 +597,7 @@ def run_suite_fleet(
             should_stop,
             runner,
             multiprocessing.get_context("fork"),
-            start,
+            owned_tmp is None,
         )
     finally:
         if owned_tmp is not None:
@@ -615,8 +617,11 @@ def _run_fleet(
     should_stop: Optional[Any],
     task_runner: Callable[[ScenarioSpec, int], Dict[str, Any]],
     ctx: Any,
-    start: float,
+    durable: bool,
 ) -> SuiteReport:
+    # ``durable``: the store is the caller's and outlives this run, so its
+    # completed records can be promised to a rerun.
+    start = time.perf_counter()
     # Store prescan: warm records need no lease at all.
     tasks, records, pending, stats = _plan_tasks(suite, store, on_progress, should_stop)
     specs = [entry.scenario for entry in suite.entries]
@@ -630,7 +635,11 @@ def _run_fleet(
             # Same prebuild pass as run_suite, but installed into *this*
             # process's scheduler-delta cache pre-fork: the workers inherit
             # it through fork instead of each re-deriving the tables.
-            _preload_coordinator_deltas(suite, specs, pending, tasks, cache_dir)
+            delta_table = _prebuild_pending_deltas(
+                suite, (tasks[index][0] for index in pending), cache_dir
+            )
+            if delta_table:
+                preload_process_delta_cache(delta_table)
 
         run_dir = fleet_run_dir(store.root, fingerprint)
         leases_dir = os.path.join(run_dir, "leases")
@@ -717,9 +726,9 @@ def _run_fleet(
         if failure is not None:
             raise FleetTaskError(failure, steals)
         if cancelled:
+            where = " (completed records are in the result store)" if durable else ""
             raise SuiteCancelled(
-                f"cancelled after {len(records) + len(observed)}/{total} tasks "
-                "(completed records are in the result store)"
+                f"cancelled after {len(records) + len(observed)}/{total} tasks{where}"
             )
 
         # Collect what the workers produced.  The LRU front revalidates
@@ -734,10 +743,15 @@ def _run_fleet(
                 records[index] = record
         if missing:
             exits = {wid: code for wid, code in sorted(worker_exits.items())}
+            resume = (
+                " Completed records are durable -- rerunning resumes from them."
+                if durable
+                else ""
+            )
             raise RuntimeError(
                 f"fleet run incomplete: {len(missing)} of {total} task(s) missing "
-                f"from the store (first: {missing[:5]}); worker exit codes {exits}. "
-                "Completed records are durable -- rerunning resumes from them."
+                f"from the store (first: {missing[:5]}); worker exit codes {exits}."
+                f"{resume}"
             )
         shutil.rmtree(leases_dir, ignore_errors=True)
 
@@ -747,53 +761,3 @@ def _run_fleet(
     report.store_stats["steals"] = steals
     report.elapsed_s = time.perf_counter() - start
     return report
-
-
-def _preload_coordinator_deltas(
-    suite: SuiteSpec,
-    specs: Sequence[ScenarioSpec],
-    pending: Sequence[int],
-    tasks: Sequence[Tuple[int, int]],
-    cache_dir: Optional[str],
-) -> None:
-    """Prebuild scheduler-delta tables for pending entries and preload them.
-
-    Mirrors ``run_suite``'s prebuild pass (same sparse-workload skip, same
-    best-effort error handling) but installs the merged table into this
-    process's delta cache, which forked workers inherit.
-    """
-    from repro.dualgraph.adversary import preload_process_delta_cache
-    from repro.scenarios.registry import ENVIRONMENTS
-    from repro.scenarios.runtime import prebuild_delta_table
-
-    pending_entries = {tasks[index][0] for index in pending}
-    merged: Dict[Any, Any] = {}
-    seen_fingerprints: Set[str] = set()
-    sparse: List[str] = []
-    for entry_index in sorted(pending_entries):
-        spec = specs[entry_index]
-        if ENVIRONMENTS.workload(spec.environment.name) == "sparse":
-            sparse.append(suite.entries[entry_index].id)
-            continue
-        entry_fingerprint = spec.fingerprint()
-        if entry_fingerprint in seen_fingerprints:
-            continue
-        seen_fingerprints.add(entry_fingerprint)
-        try:
-            table = prebuild_delta_table(spec, cache_dir=cache_dir)
-        except (KeyError, TypeError, ValueError):
-            continue
-        if table:
-            merged.update(table)
-    if sparse:
-        shown = ", ".join(sparse[:3]) + (", ..." if len(sparse) > 3 else "")
-        warnings.warn(
-            f"run_suite_fleet(prebuild=True): skipping the scheduler-delta "
-            f"prebuild for {len(sparse)} sparse-workload "
-            f"entr{'y' if len(sparse) == 1 else 'ies'} ({shown}); pass "
-            "prebuild=False to silence this when the whole suite is sparse",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if merged:
-        preload_process_delta_cache(merged)

@@ -29,8 +29,7 @@
 Execution itself is :func:`repro.scenarios.suite.run_suite` on a bounded
 pool of worker tasks; each worker drives one suite at a time in a thread
 (keeping the asyncio loop free), optionally fanning that suite's trials out
-over the :class:`~repro.analysis.sweep.ParallelSweepRunner` process pool via
-the ``jobs`` option.
+over ``run_suite``'s process pool via the ``jobs`` option.
 
 Fault injection (test harness)
 ------------------------------

@@ -28,7 +28,7 @@ first-class declarative metrics rather than ad-hoc post-processing.
 
 Metric rows are **deterministic**: reducers see no wall-clock timing, so a
 trial's metric row is byte-identical whether the trial ran serially, on a
-``run(jobs=...)`` pool, or inside a suite worker (pinned by
+suite's process pool, or on the fleet (pinned by
 ``tests/test_metrics_pipeline.py``).
 """
 

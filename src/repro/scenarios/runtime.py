@@ -11,13 +11,13 @@ stack:
   :class:`~repro.scenarios.spec.RunPolicy` and reduces the traces to a
   :class:`RunResult` (aggregate metrics + optional per-trial traces +
   ``perf_stats``);
-* :func:`run_many` fans a dotted-path override grid out over the
-  :class:`~repro.analysis.sweep.ParallelSweepRunner` -- workers receive the
-  **serialized spec** (JSON text shipped once through the pool's ``common``
-  mapping) plus each point's overrides, never pickled closures -- and
-  preloads worker scheduler-delta caches with tables prebuilt (and optionally
-  disk-cached) under each variant spec's
-  :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`.
+* :func:`run_many` runs a dotted-path override grid as a suite with one
+  entry per grid point.
+
+Every multi-trial batch -- :func:`run` with ``jobs`` or a ``store``, and
+:func:`run_many` -- executes through :func:`repro.scenarios.suite.run_suite`,
+the one place that consults the result store, prebuilds scheduler-delta
+tables and dispatches trials to a process pool.
 
 The raw :class:`~repro.simulation.engine.Simulator` constructor remains the
 supported low-level escape hatch for experiments whose wiring a spec cannot
@@ -34,13 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.sweep import (
-    SCHEDULER_DELTA_TABLE_KWARG,
-    ParallelSweepRunner,
-    SweepResult,
-    derive_point_seed,
-    iter_grid_points,
-)
+from repro.analysis.sweep import SweepResult, derive_point_seed, iter_grid_points
 from repro.dualgraph.adversary import prebuild_scheduler_deltas
 from repro.scenarios import components as _components  # noqa: F401  (populates registries)
 from repro.scenarios.metrics import (
@@ -230,8 +224,8 @@ class TrialRunResult:
         """Only the declared-metric columns (``"<metric>.<key>"``).
 
         These are deterministic -- no wall-clock timing -- so the row is
-        byte-identical whether the trial ran serially, on a ``run(jobs=...)``
-        pool, or inside a suite worker.
+        byte-identical whether the trial ran serially in :func:`run` or as a
+        suite task (serial, pooled or on the fleet).
         """
         return {k: v for k, v in self.metrics.items() if is_metric_column(k)}
 
@@ -325,8 +319,8 @@ def run_trial(spec: ScenarioSpec, trial_index: int, keep: bool = True) -> TrialR
     counter metrics plus every declared metric
     (:func:`repro.scenarios.metrics.evaluate_metrics`, namespaced columns
     merged into ``metrics``).  This single code path backs the serial
-    :func:`run` loop, the per-trial worker pool (``run(jobs=...)``), and the
-    suite runner -- which is why their metric rows are identical.
+    :func:`run` loop and every suite task (through :func:`trial_record`) --
+    which is why their metric rows are identical.
     """
     built = materialize(spec, trial_index)
     start = time.perf_counter()
@@ -370,9 +364,9 @@ def trial_record(spec: ScenarioSpec, trial_index: int) -> Dict[str, Any]:
     """Execute one trial and return its plain-data (picklable) record.
 
     :meth:`TrialRunResult.to_dict` plus the simulator's perf sections when
-    profiling -- the wire format every per-trial worker returns
-    (:func:`run_spec_trial` here, ``run_suite_task`` in the suite runner) and
-    :func:`absorb_trial_record` consumes.
+    profiling -- the wire format every suite task produces (serially, in
+    ``run_suite_task`` pool workers and in fleet workers), the result store
+    keeps, and :func:`absorb_trial_record` consumes.
     """
     trial = run_trial(spec, trial_index, keep=False)
     record = trial.to_dict()
@@ -406,20 +400,6 @@ def absorb_trial_record(result: RunResult, record: Mapping[str, Any]) -> None:
             result.perf_stats[section] = value
         else:
             result.perf_stats[section] = result.perf_stats.get(section, 0.0) + value
-
-
-def run_spec_trial(
-    spec_json: Optional[str] = None, trial_index: int = 0
-) -> Dict[str, Any]:
-    """Worker target for per-trial parallelism (module-level, hence picklable).
-
-    Like :func:`run_spec_point`, workers receive the serialized spec -- never
-    live objects or closures -- plus one trial index, and return the trial's
-    :func:`trial_record`.
-    """
-    if spec_json is None:
-        raise ValueError("run_spec_trial needs the serialized spec (spec_json)")
-    return trial_record(ScenarioSpec.from_json(spec_json), trial_index)
 
 
 def _aggregate(result: RunResult) -> None:
@@ -467,75 +447,38 @@ def run(
     ``keep=True`` (default) retains each trial's trace, simulator, graph and
     derived params on the :class:`TrialRunResult` -- what the examples and
     benchmark harnesses consume.  ``keep=False`` drops the live objects
-    (sweep workers and the CLI JSON output need only the metrics).
+    (the CLI JSON output needs only the metrics).
 
-    ``jobs`` above 1 fans the spec's trials out over a
-    :class:`~repro.analysis.sweep.ParallelSweepRunner` process pool (workers
-    receive the serialized spec through :func:`run_spec_trial`); this forces
-    ``keep=False`` -- live traces do not cross process boundaries -- and
-    produces metric rows byte-identical to the serial path, in trial order.
-    As in :func:`run_many`, the spec's scheduler-delta table is then prebuilt
-    once in the parent (when cacheable and shared across trials; optionally
-    disk-backed under ``cache_dir``) and shipped to every worker instead of
-    being re-hashed per process; ``prebuild=False`` skips that for sparse
-    workloads.  Serial runs share the process-wide delta cache already.
-
-    ``store`` (a :class:`~repro.scenarios.store.ResultStore` or its root
-    path) consults the content-addressed result store before dispatching each
-    trial and writes every computed trial record back on completion: a trial
-    whose key (content identity + seed + metrics signature; see
-    :func:`repro.scenarios.store.trial_key`) is already stored is absorbed
-    from the cached record instead of re-executing, with metric rows
-    byte-identical to a fresh run.  Like ``jobs``, a store runs in record
-    mode -- live traces are not retained regardless of ``keep``.
+    ``jobs`` above 1 or a ``store`` switches to record mode: the spec runs
+    as a one-entry suite through :func:`repro.scenarios.suite.run_suite`
+    (``jobs``, ``cache_dir`` and ``prebuild`` mean what they mean there,
+    except that ``jobs=None`` stays serial).  Live traces do not cross
+    process boundaries or come out of the store, so record mode ignores
+    ``keep``; metric rows are byte-identical to the live path, in trial
+    order.  ``store`` (a :class:`~repro.scenarios.store.ResultStore` or its
+    root path) serves every trial whose key (content identity + seed +
+    metrics signature; see :func:`repro.scenarios.store.trial_key`) is
+    already stored and writes each computed record back.
     """
-    from repro.scenarios.store import ResultStore
-
-    store = ResultStore.coerce(store)
-    result = RunResult(spec=spec, fingerprint=spec.fingerprint())
     pooled = jobs is not None and jobs > 1 and spec.run.trials > 1
-    if store is None and not pooled:
-        for trial_index in range(spec.run.trials):
-            trial = run_trial(spec, trial_index, keep=keep)
-            result.trials.append(trial)
-            if trial.lane:
-                result.perf_stats.update(trial.lane)
-            if spec.engine.profile and trial.simulator is not None:
-                for section, seconds in trial.simulator.perf_stats.items():
-                    result.perf_stats[section] = result.perf_stats.get(section, 0.0) + seconds
-        _aggregate(result)
-        return result
+    if store is not None or pooled:
+        from repro.scenarios.suite import SuiteEntry, SuiteSpec, run_suite
 
-    records: Dict[int, Mapping[str, Any]] = {}
-    if store is not None:
-        for trial_index in range(spec.run.trials):
-            hit = store.get(spec, trial_index)
-            if hit is not None:
-                records[trial_index] = hit
-    pending = [i for i in range(spec.run.trials) if i not in records]
+        suite = SuiteSpec(name=spec.name, entries=(SuiteEntry(id=spec.name, scenario=spec),))
+        report = run_suite(
+            suite, jobs=jobs or 1, cache_dir=cache_dir, prebuild=prebuild, store=store
+        )
+        return report.entries[0].result
 
-    if pooled and len(pending) > 1:
-        common: Dict[str, Any] = {"spec_json": spec.to_json(indent=None)}
-        if prebuild:
-            try:
-                table = prebuild_delta_table(spec, cache_dir=cache_dir)
-            except (KeyError, TypeError, ValueError):
-                table = None  # a broken spec fails loudly in the workers
-            if table:
-                common[SCHEDULER_DELTA_TABLE_KWARG] = table
-        runner = ParallelSweepRunner(jobs=jobs)
-        rows = runner.run({"trial_index": pending}, run_spec_trial, common=common)
-        for row in rows:
-            records[row["trial_index"]] = row
-    else:
-        for trial_index in pending:
-            records[trial_index] = trial_record(spec, trial_index)
-
-    if store is not None:
-        for trial_index in pending:
-            store.put(spec, trial_index, records[trial_index])
+    result = RunResult(spec=spec, fingerprint=spec.fingerprint())
     for trial_index in range(spec.run.trials):
-        absorb_trial_record(result, records[trial_index])
+        trial = run_trial(spec, trial_index, keep=keep)
+        result.trials.append(trial)
+        if trial.lane:
+            result.perf_stats.update(trial.lane)
+        if spec.engine.profile and trial.simulator is not None:
+            for section, seconds in trial.simulator.perf_stats.items():
+                result.perf_stats[section] = result.perf_stats.get(section, 0.0) + seconds
     _aggregate(result)
     return result
 
@@ -548,11 +491,13 @@ def _delta_identity(spec: ScenarioSpec) -> str:
 
     Two grid variants that differ only in fields the table does not depend on
     (environment, trace mode, name, trial count, ...) map to the same
-    identity, so :func:`run_many` computes their shared table once.  The
+    identity, so the suite prebuild pass computes their shared table once.  The
     identity covers the topology and scheduler specs, the engine's fast-path
     eligibility, the seed root (``master_seed`` + ``seed_policy`` determine
-    trial 0's seed), and the round budget -- including the algorithm spec
-    exactly when the round unit derives the budget from it.
+    trial 0's seed), whether the spec runs more than one trial (which can
+    disqualify a per-trial re-randomized spec from prebuilding), and the
+    round budget -- including the algorithm spec exactly when the round unit
+    derives the budget from it.
     """
     from repro.scenarios.spec import _json_canonical
 
@@ -562,6 +507,7 @@ def _delta_identity(spec: ScenarioSpec) -> str:
         "fast": spec.engine.fast_path,
         "master_seed": spec.run.master_seed,
         "seed_policy": spec.run.seed_policy,
+        "multi_trial": spec.run.trials > 1,
         "rounds": spec.run.rounds,
         "rounds_unit": spec.run.rounds_unit,
     }
@@ -646,42 +592,6 @@ def prebuild_delta_table(
     )
 
 
-# ----------------------------------------------------------------------
-# sweep dispatch: serialized specs, never closures
-# ----------------------------------------------------------------------
-def run_spec_point(
-    spec_json: Optional[str] = None,
-    seed: Optional[int] = None,
-    store: Optional[str] = None,
-    **overrides: Any,
-) -> Dict[str, Any]:
-    """Worker target for :func:`run_many` (module-level, hence picklable).
-
-    ``spec_json`` is the base spec's serialized form (shipped once per worker
-    through the sweep's ``common`` mapping); ``overrides`` are one grid
-    point's dotted-path values; ``seed``, when the runner injects one,
-    replaces the run policy's master seed.  ``store``, when set, is the root
-    path of a content-addressed :class:`~repro.scenarios.store.ResultStore`
-    consulted per trial (workers share one handle per process via
-    :meth:`~repro.scenarios.store.ResultStore.shared`).  The worker never
-    receives live objects or closures -- reconstruction happens entirely from
-    data.
-    """
-    if spec_json is None:
-        raise ValueError("run_spec_point needs the serialized spec (spec_json)")
-    spec = ScenarioSpec.from_json(spec_json)
-    if overrides:
-        spec = spec.with_overrides(overrides)
-    if seed is not None:
-        spec = spec.with_overrides({"run.master_seed": seed})
-    handle = None
-    if store is not None:
-        from repro.scenarios.store import ResultStore
-
-        handle = ResultStore.shared(store)
-    return run(spec, keep=False, store=handle).to_row()
-
-
 def run_many(
     spec: ScenarioSpec,
     overrides_grid: Optional[Mapping[str, Sequence[Any]]] = None,
@@ -691,75 +601,59 @@ def run_many(
     prebuild: bool = True,
     store: Any = None,
 ) -> SweepResult:
-    """Run a grid of spec variants, serially or on a process pool.
+    """Run a grid of spec variants as one suite, serially or on a process pool.
+
+    Each grid point becomes one entry of a suite executed by
+    :func:`repro.scenarios.suite.run_suite`; ``jobs``, ``cache_dir``,
+    ``prebuild`` and ``store`` are passed through and mean what they mean
+    there.
 
     Parameters
     ----------
     overrides_grid:
         Dotted-path -> value sequence, e.g.
         ``{"scheduler.args.probability": [0.25, 0.5, 0.75]}``.  Each grid
-        point yields one row (the overrides plus the variant's aggregate
-        metrics), in canonical grid order regardless of worker count.
+        point yields one row (the overrides plus the variant's
+        :meth:`RunResult.to_row`), in canonical grid order regardless of
+        worker count.
     jobs:
-        Worker processes (``None`` = all cores; <2 = serial), exactly as
-        :class:`~repro.analysis.sweep.ParallelSweepRunner` interprets it.
+        Worker processes (``None`` = all cores; <2 = serial).
     base_seed:
-        When given, each grid point's ``run.master_seed`` is replaced by a
-        derived per-point seed (stable across worker counts).
+        When given, each grid point's ``run.master_seed`` is replaced by
+        :func:`~repro.analysis.sweep.derive_point_seed` of the point's index
+        (stable across worker counts).
     cache_dir:
         Directory for on-disk scheduler-delta tables; repeated invocations of
         the same sweep then skip the per-round schedule hashing entirely.
     prebuild:
-        Prebuild each cacheable variant's delta table in the parent and ship
-        the merged table to workers through the sweep runner's reserved
-        ``scheduler_delta_table`` kwarg (set ``False`` to skip the upfront
-        cost for short exploratory sweeps).
+        Prebuild the variants' delta tables before any trial runs (set
+        ``False`` to skip the upfront cost for short exploratory sweeps).
     store:
         A content-addressed :class:`~repro.scenarios.store.ResultStore` (or
         its root path): each variant's trials are looked up before executing
         and written back after, so re-running a sweep -- or a sweep that
         shares grid points with an earlier one -- recomputes only unseen
-        trials.  Workers receive the store's root path and reattach via
-        :meth:`~repro.scenarios.store.ResultStore.shared`.
+        trials.
     """
-    from repro.scenarios.store import ResultStore
+    from repro.scenarios.suite import SuiteEntry, SuiteSpec, run_suite
 
-    store = ResultStore.coerce(store)
-    grid = dict(overrides_grid or {})
-    common: Dict[str, Any] = {"spec_json": spec.to_json(indent=None)}
-    if store is not None:
-        common["store"] = str(store.root)
-
-    if prebuild:
-        # Prebuild against the exact spec each worker will run: the runner
-        # replaces run.master_seed with a derived per-point seed when
-        # base_seed is set (see run_spec_point), and a table keyed under the
-        # original seed would never hit.
-        merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
-        seen_identities = set()
-        for index, point in enumerate(iter_grid_points(grid)):
-            try:
-                variant = spec.with_overrides(point)
-                if base_seed is not None:
-                    variant = variant.with_overrides(
-                        {"run.master_seed": derive_point_seed(base_seed, index)}
-                    )
-                # Variants differing only in table-irrelevant fields (the
-                # environment, trace mode, trial count, ...) share one table;
-                # compute it once.
-                identity = _delta_identity(variant)
-                if identity in seen_identities:
-                    continue
-                seen_identities.add(identity)
-                table = prebuild_delta_table(variant, cache_dir=cache_dir)
-            except (KeyError, TypeError, ValueError):
-                # An invalid point fails loudly when it actually runs; the
-                # prebuild pass is best-effort.
-                continue
-            if table:
-                merged.update(table)
-        if merged:
-            common[SCHEDULER_DELTA_TABLE_KWARG] = merged
-
-    runner = ParallelSweepRunner(jobs=jobs, base_seed=base_seed)
-    return runner.run(grid, run_spec_point, common=common)
+    points = list(iter_grid_points(dict(overrides_grid or {})))
+    entries = []
+    for index, point in enumerate(points):
+        variant = spec.with_overrides(point) if point else spec
+        if base_seed is not None:
+            variant = variant.with_overrides(
+                {"run.master_seed": derive_point_seed(base_seed, index)}
+            )
+        entries.append(SuiteEntry(id=f"point-{index}", scenario=variant))
+    report = run_suite(
+        SuiteSpec(name=spec.name, entries=tuple(entries)),
+        jobs=jobs,
+        cache_dir=cache_dir,
+        prebuild=prebuild,
+        store=store,
+    )
+    result = SweepResult()
+    for point, entry in zip(points, report.entries):
+        result.append({**point, **entry.result.to_row()})
+    return result

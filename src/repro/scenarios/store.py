@@ -257,17 +257,6 @@ class ResultStore:
             return cls(os.fspath(store))
         raise TypeError(f"store must be a ResultStore, a path, or None; got {store!r}")
 
-    _process_stores: Dict[str, "ResultStore"] = {}
-
-    @classmethod
-    def shared(cls, root: str) -> "ResultStore":
-        """One process-wide instance per root (what pool workers use)."""
-        root = os.path.abspath(os.fspath(root))
-        store = cls._process_stores.get(root)
-        if store is None:
-            store = cls._process_stores[root] = cls(root)
-        return store
-
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------

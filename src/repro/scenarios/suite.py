@@ -17,16 +17,18 @@ on resolution (see :meth:`SuiteSpec.from_dict`):
   and per-entry ``"overrides"``;
 * suite-level ``"metrics"`` applied to entries whose scenarios declare none.
 
-Execution (:func:`run_suite`) flattens every entry's trials into one task
-list and fans it out over the
-:class:`~repro.analysis.sweep.ParallelSweepRunner` -- per-spec *and*
-per-trial parallelism in one pool, workers receiving serialized specs only --
-with scheduler-delta tables prebuilt (and optionally disk-cached) under each
-entry's fingerprint exactly as :func:`repro.scenarios.runtime.run_many` does.
-Trial metric rows are byte-identical to serial :func:`repro.scenarios.runtime.run`
-execution; entries sharing a ``group`` label pool their rows into group
-aggregates, which is how a suite reproduces a benchmark's
-several-specs-per-table-row arithmetic exactly.
+Execution (:func:`run_suite`) is the one multi-trial front end: it plans,
+prebuilds, dispatches and stores every batch of trials in the package --
+:func:`repro.scenarios.runtime.run` in record mode and
+:func:`repro.scenarios.runtime.run_many` build suites and call it.  It
+flattens every entry's trials into one task list and runs it serially or on a
+process pool (per-spec *and* per-trial parallelism in one pool, workers
+receiving serialized specs only), with scheduler-delta tables prebuilt once
+per distinct table identity (and optionally disk-cached) by the same pass the
+fleet coordinator uses.  Trial metric rows are byte-identical to serial
+:func:`repro.scenarios.runtime.run` execution; entries sharing a ``group``
+label pool their rows into group aggregates, which is how a suite reproduces
+a benchmark's several-specs-per-table-row arithmetic exactly.
 
 The flattened task list is also the unit of *durability*: a
 content-addressed :class:`~repro.scenarios.store.ResultStore` consulted per
@@ -43,19 +45,18 @@ import json
 import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.sweep import (
-    SCHEDULER_DELTA_TABLE_KWARG,
-    ParallelSweepRunner,
-    format_table,
-)
+from repro.analysis.sweep import format_table
+from repro.dualgraph.adversary import preload_process_delta_cache
 from repro.scenarios.metrics import aggregate_metric_rows, flatten_aggregates
 from repro.scenarios.registry import ENVIRONMENTS
 from repro.scenarios.runtime import (
     RunResult,
     _aggregate,
+    _delta_identity,
     absorb_trial_record,
     prebuild_delta_table,
     trial_record,
@@ -271,14 +272,15 @@ def run_suite_task(
     suite_specs: Optional[Sequence[str]] = None,
     suite_tasks: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Dict[str, Any]:
-    """Worker target for :func:`run_suite` (module-level, hence picklable).
+    """Worker target of :func:`run_suite`'s process pool (module-level, hence
+    picklable).
 
     ``suite_specs`` holds every entry's serialized scenario and
     ``suite_tasks`` the flattened ``(entry_index, trial_index)`` list, both
-    shipped through the sweep's ``common`` mapping; ``task`` indexes one
-    trial.  Executes through :func:`repro.scenarios.runtime.trial_record`
-    (hence :func:`repro.scenarios.runtime.run_trial`, the same code path as
-    serial runs), so metric rows match byte for byte.
+    shipped with every submitted task; ``task`` indexes one trial.  Executes
+    through :func:`repro.scenarios.runtime.trial_record` (hence
+    :func:`repro.scenarios.runtime.run_trial`, the same code path as serial
+    runs), so metric rows match byte for byte.
     """
     if suite_specs is None or suite_tasks is None:
         raise ValueError("run_suite_task needs suite_specs and suite_tasks")
@@ -508,6 +510,62 @@ def _assemble_report(
     return report
 
 
+def _prebuild_pending_deltas(
+    suite: SuiteSpec, entry_indices: Iterable[int], cache_dir: Optional[str]
+) -> Dict[Tuple[Hashable, int], Tuple[int, ...]]:
+    """The merged scheduler-delta table of the given entries (the one prebuild pass).
+
+    :func:`run_suite` ships the table to its pool workers or preloads it in
+    this process; the fleet coordinator preloads it before forking.  Entries
+    whose tables coincide (same :func:`repro.scenarios.runtime._delta_identity`:
+    e.g. variants differing only in the environment) are computed once.
+
+    Sparse workloads are skipped: environments registered with
+    ``workload="sparse"`` (the ``single_shot`` family; see
+    :meth:`repro.scenarios.registry.Registry.workload`) leave most of their
+    (typically t_ack-long) runs idle, so lazily computed per-round deltas
+    touch only a fraction of the rounds a full-table prebuild would pay for
+    upfront.  A :class:`RuntimeWarning` names the skipped entries.
+    """
+    merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
+    seen_identities = set()
+    sparse: List[str] = []
+    for entry_index in sorted(set(entry_indices)):
+        entry = suite.entries[entry_index]
+        spec = entry.scenario
+        # Registration metadata, not name matching, so downstream-registered
+        # environments -- and the queued/traffic family, which is dense --
+        # classify correctly.
+        if ENVIRONMENTS.workload(spec.environment.name) == "sparse":
+            sparse.append(entry.id)
+            continue
+        identity = _delta_identity(spec)
+        if identity in seen_identities:
+            continue
+        seen_identities.add(identity)
+        try:
+            table = prebuild_delta_table(spec, cache_dir=cache_dir)
+        except (KeyError, TypeError, ValueError):
+            # A broken entry fails loudly when it actually runs; the prebuild
+            # pass is best-effort.
+            continue
+        if table:
+            merged.update(table)
+    if sparse:
+        shown = ", ".join(sparse[:3]) + (", ..." if len(sparse) > 3 else "")
+        warnings.warn(
+            "prebuild=True: skipping the scheduler-delta prebuild "
+            f"for {len(sparse)} sparse-workload (e.g. single-shot) "
+            f"entr{'y' if len(sparse) == 1 else 'ies'} "
+            f"({shown}) -- a sparse workload leaves most of its run idle, so "
+            "lazy per-round deltas beat a full-table prebuild; pass "
+            "prebuild=False to silence this when the whole suite is sparse",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return merged
+
+
 def run_suite(
     suite: SuiteSpec,
     jobs: Optional[int] = None,
@@ -519,22 +577,15 @@ def run_suite(
 ) -> SuiteReport:
     """Execute every trial of every entry and aggregate into a :class:`SuiteReport`.
 
-    Parameters mirror :func:`repro.scenarios.runtime.run_many`: ``jobs``
-    above 1 runs the flattened (entry, trial) task list on a process pool
-    (``None`` = all cores, <2 = serial); ``prebuild`` computes each cacheable
-    entry's scheduler-delta table once in the parent -- keyed by the entry
-    spec's fingerprint, optionally persisted under ``cache_dir`` -- and ships
-    the merged table to workers through the pool initializer.
-
-    Sparse workloads are auto-skipped by the prebuild pass: environments
-    registered with ``workload="sparse"`` (the ``single_shot`` family; see
-    :meth:`repro.scenarios.registry.Registry.workload`) leave most of their
-    (typically t_ack-long) runs idle, so the lazily computed per-round deltas
-    touch only a fraction of the rounds a full-table prebuild would pay for
-    upfront.  Such entries run with lazy deltas and a :class:`RuntimeWarning`
-    notes the skip; pass ``prebuild=False`` to silence it when the whole
-    suite is sparse.  Dense environments -- including the queue-backed
-    ``queued`` workload -- keep the prebuild.
+    ``jobs`` above 1 runs the flattened (entry, trial) task list on a process
+    pool (``None`` = all cores, <2 = serial in this process); records land in
+    canonical task order either way.  ``prebuild`` computes the pending
+    entries' scheduler-delta tables once in this process (see
+    :func:`_prebuild_pending_deltas`; optionally persisted under
+    ``cache_dir``, keyed by entry fingerprint) and ships the merged table to
+    pool workers through the pool initializer.  Sparse-workload entries are
+    skipped with a :class:`RuntimeWarning`; pass ``prebuild=False`` to
+    silence it when the whole suite is sparse.
 
     ``store`` (a :class:`~repro.scenarios.store.ResultStore` or its root
     path) serves already-computed trials from the content-addressed result
@@ -558,84 +609,66 @@ def run_suite(
     tasks, records, pending, stats = _plan_tasks(suite, store, on_progress, should_stop)
     specs = [entry.scenario for entry in suite.entries]
     total = len(tasks)
-    if pending:
-        common: Dict[str, Any] = {
-            "suite_specs": [spec.to_json(indent=None) for spec in specs],
-            "suite_tasks": tasks,
-        }
-        if prebuild:
-            # Only entries that still have work pending pay the prebuild;
-            # a warm store skips it entirely.
-            pending_entries = {tasks[index][0] for index in pending}
-            # Sparse-workload classification comes from environment
-            # registration metadata (Registry.workload), not name
-            # matching, so downstream-registered environments -- and the
-            # queued/traffic family, which is dense -- classify correctly.
-            sparse = [
-                suite.entries[entry_index].id
-                for entry_index in sorted(pending_entries)
-                if ENVIRONMENTS.workload(specs[entry_index].environment.name)
-                == "sparse"
-            ]
-            if sparse:
-                shown = ", ".join(sparse[:3]) + (", ..." if len(sparse) > 3 else "")
-                warnings.warn(
-                    f"run_suite(prebuild=True): skipping the scheduler-delta prebuild "
-                    f"for {len(sparse)} sparse-workload (e.g. single-shot) "
-                    f"entr{'y' if len(sparse) == 1 else 'ies'} "
-                    f"({shown}) -- a sparse workload leaves most of its run idle, so "
-                    "lazy per-round deltas beat a full-table prebuild; pass "
-                    "prebuild=False to silence this when the whole suite is sparse",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
-            seen_fingerprints = set()
-            for entry_index in sorted(pending_entries):
-                spec = specs[entry_index]
-                if ENVIRONMENTS.workload(spec.environment.name) == "sparse":
-                    continue
-                fingerprint = spec.fingerprint()
-                if fingerprint in seen_fingerprints:
-                    continue
-                seen_fingerprints.add(fingerprint)
-                try:
-                    table = prebuild_delta_table(spec, cache_dir=cache_dir)
-                except (KeyError, TypeError, ValueError):
-                    # A broken entry fails loudly when it actually runs;
-                    # the prebuild pass is best-effort, as in run_many.
-                    continue
-                if table:
-                    merged.update(table)
-            if merged:
-                common[SCHEDULER_DELTA_TABLE_KWARG] = merged
 
-        def on_result(row: Dict[str, Any]) -> None:
-            index = row["task"]
-            trial = row["trial"]
-            records[index] = trial
-            entry_index, trial_index = tasks[index]
+    def land(index: int, trial: Dict[str, Any]) -> None:
+        records[index] = trial
+        entry_index, trial_index = tasks[index]
+        if store is not None:
+            store.put(specs[entry_index], trial_index, trial)
+        if on_progress is not None:
+            on_progress(
+                {
+                    "event": "task",
+                    "task": index,
+                    "entry": entry_index,
+                    "trial": trial_index,
+                    "done": len(records),
+                    "total": total,
+                }
+            )
+        if should_stop is not None and should_stop():
+            where = ""
             if store is not None:
-                store.put(specs[entry_index], trial_index, trial)
-            if on_progress is not None:
-                on_progress(
-                    {
-                        "event": "task",
-                        "task": index,
-                        "entry": entry_index,
-                        "trial": trial_index,
-                        "done": len(records),
-                        "total": total,
-                    }
-                )
-            if should_stop is not None and should_stop():
-                where = " (completed records are in the result store)" if store else ""
-                raise SuiteCancelled(f"cancelled after {len(records)}/{total} tasks{where}")
+                where = " (completed records are in the result store)"
+            raise SuiteCancelled(f"cancelled after {len(records)}/{total} tasks{where}")
 
-        runner = ParallelSweepRunner(jobs=jobs)
-        runner.run(
-            {"task": list(pending)}, run_suite_task, common=common, on_result=on_result
+    if pending:
+        delta_table = (
+            _prebuild_pending_deltas(suite, (tasks[index][0] for index in pending), cache_dir)
+            if prebuild
+            else {}
         )
+        workers = min(jobs if jobs is not None else (os.cpu_count() or 1), len(pending))
+        if workers <= 1:
+            if delta_table:
+                preload_process_delta_cache(delta_table)
+            for index in pending:
+                entry_index, trial_index = tasks[index]
+                land(index, trial_record(specs[entry_index], trial_index))
+        else:
+            suite_specs = [spec.to_json(indent=None) for spec in specs]
+            pool_kwargs: Dict[str, Any] = {"max_workers": workers}
+            if delta_table:
+                # Pickled once per worker rather than once per task.
+                pool_kwargs["initializer"] = preload_process_delta_cache
+                pool_kwargs["initargs"] = (delta_table,)
+            # The platform's default start method (fork on Linux): workers
+            # inherit this process's imports and process-wide caches.
+            with ProcessPoolExecutor(**pool_kwargs) as pool:
+                futures = [
+                    pool.submit(run_suite_task, index, suite_specs, tasks)
+                    for index in pending
+                ]
+                try:
+                    for index, future in zip(pending, futures):
+                        land(index, future.result()["trial"])
+                except BaseException:
+                    # A cancelled or failing run should not wait out the whole
+                    # queue: drop every not-yet-started task before the pool
+                    # shutdown joins the in-flight ones.
+                    for future in futures:
+                        future.cancel()
+                    raise
     report = _assemble_report(suite, records)
     if store is not None:
         report.store_stats = stats

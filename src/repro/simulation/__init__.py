@@ -27,7 +27,6 @@ from repro.simulation.metrics import (
     progress_report,
     unique_seed_owner_counts,
 )
-from repro.simulation.executor import TrialResult, run_trials
 
 __all__ = [
     "Process",
@@ -45,6 +44,4 @@ __all__ = [
     "delivery_report",
     "progress_report",
     "unique_seed_owner_counts",
-    "TrialResult",
-    "run_trials",
 ]

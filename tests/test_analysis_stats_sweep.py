@@ -11,7 +11,7 @@ from repro.analysis.stats import (
     summarize,
     wilson_interval,
 )
-from repro.analysis.sweep import SweepResult, format_table, sweep
+from repro.analysis.sweep import SweepResult, derive_point_seed, format_table, sweep
 
 
 class TestBasicStatistics:
@@ -134,6 +134,12 @@ class TestSweep:
     def test_iteration(self):
         result = SweepResult(rows=[{"x": 1}, {"x": 2}])
         assert [row["x"] for row in result] == [1, 2]
+
+    def test_derived_seeds_are_stable_and_distinct(self):
+        seeds = [derive_point_seed(123, i) for i in range(50)]
+        assert seeds == [derive_point_seed(123, i) for i in range(50)]
+        assert len(set(seeds)) == 50
+        assert derive_point_seed(124, 0) != derive_point_seed(123, 1)
 
 
 class TestFormatTable:

@@ -5,8 +5,7 @@ Section-2 reference, also used for adaptive schedulers) and the indexed
 bitmask kernel -- and two process stepping modes -- per-process and batched
 cohort drivers.  These tests pin the contract that made the optimizations
 safe to ship: for any fixed seed every resolver/stepping combination, and
-every :class:`TraceMode`, observes exactly the same execution; and the
-parallel sweep runner produces exactly the serial sweep's rows.  The
+every :class:`TraceMode`, observes exactly the same execution.  The
 randomized counterpart over registry-built scenarios lives in
 ``tests/test_property_differential.py``.
 """
@@ -33,7 +32,6 @@ from repro import (
     make_lb_processes,
     random_geographic_network,
 )
-from repro.analysis.sweep import ParallelSweepRunner, derive_point_seed, sweep
 from repro.core.local_broadcast import LocalBroadcastProcess
 from repro.simulation.environment import SaturatingEnvironment, SingleShotEnvironment
 from repro.simulation.process import ProcessContext, SilentProcess
@@ -279,18 +277,6 @@ def _cache_probe_graph():
     )
 
 
-def _delta_cache_probe_point(alpha: int) -> dict:
-    """Module-level so it is picklable; reports whether the process cache was
-    preloaded with the parent's delta for round ``alpha``."""
-    from repro.dualgraph.adversary import process_delta_cache
-
-    scheduler = IIDScheduler(_cache_probe_graph(), probability=0.4, seed=21)
-    cache = process_delta_cache()
-    hits_before = cache.hits
-    ids = scheduler.unreliable_edge_ids_for_round(alpha)
-    return {"ids": list(ids), "preloaded": cache.hits > hits_before}
-
-
 class TestSchedulerDeltaCache:
     def _schedulers(self):
         return (
@@ -398,27 +384,6 @@ class TestSchedulerDeltaCache:
             assert fresh.unreliable_edge_ids_for_round(t) == table[
                 (scheduler.delta_cache_key(), t)
             ]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_sweep_workers_consume_prebuilt_delta_table(self, jobs):
-        from repro.dualgraph import prebuild_scheduler_deltas
-
-        scheduler = IIDScheduler(_cache_probe_graph(), probability=0.4, seed=21)
-        scheduler.attach_delta_cache(None)
-        table = prebuild_scheduler_deltas(scheduler, 3)
-        result = ParallelSweepRunner(jobs=jobs).run(
-            {"alpha": [1, 2, 3]},
-            _delta_cache_probe_point,
-            common={"scheduler_delta_table": table},
-        )
-        index = scheduler.graph.topology_index()
-        for row in result.rows:
-            # The reserved kwarg never reaches the run callable as an
-            # argument; instead the worker's process cache answered the
-            # scheduler's very first delta query.
-            assert row["preloaded"], row
-            expected = scheduler._compute_unreliable_edge_ids(row["alpha"], index)
-            assert tuple(row["ids"]) == expected
 
 
 class TestTopologyIndex:
@@ -764,58 +729,3 @@ class TestRoundHookSkipping:
         assert simulator._round_end_hooks == []
         simulator.run(3)  # runs without error
         assert simulator.trace.num_rounds == 3
-
-
-# ----------------------------------------------------------------------
-# parallel sweep determinism
-# ----------------------------------------------------------------------
-def _sweep_point(alpha: int, beta: str) -> dict:
-    """Module-level so it is picklable by the process pool."""
-    return {"product": alpha * len(beta), "tag": f"{alpha}-{beta}"}
-
-
-def _seeded_point(alpha: int, seed: int = 0) -> dict:
-    return {"value": random.Random(seed).randint(0, 10**9), "alpha2": alpha * 2}
-
-
-def _configured_point(alpha: int, scale: int = 1) -> dict:
-    return {"scaled": alpha * scale}
-
-
-GRID = {"alpha": [1, 2, 3], "beta": ["x", "yy"]}
-
-
-class TestParallelSweep:
-    def test_parallel_rows_equal_serial_rows(self):
-        serial = sweep(GRID, _sweep_point)
-        parallel = ParallelSweepRunner(jobs=2).run(GRID, _sweep_point)
-        assert parallel.rows == serial.rows
-
-    def test_jobs_one_equals_serial(self):
-        serial = sweep(GRID, _sweep_point)
-        inline = ParallelSweepRunner(jobs=1).run(GRID, _sweep_point)
-        assert inline.rows == serial.rows
-
-    def test_derived_seeds_are_stable_and_distinct(self):
-        seeds = [derive_point_seed(123, i) for i in range(50)]
-        assert seeds == [derive_point_seed(123, i) for i in range(50)]
-        assert len(set(seeds)) == 50
-        assert derive_point_seed(124, 0) != derive_point_seed(123, 1)
-
-    def test_seed_injection_identical_serial_and_parallel(self):
-        grid = {"alpha": [4, 5, 6, 7]}
-        serial = ParallelSweepRunner(jobs=1, base_seed=7).run(grid, _seeded_point)
-        parallel = ParallelSweepRunner(jobs=2, base_seed=7).run(grid, _seeded_point)
-        assert serial.rows == parallel.rows
-        # Different base seeds must give different per-point draws.
-        other = ParallelSweepRunner(jobs=1, base_seed=8).run(grid, _seeded_point)
-        assert [r["value"] for r in other.rows] != [r["value"] for r in serial.rows]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_common_kwargs_reach_every_point_but_stay_out_of_rows(self, jobs):
-        grid = {"alpha": [1, 2, 3]}
-        result = ParallelSweepRunner(jobs=jobs).run(
-            grid, _configured_point, common={"scale": 10}
-        )
-        assert [r["scaled"] for r in result.rows] == [10, 20, 30]
-        assert all("scale" not in row for row in result.rows)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 
 import pytest
@@ -273,6 +274,19 @@ def test_fleet_cancelled_run_resumes_from_the_store(tmp_path):
     rerun = run_suite_fleet(suite, workers=2, store=store, prebuild=False)
     assert rerun.store_stats["hits"] >= len(observed) >= 1
     assert det(rerun) == det(run_suite(suite, jobs=1, prebuild=False))
+
+
+def test_fleet_store_less_cancel_promises_nothing_durable():
+    # Without a caller's store the fleet runs on a private temporary store
+    # that is deleted on return: the error must not point at it.
+    observed = []
+    with pytest.raises(SuiteCancelled) as excinfo:
+        run_suite_fleet(
+            fleet_suite(entry_count=2, trials=2), workers=2, prebuild=False,
+            on_progress=lambda e: observed.append(e) if e["event"] == "task" else None,
+            should_stop=lambda: bool(observed),
+        )
+    assert re.fullmatch(r"cancelled after [1-4]/4 tasks", str(excinfo.value))
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ PUBLIC_MODULES = [
     "repro.simulation.environment",
     "repro.simulation.trace",
     "repro.simulation.metrics",
-    "repro.simulation.executor",
     "repro.core",
     "repro.core.constants",
     "repro.core.params",

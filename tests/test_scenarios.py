@@ -9,8 +9,9 @@ Pinned contracts:
 * registries fail loudly on duplicate and unknown names;
 * a spec-built simulator observes *byte-identical* executions to the
   equivalent hand-built one (LBAlg + IID, the acceptance workload);
-* ``run_many`` dispatches serialized specs (not closures) and produces
-  worker-count-independent rows;
+* ``run_many`` runs as a suite whose pool workers receive serialized specs
+  (not closures), produces worker-count-independent rows, and is served
+  from the result store on a rerun;
 * the disk-backed scheduler-delta table skips recomputation on re-use.
 """
 
@@ -57,10 +58,12 @@ from repro.scenarios import (
     prebuild_delta_table,
     run,
     run_many,
-    run_spec_point,
 )
+from repro.scenarios import suite as suite_module
 from repro.scenarios.cli import main as cli_main
-from repro.scenarios.store import trial_key
+from repro.scenarios.runtime import trial_record
+from repro.scenarios.store import ResultStore, trial_key
+from repro.scenarios.suite import run_suite_task
 from repro.simulation.trace import TraceMode
 
 
@@ -417,17 +420,20 @@ class TestRunMany:
         assert [row["scheduler.args.probability"] for row in serial.rows] == [0.25, 0.75]
 
     def test_workers_receive_serialized_specs_not_closures(self):
-        # The dispatch target is a picklable module-level function...
-        assert run_spec_point.__module__ == "repro.scenarios.runtime"
-        assert pickle.loads(pickle.dumps(run_spec_point)) is run_spec_point
-        # ... and reconstructs the run entirely from the spec's JSON text.
-        spec = small_spec()
-        row = run_spec_point(
-            spec_json=spec.to_json(), **{"scheduler.args.probability": 0.25}
-        )
-        expected = spec.with_overrides({"scheduler.args.probability": 0.25})
-        assert row["fingerprint"] == expected.fingerprint()
-        assert row["rounds"] > 0
+        # The pool's dispatch target is a picklable module-level function...
+        assert run_suite_task.__module__ == "repro.scenarios.suite"
+        assert pickle.loads(pickle.dumps(run_suite_task)) is run_suite_task
+        # ... and reconstructs a trial entirely from the spec's JSON text.
+        spec = small_spec(**{"scheduler.args.probability": 0.25})
+        out = run_suite_task(1, [small_spec().to_json(), spec.to_json()], [(0, 0), (1, 0)])
+        assert out["entry_index"] == 1
+        expected = trial_record(spec, 0)
+        assert out["trial"]["seed"] == expected["seed"]
+        assert out["trial"]["rounds"] == expected["rounds"] > 0
+        timing = ("elapsed_s", "rounds_per_s")
+        assert {k: v for k, v in out["trial"]["metrics"].items() if k not in timing} == {
+            k: v for k, v in expected["metrics"].items() if k not in timing
+        }
 
     def test_injected_base_seed_overrides_master_seed(self):
         spec = small_spec(
@@ -439,6 +445,28 @@ class TestRunMany:
         with_seed = run_many(spec, self.GRID, jobs=1, base_seed=123)
         again = run_many(spec, self.GRID, jobs=2, base_seed=123)
         assert self._strip_timing(with_seed.rows) == self._strip_timing(again.rows)
+
+    def test_second_call_is_served_from_the_store(self, tmp_path, monkeypatch):
+        spec = small_spec(**{"run.trials": 2, "run.seed_policy": "derived"})
+        store = ResultStore(str(tmp_path / "store"))
+        first = run_many(spec, self.GRID, jobs=1, store=store)
+
+        hits = []
+        lookup = store.get
+
+        def counting_get(trial_spec, trial_index):
+            record = lookup(trial_spec, trial_index)
+            hits.append(record is not None)
+            return record
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("a warm run_many executed a trial")
+
+        monkeypatch.setattr(store, "get", counting_get)
+        monkeypatch.setattr(suite_module, "trial_record", no_execution)
+        again = run_many(spec, self.GRID, jobs=2, store=store)
+        assert hits == [True] * 4  # 2 grid points x 2 trials, every one a hit
+        assert again.rows == first.rows
 
 
 class TestDeltaTableDiskCache:

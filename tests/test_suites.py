@@ -83,7 +83,11 @@ from repro.scenarios import (
     deterministic_report_dict,
     run,
     run_suite,
+    run_suite_fleet,
 )
+from repro.dualgraph.adversary import process_delta_cache
+from repro.scenarios import runtime as runtime_module
+from repro.scenarios import suite as suite_module
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.runtime import trial_record
 
@@ -201,6 +205,79 @@ class TestSuiteSpec:
         manifest = {"name": "x", "entries": [{"id": "a", "path": "missing.json"}]}
         with pytest.raises(ValueError, match="base directory"):
             SuiteSpec.from_dict(manifest)
+
+
+def dense_suite(environments, scheduler_seeds):
+    """Entries crossing environments x scheduler seeds over one topology.
+
+    Every environment is dense (none is skipped by the prebuild pass), so
+    the entries sharing a scheduler seed share one scheduler-delta table.
+    """
+    entries = []
+    for seed in scheduler_seeds:
+        for name, args in environments:
+            scenario = small_scenario(f"{name}-{seed}", seed=seed)
+            scenario = scenario.with_overrides(
+                {"environment.name": name, "environment.args": args}
+            )
+            entries.append(SuiteEntry(id=f"{name}-{seed}", scenario=scenario))
+    return SuiteSpec(name="dense-suite", entries=tuple(entries))
+
+
+DENSE_ENVIRONMENTS = (
+    ("saturating", {"senders": [0]}),
+    ("bursty", {"senders": [0], "period": 3}),
+    ("null", {}),
+)
+
+
+def _trial_record_without_delta_misses(spec, trial_index):
+    """``trial_record`` that fails unless the process delta cache answered
+    every scheduler query of the trial from a preloaded table."""
+    cache = process_delta_cache()
+    hits, misses = cache.hits, cache.misses
+    record = trial_record(spec, trial_index)
+    assert cache.misses == misses, "the trial recomputed a scheduler delta"
+    assert cache.hits > hits, "the trial never consulted the delta cache"
+    return record
+
+
+class TestPrebuildPass:
+    @pytest.mark.parametrize("mode", ["serial", "pool", "fleet"])
+    def test_one_prebuild_per_distinct_delta_identity(self, mode, tmp_path, monkeypatch):
+        calls = []
+        prebuild = runtime_module.prebuild_scheduler_deltas
+
+        def counting(scheduler, rounds, **kwargs):
+            calls.append(scheduler.delta_cache_key())
+            return prebuild(scheduler, rounds, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "prebuild_scheduler_deltas", counting)
+        # Three environments x two scheduler seeds: two distinct tables.
+        suite = dense_suite(DENSE_ENVIRONMENTS, scheduler_seeds=(21, 22))
+        if mode == "fleet":
+            report = run_suite_fleet(suite, workers=2, store=str(tmp_path / "store"))
+        else:
+            report = run_suite(suite, jobs=1 if mode == "serial" else 2)
+        assert len(calls) == 2 and len(set(calls)) == 2
+        assert len(report.entries) == 6
+
+    def test_multi_trial_entries_do_not_share_a_single_trial_identity(self):
+        single = small_scenario("one", seed=5, trials=1)
+        several = small_scenario("many", seed=5, trials=3)
+        assert runtime_module._delta_identity(single) != runtime_module._delta_identity(
+            several
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trials_consume_the_prebuilt_delta_table(self, jobs, monkeypatch):
+        # Pool workers get the table through the pool initializer; the serial
+        # path preloads this process.  Either way no trial recomputes a delta.
+        # Seeds unique to this test keep other tests' cache entries out.
+        monkeypatch.setattr(suite_module, "trial_record", _trial_record_without_delta_misses)
+        suite = dense_suite(DENSE_ENVIRONMENTS[:1], scheduler_seeds=(40 + jobs, 50 + jobs))
+        report = run_suite(suite, jobs=jobs)
+        assert [e.result.metrics["trials"] for e in report.entries] == [1, 1]
 
 
 class TestRunSuite:
