@@ -9,6 +9,8 @@ Pinned contracts:
 * registries fail loudly on duplicate and unknown names;
 * a spec-built simulator observes *byte-identical* executions to the
   equivalent hand-built one (LBAlg + IID, the acceptance workload);
+* ``run``'s live serial loop and its record mode (a pool or a store) run
+  the same trials with the same seeds and rounds;
 * ``run_many`` runs as a suite whose pool workers receive serialized specs
   (not closures), produces worker-count-independent rows, and is served
   from the result store on a rerun;
@@ -59,6 +61,7 @@ from repro.scenarios import (
     run,
     run_many,
 )
+from repro.analysis.sweep import iter_grid_points
 from repro.scenarios import suite as suite_module
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.runtime import trial_record
@@ -402,6 +405,64 @@ class TestRunPolicy:
         assert result.metrics["trials"] == 2
 
 
+class TestRecordMode:
+    """Multi-trial execution through :func:`run`: the live serial loop and
+    record mode (a pool or a store, i.e. a one-entry suite) agree on how
+    many trials run, which seeds they get and how many rounds each runs."""
+
+    MODES = ["serial", "pool", "store"]
+
+    @staticmethod
+    def _run(spec, mode, tmp_path):
+        if mode == "pool":
+            return run(spec, keep=False, jobs=2)
+        if mode == "store":
+            return run(spec, keep=False, store=str(tmp_path / "store"))
+        return run(spec, keep=False)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_runs_requested_number_of_trials(self, mode, tmp_path):
+        spec = small_spec(**{"run.trials": 4})
+        result = self._run(spec, mode, tmp_path)
+        assert [t.trial_index for t in result.trials] == [0, 1, 2, 3]
+        assert result.metrics["trials"] == 4
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seeds_follow_the_master_seed(self, mode, tmp_path):
+        spec = small_spec(
+            **{"run.trials": 3, "run.master_seed": 10, "run.seed_policy": "sequential"}
+        )
+        result = self._run(spec, mode, tmp_path)
+        assert [t.seed for t in result.trials] == [10, 11, 12]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_trial_runs_the_resolved_rounds(self, mode, tmp_path):
+        spec = small_spec(**{"run.trials": 2})
+        expected = materialize(spec).total_rounds
+        result = self._run(spec, mode, tmp_path)
+        assert expected > 0
+        assert [t.rounds for t in result.trials] == [expected, expected]
+        assert result.metrics["rounds"] == 2 * expected
+
+    def test_record_mode_carries_no_live_objects(self, tmp_path):
+        spec = small_spec(**{"run.trials": 2})
+        live = run(spec)
+        assert all(t.trace is not None and t.simulator is not None for t in live.trials)
+        for mode in ("pool", "store"):
+            recorded = self._run(spec, mode, tmp_path)
+            assert all(t.trace is None and t.simulator is None for t in recorded.trials)
+            assert recorded.metric_rows == live.metric_rows
+
+    def test_single_trial_with_jobs_stays_on_the_live_path(self, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a single trial went through run_suite")
+
+        monkeypatch.setattr(suite_module, "run_suite", no_suite)
+        result = run(small_spec(), jobs=2)
+        assert len(result.trials) == 1
+        assert result.trials[0].trace is not None
+
+
 class TestRunMany:
     GRID = {"scheduler.args.probability": [0.25, 0.75]}
 
@@ -445,6 +506,35 @@ class TestRunMany:
         with_seed = run_many(spec, self.GRID, jobs=1, base_seed=123)
         again = run_many(spec, self.GRID, jobs=2, base_seed=123)
         assert self._strip_timing(with_seed.rows) == self._strip_timing(again.rows)
+
+    def test_jobs_one_matches_a_loop_of_live_runs(self):
+        spec = small_spec()
+        suite_rows = run_many(spec, self.GRID, jobs=1).rows
+        live_rows = [
+            {**point, **run(spec.with_overrides(point), keep=False).to_row()}
+            for point in iter_grid_points(self.GRID)
+        ]
+        assert self._strip_timing(suite_rows) == self._strip_timing(live_rows)
+
+    def test_base_seed_changes_the_draws(self):
+        spec = small_spec(
+            **{
+                "topology.args": {"n": 12, "side": 3.4, "require_connected": True},
+                "scheduler.args": {"probability": 0.5},
+            }
+        )
+        seven = run_many(spec, self.GRID, jobs=1, base_seed=7).rows
+        eight = run_many(spec, self.GRID, jobs=1, base_seed=8).rows
+        counters = ("transmissions", "receptions")
+        draws = lambda rows: [[row[k] for k in counters] for row in rows]  # noqa: E731
+        assert draws(seven) != draws(eight)
+
+    def test_empty_grid_runs_the_spec_once(self):
+        spec = small_spec()
+        rows = run_many(spec, jobs=1).rows
+        assert len(rows) == 1
+        assert rows[0]["fingerprint"] == spec.fingerprint()
+        assert not any(key.startswith("scheduler.") for key in rows[0])
 
     def test_second_call_is_served_from_the_store(self, tmp_path, monkeypatch):
         spec = small_spec(**{"run.trials": 2, "run.seed_policy": "derived"})
