@@ -35,8 +35,6 @@ Schedulers provided:
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import random
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -88,27 +86,14 @@ class SchedulerDeltaCache:
     forking.
     """
 
-    __slots__ = ("_table", "_set_table", "_maxsize", "hits", "misses")
+    __slots__ = ("_table", "_maxsize", "hits", "misses")
 
     #: Default entry bound: at a few KB per cached delta this keeps the
     #: process-wide cache in the tens of MB even for adversarial workloads.
     DEFAULT_MAXSIZE = 8192
 
-    def __init__(
-        self,
-        table: Optional[Mapping[Tuple[Hashable, int], Tuple[int, ...]]] = None,
-        maxsize: Optional[int] = DEFAULT_MAXSIZE,
-    ) -> None:
-        self._table: Dict[Tuple[Hashable, int], Tuple[int, ...]] = (
-            dict(table) if table else {}
-        )
-        # The frozenset views of the same deltas, cached separately: the
-        # kernel resolver's lone-transmitter rounds consume sets, and building
-        # a frozenset over a few thousand ids every round costs more than the
-        # whole rest of a sparse round's resolution.  Set views are
-        # process-local (rebuilt from the id tuples after a preload) and
-        # bounded like the id table.
-        self._set_table: Dict[Tuple[Hashable, int], FrozenSet[int]] = {}
+    def __init__(self, maxsize: Optional[int] = DEFAULT_MAXSIZE) -> None:
+        self._table: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
         self._maxsize = maxsize
         self.hits = 0
         self.misses = 0
@@ -126,48 +111,20 @@ class SchedulerDeltaCache:
         """Record a computed delta (evicting the oldest entry when full)."""
         bounded_put(self._table, (key, round_number), ids, self._maxsize)
 
-    def lookup_set(self, key: Hashable, round_number: int) -> Optional[FrozenSet[int]]:
-        """The cached frozenset view of a delta, or ``None`` when unbuilt."""
-        return self._set_table.get((key, round_number))
-
-    def store_set(self, key: Hashable, round_number: int, ids: FrozenSet[int]) -> None:
-        """Record a delta's frozenset view (same FIFO bound as the id table)."""
-        bounded_put(self._set_table, (key, round_number), ids, self._maxsize)
-
     def preload(self, table: Mapping[Tuple[Hashable, int], Tuple[int, ...]]) -> None:
         """Merge a prebuilt ``(key, round) -> ids`` table into the cache.
 
         A preloaded table is a deliberate memory commitment: if it is larger
         than ``maxsize``, the bound is raised to fit it (the bound exists to
         stop unbounded *incremental* growth, not to silently drop entries an
-        operator explicitly prebuilt).  Preloading is idempotent-cheap: when
-        the table's first *and* last entries are already cached with the same
-        values the merge is skipped, so repeated preloads of the same table
-        (e.g. per-grid-point re-sends) cost two dict lookups instead of a
-        full ``update`` -- while a superset table (same scheduler, more
-        rounds) still merges, because its last entry is new.
+        operator explicitly prebuilt).
         """
-        if not table:
-            return
-        items = iter(table.items())
-        first_key, first_ids = next(items)
-        if self._table.get(first_key) == first_ids:
-            last_key = next(reversed(table)) if hasattr(table, "__reversed__") else None
-            if last_key is not None and self._table.get(last_key) == table[last_key]:
-                # Already merged (or a prefix survived eviction -- dropped
-                # rounds are simply recomputed on demand).
-                return
         self._table.update(table)
         if self._maxsize is not None and len(self._table) > self._maxsize:
             self._maxsize = len(self._table)
 
-    def export_table(self) -> Dict[Tuple[Hashable, int], Tuple[int, ...]]:
-        """A picklable snapshot of the cache contents (plain dict of id tuples)."""
-        return dict(self._table)
-
     def clear(self) -> None:
         self._table.clear()
-        self._set_table.clear()
         self.hits = 0
         self.misses = 0
 
@@ -204,48 +161,16 @@ def preload_process_delta_cache(
     _PROCESS_DELTA_CACHE.preload(table)
 
 
-#: On-disk delta table format version; bumped if the pickle layout changes.
-_DELTA_TABLE_FORMAT = 1
-
-
-def _library_version() -> str:
-    # Local import: repro/__init__ imports this module at package import time.
-    from repro import __version__
-
-    return __version__
-
-
-def _delta_table_path(cache_dir: str, cache_key: str) -> str:
-    safe = "".join(c if c.isalnum() or c in "-._" else "_" for c in cache_key)
-    return os.path.join(cache_dir, f"scheduler-deltas-{safe}.pkl")
-
-
 def prebuild_scheduler_deltas(
-    scheduler: "LinkScheduler",
-    rounds: int,
-    cache_dir: Optional[str] = None,
-    cache_key: Optional[str] = None,
+    scheduler: "LinkScheduler", rounds: int
 ) -> Dict[Tuple[Hashable, int], Tuple[int, ...]]:
     """Compute rounds ``1..rounds`` of a scheduler's deltas into a plain table.
 
     The result is picklable and keyed exactly as :class:`SchedulerDeltaCache`
     stores entries, so it can be passed across process boundaries and fed to
-    :func:`preload_process_delta_cache` (or ``SchedulerDeltaCache(table)``).
+    :func:`preload_process_delta_cache` (or :meth:`SchedulerDeltaCache.preload`).
     Raises ``ValueError`` for schedulers whose deltas are not cacheable
     (adaptive adversaries, custom subclasses without a cache key).
-
-    When ``cache_dir`` is given the table is additionally persisted on disk,
-    keyed by ``cache_key`` -- callers with a scenario spec pass
-    ``spec.fingerprint()`` (see
-    :func:`repro.scenarios.runtime.prebuild_delta_table`); without an explicit
-    key a stable hash of the scheduler's own ``delta_cache_key()`` is used.
-    A later invocation with the same key and a round budget the stored table
-    already covers loads the file and **skips the recomputation entirely** --
-    this is what amortizes per-round schedule hashing across repeated
-    benchmark/CLI invocations, not just across trials of one process.  Files
-    are pickles; a cache dir is operator-local state, treat it like any other
-    build artifact (unreadable or stale-format files are ignored and
-    rewritten).
     """
     key = scheduler.delta_cache_key()
     if key is None:
@@ -254,56 +179,11 @@ def prebuild_scheduler_deltas(
             "(delta_cache_key() returned None)"
         )
 
-    path = None
-    if cache_dir is not None:
-        if cache_key is None:
-            cache_key = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-        path = _delta_table_path(cache_dir, cache_key)
-        if os.path.exists(path):
-            try:
-                with open(path, "rb") as handle:
-                    stored = pickle.load(handle)
-                if (
-                    isinstance(stored, dict)
-                    and stored.get("format") == _DELTA_TABLE_FORMAT
-                    # A schedule is only as stable as the code that derives
-                    # it: a library upgrade invalidates stored tables even
-                    # when the scheduler's signature tuple is unchanged, so
-                    # stale schedules can never silently survive a version
-                    # bump and break byte-reproducibility.
-                    and stored.get("version") == _library_version()
-                    and stored.get("rounds", 0) >= rounds
-                ):
-                    return stored["table"]
-            except Exception:
-                # Unreadable/corrupt cache file (torn write, disk damage):
-                # pickle.load raises a wide-open set of exception types on
-                # garbage bytes (UnpicklingError, EOFError, ValueError,
-                # MemoryError, ImportError, ...), and the contract here is
-                # best-effort -- recompute and overwrite below.
-                pass
-
     index = scheduler.graph.topology_index()
-    table = {
+    return {
         (key, t): scheduler._compute_unreliable_edge_ids(t, index)
         for t in range(1, rounds + 1)
     }
-
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            pickle.dump(
-                {
-                    "format": _DELTA_TABLE_FORMAT,
-                    "version": _library_version(),
-                    "rounds": rounds,
-                    "table": table,
-                },
-                handle,
-            )
-        os.replace(tmp_path, path)
-    return table
 
 
 class LinkScheduler(ABC):
@@ -328,8 +208,6 @@ class LinkScheduler(ABC):
         self._graph = graph
         self._ids_memo_key: Optional[Tuple[int, int]] = None
         self._ids_memo: Tuple[int, ...] = ()
-        self._ids_set_memo_key: Optional[Tuple[int, int]] = None
-        self._ids_set_memo: FrozenSet[int] = frozenset()
         self._delta_cache: Optional[SchedulerDeltaCache] = _PROCESS_DELTA_CACHE
         self._cache_key_memo: Optional[Tuple[int, Optional[Hashable]]] = None
 
@@ -395,31 +273,6 @@ class LinkScheduler(ABC):
         self._ids_memo = ids
         return ids
 
-    def unreliable_edge_id_set_for_round(self, round_number: int) -> FrozenSet[int]:
-        """The round's inclusion delta as a frozenset of dense edge ids.
-
-        The set view of :meth:`unreliable_edge_ids_for_round`, memoized per
-        ``(round, topology version)``.  The kernel reception resolver
-        intersects it with a lone transmitter's precomputed incident-edge-id
-        set (:attr:`~repro.dualgraph.graph.TopologyIndex.unreliable_incident_ids`),
-        one C-level set operation instead of a per-round bitmask decode.
-        """
-        key = (round_number, self._graph.topology_version)
-        if key == self._ids_set_memo_key:
-            return self._ids_set_memo
-        cache = self._delta_cache
-        cache_key = self.delta_cache_key() if cache is not None else None
-        ids_set: Optional[FrozenSet[int]] = None
-        if cache_key is not None:
-            ids_set = cache.lookup_set(cache_key, round_number)
-        if ids_set is None:
-            ids_set = frozenset(self.unreliable_edge_ids_for_round(round_number))
-            if cache_key is not None:
-                cache.store_set(cache_key, round_number, ids_set)
-        self._ids_set_memo = ids_set
-        self._ids_set_memo_key = key
-        return ids_set
-
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
     ) -> Tuple[int, ...]:
@@ -473,18 +326,6 @@ class LinkScheduler(ABC):
         preloaded private table) swap it here.
         """
         self._delta_cache = cache
-
-    def unreliable_edge_included(self, edge_id: int, round_number: int) -> bool:
-        """Whether one unreliable edge (by dense id) is scheduled this round.
-
-        A point query about one edge, for consumers that need only the edges
-        incident to a few vertices -- far fewer than the whole of
-        ``E' \\ E`` for sparse transmission patterns.  The default answers
-        from the memoized set view of the round's full id delta; schedulers
-        whose per-edge decision is O(1) (e.g. :class:`IIDScheduler`) override
-        this so that never-queried edges cost nothing at all.
-        """
-        return edge_id in self.unreliable_edge_id_set_for_round(round_number)
 
     def resolve_topology(
         self, round_number: int, transmitting: FrozenSet
@@ -691,18 +532,6 @@ class IIDScheduler(LinkScheduler):
             for eid, prefix in enumerate(self._payload_prefixes(index))
             if from_bytes(sha256(prefix + suffix).digest()[:8], "big") / _TWO_64 < p
         )
-
-    def unreliable_edge_included(self, edge_id: int, round_number: int) -> bool:
-        # One hash for one edge: the i.i.d. decisions are independent, so a
-        # membership query never needs the rest of the round's delta.
-        if self._p == 0.0:
-            return False
-        if self._p == 1.0:
-            return True
-        prefixes = self._payload_prefixes(self._graph.topology_index())
-        payload = prefixes[edge_id] + str(round_number).encode() + b"|"
-        digest = hashlib.sha256(payload).digest()
-        return int.from_bytes(digest[:8], "big") / _TWO_64 < self._p
 
     def _delta_cache_signature(self) -> Tuple[Hashable, ...]:
         # The whole schedule is a pure function of (seed, p) and the edge

@@ -64,7 +64,6 @@ class TopologyIndex:
         "unreliable_id_of",
         "unreliable_u",
         "unreliable_v",
-        "unreliable_incident_ids",
         "unreliable_neighbor_by_eid",
         "_fingerprint",
     )
@@ -106,13 +105,9 @@ class TopologyIndex:
             u_adj[b].append((a, eid))
         self.unreliable_u: Tuple[int, ...] = tuple(endpoint_u)
         self.unreliable_v: Tuple[int, ...] = tuple(endpoint_v)
-        # Per-vertex incidence over E' \ E in the two flat views the kernel
-        # resolver consumes: a frozenset of incident edge ids per vertex (its
-        # bitmask form is intersected with a round's scheduled-edge mask) and
-        # an eid -> other-endpoint map per vertex.
-        self.unreliable_incident_ids: Tuple[FrozenSet[int], ...] = tuple(
-            frozenset(eid for _, eid in row) for row in u_adj
-        )
+        # Per-vertex incidence over E' \ E: an incident eid -> other-endpoint
+        # map per vertex (the kernel resolver folds its keys into the vertex's
+        # incident-edge bitmask).
         self.unreliable_neighbor_by_eid: Tuple[Dict[int, int], ...] = tuple(
             {eid: j for j, eid in row} for row in u_adj
         )

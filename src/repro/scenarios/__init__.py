@@ -100,6 +100,7 @@ from repro.scenarios.suite import (
     SuiteEntryResult,
     SuiteReport,
     SuiteSpec,
+    SuiteTaskError,
     deterministic_report_dict,
     run_suite,
 )
@@ -173,6 +174,7 @@ __all__ = [
     "run_suite",
     "deterministic_report_dict",
     "SuiteCancelled",
+    "SuiteTaskError",
     # fleet execution
     "run_suite_fleet",
     "default_task_runner",

@@ -141,7 +141,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid,
         jobs=args.jobs,
         base_seed=args.base_seed,
-        cache_dir=args.cache_dir,
     )
     columns = list(grid) + [
         "trials",
@@ -180,7 +179,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             suite,
             workers=args.fleet,
             store=args.store,
-            cache_dir=args.cache_dir,
             prebuild=not args.no_prebuild,
         )
         if not args.quiet and report.store_stats is not None:
@@ -193,7 +191,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         report = run_suite(
             suite,
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
             prebuild=not args.no_prebuild,
             store=args.store,
         )
@@ -348,9 +345,6 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--base-seed", type=int, default=None, help="derive per-point master seeds from this"
     )
-    sweep_parser.add_argument(
-        "--cache-dir", default=None, help="directory for on-disk scheduler-delta tables"
-    )
     sweep_parser.add_argument("--json", help="also write the sweep rows JSON here")
     sweep_parser.set_defaults(func=_cmd_sweep)
 
@@ -364,9 +358,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for the flattened (entry, trial) task list "
         "(default 1 = serial; values above 1 use a process pool)",
-    )
-    suite_parser.add_argument(
-        "--cache-dir", default=None, help="directory for on-disk scheduler-delta tables"
     )
     suite_parser.add_argument(
         "--no-prebuild",

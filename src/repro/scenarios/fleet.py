@@ -76,10 +76,12 @@ from repro.scenarios.suite import (
     SuiteCancelled,
     SuiteReport,
     SuiteSpec,
+    SuiteTaskError,
     _assemble_report,
     _flatten_tasks,
     _plan_tasks,
     _prebuild_pending_deltas,
+    _task_failure,
 )
 
 #: Version tag written into every board and lease file, so a future layout
@@ -96,24 +98,23 @@ DEFAULT_LEASE_TTL_S = 5.0
 _SETTLED_STATES = ("done", "failed")
 
 
-class FleetTaskError(RuntimeError):
+class FleetTaskError(SuiteTaskError):
     """A fleet task's runner raised: the run stops and names the task.
 
     ``failure`` is the record the failing worker wrote into its lease
-    (``task``, ``entry``, ``trial``, ``type``, ``message``, ``traceback``);
-    ``steals`` counts lease steals observed before the failure.  Records
-    completed before the failure stay in the caller's result store; a run
-    without one used a private temporary store, which is deleted.
+    (:class:`~repro.scenarios.suite.SuiteTaskError`'s fields plus the
+    worker's ``traceback``); ``steals`` counts lease steals observed before
+    the failure.  Records completed before the failure stay in the caller's
+    result store; a run without one used a private temporary store, which is
+    deleted.
     """
 
     def __init__(self, failure: Dict[str, Any], steals: int) -> None:
-        self.failure = failure
         self.steals = steals
         super().__init__(
-            f"fleet task {failure.get('task')} (entry {failure.get('entry')!r}, "
-            f"trial {failure.get('trial')}) raised {failure.get('type')}: "
-            f"{failure.get('message')}\n--- worker traceback ---\n"
-            f"{failure.get('traceback', '').rstrip()}"
+            failure,
+            "fleet",
+            f"\n--- worker traceback ---\n{failure.get('traceback', '').rstrip()}",
         )
 
 
@@ -436,11 +437,7 @@ def _fleet_worker_main(
                     store.put(spec, trial_index, record)
                 except Exception as exc:
                     failure = {
-                        "task": task_id,
-                        "entry": suite.entries[entry_index].id,
-                        "trial": trial_index,
-                        "type": type(exc).__name__,
-                        "message": str(exc),
+                        **_task_failure(suite, tasks, task_id, exc),
                         "traceback": traceback.format_exc(),
                     }
 
@@ -534,7 +531,6 @@ def run_suite_fleet(
     chunk_size: Optional[int] = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_s: float = 0.05,
-    cache_dir: Optional[str] = None,
     prebuild: bool = True,
     on_progress: Optional[Any] = None,
     should_stop: Optional[Any] = None,
@@ -591,7 +587,6 @@ def run_suite_fleet(
             chunk_size,
             lease_ttl_s,
             poll_s,
-            cache_dir,
             prebuild,
             on_progress,
             should_stop,
@@ -611,7 +606,6 @@ def _run_fleet(
     chunk_size: Optional[int],
     lease_ttl_s: float,
     poll_s: float,
-    cache_dir: Optional[str],
     prebuild: bool,
     on_progress: Optional[Any],
     should_stop: Optional[Any],
@@ -636,7 +630,7 @@ def _run_fleet(
             # process's scheduler-delta cache pre-fork: the workers inherit
             # it through fork instead of each re-deriving the tables.
             delta_table = _prebuild_pending_deltas(
-                suite, (tasks[index][0] for index in pending), cache_dir
+                suite, (tasks[index][0] for index in pending)
             )
             if delta_table:
                 preload_process_delta_cache(delta_table)

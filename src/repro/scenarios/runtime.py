@@ -438,7 +438,6 @@ def run(
     spec: ScenarioSpec,
     keep: bool = True,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     prebuild: bool = True,
     store: Any = None,
 ) -> RunResult:
@@ -451,7 +450,7 @@ def run(
 
     ``jobs`` above 1 or a ``store`` switches to record mode: the spec runs
     as a one-entry suite through :func:`repro.scenarios.suite.run_suite`
-    (``jobs``, ``cache_dir`` and ``prebuild`` mean what they mean there,
+    (``jobs`` and ``prebuild`` mean what they mean there,
     except that ``jobs=None`` stays serial).  Live traces do not cross
     process boundaries or come out of the store, so record mode ignores
     ``keep``; metric rows are byte-identical to the live path, in trial
@@ -465,9 +464,7 @@ def run(
         from repro.scenarios.suite import SuiteEntry, SuiteSpec, run_suite
 
         suite = SuiteSpec(name=spec.name, entries=(SuiteEntry(id=spec.name, scenario=spec),))
-        report = run_suite(
-            suite, jobs=jobs or 1, cache_dir=cache_dir, prebuild=prebuild, store=store
-        )
+        report = run_suite(suite, jobs=jobs or 1, prebuild=prebuild, store=store)
         return report.entries[0].result
 
     result = RunResult(spec=spec, fingerprint=spec.fingerprint())
@@ -484,7 +481,7 @@ def run(
 
 
 # ----------------------------------------------------------------------
-# delta-table prebuilding (spec-keyed, optionally disk-backed)
+# delta-table prebuilding
 # ----------------------------------------------------------------------
 def _delta_identity(spec: ScenarioSpec) -> str:
     """Canonical identity of the delta table a spec's variant would prebuild.
@@ -533,18 +530,15 @@ def _component_rerandomizes_per_trial(registry, component) -> bool:
 
 
 def prebuild_delta_table(
-    spec: ScenarioSpec,
-    rounds: Optional[int] = None,
-    cache_dir: Optional[str] = None,
+    spec: ScenarioSpec, rounds: Optional[int] = None
 ) -> Optional[Dict[Tuple[Hashable, int], Tuple[int, ...]]]:
-    """Prebuild (or load) the spec's scheduler-delta table, or ``None``.
+    """Prebuild the spec's scheduler-delta table, or ``None``.
 
     Builds trial 0's topology and scheduler, asks the scheduler for its
     :meth:`~repro.dualgraph.adversary.LinkScheduler.delta_cache_key`, and --
     when the deltas are cacheable -- computes rounds ``1..rounds`` through
-    :func:`repro.dualgraph.adversary.prebuild_scheduler_deltas`, keyed on
-    disk (under ``cache_dir``) by ``spec.fingerprint()``.  Returns ``None``
-    for non-cacheable schedulers (adaptive adversaries, unkeyed subclasses),
+    :func:`repro.dualgraph.adversary.prebuild_scheduler_deltas`.  Returns
+    ``None`` for non-cacheable schedulers (adaptive adversaries, unkeyed subclasses),
     for engines that bypass the delta interface (``fast_path=False``), and
     for multi-trial specs whose topology or scheduler re-randomizes per trial
     (their per-trial delta streams have distinct cache keys, so a trial-0
@@ -584,12 +578,7 @@ def prebuild_delta_table(
             # for algorithms that never declared the mode).
             algorithm_build = resolve_params(spec, graph=graph)
             rounds = _resolve_total_rounds(spec, algorithm_build)
-    return prebuild_scheduler_deltas(
-        scheduler,
-        rounds,
-        cache_dir=cache_dir,
-        cache_key=spec.fingerprint(),
-    )
+    return prebuild_scheduler_deltas(scheduler, rounds)
 
 
 def run_many(
@@ -597,16 +586,14 @@ def run_many(
     overrides_grid: Optional[Mapping[str, Sequence[Any]]] = None,
     jobs: Optional[int] = None,
     base_seed: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     prebuild: bool = True,
     store: Any = None,
 ) -> SweepResult:
     """Run a grid of spec variants as one suite, serially or on a process pool.
 
     Each grid point becomes one entry of a suite executed by
-    :func:`repro.scenarios.suite.run_suite`; ``jobs``, ``cache_dir``,
-    ``prebuild`` and ``store`` are passed through and mean what they mean
-    there.
+    :func:`repro.scenarios.suite.run_suite`; ``jobs``, ``prebuild`` and
+    ``store`` are passed through and mean what they mean there.
 
     Parameters
     ----------
@@ -622,9 +609,6 @@ def run_many(
         When given, each grid point's ``run.master_seed`` is replaced by
         :func:`~repro.analysis.sweep.derive_point_seed` of the point's index
         (stable across worker counts).
-    cache_dir:
-        Directory for on-disk scheduler-delta tables; repeated invocations of
-        the same sweep then skip the per-round schedule hashing entirely.
     prebuild:
         Prebuild the variants' delta tables before any trial runs (set
         ``False`` to skip the upfront cost for short exploratory sweeps).
@@ -649,7 +633,6 @@ def run_many(
     report = run_suite(
         SuiteSpec(name=spec.name, entries=tuple(entries)),
         jobs=jobs,
-        cache_dir=cache_dir,
         prebuild=prebuild,
         store=store,
     )

@@ -11,8 +11,8 @@ Every spec round-trips losslessly through :meth:`ScenarioSpec.to_dict` /
 :meth:`ScenarioSpec.from_dict` and JSON, and :meth:`ScenarioSpec.fingerprint`
 is a content hash of that canonical form -- stable across processes and
 platforms (it never touches Python object hashing), which is what lets
-prebuilt scheduler-delta tables and on-disk caches be keyed by spec identity
-(see :func:`repro.dualgraph.adversary.prebuild_scheduler_deltas`).
+run results, suite reports and result-store entries name the spec they came
+from.
 
 Component names refer to the registries in
 :mod:`repro.scenarios.registry`; materialization lives in
@@ -403,10 +403,10 @@ class ScenarioSpec:
 
         The ``metrics`` key is emitted only when the scenario declares
         metrics, so metric-free specs keep the serialized form (and hence the
-        :meth:`fingerprint` that keys on-disk delta caches) they had before
-        the metrics pipeline existed.  The ``traffic`` key is omitted the
-        same way when no workload is declared, so every pre-traffic spec
-        serializes byte-identically (result-store warm hits preserved).
+        :meth:`fingerprint`) they had before the metrics pipeline existed.
+        The ``traffic`` key is omitted the same way when no workload is
+        declared, so every pre-traffic spec serializes byte-identically
+        (result-store warm hits preserved).
         """
         data = {
             "version": SPEC_VERSION,
@@ -496,10 +496,8 @@ class ScenarioSpec:
 
         SHA-256 over the canonical JSON form, truncated to 16 hex digits.
         Identical specs produce identical fingerprints in every process and
-        on every platform, which is the identity that keys prebuilt
-        scheduler-delta tables and their on-disk cache files (see
-        :func:`repro.dualgraph.adversary.prebuild_scheduler_deltas` and
-        :func:`repro.scenarios.runtime.prebuild_delta_table`).
+        on every platform, so run results, suite reports and result-store
+        entries can name the spec they came from.
         """
         payload = _json_canonical(self.to_dict()).encode()
         return hashlib.sha256(payload).hexdigest()[:16]

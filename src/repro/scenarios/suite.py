@@ -24,8 +24,8 @@ prebuilds, dispatches and stores every batch of trials in the package --
 flattens every entry's trials into one task list and runs it serially or on a
 process pool (per-spec *and* per-trial parallelism in one pool, workers
 receiving serialized specs only), with scheduler-delta tables prebuilt once
-per distinct table identity (and optionally disk-cached) by the same pass the
-fleet coordinator uses.  Trial metric rows are byte-identical to serial
+per distinct table identity by the same pass the fleet coordinator uses.
+Trial metric rows are byte-identical to serial
 :func:`repro.scenarios.runtime.run` execution; entries sharing a ``group``
 label pool their rows into group aggregates, which is how a suite reproduces
 a benchmark's several-specs-per-table-row arithmetic exactly.
@@ -82,6 +82,26 @@ class SuiteCancelled(RuntimeError):
     stopped.  The scenario service maps job cancellation and graceful
     shutdown onto this exception.
     """
+
+
+class SuiteTaskError(RuntimeError):
+    """A suite task's trial raised: the run stops and names the task.
+
+    ``failure`` carries the ``task`` index, the ``entry`` id, the ``trial``
+    index and the exception's ``type`` and ``message`` (see
+    :func:`_task_failure`); the original exception is chained as
+    ``__cause__``.  ``kind`` and ``detail`` let
+    :class:`~repro.scenarios.fleet.FleetTaskError` reuse the message shape.
+    Records completed before the failure stay in the result store.
+    """
+
+    def __init__(self, failure: Dict[str, Any], kind: str = "suite", detail: str = "") -> None:
+        self.failure = failure
+        super().__init__(
+            f"{kind} task {failure.get('task')} (entry {failure.get('entry')!r}, "
+            f"trial {failure.get('trial')}) raised {failure.get('type')}: "
+            f"{failure.get('message')}{detail}"
+        )
 
 
 @dataclass(frozen=True)
@@ -439,6 +459,20 @@ def _flatten_tasks(suite: SuiteSpec) -> List[Tuple[int, int]]:
     return tasks
 
 
+def _task_failure(
+    suite: SuiteSpec, tasks: Sequence[Tuple[int, int]], index: int, exc: BaseException
+) -> Dict[str, Any]:
+    """The failure record naming task ``index`` and the exception it raised."""
+    entry_index, trial_index = tasks[index]
+    return {
+        "task": index,
+        "entry": suite.entries[entry_index].id,
+        "trial": trial_index,
+        "type": type(exc).__name__,
+        "message": str(exc),
+    }
+
+
 def _plan_tasks(
     suite: SuiteSpec,
     store: Optional[ResultStore],
@@ -511,7 +545,7 @@ def _assemble_report(
 
 
 def _prebuild_pending_deltas(
-    suite: SuiteSpec, entry_indices: Iterable[int], cache_dir: Optional[str]
+    suite: SuiteSpec, entry_indices: Iterable[int]
 ) -> Dict[Tuple[Hashable, int], Tuple[int, ...]]:
     """The merged scheduler-delta table of the given entries (the one prebuild pass).
 
@@ -544,7 +578,7 @@ def _prebuild_pending_deltas(
             continue
         seen_identities.add(identity)
         try:
-            table = prebuild_delta_table(spec, cache_dir=cache_dir)
+            table = prebuild_delta_table(spec)
         except (KeyError, TypeError, ValueError):
             # A broken entry fails loudly when it actually runs; the prebuild
             # pass is best-effort.
@@ -569,7 +603,6 @@ def _prebuild_pending_deltas(
 def run_suite(
     suite: SuiteSpec,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     prebuild: bool = True,
     store: Any = None,
     on_progress: Optional[Any] = None,
@@ -581,8 +614,7 @@ def run_suite(
     pool (``None`` = all cores, <2 = serial in this process); records land in
     canonical task order either way.  ``prebuild`` computes the pending
     entries' scheduler-delta tables once in this process (see
-    :func:`_prebuild_pending_deltas`; optionally persisted under
-    ``cache_dir``, keyed by entry fingerprint) and ships the merged table to
+    :func:`_prebuild_pending_deltas`) and ships the merged table to
     pool workers through the pool initializer.  Sparse-workload entries are
     skipped with a :class:`RuntimeWarning`; pass ``prebuild=False`` to
     silence it when the whole suite is sparse.
@@ -602,7 +634,8 @@ def run_suite(
     consumer that persists the event never gets ahead of durability.
     ``should_stop`` (a zero-argument callable) is polled between tasks;
     returning true raises :class:`SuiteCancelled` with everything completed
-    so far already in the store.
+    so far already in the store.  A trial that raises stops the run with a
+    :class:`SuiteTaskError` naming its task, entry and trial.
     """
     start = time.perf_counter()
     store = ResultStore.coerce(store)
@@ -634,7 +667,7 @@ def run_suite(
 
     if pending:
         delta_table = (
-            _prebuild_pending_deltas(suite, (tasks[index][0] for index in pending), cache_dir)
+            _prebuild_pending_deltas(suite, (tasks[index][0] for index in pending))
             if prebuild
             else {}
         )
@@ -644,7 +677,11 @@ def run_suite(
                 preload_process_delta_cache(delta_table)
             for index in pending:
                 entry_index, trial_index = tasks[index]
-                land(index, trial_record(specs[entry_index], trial_index))
+                try:
+                    trial = trial_record(specs[entry_index], trial_index)
+                except Exception as exc:
+                    raise SuiteTaskError(_task_failure(suite, tasks, index, exc)) from exc
+                land(index, trial)
         else:
             suite_specs = [spec.to_json(indent=None) for spec in specs]
             pool_kwargs: Dict[str, Any] = {"max_workers": workers}
@@ -661,7 +698,13 @@ def run_suite(
                 ]
                 try:
                     for index, future in zip(pending, futures):
-                        land(index, future.result()["trial"])
+                        try:
+                            trial = future.result()["trial"]
+                        except Exception as exc:
+                            raise SuiteTaskError(
+                                _task_failure(suite, tasks, index, exc)
+                            ) from exc
+                        land(index, trial)
                 except BaseException:
                     # A cancelled or failing run should not wait out the whole
                     # queue: drop every not-yet-started task before the pool

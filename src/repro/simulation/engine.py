@@ -64,7 +64,7 @@ Vertex = Hashable
 #: (equal keys => identical deltas for every round, across instances and
 #: processes) is exactly the license needed to share the masks the same way
 #: the :class:`~repro.dualgraph.adversary.SchedulerDeltaCache` shares the id
-#: sets.  Bounded FIFO: inserts past the cap evict the oldest entry.
+#: tuples.  Bounded FIFO: inserts past the cap evict the oldest entry.
 _SCHED_MASK_CACHE: Dict[Any, int] = {}
 _SCHED_MASK_CACHE_MAXSIZE = 8192
 
@@ -272,17 +272,16 @@ class Simulator:
         self._idx_of = index.index_of
         self._vertex_of = index.vertices
         self._g_neighbors = index.g_neighbors
-        self._u_incident = index.unreliable_incident_ids
         self._u_neighbor_of = index.unreliable_neighbor_by_eid
         self._has_unreliable = index.num_unreliable_edges > 0
         bit = self._v_bit = [1 << i for i in range(index.n)]
         self._g_vmasks = [sum(bit[j] for j in row) for row in index.g_neighbors]
         self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
         self._u_inc_masks = [
-            sum(1 << eid for eid in eids) for eids in self._u_incident
+            sum(1 << eid for eid in row) for row in self._u_neighbor_of
         ]
         # The scheduled-edge bitmask is memoized process-wide under the
-        # scheduler's delta cache key (same sharing license as the delta sets
+        # scheduler's delta cache key (same sharing license as the deltas
         # themselves); None means the scheduler offers no such identity.
         self._sched_mask_key = (
             self._scheduler.delta_cache_key() if self._has_unreliable else None
@@ -571,29 +570,6 @@ class Simulator:
         idx_of = self._idx_of
         vertex_of = self._vertex_of
 
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
-        if len(tx_indices) == 1:
-            # Lone transmitter: every candidate wins (one transmitter's
-            # candidates are duplicate-free, see above), and one set
-            # intersection with the round's delta beats a mask decode.
-            i = tx_indices[0]
-            frame = transmissions[vertex_of[i]]
-            receptions = self._kr_receptions
-            receptions.clear()
-            for j in self._g_neighbors[i]:
-                receptions[vertex_of[j]] = frame
-            if self._has_unreliable:
-                scheduled = self._scheduler.unreliable_edge_id_set_for_round(
-                    round_number
-                )
-                if scheduled:
-                    hit = scheduled & self._u_incident[i]
-                    if hit:
-                        nbs = self._u_neighbor_of[i]
-                        for eid in hit:
-                            receptions[vertex_of[nbs[eid]]] = frame
-            return receptions
-
         if not self._has_unreliable:
             scheduled_mask = 0
         elif self._sched_mask_key is None:
@@ -602,6 +578,25 @@ class Simulator:
             scheduled_mask = self._edge_mask(round_number)
         else:
             scheduled_mask = self._scheduled_edge_mask(round_number)
+
+        tx_indices = [idx_of[vertex] for vertex in transmissions]
+        if len(tx_indices) == 1:
+            # Lone transmitter: every candidate wins (one transmitter's
+            # candidates are duplicate-free, see above).
+            i = tx_indices[0]
+            frame = transmissions[vertex_of[i]]
+            receptions = self._kr_receptions
+            receptions.clear()
+            for j in self._g_neighbors[i]:
+                receptions[vertex_of[j]] = frame
+            u_hit = scheduled_mask & self._u_inc_masks[i]
+            if u_hit:
+                nbs = self._u_neighbor_of[i]
+                while u_hit:
+                    low = u_hit & -u_hit
+                    u_hit ^= low
+                    receptions[vertex_of[nbs[low.bit_length() - 1]]] = frame
+            return receptions
 
         bit = self._v_bit
         gmasks = self._g_vmasks

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.scenarios.jobs import JobManager, JobRejected, parse_submission
-from repro.scenarios.suite import SuiteSpec
+from repro.scenarios.suite import SuiteSpec, deterministic_report_dict, run_suite
 
 from .conftest import tiny_scenario, tiny_suite
 
@@ -267,3 +267,74 @@ def test_stats_reports_queue_depth_and_per_job_backlog(tmp_path):
         assert stats["backlog_tasks"] == 0
 
     run_async(main())
+
+
+# ----------------------------------------------------------------------
+# concurrent jobs over the shared process-wide caches
+# ----------------------------------------------------------------------
+def iid_suite(name: str, seed: int) -> dict:
+    """Two dense IID entries on one unreliable-edge-rich topology: prebuilt
+    delta tables, the process-wide delta cache and the scheduled-edge mask
+    memo all see traffic."""
+    topology = {"name": "random_geographic", "args": {"n": 16, "seed": 7, "side": 3.2}}
+    senders = {"count": 3, "select": "first"}
+    run = {"rounds": 6, "rounds_unit": "phases", "trials": 3, "master_seed": seed}
+    entries = []
+    for i, probability in enumerate((0.3, 0.7)):
+        entries.append(
+            {
+                "id": f"{name}-e{i}",
+                "scenario": {
+                    "name": f"{name}-e{i}",
+                    "topology": topology,
+                    "algorithm": {"name": "lbalg", "args": {"preset": "small"}},
+                    "scheduler": {
+                        "name": "iid",
+                        "args": {"probability": probability, "seed": seed},
+                    },
+                    "environment": {"name": "saturating", "args": {"senders": senders}},
+                    "run": run,
+                    "metrics": [{"name": "counters"}, {"name": "ack_delay"}],
+                },
+            }
+        )
+    return {"name": name, "entries": entries}
+
+
+def test_two_concurrent_jobs_match_serial_runs(tmp_path):
+    """Two different IID suites on two executor threads share the delta and
+    mask caches (one preloads a prebuilt table while the other stores lazily
+    computed deltas); each report equals a serial ``run_suite`` of its suite."""
+    payloads = [iid_suite("concurrent-a", seed=31), iid_suite("concurrent-b", seed=32)]
+    options = [{"prebuild": True}, {}]
+
+    async def main():
+        manager = manager_for(tmp_path, workers=2)
+        await manager.start()
+        jobs = [
+            manager.submit(*parse_submission({"suite": p, "options": o}))[0]
+            for p, o in zip(payloads, options)
+        ]
+        queues = [manager.subscribe(job) for job in jobs]
+        try:
+            for job, queue in zip(jobs, queues):
+                while not job.terminal:
+                    await asyncio.wait_for(queue.get(), timeout=120)
+        finally:
+            for job, queue in zip(jobs, queues):
+                manager.unsubscribe(job, queue)
+            await manager.shutdown()
+        return manager, jobs
+
+    manager, jobs = run_async(main())
+    assert [job.state for job in jobs] == ["done", "done"]
+    first, second = jobs
+    # The two executions overlapped in time.
+    assert first.started_at < second.finished_at and second.started_at < first.finished_at
+    for job, payload in zip(jobs, payloads):
+        with open(manager.report_path(job.fingerprint), encoding="utf-8") as handle:
+            served = json.load(handle)
+        serial = run_suite(SuiteSpec.from_dict(payload)).to_dict()
+        assert deterministic_report_dict(served) == deterministic_report_dict(
+            json.loads(json.dumps(serial))
+        )

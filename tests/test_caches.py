@@ -61,16 +61,14 @@ def test_concurrent_bounded_puts_hold_the_bound():
     assert max(sizes) <= MAXSIZE
 
 
-@pytest.mark.parametrize("method", ["store", "store_set"])
-def test_concurrent_delta_cache_stores_hold_the_bound(method):
+def test_concurrent_delta_cache_stores_hold_the_bound():
     cache = SchedulerDeltaCache(maxsize=MAXSIZE)
-    store = getattr(cache, method)
 
     def put(thread: int, i: int) -> None:
-        store(("scheduler", thread), i, frozenset((i,)) if method == "store_set" else (i,))
+        cache.store(("scheduler", thread), i, (i,))
 
     assert _hammer(put) == []
-    assert len(cache._table) <= MAXSIZE and len(cache._set_table) <= MAXSIZE
+    assert len(cache._table) <= MAXSIZE
 
 
 def test_bounded_put_evicts_oldest_first_and_overwrites_in_place():

@@ -41,7 +41,6 @@ from repro import (
     make_lb_processes,
     random_geographic_network,
 )
-from repro.dualgraph.adversary import prebuild_scheduler_deltas
 from repro.scenarios import (
     ALGORITHMS,
     ENVIRONMENTS,
@@ -559,77 +558,7 @@ class TestRunMany:
         assert again.rows == first.rows
 
 
-class TestDeltaTableDiskCache:
-    def _scheduler(self):
-        graph, _ = random_geographic_network(12, side=3.0, rng=3, require_connected=True)
-        return IIDScheduler(graph, probability=0.5, seed=9)
-
-    def test_second_invocation_skips_recomputation(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        original = IIDScheduler._compute_unreliable_edge_ids
-
-        def counting(self, round_number, index):
-            calls["n"] += 1
-            return original(self, round_number, index)
-
-        monkeypatch.setattr(IIDScheduler, "_compute_unreliable_edge_ids", counting)
-
-        first = prebuild_scheduler_deltas(
-            self._scheduler(), 20, cache_dir=str(tmp_path), cache_key="spec-fp"
-        )
-        assert calls["n"] == 20 and len(first) == 20
-
-        second = prebuild_scheduler_deltas(
-            self._scheduler(), 20, cache_dir=str(tmp_path), cache_key="spec-fp"
-        )
-        assert calls["n"] == 20, "second invocation must load from disk, not recompute"
-        assert second == first
-
-        # A smaller budget is served by the stored superset table.
-        third = prebuild_scheduler_deltas(
-            self._scheduler(), 10, cache_dir=str(tmp_path), cache_key="spec-fp"
-        )
-        assert calls["n"] == 20
-        assert third == first
-
-        # A larger budget recomputes (and re-persists) the wider table.
-        fourth = prebuild_scheduler_deltas(
-            self._scheduler(), 25, cache_dir=str(tmp_path), cache_key="spec-fp"
-        )
-        assert calls["n"] == 45 and len(fourth) == 25
-
-    def test_corrupt_cache_file_is_recomputed(self, tmp_path):
-        scheduler = self._scheduler()
-        table = prebuild_scheduler_deltas(
-            scheduler, 5, cache_dir=str(tmp_path), cache_key="fp"
-        )
-        (path,) = tmp_path.iterdir()
-        path.write_bytes(b"not a pickle")
-        again = prebuild_scheduler_deltas(
-            self._scheduler(), 5, cache_dir=str(tmp_path), cache_key="fp"
-        )
-        assert again == table
-
-    def test_spec_level_prebuild_is_keyed_by_fingerprint(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        original = IIDScheduler._compute_unreliable_edge_ids
-
-        def counting(self, round_number, index):
-            calls["n"] += 1
-            return original(self, round_number, index)
-
-        monkeypatch.setattr(IIDScheduler, "_compute_unreliable_edge_ids", counting)
-
-        spec = small_spec(**{"run.rounds_unit": "rounds", "run.rounds": 8})
-        table = prebuild_delta_table(spec, cache_dir=str(tmp_path))
-        assert table is not None and len(table) == 8
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1 and spec.fingerprint() in files[0].name
-
-        before = calls["n"]
-        again = prebuild_delta_table(spec, cache_dir=str(tmp_path))
-        assert calls["n"] == before and again == table
-
+class TestPrebuildDeltaTable:
     def test_adaptive_scheduler_yields_no_table(self):
         spec = small_spec(**{"scheduler.name": "adaptive_collision", "scheduler.args": {}})
         assert prebuild_delta_table(spec) is None

@@ -79,6 +79,7 @@ from repro.scenarios import (
     SuiteCancelled,
     SuiteEntry,
     SuiteSpec,
+    SuiteTaskError,
     TopologySpec,
     deterministic_report_dict,
     run,
@@ -473,6 +474,58 @@ class TestProgressAndCancellation:
     def test_should_stop_before_any_task(self):
         with pytest.raises(SuiteCancelled, match="cancelled before execution"):
             run_suite(small_suite(), should_stop=lambda: True)
+
+
+def _poisoned_trial_record(spec, trial_index):
+    """``trial_record`` that fails entry b's second trial (the last task)."""
+    if spec.name == "b" and trial_index == 1:
+        raise ValueError("deliberately poisoned trial")
+    return trial_record(spec, trial_index)
+
+
+class HookFault(Exception):
+    """Stands in for the service's injected ``crash`` fault (raised from a hook)."""
+
+
+class TestTaskFailure:
+    """A raising trial stops the run with a :class:`SuiteTaskError` naming it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_trial_names_its_task(self, tmp_path, jobs, monkeypatch):
+        monkeypatch.setattr(suite_module, "trial_record", _poisoned_trial_record)
+        suite = derived_suite(trials=2)  # 4 tasks, the poisoned one last
+        root = str(tmp_path / "store")
+        with pytest.raises(SuiteTaskError) as excinfo:
+            run_suite(suite, jobs=jobs, prebuild=False, store=root)
+        error = excinfo.value
+        assert error.failure == {
+            "task": 3,
+            "entry": "b",
+            "trial": 1,
+            "type": "ValueError",
+            "message": "deliberately poisoned trial",
+        }
+        assert str(error) == (
+            "suite task 3 (entry 'b', trial 1) raised ValueError: "
+            "deliberately poisoned trial"
+        )
+        assert isinstance(error.__cause__, ValueError)
+
+        # The tasks before it landed in the store; a healthy rerun resumes.
+        monkeypatch.undo()
+        resumed = run_suite(suite, prebuild=False, store=root)
+        assert resumed.store_stats == {"tasks": 4, "hits": 3, "misses": 1}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hook_exceptions_keep_their_type(self, jobs):
+        def on_progress(event):
+            if event["event"] == "task":
+                raise HookFault("raised from on_progress")
+
+        with pytest.raises(HookFault):
+            run_suite(
+                small_suite(trials=2), jobs=jobs, prebuild=False, on_progress=on_progress
+            )
 
 
 class TestSuiteCLI:
