@@ -204,16 +204,6 @@ class SeedAgreementProcess(Process):
     # draws and state transitions of the corresponding fragment of the
     # per-process path, which is what keeps batched traces byte-identical.
 
-    def batch_begin_phase(self, phase: int, global_round: int) -> bool:
-        """Run the phase-start leader election; returns True if now a leader.
-
-        Must only be called for subroutines whose status is ``"active"`` (the
-        driver prunes its cohort first); inactive members draw nothing in the
-        per-process path, so skipping them preserves RNG draw order.
-        """
-        self._begin_phase(phase, global_round)
-        return self._leader_this_phase
-
     def batch_broadcast_frame(self) -> Optional[SeedFrame]:
         """The per-round leader broadcast draw (call only for current leaders)."""
         if self.ctx.rng.random() < self.params.leader_broadcast_probability:

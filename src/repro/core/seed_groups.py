@@ -135,7 +135,7 @@ class SeedGroupTracker:
 
 
 class _SeedCohort:
-    """One ``(seed, cursor)`` cohort of sending members for the kernel lane.
+    """One ``(seed, cursor)`` cohort of a body's sending members.
 
     Members are grouped at body start by the exact state of their seed
     streams; within one body they stay in lockstep (identical shared draws
@@ -292,10 +292,10 @@ class SeedAgreementCohort:
         phase += 1
         within += 1
         if within == 1:
-            # The leader election, inlined from batch_begin_phase: one pass
-            # both prunes inactive members and runs the phase-start draw, in
-            # the exact member (and hence RNG) order of the two-pass form --
-            # only still-active members ever draw.
+            # SeedAgreementProcess._begin_phase's leader election, inlined:
+            # one pass both prunes inactive members and runs the phase-start
+            # draw, in the exact member (and hence RNG) order of the two-pass
+            # form -- only still-active members ever draw.
             prob = self._probs[phase - 1]
             actives: List[LocalBroadcastProcess] = []
             leaders = self._leaders = []
@@ -372,7 +372,6 @@ class LocalBroadcastBatchDriver:
         "_tracker",
         "_cohort",
         "_senders",
-        "_kernel",
         "_cohorts",
         "_decoded",
         "_tracked",
@@ -388,9 +387,8 @@ class LocalBroadcastBatchDriver:
         self._tracker = SeedGroupTracker(params)
         self._cohort: Optional[SeedAgreementCohort] = None
         self._senders: List[LocalBroadcastProcess] = []
-        # Kernel lane state (see enable_kernel): seed cohorts grouped at body
-        # start, flushed at phase ends and run boundaries.
-        self._kernel = False
+        # Body-round state: seed cohorts grouped at body start, flushed at
+        # phase ends and run boundaries (see _body_transmit_kernel).
         self._cohorts: Optional[List[_SeedCohort]] = None
         self._decoded: List[_SeedCohort] = []
         self._tracked: List[_SeedCohort] = []
@@ -413,21 +411,6 @@ class LocalBroadcastBatchDriver:
         """The cohort's shared-decision tracker (exposed for experiments)."""
         return self._tracker
 
-    def enable_kernel(self) -> bool:
-        """Switch body rounds to the array-kernel lane (engine-facing opt-in).
-
-        The kernel lane groups the body's senders into ``(seed, cursor)``
-        cohorts once per body, bulk-decodes each cohort's shared decisions
-        into flat array buffers, and defers member stream advancement and
-        statistics to a single bulk flush per cohort -- instead of a
-        per-member tracker call every round.  Traces, private RNG draw order,
-        member statistics, and the tracker's computed/shared counters all
-        stay byte-identical to the unkerneled batched path.  Returns True to
-        acknowledge support (the engine duck-types this method).
-        """
-        self._kernel = True
-        return True
-
     # ------------------------------------------------------------------
     # round stepping (engine-facing)
     # ------------------------------------------------------------------
@@ -447,12 +430,9 @@ class LocalBroadcastBatchDriver:
 
         if body_start:
             self._begin_body_all()
-        if self._kernel:
-            # Rounds left in this body (including the current one) bound the
-            # bulk decode when cohorts are (re)built this round.
-            self._body_transmit_kernel(out, params.phase_length - index)
-        else:
-            self._body_transmit(out)
+        # Rounds left in this body (including the current one) bound the
+        # bulk decode when cohorts are (re)built this round.
+        self._body_transmit_kernel(out, params.phase_length - index)
 
     def receive_round(
         self, round_number: int, receptions: Dict[Vertex, Any]
@@ -538,7 +518,7 @@ class LocalBroadcastBatchDriver:
     # ------------------------------------------------------------------
     def _begin_phase_all(self, phase: int) -> None:
         if self._cohorts is not None:
-            # Defensive: a phase boundary must never see live kernel cohorts
+            # Defensive: a phase boundary must never see live cohorts
             # (receive_round flushed them at phase end, and the engine
             # flushes at run boundaries), but _begin_phase replaces seed
             # streams, so flush before any member state moves.
@@ -569,33 +549,6 @@ class LocalBroadcastBatchDriver:
 
     # ------------------------------------------------------------------
     # body rounds (the hot path)
-    # ------------------------------------------------------------------
-    def _body_transmit(self, out: Dict[Vertex, Any]) -> None:
-        tracker = self._tracker
-        tracker.begin_round()
-        decision_for = tracker.decision_for
-        for member in self._senders:
-            member.stats_body_rounds_sending += 1
-            stream = member._seed_stream
-            participant, b, _ = decision_for(stream)
-            cursor = stream._cursor
-            if cursor > member.stats_max_bits_consumed:
-                member.stats_max_bits_consumed = cursor
-            if not participant:
-                continue
-            member.stats_participant_rounds += 1
-            # b private coins, broadcast iff all zero -- drawn exactly as the
-            # per-process path draws them (short-circuit on the first one).
-            rand = member.ctx.rng.random
-            for _ in range(b):
-                if rand() >= 0.5:
-                    break
-            else:
-                member.stats_broadcast_rounds += 1
-                out[member.vertex] = DataFrame(message=member._current_message)
-
-    # ------------------------------------------------------------------
-    # body rounds, kernel lane (see enable_kernel)
     # ------------------------------------------------------------------
     def _build_kernel_cohorts(self, rounds_remaining: int) -> List[_SeedCohort]:
         """Group the body's senders into ``(seed, cursor)`` cohorts.
@@ -704,11 +657,11 @@ class LocalBroadcastBatchDriver:
                         out[vertex] = frame
 
     def flush_kernel_state(self) -> None:
-        """Settle deferred kernel-lane state (idempotent).
+        """Settle deferred cohort state (idempotent).
 
         Applies one bulk cursor :meth:`~repro.core.seedbits.SeedBitStream.skip`
         per member (every future draw then matches per-member stepping
-        exactly), credits the per-member statistics the unkerneled loop
+        exactly), credits the per-member statistics per-process stepping
         maintains per round, and compensates the tracker's shared-decision
         counter for the per-member memo hits the cohort representative
         absorbed.  Called at phase ends, before regrouping, and by the engine

@@ -273,8 +273,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backoff_s=args.backoff,
         timeout_s=args.timeout,
         quiet=args.quiet,
-        fleet=args.fleet,
-        fleet_threshold=args.fleet_threshold,
         max_pending_tasks=args.max_pending_tasks,
     )
 
@@ -446,22 +444,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--quiet", "-q", action="store_true", help="only print the ready line"
-    )
-    serve_parser.add_argument(
-        "--fleet",
-        type=int,
-        default=0,
-        metavar="N",
-        help="dispatch big jobs across N OS worker processes with work-stealing "
-        "leases (0 = disabled; see --fleet-threshold)",
-    )
-    serve_parser.add_argument(
-        "--fleet-threshold",
-        type=int,
-        default=32,
-        metavar="TASKS",
-        help="minimum flattened task count before a job rides the fleet "
-        "(submissions may force it per job via options.fleet)",
     )
     serve_parser.add_argument(
         "--max-pending-tasks",

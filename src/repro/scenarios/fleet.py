@@ -380,7 +380,6 @@ def _fleet_worker_main(
     leases_dir: str,
     lease_ttl_s: float,
     poll_s: float,
-    fsync: bool,
     task_runner: Callable[[ScenarioSpec, int], Dict[str, Any]],
 ) -> int:
     """One fleet worker: claim chunks, execute their tasks, mark them done.
@@ -398,7 +397,7 @@ def _fleet_worker_main(
     # A fresh (non-shared) instance: the fork inherited the parent's LRU
     # front, which is fine (buckets revalidate on size+mtime), but hit/miss
     # counters should be this worker's own.
-    store = ResultStore(store_root, fsync=fsync)
+    store = ResultStore(store_root)
     tasks = _flatten_tasks(suite)
     specs = [entry.scenario for entry in suite.entries]
     board = _read_json(_board_path(leases_dir))
@@ -665,7 +664,6 @@ def _run_fleet(
                     leases_dir,
                     lease_ttl_s,
                     poll_s,
-                    store.fsync,
                     task_runner,
                 ),
             )

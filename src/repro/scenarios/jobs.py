@@ -26,10 +26,10 @@
   (shutdown re-queues the interrupted job *without* journaling completion,
   so the next server run picks it up).
 
-Execution itself is :func:`repro.scenarios.suite.run_suite` on a bounded
-pool of worker tasks; each worker drives one suite at a time in a thread
-(keeping the asyncio loop free), optionally fanning that suite's trials out
-over ``run_suite``'s process pool via the ``jobs`` option.
+Every execution attempt is one :func:`repro.scenarios.suite.run_suite` call:
+a bounded pool of worker tasks each drives one suite at a time in a thread
+(keeping the asyncio loop free), fanning that suite's trials out over
+``run_suite``'s process pool when the ``jobs`` option asks for more than one.
 
 Fault injection (test harness)
 ------------------------------
@@ -71,7 +71,9 @@ from repro.scenarios.suite import (
 TERMINAL_STATES = ("done", "failed", "cancelled", "rejected")
 JOB_STATES = ("queued", "running") + TERMINAL_STATES
 
-#: Submission options accepted by :func:`parse_submission`.
+#: Submission options accepted by :func:`parse_submission`.  ``fleet`` is a
+#: retired key: older clients and journals carry it, so it is accepted and
+#: dropped (every job runs on ``run_suite``'s pool).
 _SUBMIT_OPTION_KEYS = ("jobs", "prebuild", "fleet")
 
 
@@ -108,13 +110,12 @@ def parse_submission(payload: Any) -> Tuple[SuiteSpec, Dict[str, Any]]:
     The body is a JSON object carrying exactly one of ``"suite"`` (a suite
     manifest in its fully-inline form) or ``"scenario"`` (a single scenario
     spec, wrapped into a one-entry suite named after it), plus an optional
-    ``"options"`` object (``jobs``: per-suite worker processes, ``prebuild``:
-    scheduler-delta prebuild toggle, ``fleet``: dispatch across N OS worker
-    processes via :func:`repro.scenarios.fleet.run_suite_fleet`).  Anything
-    else -- unknown keys, both or
-    neither spec forms, malformed spec trees -- raises :class:`JobRejected`
-    with the underlying validation message, which the HTTP layer returns as
-    the 400 error body.
+    ``"options"`` object (``jobs``: per-suite worker processes, a JSON
+    integer >= 1; ``prebuild``: scheduler-delta prebuild toggle; the retired
+    ``fleet`` key is accepted and dropped).  Anything else -- unknown keys,
+    both or neither spec forms, malformed spec trees -- raises
+    :class:`JobRejected` with the underlying validation message, which the
+    HTTP layer returns as the 400 error body.
     """
     if not isinstance(payload, Mapping):
         raise JobRejected(
@@ -136,17 +137,14 @@ def parse_submission(payload: Any) -> Tuple[SuiteSpec, Dict[str, Any]]:
             )
         options = dict(payload.get("options", {}) or {})
         _reject_unknown_keys(options, _SUBMIT_OPTION_KEYS, "submission options")
+        options.pop("fleet", None)
         if "jobs" in options:
-            options["jobs"] = int(options["jobs"])
-            if options["jobs"] < 1:
+            jobs = options["jobs"]
+            if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
                 raise JobRejected("options.jobs must be a positive integer")
         if "prebuild" in options:
             if not isinstance(options["prebuild"], bool):
                 raise JobRejected("options.prebuild must be a boolean")
-        if "fleet" in options:
-            options["fleet"] = int(options["fleet"])
-            if options["fleet"] < 1:
-                raise JobRejected("options.fleet must be a positive integer")
     except JobRejected:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -230,13 +228,6 @@ class JobManager:
         the finished trials from the store.
     default_jobs / default_prebuild:
         Per-suite execution defaults when a submission carries no options.
-    fleet_workers / fleet_threshold:
-        When ``fleet_workers >= 2``, any job whose flattened task count is at
-        least ``fleet_threshold`` executes through
-        :func:`repro.scenarios.fleet.run_suite_fleet` across that many OS
-        worker processes (with crash-safe work-stealing leases) instead of
-        the in-process pool; submissions can force or resize this per job
-        with ``options.fleet``.
     max_pending_tasks:
         Queue-depth backpressure: a submission whose tasks would push the
         total pending-task backlog (queued + running jobs) past this bound
@@ -254,8 +245,6 @@ class JobManager:
         default_jobs: int = 1,
         default_prebuild: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        fleet_workers: int = 0,
-        fleet_threshold: int = 32,
         max_pending_tasks: Optional[int] = None,
     ) -> None:
         coerced = ResultStore.coerce(store)
@@ -269,12 +258,9 @@ class JobManager:
         self.default_jobs = max(1, int(default_jobs))
         self.default_prebuild = bool(default_prebuild)
         self.fault_plan = fault_plan
-        self.fleet_workers = max(0, int(fleet_workers))
-        self.fleet_threshold = max(1, int(fleet_threshold))
         self.max_pending_tasks = (
             None if max_pending_tasks is None else max(1, int(max_pending_tasks))
         )
-        self._fleet_active: set = set()  # job ids currently executing via fleet
         self.started_at = time.time()
         self.stopping = False
 
@@ -296,7 +282,6 @@ class JobManager:
             "retries": 0,
             "recovered": 0,
             "rejected": 0,
-            "fleet_dispatched": 0,
         }
 
     # ------------------------------------------------------------------
@@ -311,7 +296,7 @@ class JobManager:
         return os.path.join(self.service_dir, "jobs.jsonl")
 
     def suite_dir(self, fingerprint: str) -> str:
-        """Shared with the fleet's lease layout: ``<store>/suite/<fp>/``."""
+        """Where a fingerprint's persisted report lives: ``<store>/suite/<fp>/``."""
         return os.path.join(self.store.root, "suite", fingerprint)
 
     def report_path(self, fingerprint: str) -> str:
@@ -394,11 +379,13 @@ class JobManager:
                     stacklevel=2,
                 )
                 continue
+            options = dict(entry.get("options", {}))
+            options.pop("fleet", None)  # the retired key, see _SUBMIT_OPTION_KEYS
             job = Job(
                 id=entry["job"],
                 suite=suite,
                 fingerprint=suite.fingerprint(),
-                options=dict(entry.get("options", {})),
+                options=options,
                 origin="recovered",
             )
             recovered.append(job)
@@ -696,20 +683,6 @@ class JobManager:
         self._publish(job, {"event": "retry", "attempt": attempt, "error": error})
         return True
 
-    def _fleet_size(self, job: Job) -> int:
-        """How many fleet workers this job should use (0 = in-process pool).
-
-        ``options.fleet`` forces (and sizes) fleet dispatch per job;
-        otherwise any job big enough (``task_count >= fleet_threshold``)
-        rides the manager's ``fleet_workers`` default when one is configured.
-        """
-        forced = int(job.options.get("fleet", 0) or 0)
-        if forced >= 1:
-            return forced
-        if self.fleet_workers >= 2 and job.task_count >= self.fleet_threshold:
-            return self.fleet_workers
-        return 0
-
     def _execute_sync(self, job: Job, stop_flag: Dict[str, bool]) -> Dict[str, Any]:
         """One blocking execution attempt (runs in a worker thread)."""
         fault = self._arm_fault(job)
@@ -729,28 +702,6 @@ class JobManager:
 
         def should_stop() -> bool:
             return stop_flag["stop"] or job.cancel_requested or self.stopping
-
-        fleet = self._fleet_size(job)
-        if fleet >= 1:
-            # Multi-process dispatch: every worker writes records to the
-            # store before marking its lease, so a crashed/retried attempt
-            # resumes from the store exactly like the in-process path.
-            from repro.scenarios.fleet import run_suite_fleet
-
-            self.counters["fleet_dispatched"] += 1
-            self._fleet_active.add(job.id)
-            try:
-                report = run_suite_fleet(
-                    job.suite,
-                    workers=fleet,
-                    store=self.store,
-                    prebuild=bool(job.options.get("prebuild", self.default_prebuild)),
-                    on_progress=on_progress,
-                    should_stop=should_stop,
-                )
-            finally:
-                self._fleet_active.discard(job.id)
-            return report.to_dict()
 
         report = run_suite(
             job.suite,
@@ -830,20 +781,12 @@ class JobManager:
             "jobs": states,
             "backlog": backlog,
             "backlog_tasks": backlog_tasks,
+            "max_pending_tasks": self.max_pending_tasks,
+            "utilization": (
+                min(1.0, backlog_tasks / self.max_pending_tasks)
+                if self.max_pending_tasks
+                else None
+            ),
             "counters": dict(self.counters),
-            "fleet": {
-                "workers": self.fleet_workers,
-                "threshold": self.fleet_threshold,
-                "active_jobs": len(self._fleet_active),
-                "dispatched": self.counters["fleet_dispatched"],
-                "max_pending_tasks": self.max_pending_tasks,
-                "pending_tasks": backlog_tasks,
-                "utilization": (
-                    min(1.0, backlog_tasks / self.max_pending_tasks)
-                    if self.max_pending_tasks
-                    else None
-                ),
-                "rejected": self.counters["rejected"],
-            },
             "store": self.store.stats(),
         }

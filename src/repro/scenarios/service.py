@@ -449,8 +449,6 @@ def serve_main(
     backoff_s: float = 0.25,
     timeout_s: Optional[float] = None,
     quiet: bool = False,
-    fleet: int = 0,
-    fleet_threshold: int = 32,
     max_pending_tasks: Optional[int] = None,
 ) -> int:
     """The blocking ``python -m repro serve`` entry point."""
@@ -464,8 +462,6 @@ def serve_main(
         default_jobs=jobs,
         default_prebuild=prebuild,
         fault_plan=fault_plan,
-        fleet_workers=fleet,
-        fleet_threshold=fleet_threshold,
         max_pending_tasks=max_pending_tasks,
     )
     try:

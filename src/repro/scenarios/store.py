@@ -42,7 +42,7 @@ Layout
 Each bucket line is one canonical-JSON object
 ``{"key", "spec", "sig", "record"}`` (``spec`` = the originating spec's full
 fingerprint, kept as metadata for ``gc``).  Writers append whole lines with a
-single buffered write + optional ``fsync`` under ``O_APPEND`` semantics, so
+single buffered write + ``fsync`` under ``O_APPEND`` semantics, so
 concurrent writers from separate processes interleave at line granularity and
 never lose each other's rows; duplicate keys are resolved last-write-wins.
 Corrupted or truncated lines (a writer killed mid-append) are skipped with a
@@ -82,6 +82,9 @@ from repro.scenarios.spec import ScenarioSpec, _json_canonical
 #: v2: trial records always carry a ``perf_stats`` section with the engine
 #: lane report (``lane`` / ``lane_fallback``).
 STORE_SCHEMA_VERSION = 2
+
+#: Decoded bucket indexes a :class:`ResultStore` keeps in memory (LRU-evicted).
+LRU_BUCKETS = 64
 
 
 # ----------------------------------------------------------------------
@@ -222,17 +225,13 @@ class ResultStore:
     ----------
     root:
         Directory of the store (created on first use).
-    fsync:
-        Flush-and-fsync every appended record (default).  ``False`` trades
-        kill-durability of the last few records for write throughput.
-    lru_buckets:
-        Maximum decoded bucket indexes held in memory (LRU-evicted).
+
+    Every appended record is flushed and fsynced; at most
+    :data:`LRU_BUCKETS` decoded bucket indexes are held in memory.
     """
 
-    def __init__(self, root: str, fsync: bool = True, lru_buckets: int = 64) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.fsync = bool(fsync)
-        self.lru_buckets = max(1, int(lru_buckets))
         self.hits = 0
         self.misses = 0
         self._corrupt_lines = 0
@@ -331,7 +330,7 @@ class ResultStore:
         index = self._parse_bucket(path)
         self._buckets[bucket] = (signature, index)
         self._buckets.move_to_end(bucket)
-        while len(self._buckets) > self.lru_buckets:
+        while len(self._buckets) > LRU_BUCKETS:
             self._buckets.popitem(last=False)
         return index
 
@@ -395,8 +394,7 @@ class ResultStore:
         try:
             handle.write(line)
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         finally:
             handle.close()
         cached = self._buckets.get(bucket)

@@ -145,17 +145,6 @@ class Simulator:
         if batch_path:
             self._build_batch_groups()
 
-        # Kernel stepping: with the kernel resolver, drivers that opt in
-        # (duck-typed enable_kernel) step seed cohorts through bulk-decoded
-        # decision buffers and defer member stream advancement and stats to
-        # bulk flushes; the engine settles them at every run() boundary.
-        self._kernel_drivers: List[Any] = []
-        if self._fast:
-            for driver in self._batch_drivers:
-                enable = getattr(driver, "enable_kernel", None)
-                if enable is not None and enable():
-                    self._kernel_drivers.append(driver)
-
         # Hook-override detection: the on_round_start/on_round_end loops are
         # pure overhead for populations that never override them (two full
         # scans per round); visit only actual overriders.
@@ -182,8 +171,8 @@ class Simulator:
         ``None`` when it engages.
 
         The loop engages only when no consumer can ever read event objects:
-        the trace keeps counters only, every process is stepped by a kernel
-        driver that counts receptions without materializing RecvOutputs,
+        the trace keeps counters only, every process is stepped by a batch
+        driver (which counts receptions without materializing RecvOutputs),
         there are no round hooks, and the environment uses the base-class
         observation methods (a subclass hook could inspect recv events the
         loop never builds).
@@ -204,16 +193,6 @@ class Simulator:
             return (
                 f"{len(self._ungrouped)} process(es) stepped outside "
                 "batch groups"
-            )
-        if len(self._kernel_drivers) != len(self._batch_drivers):
-            return "a batch driver declined kernel stepping"
-        if not all(
-            hasattr(driver, "receive_round_counters")
-            for driver in self._batch_drivers
-        ):
-            return (
-                "a batch driver cannot count receptions without "
-                "materializing events"
             )
         if self._round_start_hooks or self._round_end_hooks:
             return (
@@ -366,10 +345,10 @@ class Simulator:
         for _ in range(rounds):
             self._current_round += 1
             step(self._current_round)
-        # Settle any deferred kernel-driver state (member streams, stats) so
+        # Settle any deferred batch-driver state (member streams, stats) so
         # callers observe exactly the per-process state at every run boundary;
         # drivers rebuild their cohorts lazily if the run resumes mid-body.
-        for driver in self._kernel_drivers:
+        for driver in self._batch_drivers:
             driver.flush_kernel_state()
         return self._trace
 
@@ -470,7 +449,7 @@ class Simulator:
         """One round through the counters-only loop.
 
         :meth:`_run_round` specialized for the configuration the constructor
-        proved safe: every process is driven by a kernel batch driver, the
+        proved safe: every process is driven by a batch driver, the
         trace keeps only counters, and the environment observes through the
         base-class methods.  Receptions are therefore counted by the drivers
         (no ``RecvOutput`` objects, no per-process drain scan -- drivers hand

@@ -165,9 +165,20 @@ class Process(ABC):
 
         The simulator calls this once per distinct :meth:`batch_group_key`
         and then registers every member via ``driver.add_member(process)``.
-        A driver exposes ``transmit_round(round_number, transmissions)`` and
-        ``receive_round(round_number, receptions)``; both mutate/consume the
-        round-level dicts in place of the per-process hook calls.
+        The driver stands in for the members' per-process hook calls and
+        exposes:
+
+        * ``transmit_round(round_number, transmissions)`` -- add the cohort's
+          frames for the round to the round-level dict;
+        * ``receive_round(round_number, receptions)`` -- consume the round's
+          receptions and run end-of-round bookkeeping (event loop);
+        * ``receive_round_counters(round_number, receptions, emitted)`` --
+          the counters-lane variant: count novel receptions instead of
+          materializing ``RecvOutput`` events, append any other outputs to
+          ``emitted`` and return the count;
+        * ``flush_kernel_state()`` -- settle state the driver defers (member
+          streams, statistics); the simulator calls it at every ``run()``
+          boundary, so callers then observe exactly the per-process state.
         """
         return None
 

@@ -94,7 +94,7 @@ def test_healthz_and_stats(threaded_service):
         "rejected",
     }
     assert "entries" in stats["store"]
-    assert stats["fleet"]["workers"] == 0  # fleet dispatch off by default
+    assert stats["max_pending_tasks"] is None  # no backpressure bound by default
 
 
 def test_job_listing_and_descriptor(threaded_service):

@@ -58,10 +58,17 @@ def test_parse_submission_options_and_wrapping():
     assert suite == SuiteSpec.from_dict(tiny_suite("plain"))
     assert options == {}
 
+    # The retired executor option is still accepted, and dropped.
+    _, options = parse_submission(
+        {"suite": tiny_suite("plain"), "options": {"jobs": 2, "fleet": 4}}
+    )
+    assert options == {"jobs": 2}
 
-def test_parse_submission_rejects_non_integer_jobs():
-    with pytest.raises(JobRejected):
-        parse_submission({"scenario": tiny_scenario(), "options": {"jobs": "many"}})
+
+@pytest.mark.parametrize("jobs", ["many", 0, -1, 2.5, True, "3"])
+def test_parse_submission_rejects_non_integer_jobs(jobs):
+    with pytest.raises(JobRejected, match="options.jobs must be a positive integer"):
+        parse_submission({"scenario": tiny_scenario(), "options": {"jobs": jobs}})
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +165,41 @@ def test_recover_supersedes_duplicate_fingerprints(tmp_path):
     with open(fresh.journal_path, encoding="utf-8") as handle:
         entries = [json.loads(line) for line in handle if line.strip()]
     assert {"op": "close", "job": "job-000002", "state": "superseded"} in entries
+
+
+def test_recover_runs_journaled_fleet_option_on_the_pool(tmp_path):
+    """An accept journaled with the retired ``options.fleet`` recovers, runs
+    on ``run_suite``'s pool and serves the serial report."""
+    payload = tiny_suite("legacy-fleet", entry_count=2, trials=2)
+    suite = SuiteSpec.from_dict(payload)
+    manager = manager_for(tmp_path)
+    manager._journal_append(
+        {
+            "op": "accept",
+            "job": "job-000001",
+            "fingerprint": suite.fingerprint(),
+            "options": {"fleet": 2},
+            "suite": suite.to_dict(),
+        }
+    )
+
+    async def main():
+        fresh = manager_for(tmp_path)
+        await fresh.start()
+        job = fresh.get("job-000001")
+        assert job is not None and job.origin == "recovered"
+        await drive(fresh, job)
+        return fresh, job
+
+    fresh, job = run_async(main())
+    assert job.state == "done"
+    assert job.options == {}
+    with open(fresh.report_path(job.fingerprint), encoding="utf-8") as handle:
+        served = json.load(handle)
+    serial = run_suite(suite, jobs=1, prebuild=False).to_dict()
+    assert deterministic_report_dict(served) == deterministic_report_dict(
+        json.loads(json.dumps(serial))
+    )
 
 
 def test_recover_drops_unreadable_suites_with_warning(tmp_path):
@@ -267,6 +309,28 @@ def test_stats_reports_queue_depth_and_per_job_backlog(tmp_path):
         assert stats["backlog_tasks"] == 0
 
     run_async(main())
+
+
+def test_jobmanager_backpressure_rejects_over_bound(tmp_path):
+    payload = tiny_suite("pressure", entry_count=2, trials=3)  # 6 tasks
+
+    async def main():
+        manager = manager_for(tmp_path, max_pending_tasks=4)
+        await manager.start()
+        job, disposition = manager.submit(*parse_submission({"suite": payload}))
+        stats = manager.stats()
+        await manager.shutdown()
+        return job, disposition, stats
+
+    job, disposition, stats = run_async(main())
+    assert disposition == "rejected"
+    assert job.state == "rejected"
+    assert job.terminal
+    assert "max_pending_tasks" in (job.error or "")
+    assert stats["counters"]["rejected"] == 1
+    assert stats["max_pending_tasks"] == 4
+    assert stats["utilization"] == 0.0  # the rejected job adds no backlog
+    assert stats["backlog_tasks"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -143,9 +143,10 @@ def _corruptions(valid: dict):
     yield "unknown top key", {**copy.deepcopy(valid), "priority": 9}, "priority"
     yield "non-object body", ["not", "an", "object"], "object"
 
-    case = copy.deepcopy(valid)
-    case["options"] = {"jobs": 0}
-    yield "bad options.jobs", case, "jobs"
+    for jobs in (0, 2.5, True, "3"):
+        case = copy.deepcopy(valid)
+        case["options"] = {"jobs": jobs}
+        yield f"bad options.jobs={jobs!r}", case, "jobs"
 
     case = copy.deepcopy(valid)
     case["options"] = {"prebuild": "yes"}

@@ -632,10 +632,21 @@ class TestKernelLane:
             kernel_sim.run(rounds), reference_sim.run(rounds), rounds
         )
 
-    def test_adaptive_scheduler_disengages_kernel(self):
-        """An adaptive adversary disables the kernel resolver (and with it
-        kernel cohort stepping); the execution must equal the reference
+    def test_adaptive_scheduler_disengages_kernel(self, monkeypatch):
+        """An adaptive adversary disables the kernel resolver, but not cohort
+        stepping: the batch drivers still serve body rounds from bulk-decoded
+        cohort buffers, and the execution must equal the reference
         engine's."""
+        from repro.core.seed_groups import _SeedCohort
+
+        decodes = []
+        bulk_decode = _SeedCohort.bulk_decode
+
+        def spy(cohort, params, rounds):
+            decodes.append(rounds)
+            return bulk_decode(cohort, params, rounds)
+
+        monkeypatch.setattr(_SeedCohort, "bulk_decode", spy)
         graph = GRAPH_FACTORIES["geometric"]()
         kernel_sim, params = self._build(
             graph, scheduler=CollisionAdaptiveAdversary(graph)
@@ -644,12 +655,13 @@ class TestKernelLane:
             graph, fast_path=False, scheduler=CollisionAdaptiveAdversary(graph)
         )
         assert kernel_sim.lane == "reference"
+        assert kernel_sim.uses_batch_stepping
         assert not kernel_sim.uses_counters_lane
 
         rounds = 2 * params.phase_length
-        _assert_identical_traces(
-            kernel_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
+        kernel_trace = kernel_sim.run(rounds)
+        assert decodes, "cohort stepping did not run under the adaptive scheduler"
+        _assert_identical_traces(kernel_trace, generic_sim.run(rounds), rounds)
 
     def test_counters_lane_engages_and_matches_full_reduction(self):
         """The counters-only lane must produce exactly the counters a full

@@ -9,10 +9,10 @@ The headline invariants from the PR-10 issue:
   nothing, and a fleet whose worker is SIGKILLed mid-task still converges to
   the clean serial report because survivors reclaim the expired lease;
 * a task whose runner raises fails the run at once with an error naming the
-  task, and its lease is never stolen;
-* the service integration (JobManager fleet dispatch + queue-depth
-  backpressure) preserves report identity and surfaces its decisions in
-  ``/stats``.
+  task, and its lease is never stolen.
+
+The fleet is the ``suite --fleet N`` executor only; the service runs every
+job on ``run_suite``'s pool (``tests/service``).
 
 The SIGKILL test rides the ``fault_injection`` marker next to the
 ``tests/service`` fault suite; everything else is plain tier-1.
@@ -20,7 +20,6 @@ The SIGKILL test rides the ``fault_injection`` marker next to the
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import re
@@ -54,7 +53,6 @@ from repro.scenarios.fleet import (
     _write_fsynced,
     default_task_runner,
 )
-from repro.scenarios.jobs import FaultPlan, JobManager, parse_submission
 from repro.scenarios.suite import SuiteCancelled
 
 
@@ -324,102 +322,3 @@ def test_fleet_worker_sigkill_is_recovered(tmp_path):
     assert os.path.exists(sentinel), "the kill window was never reached"
     assert det(report) == serial
     assert report.store_stats["steals"] >= 1
-
-
-# ----------------------------------------------------------------------
-# service integration: fleet dispatch + queue-depth backpressure
-# ----------------------------------------------------------------------
-@pytest.mark.service
-def test_jobmanager_fleet_dispatch_preserves_report(tmp_path):
-    suite = fleet_suite(entry_count=2, trials=2)
-    serial = det(run_suite(suite, jobs=1, prebuild=False))
-
-    async def main():
-        manager = JobManager(
-            store=str(tmp_path / "store"),
-            workers=1,
-            backoff_s=0.01,
-            fleet_workers=2,
-            fleet_threshold=2,
-        )
-        await manager.start()
-        job, disposition = manager.submit(*parse_submission({"suite": suite.to_dict()}))
-        assert disposition == "new"
-        queue = manager.subscribe(job)
-        try:
-            while not job.terminal:
-                await asyncio.wait_for(queue.get(), timeout=60)
-        finally:
-            manager.unsubscribe(job, queue)
-        stats = manager.stats()
-        report_path = manager.report_path(job.fingerprint)
-        await manager.shutdown()
-        return job, stats, report_path
-
-    job, stats, report_path = asyncio.run(main())
-    assert job.state == "done"
-    assert stats["fleet"]["dispatched"] == 1
-    assert stats["fleet"]["workers"] == 2
-    with open(report_path, encoding="utf-8") as handle:
-        assert deterministic_report_dict(json.load(handle)) == serial
-
-
-@pytest.mark.service
-def test_jobmanager_fleet_retry_resumes_from_the_store(tmp_path):
-    """A fleet attempt that crashes after 2 observed tasks is retried, and
-    the retry serves those tasks from the store instead of re-running them."""
-    suite = fleet_suite(entry_count=2, trials=2)
-    serial = det(run_suite(suite, jobs=1, prebuild=False))
-
-    async def main():
-        manager = JobManager(
-            store=str(tmp_path / "store"),
-            workers=1,
-            backoff_s=0.01,
-            fleet_workers=2,
-            fleet_threshold=2,
-            fault_plan=FaultPlan(kind="crash", after_tasks=2),
-        )
-        await manager.start()
-        job, _ = manager.submit(*parse_submission({"suite": suite.to_dict()}))
-        queue = manager.subscribe(job)
-        try:
-            while not job.terminal:
-                await asyncio.wait_for(queue.get(), timeout=60)
-        finally:
-            manager.unsubscribe(job, queue)
-        report_path = manager.report_path(job.fingerprint)
-        await manager.shutdown()
-        return job, report_path
-
-    job, report_path = asyncio.run(main())
-    assert job.state == "done"
-    assert job.attempts == 2
-    assert job.progress["hits"] >= 2
-    with open(report_path, encoding="utf-8") as handle:
-        assert deterministic_report_dict(json.load(handle)) == serial
-
-
-@pytest.mark.service
-def test_jobmanager_backpressure_rejects_over_bound(tmp_path):
-    suite = fleet_suite(entry_count=2, trials=3)  # 6 tasks
-
-    async def main():
-        manager = JobManager(
-            store=str(tmp_path / "store"),
-            workers=1,
-            backoff_s=0.01,
-            max_pending_tasks=4,
-        )
-        await manager.start()
-        job, disposition = manager.submit(*parse_submission({"suite": suite.to_dict()}))
-        stats = manager.stats()
-        await manager.shutdown()
-        return job, disposition, stats
-
-    job, disposition, stats = asyncio.run(main())
-    assert disposition == "rejected"
-    assert job.state == "rejected"
-    assert job.terminal
-    assert "max_pending_tasks" in (job.error or "")
-    assert stats["counters"]["rejected"] == 1

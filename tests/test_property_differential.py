@@ -3,7 +3,7 @@
 Hypothesis draws random :class:`~repro.scenarios.spec.ScenarioSpec` trees
 from the component registries' ``sample_args`` -- topology x scheduler x
 algorithm x environment (``queued`` included) x trace mode -- and checks
-that the production engine (bitmask kernel resolver, kernel cohort stepping,
+that the production engine (bitmask kernel resolver, batched cohort stepping,
 counters-only loop where eligible) observes exactly the execution of the
 ``engine.fast_path=False`` reference, and that the spec survives a JSON
 round trip with its fingerprint.
