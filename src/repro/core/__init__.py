@@ -15,9 +15,9 @@ Modules
 * :mod:`repro.core.lb_spec` / :mod:`repro.core.local_broadcast` -- the
   ``LB(t_ack, t_prog, ε)`` specification and the ``LBAlg`` algorithm
   (Section 4).
-* :mod:`repro.core.seed_groups` -- seed-cohort tracking and the batched
-  stepping drivers that let the simulator advance whole LBAlg populations
-  group-wise with byte-identical traces.
+* :mod:`repro.core.seed_groups` -- the batched stepping drivers that let the
+  simulator advance whole LBAlg populations group-wise, bulk-decoding each
+  ``(seed, cursor)`` cohort's body decisions, with byte-identical traces.
 """
 
 from repro.core.messages import Message, make_message
@@ -37,7 +37,6 @@ from repro.core.local_broadcast import LocalBroadcastProcess
 from repro.core.seed_groups import (
     LocalBroadcastBatchDriver,
     SeedAgreementCohort,
-    SeedGroupTracker,
 )
 from repro.core.lb_spec import LBSpecReport, check_lb_execution
 
@@ -61,7 +60,6 @@ __all__ = [
     "LocalBroadcastProcess",
     "LocalBroadcastBatchDriver",
     "SeedAgreementCohort",
-    "SeedGroupTracker",
     "LBSpecReport",
     "check_lb_execution",
 ]

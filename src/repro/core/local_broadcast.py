@@ -100,10 +100,16 @@ class LocalBroadcastProcess(Process):
         self, ctx: ProcessContext, params: LBParams, seed_reuse_phases: int = 1
     ) -> None:
         super().__init__(ctx)
-        if seed_reuse_phases < 1:
-            raise ValueError("seed_reuse_phases must be at least 1")
+        if (
+            isinstance(seed_reuse_phases, bool)
+            or not isinstance(seed_reuse_phases, int)
+            or seed_reuse_phases < 1
+        ):
+            raise ValueError(
+                f"seed_reuse_phases must be an integer of at least 1, got {seed_reuse_phases!r}"
+            )
         self.params = params
-        self.seed_reuse_phases = int(seed_reuse_phases)
+        self.seed_reuse_phases = seed_reuse_phases
         self._state = STATE_RECEIVING
         self._pending_message: Optional[Message] = None
         self._current_message: Optional[Message] = None
@@ -165,7 +171,7 @@ class LocalBroadcastProcess(Process):
     def make_batch_driver(self):
         from repro.core.seed_groups import LocalBroadcastBatchDriver
 
-        return LocalBroadcastBatchDriver(self.params, self.seed_reuse_phases)
+        return LocalBroadcastBatchDriver(self.params)
 
     # ------------------------------------------------------------------
     # environment input

@@ -1,13 +1,13 @@
-"""Seed-cohort tracking and batched stepping for LBAlg populations.
+"""Seed-cohort batched stepping for LBAlg populations.
 
 The automata of Section 4.2 have group-level structure that per-process
 stepping cannot exploit:
 
-* every node that committed the same seed makes *identical* shared-bit
-  decisions in each body round (the participant test and the ``b``
-  selection draw from equal :class:`~repro.core.seedbits.SeedBitStream`
-  states), so the shared part of a body round is a per-cohort computation,
-  not a per-node one;
+* a body round's shared decision (the participant test and the ``b``
+  selection) is a pure function of the committed seed's bit stream at the
+  current cursor, so every node in one ``(seed, cursor)`` cohort makes
+  *identical* decisions for the rest of the body, and the whole body's
+  decisions can be decoded once per cohort up front;
 * receiving-state nodes are provably silent in body rounds -- they transmit
   nothing and draw nothing -- so they need no per-round dispatch at all;
 * the embedded ``SeedAlg`` preambles of one ``LBAlg`` population run in
@@ -20,9 +20,9 @@ This module packages those observations as the batch group driver protocol of
 :class:`~repro.simulation.process.Process` (``batch_group_key`` /
 ``make_batch_driver``):
 
-* :class:`SeedGroupTracker` memoizes each round's shared body decision per
-  ``(seed, cursor)`` cohort, advancing non-representative members' streams
-  with a cursor :meth:`~repro.core.seedbits.SeedBitStream.skip`;
+* :class:`_SeedCohort` bulk-decodes one ``(seed, cursor)`` cohort's body
+  decisions and settles its members' streams with one cursor
+  :meth:`~repro.core.seedbits.SeedBitStream.skip` each at flush time;
 * :class:`SeedAgreementCohort` steps a phase's embedded
   :class:`~repro.core.seed_agreement.SeedAgreementProcess` instances as one
   unit;
@@ -33,7 +33,7 @@ The invariant every method here preserves: for a fixed seed, the batched
 execution performs exactly the same private RNG draws, emits exactly the same
 events, and produces exactly the same per-round frames as per-process
 stepping -- the regression tests in ``tests/test_fast_engine.py`` pin this
-against both the generic and the PR-1 fast resolution paths.
+against the reference engine (``fast_path=False, batch_path=False``).
 """
 
 from __future__ import annotations
@@ -65,75 +65,6 @@ _DECODE_CACHE: Dict[tuple, tuple] = {}
 _DECODE_CACHE_MAXSIZE = 4096
 
 
-class SeedGroupTracker:
-    """Per-round memo of the shared body-round decision per seed cohort.
-
-    A body-round decision is a pure function of ``(seed value, cursor
-    position)``: members whose streams are in the same state (same committed
-    seed, same number of bits consumed so far) must make the same participant
-    call and, when participating, select the same ``b``.  The tracker computes
-    the decision once per cohort per round -- the first member encountered
-    consumes the bits from its own stream -- and every other cohort member
-    only advances its cursor.
-
-    ``shared_decisions`` / ``computed_decisions`` count memo hits and misses
-    across the tracker's lifetime; experiments and tests use them to verify
-    cohort sharing actually happens.
-
-    Contract: :meth:`begin_round` must be called exactly once per body round
-    before any :meth:`decision_for` call (cursors advance every round, so a
-    stale memo would mis-share); after :meth:`decision_for` returns, the
-    member's stream has advanced by ``bits_advanced`` positions regardless of
-    whether the decision was computed or shared, which is what keeps the
-    member's future draws identical to per-process stepping.
-    """
-
-    __slots__ = (
-        "_participant_bits",
-        "_b_modulus",
-        "_b_width",
-        "_decisions",
-        "computed_decisions",
-        "shared_decisions",
-    )
-
-    def __init__(self, params: LBParams) -> None:
-        self._participant_bits = params.participant_bits
-        self._b_modulus = params.log_delta
-        self._b_width = params.b_selection_bits
-        self._decisions: Dict[Tuple[int, int], Tuple[bool, int, int]] = {}
-        self.computed_decisions = 0
-        self.shared_decisions = 0
-
-    def begin_round(self) -> None:
-        """Forget the previous round's decisions (cursors have moved on)."""
-        self._decisions.clear()
-
-    def decision_for(self, stream) -> Tuple[bool, int, int]:
-        """The shared decision for a member whose seed stream is ``stream``.
-
-        Returns ``(participant, b, bits_advanced)`` and advances the stream:
-        by consuming the bits when this member is the cohort's representative
-        this round, by a cursor skip otherwise (skipped-over bits are
-        identical by :meth:`SeedBitStream.skip`'s deferred-extension rule).
-        """
-        key = (stream._seed, stream._cursor)
-        decision = self._decisions.get(key)
-        if decision is None:
-            participant = stream.consume_all_zero(self._participant_bits)
-            if participant:
-                b = stream.consume_uniform_index(self._b_modulus, self._b_width) + 1
-                decision = (True, b, self._participant_bits + self._b_width)
-            else:
-                decision = (False, 0, self._participant_bits)
-            self._decisions[key] = decision
-            self.computed_decisions += 1
-        else:
-            stream.skip(decision[2])
-            self.shared_decisions += 1
-        return decision
-
-
 class _SeedCohort:
     """One ``(seed, cursor)`` cohort of a body's sending members.
 
@@ -147,14 +78,13 @@ class _SeedCohort:
       lookups (the ``DataFrame`` is value-equal to the per-round instances the
       unbatched path builds, and a member's message is constant for the whole
       body);
-    * ``flags`` / ``bs`` / ``cum`` -- the body's remaining shared decisions,
-      bulk-decoded into ``array`` buffers in one pass over a shadow stream at
-      build time (participant flag, selected ``b``, cumulative bits consumed).
-      Only cohorts whose seed is unique among the driver's cohorts get these
-      buffers: two cohorts sharing a seed can converge to the same cursor
-      mid-body, and that sharing must go through the tracker memo exactly as
-      per-member stepping would.  Such cohorts leave ``flags`` as ``None`` and
-      are served per round from their representative's live stream.
+    * ``cum`` / ``active`` -- the body's remaining shared decisions,
+      bulk-decoded in one pass over a shadow stream at build time (cumulative
+      bits consumed per round, and the sparse ``(round, b)`` participant
+      rounds).  Every cohort is decoded, including two that share a seed at
+      different cursors: if they converge to the same cursor mid-body they
+      decode the same decisions from there on, exactly as per-member stepping
+      draws them.
 
     Member streams are not touched during the body; the driver applies one
     bulk :meth:`~repro.core.seedbits.SeedBitStream.skip` per member at flush
@@ -163,25 +93,21 @@ class _SeedCohort:
     """
 
     __slots__ = (
-        "rep_stream",
+        "seed",
         "start_cursor",
         "members",
         "actors",
         "participant_rounds",
-        "flags",
-        "bs",
         "cum",
         "active",
     )
 
-    def __init__(self, rep_stream: SeedBitStream) -> None:
-        self.rep_stream = rep_stream
-        self.start_cursor = rep_stream._cursor
+    def __init__(self, seed: int, start_cursor: int) -> None:
+        self.seed = seed
+        self.start_cursor = start_cursor
         self.members: List[LocalBroadcastProcess] = []
         self.actors: List[tuple] = []
         self.participant_rounds = 0
-        self.flags: Optional[array] = None
-        self.bs: Optional[array] = None
         self.cum: Optional[array] = None
         self.active: Optional[List[Tuple[int, int]]] = None
 
@@ -192,17 +118,17 @@ class _SeedCohort:
         cursor -- :class:`SeedBitStream` is a pure function of both), so the
         members' own streams stay untouched until flush.  Consumption order
         is exactly the per-round order, so the cumulative-bits buffer gives
-        the cursor position after any prefix of the body.  Besides the dense
-        per-round buffers the decode collects ``active``, the sparse
-        ``(round, b)`` list of participant rounds -- with participation
-        probability ``2^-participant_bits`` most rounds are absent, so the
-        driver's schedule inversion touches a handful of entries instead of
-        every (cohort, round) pair.  Because the whole decode is a pure
+        the cursor position after any prefix of the body.  Besides that dense
+        buffer the decode collects ``active``, the sparse ``(round, b)`` list
+        of participant rounds -- with participation probability
+        ``2^-participant_bits`` most rounds are absent, so the driver's
+        schedule inversion touches a handful of entries instead of every
+        (cohort, round) pair.  Because the whole decode is a pure
         function of ``(seed, cursor, params, rounds)``, results are memoized
         process-wide in :data:`_DECODE_CACHE`.
         """
         key = (
-            self.rep_stream._seed,
+            self.seed,
             self.start_cursor,
             params.kappa,
             params.participant_bits,
@@ -212,15 +138,13 @@ class _SeedCohort:
         )
         cached = _DECODE_CACHE.get(key)
         if cached is not None:
-            self.flags, self.bs, self.cum, self.active = cached
+            self.cum, self.active = cached
             return
-        shadow = SeedBitStream(self.rep_stream._seed, params.kappa)
+        shadow = SeedBitStream(self.seed, params.kappa)
         shadow.skip(self.start_cursor)
         participant_bits = params.participant_bits
         b_modulus = params.log_delta
         b_width = params.b_selection_bits
-        flags = array("B")
-        bs = array("B")
         cum = array("L", [0])
         active: List[Tuple[int, int]] = []
         bits = 0
@@ -243,16 +167,11 @@ class _SeedCohort:
                 bits += participant_bits + b_width
                 active.append((served, b))
             else:
-                b = 0
                 bits += participant_bits
-            flags.append(1 if b else 0)
-            bs.append(b)
             cum.append(bits)
-        self.flags = flags
-        self.bs = bs
         self.cum = cum
         self.active = active
-        bounded_put(_DECODE_CACHE, key, (flags, bs, cum, active), _DECODE_CACHE_MAXSIZE)
+        bounded_put(_DECODE_CACHE, key, (cum, active), _DECODE_CACHE_MAXSIZE)
 
 
 class SeedAgreementCohort:
@@ -366,32 +285,24 @@ class LocalBroadcastBatchDriver:
 
     __slots__ = (
         "_params",
-        "_reuse",
         "_members",
         "_by_vertex",
-        "_tracker",
         "_cohort",
         "_senders",
         "_cohorts",
-        "_decoded",
-        "_tracked",
         "_body_rounds_elapsed",
         "_round_active",
     )
 
-    def __init__(self, params: LBParams, seed_reuse_phases: int) -> None:
+    def __init__(self, params: LBParams) -> None:
         self._params = params
-        self._reuse = int(seed_reuse_phases)
         self._members: List[LocalBroadcastProcess] = []
         self._by_vertex: Dict[Vertex, LocalBroadcastProcess] = {}
-        self._tracker = SeedGroupTracker(params)
         self._cohort: Optional[SeedAgreementCohort] = None
         self._senders: List[LocalBroadcastProcess] = []
         # Body-round state: seed cohorts grouped at body start, flushed at
         # phase ends and run boundaries (see _body_transmit_kernel).
         self._cohorts: Optional[List[_SeedCohort]] = None
-        self._decoded: List[_SeedCohort] = []
-        self._tracked: List[_SeedCohort] = []
         self._round_active: List[List[Tuple["_SeedCohort", int]]] = []
         self._body_rounds_elapsed = 0
 
@@ -405,11 +316,6 @@ class LocalBroadcastBatchDriver:
     @property
     def members(self) -> Tuple[LocalBroadcastProcess, ...]:
         return tuple(self._members)
-
-    @property
-    def tracker(self) -> SeedGroupTracker:
-        """The cohort's shared-decision tracker (exposed for experiments)."""
-        return self._tracker
 
     # ------------------------------------------------------------------
     # round stepping (engine-facing)
@@ -550,26 +456,17 @@ class LocalBroadcastBatchDriver:
     # ------------------------------------------------------------------
     # body rounds (the hot path)
     # ------------------------------------------------------------------
-    def _build_kernel_cohorts(self, rounds_remaining: int) -> List[_SeedCohort]:
-        """Group the body's senders into ``(seed, cursor)`` cohorts.
-
-        Cohorts whose seed value is unique within the driver get their shared
-        decisions bulk-decoded up front (no other cohort can ever share a
-        ``(seed, cursor)`` key with them, so the tracker memo is provably
-        never consulted for their keys); cohorts sharing a seed value are
-        served per round through the tracker, preserving mid-body cursor
-        convergence exactly as per-member stepping does.
+    def _build_kernel_cohorts(self, rounds_remaining: int) -> None:
+        """Group the body's senders into ``(seed, cursor)`` cohorts and
+        bulk-decode each cohort's shared decisions for the rest of the body.
         """
         cohorts: Dict[Tuple[Any, int], _SeedCohort] = {}
-        seed_counts: Dict[Any, int] = {}
         for member in self._senders:
             stream = member._seed_stream
             key = (stream._seed, stream._cursor)
             cohort = cohorts.get(key)
             if cohort is None:
-                cohort = cohorts[key] = _SeedCohort(stream)
-                seed = stream._seed
-                seed_counts[seed] = seed_counts.get(seed, 0) + 1
+                cohort = cohorts[key] = _SeedCohort(*key)
             cohort.members.append(member)
             cohort.actors.append(
                 (
@@ -580,32 +477,22 @@ class LocalBroadcastBatchDriver:
                 )
             )
         built = list(cohorts.values())
-        decoded: List[_SeedCohort] = []
-        tracked: List[_SeedCohort] = []
-        params = self._params
-        for cohort in built:
-            if seed_counts[cohort.rep_stream._seed] == 1:
-                cohort.bulk_decode(params, rounds_remaining)
-                decoded.append(cohort)
-            else:
-                tracked.append(cohort)
         # Invert the decoded schedule: per served round, only the cohorts
         # that actually participate (with their decoded ``b``).  Most body
         # rounds have no participants, so the transmit hot loop iterates a
-        # (usually empty) per-round list instead of scanning every cohort's
-        # flag buffer each round.
+        # (usually empty) per-round list instead of scanning every cohort
+        # each round.
         round_active: List[List[Tuple[_SeedCohort, int]]] = [
             [] for _ in range(rounds_remaining)
         ]
-        for cohort in decoded:
+        params = self._params
+        for cohort in built:
+            cohort.bulk_decode(params, rounds_remaining)
             for served, b in cohort.active:
                 round_active[served].append((cohort, b))
         self._cohorts = built
-        self._decoded = decoded
-        self._tracked = tracked
         self._round_active = round_active
         self._body_rounds_elapsed = 0
-        return built
 
     def _body_transmit_kernel(self, out: Dict[Vertex, Any], rounds_remaining: int) -> None:
         """One body round served from the cohort buffers.
@@ -613,97 +500,50 @@ class LocalBroadcastBatchDriver:
         Per round the only per-member work left is the private coin flips of
         participant cohorts (short-circuit draws from each member's own RNG,
         which byte-identity makes irreducibly per-member); everything shared
-        is one buffer index (decoded cohorts) or one tracker call (tracked
-        cohorts).  Member streams and statistics are settled in bulk by
-        :meth:`flush_kernel_state`.
+        is one lookup in the inverted decoded schedule.  Member streams and
+        statistics are settled in bulk by :meth:`flush_kernel_state`.
         """
         if self._cohorts is None:
             # (Re)build mid-body after a run-boundary flush: the sender set
             # is fixed for the whole body, so regrouping is lossless.
             self._build_kernel_cohorts(rounds_remaining)
-        tracker = self._tracker
-        tracker.begin_round()
         served = self._body_rounds_elapsed
         self._body_rounds_elapsed = served + 1
-
-        decoded = self._decoded
-        if decoded:
-            # Each decoded cohort's key is unique this round (unique seed),
-            # so the per-member path would compute each decision exactly once.
-            tracker.computed_decisions += len(decoded)
-            for cohort, b in self._round_active[served]:
-                cohort.participant_rounds += 1
-                for rand, vertex, frame, member in cohort.actors:
-                    for _ in range(b):
-                        if rand() >= 0.5:
-                            break
-                    else:
-                        member.stats_broadcast_rounds += 1
-                        out[vertex] = frame
-
-        if self._tracked:
-            decision_for = tracker.decision_for
-            for cohort in self._tracked:
-                participant, b, _ = decision_for(cohort.rep_stream)
-                if not participant:
-                    continue
-                cohort.participant_rounds += 1
-                for rand, vertex, frame, member in cohort.actors:
-                    for _ in range(b):
-                        if rand() >= 0.5:
-                            break
-                    else:
-                        member.stats_broadcast_rounds += 1
-                        out[vertex] = frame
+        for cohort, b in self._round_active[served]:
+            cohort.participant_rounds += 1
+            for rand, vertex, frame, member in cohort.actors:
+                for _ in range(b):
+                    if rand() >= 0.5:
+                        break
+                else:
+                    member.stats_broadcast_rounds += 1
+                    out[vertex] = frame
 
     def flush_kernel_state(self) -> None:
         """Settle deferred cohort state (idempotent).
 
         Applies one bulk cursor :meth:`~repro.core.seedbits.SeedBitStream.skip`
         per member (every future draw then matches per-member stepping
-        exactly), credits the per-member statistics per-process stepping
-        maintains per round, and compensates the tracker's shared-decision
-        counter for the per-member memo hits the cohort representative
-        absorbed.  Called at phase ends, before regrouping, and by the engine
-        at run boundaries, so partially-run bodies resume correctly.
+        exactly) and credits the per-member statistics per-process stepping
+        maintains per round.  The members' streams were never touched during
+        the body (the decode read a shadow stream).  Called at phase ends, before regrouping, and by the engine at run
+        boundaries, so partially-run bodies resume correctly.
         """
         cohorts = self._cohorts
         if cohorts is None:
             return
         elapsed = self._body_rounds_elapsed
-        tracker = self._tracker
         for cohort in cohorts:
-            members = cohort.members
             participant_rounds = cohort.participant_rounds
-            rep_stream = cohort.rep_stream
-            if cohort.flags is not None:
-                # Decoded cohort: the members' streams (including the
-                # representative's) were never touched; the shadow stream the
-                # decode consumed is discarded here.
-                bits = cohort.cum[elapsed]
-                end_cursor = cohort.start_cursor + bits
-                for member in members:
-                    if bits:
-                        member._seed_stream.skip(bits)
-                    member.stats_body_rounds_sending += elapsed
-                    member.stats_participant_rounds += participant_rounds
-                    if end_cursor > member.stats_max_bits_consumed:
-                        member.stats_max_bits_consumed = end_cursor
-            else:
-                # Tracked cohort: the representative's stream advanced live.
-                end_cursor = rep_stream._cursor
-                delta = end_cursor - cohort.start_cursor
-                for member in members:
-                    stream = member._seed_stream
-                    if delta and stream is not rep_stream:
-                        stream.skip(delta)
-                    member.stats_body_rounds_sending += elapsed
-                    member.stats_participant_rounds += participant_rounds
-                    if end_cursor > member.stats_max_bits_consumed:
-                        member.stats_max_bits_consumed = end_cursor
-            tracker.shared_decisions += (len(members) - 1) * elapsed
+            bits = cohort.cum[elapsed]
+            end_cursor = cohort.start_cursor + bits
+            for member in cohort.members:
+                if bits:
+                    member._seed_stream.skip(bits)
+                member.stats_body_rounds_sending += elapsed
+                member.stats_participant_rounds += participant_rounds
+                if end_cursor > member.stats_max_bits_consumed:
+                    member.stats_max_bits_consumed = end_cursor
         self._cohorts = None
-        self._decoded = []
-        self._tracked = []
         self._round_active = []
         self._body_rounds_elapsed = 0

@@ -360,6 +360,8 @@ class Simulator:
         """
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
+        if check_every < 1:
+            raise ValueError(f"check_every must be at least 1, got {check_every!r}")
         while self._current_round < max_rounds:
             step = min(check_every, max_rounds - self._current_round)
             self.run(step)

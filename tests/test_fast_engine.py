@@ -28,12 +28,17 @@ from repro import (
     Simulator,
     TraceMode,
     TraceScheduler,
+    clique_network,
     cluster_network,
     make_lb_processes,
     random_geographic_network,
 )
 from repro.core.local_broadcast import LocalBroadcastProcess
-from repro.simulation.environment import SaturatingEnvironment, SingleShotEnvironment
+from repro.simulation.environment import (
+    SaturatingEnvironment,
+    ScriptedEnvironment,
+    SingleShotEnvironment,
+)
 from repro.simulation.process import ProcessContext, SilentProcess
 
 
@@ -495,16 +500,78 @@ class TestBatchedStepping:
         rounds = 3 * params.phase_length
         _assert_identical_traces(batched_sim.run(rounds), fast_sim.run(rounds), rounds)
 
-    def test_cohort_decisions_are_shared(self):
+    def test_cohort_decisions_are_shared(self, monkeypatch):
+        """Body decisions are decoded once per ``(seed, cursor)`` cohort, not
+        once per sending member."""
+        from repro.core.seed_groups import _SeedCohort
+
+        cohort_sizes = []
+        bulk_decode = _SeedCohort.bulk_decode
+
+        def spy(cohort, params, rounds):
+            cohort_sizes.append(len(cohort.members))
+            return bulk_decode(cohort, params, rounds)
+
+        monkeypatch.setattr(_SeedCohort, "bulk_decode", spy)
         graph = GRAPH_FACTORIES["geometric"]()
         simulator, params = self._build(graph, True)
         simulator.run(3 * params.phase_length)
-        (driver,) = simulator.batch_drivers
-        tracker = driver.tracker
-        assert tracker.computed_decisions > 0
+        assert cohort_sizes
         # Saturating senders on a connected network commit overlapping seeds,
-        # so at least some body-round decisions must have been cohort-shared.
-        assert tracker.shared_decisions > 0
+        # so some cohort must group several sending members.
+        assert len(cohort_sizes) < sum(cohort_sizes)
+
+    @pytest.mark.parametrize("graph_kind", ["clique", "geometric"])
+    @pytest.mark.parametrize("reuse", [2, 3])
+    def test_same_seed_cohorts_at_different_cursors(self, monkeypatch, graph_kind, reuse):
+        """Staggered senders under seed reuse: a node that starts sending in
+        a reused-seed phase joins its seed group at cursor 0 while earlier
+        senders have consumed bits, so one body holds two cohorts of one
+        seed at different cursors.  Both are bulk-decoded independently and
+        the trace must still equal the reference engine's."""
+        from repro.core.seed_groups import LocalBroadcastBatchDriver
+
+        mixed_bodies = []
+        build_cohorts = LocalBroadcastBatchDriver._build_kernel_cohorts
+
+        def spy(driver, rounds_remaining):
+            build_cohorts(driver, rounds_remaining)
+            cursors = {}
+            for cohort in driver._cohorts:
+                cursors.setdefault(cohort.seed, set()).add(cohort.start_cursor)
+            if any(len(starts) > 1 for starts in cursors.values()):
+                mixed_bodies.append(rounds_remaining)
+
+        monkeypatch.setattr(LocalBroadcastBatchDriver, "_build_kernel_cohorts", spy)
+        graph = (
+            clique_network(8)[0] if graph_kind == "clique" else GRAPH_FACTORIES[graph_kind]()
+        )
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        vertices = sorted(graph.vertices)
+        # A new submission every half phase: senders overlap (tack_phases > 1)
+        # and keep starting inside reused-seed phases.
+        script = {
+            1 + k * (params.phase_length // 2): {vertices[k]: f"m{k}"} for k in range(6)
+        }
+
+        def build(batched):
+            return Simulator(
+                graph,
+                make_lb_processes(
+                    graph, params, random.Random(71), seed_reuse_phases=reuse
+                ),
+                scheduler=IIDScheduler(graph, probability=0.5, seed=7),
+                environment=ScriptedEnvironment(script),
+                fast_path=batched,
+                batch_path=batched,
+            )
+
+        rounds = 6 * params.phase_length
+        batched_trace = build(True).run(rounds)
+        assert mixed_bodies, "no body held two cohorts of one seed at different cursors"
+        _assert_identical_traces(batched_trace, build(False).run(rounds), rounds)
 
     def test_mixed_population_batches_only_groupable_processes(self):
         graph = GRAPH_FACTORIES["geometric"]()

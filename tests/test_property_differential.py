@@ -5,8 +5,9 @@ from the component registries' ``sample_args`` -- topology x scheduler x
 algorithm x environment (``queued`` included) x trace mode -- and checks
 that the production engine (bitmask kernel resolver, batched cohort stepping,
 counters-only loop where eligible) observes exactly the execution of the
-``engine.fast_path=False`` reference, and that the spec survives a JSON
-round trip with its fingerprint.
+``engine.fast_path=False`` reference, that every ``lbalg`` execution meets the
+deterministic half of the LB specification (timely ack and validity), and
+that the spec survives a JSON round trip with its fingerprint.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.lb_spec import check_lb_execution
 from repro.scenarios import (
     ALGORITHMS,
     ENVIRONMENTS,
@@ -78,6 +80,11 @@ def scenario_specs(draw) -> ScenarioSpec:
             )
 
     algorithm_name = draw(st.sampled_from(ALGORITHMS.names()))
+    algorithm_args = ALGORITHMS.sample_args(algorithm_name)
+    if algorithm_name == "lbalg":
+        # Reuse factors above 1 put same-seed senders at different cursors
+        # in one body (cohorts that start sending in a reused-seed phase).
+        algorithm_args["seed_reuse_phases"] = draw(st.sampled_from((1, 2, 3)))
     environment_name = draw(st.sampled_from(ENVIRONMENTS.names()))
     environment_args = ENVIRONMENTS.sample_args(environment_name)
     if environment_name in SENDER_ENVIRONMENTS:
@@ -91,7 +98,7 @@ def scenario_specs(draw) -> ScenarioSpec:
     return ScenarioSpec(
         name="differential",
         topology=topology,
-        algorithm=AlgorithmSpec(algorithm_name, ALGORITHMS.sample_args(algorithm_name)),
+        algorithm=AlgorithmSpec(algorithm_name, algorithm_args),
         scheduler=SchedulerSpec(scheduler_name, scheduler_args),
         environment=EnvironmentSpec(environment_name, environment_args),
         run=RunPolicy(
@@ -106,21 +113,21 @@ def scenario_specs(draw) -> ScenarioSpec:
 
 def _execute(spec: ScenarioSpec):
     built = materialize(spec)
-    return built.simulator, built.simulator.run(built.total_rounds)
+    return built, built.simulator.run(built.total_rounds)
 
 
 class TestProductionMatchesReference:
     @given(scenario_specs(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_production_trace_equals_reference(self, spec, reference_batched):
-        production_sim, production = _execute(spec)
-        reference_sim, reference = _execute(
+        built, production = _execute(spec)
+        reference_built, reference = _execute(
             spec.with_overrides(
                 {"engine.fast_path": False, "engine.batch_path": reference_batched}
             )
         )
-        assert reference_sim.lane == "reference"
-        assert production_sim.lane in ("reference", "kernel", "counters-kernel")
+        assert reference_built.simulator.lane == "reference"
+        assert built.simulator.lane in ("reference", "kernel", "counters-kernel")
 
         assert production.num_rounds == reference.num_rounds
         assert production.event_counts == reference.event_counts
@@ -136,6 +143,27 @@ class TestProductionMatchesReference:
                 assert production.receptions_in_round(
                     round_number
                 ) == reference.receptions_in_round(round_number)
+        # The LB guarantees are stated against oblivious link schedulers,
+        # fixed before the execution as every other drawn scheduler is (tasa
+        # included); adaptive_collision reads the round's transmitters, so it
+        # is left out.  A counters trace records no events to check.
+        if (
+            spec.algorithm.name == "lbalg"
+            and spec.scheduler.name != "adaptive_collision"
+            and spec.engine.trace_mode != "counters"
+        ):
+            params = built.params
+            report = check_lb_execution(
+                production,
+                built.graph,
+                params.tack_rounds,
+                params.tprog_rounds,
+                check_progress=False,
+            )
+            assert report.deterministic_ok, (
+                report.timely_ack_violations,
+                report.validity_violations,
+            )
 
     @given(scenario_specs())
     @settings(max_examples=40, deadline=None)

@@ -50,9 +50,12 @@ def drive(process, params, start, end):
 
 
 class TestReuseMechanics:
-    def test_reuse_factor_validation(self, params):
-        with pytest.raises(ValueError):
-            make_process(params, reuse=0)
+    @pytest.mark.parametrize("reuse", [0, -1, 2.5, True, "2"])
+    def test_reuse_factor_validation(self, params, reuse):
+        # int() would silently truncate 2.5 to 2 (a different run under the
+        # manifest's fingerprint); bool and str are not reuse factors either.
+        with pytest.raises(ValueError, match="seed_reuse_phases must be an integer of at least 1"):
+            make_process(params, reuse=reuse)
 
     def test_default_is_fresh_seed_every_phase(self, params):
         process = make_process(params, reuse=1)

@@ -206,6 +206,15 @@ class TestEngineBookkeeping:
         sim.run_until(lambda trace: False, max_rounds=7, check_every=3)
         assert sim.current_round == 7
 
+    @pytest.mark.parametrize("check_every", [0, -2])
+    def test_run_until_rejects_non_positive_check_every(self, check_every):
+        # run(0) makes no progress, so check_every=0 used to loop forever.
+        graph = DualGraph(vertices=[0])
+        sim = build(graph, {0: SilentProcess(_ctx(0))})
+        with pytest.raises(ValueError, match="check_every must be at least 1"):
+            sim.run_until(lambda trace: False, max_rounds=7, check_every=check_every)
+        assert sim.current_round == 0
+
     def test_outputs_are_recorded_in_trace(self):
         from repro.core.events import RecvOutput
         from repro.core.messages import make_message
