@@ -13,10 +13,10 @@ hardware factor and regresses only when the engine got slower *relative to
 the same code's reference engine*.  Pass ``--absolute`` for raw rounds/sec
 comparisons between runs on one machine.
 
-Both production lanes are gated by default (``--engines``): ``kernel``
-(FULL traces) and ``kernel_counters`` (the counters-only loop).  Naming a
-lane the engine no longer has (``fast``, ``batched``, ``vector``) fails the
-gate rather than skipping it.  A baseline that lacks an engine's column or
+The production lane ``kernel`` (FULL traces) is gated by default
+(``--engines``).  Naming a lane the engine no longer has (``fast``,
+``batched``, ``vector``, ``kernel_counters``) fails the gate rather than
+skipping it.  A baseline that lacks an engine's column or
 the requested network size is skipped for that engine with a warning.
 
 The PR-7 suite-throughput report (``bench_suite_throughput.py`` writing
@@ -63,7 +63,7 @@ def _row_for(report: dict, n: int) -> Optional[dict]:
 
 
 #: Engine lanes deleted from the engine; gating one is a configuration error.
-REMOVED_LANES = ("fast", "batched", "vector")
+REMOVED_LANES = ("fast", "batched", "vector", "kernel_counters")
 
 
 def _metric(row: dict, engine: str, absolute: bool):
@@ -91,7 +91,7 @@ def check_engine(
     if engine in REMOVED_LANES:
         print(
             f"FAIL [{engine}]: the {engine} lane was removed from the engine; "
-            "gate 'kernel' and 'kernel_counters' instead",
+            "gate 'kernel' instead",
             file=sys.stderr,
         )
         return False
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engines",
-        default="kernel,kernel_counters",
+        default="kernel",
         help="comma-separated engine names to gate (each needs an <engine>_rps "
         "column; engines missing from either report are skipped with a "
         "warning, removed lanes fail)",

@@ -369,56 +369,6 @@ class LocalBroadcastBatchDriver:
             for member in self._senders:
                 member._end_phase(round_number)
 
-    def receive_round_counters(
-        self, round_number: int, receptions: Dict[Vertex, Any], emitted: List[Any]
-    ) -> int:
-        """Counters-lane variant of :meth:`receive_round`.
-
-        Behaviorally identical except that data receptions are deduplicated
-        inline against each member's received-id set instead of materializing
-        a :class:`~repro.core.events.RecvOutput` per novel message -- the
-        count of novel receptions is returned so the engine can bump the
-        trace's ``recv`` counter in one call.  Phase-end acknowledgments (the
-        only other output this cohort ever produces; the embedded SeedAlg
-        subroutines are constructed silent) are still materialized and
-        appended to ``emitted``, because environments consume them to clear
-        their busy state.  Only valid when the engine verified that no
-        consumer needs the event objects (``TraceMode.COUNTERS``, base-class
-        environment hooks).
-        """
-        params = self._params
-        index = (round_number - 1) % params.phase_length
-        offset, in_preamble, preamble_end, _, phase_end = params.phase_offset_table[index]
-
-        if in_preamble:
-            if self._cohort is not None:
-                self._cohort.receive_round(offset, round_number, receptions)
-                if preamble_end:
-                    self._finish_preamble_all(offset)
-            return 0
-
-        recvs = 0
-        if receptions:
-            by_vertex = self._by_vertex
-            for vertex, frame in receptions.items():
-                if isinstance(frame, DataFrame):
-                    member = by_vertex.get(vertex)
-                    if member is not None:
-                        message_id = frame.message.message_id
-                        received = member._received_ids
-                        if message_id not in received:
-                            received.add(message_id)
-                            recvs += 1
-
-        if phase_end:
-            if self._cohorts is not None:
-                self.flush_kernel_state()
-            for member in self._senders:
-                member._end_phase(round_number)
-                if member._pending_outputs:
-                    emitted.extend(member.drain_outputs())
-        return recvs
-
     # ------------------------------------------------------------------
     # phase boundaries (delegate to the members' own methods)
     # ------------------------------------------------------------------

@@ -213,8 +213,8 @@ class TrialRunResult:
     graph: Any = None
     params: Any = None
     environment: Any = None
-    # Which engine lane actually ran and (when the counters lane did not
-    # engage) the first disqualifying reason -- captured before the simulator
+    # Which engine lane actually ran and (when the kernel lane did not run)
+    # the first disqualifying reason -- captured before the simulator
     # is dropped under keep=False, surfaced via perf_stats.  Deterministic
     # for a given host/install, so excluded from to_dict()'s metric payload.
     lane: Optional[Dict[str, Any]] = None
@@ -257,7 +257,8 @@ class RunResult:
     metric_summaries: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # Timing sections (floats, summed across trials) plus the engine-lane
     # report: "lane" (the lane that actually ran) and "lane_fallback" (why
-    # the counters-only lane did not engage; None when it did).
+    # the kernel lane did not run; None when it did).  Observability only:
+    # deterministic_report_dict strips the whole section.
     perf_stats: Dict[str, Any] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
@@ -371,8 +372,8 @@ def trial_record(spec: ScenarioSpec, trial_index: int) -> Dict[str, Any]:
     trial = run_trial(spec, trial_index, keep=False)
     record = trial.to_dict()
     # The lane report travels with every record (it is how a silent fallback
-    # -- e.g. QueuedEnvironment's _on_recv hook dropping a traffic workload
-    # off the counters lane -- becomes visible in RunResult.perf_stats);
+    # -- e.g. an adaptive scheduler dropping a run onto the reference
+    # resolver -- becomes visible in RunResult.perf_stats);
     # profiling merges its timing sections alongside.
     perf: Dict[str, Any] = dict(trial.lane or {})
     if spec.engine.profile and trial.simulator is not None:

@@ -80,7 +80,10 @@ from repro.scenarios.spec import ScenarioSpec, _json_canonical
 #: Version of the on-disk layout *and* of the record schema folded into every
 #: metrics signature -- bump it to invalidate all stored rows at once.
 #: v2: trial records always carry a ``perf_stats`` section with the engine
-#: lane report (``lane`` / ``lane_fallback``).
+#: lane report (``lane`` / ``lane_fallback``: why the kernel lane did not
+#: run).  The section is observability data, outside
+#: :func:`~repro.scenarios.suite.deterministic_report_dict`, so its contents
+#: may change without a version bump.
 STORE_SCHEMA_VERSION = 2
 
 #: Decoded bucket indexes a :class:`ResultStore` keeps in memory (LRU-evicted).

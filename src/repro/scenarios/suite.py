@@ -719,16 +719,18 @@ def run_suite(
     return report
 
 
-#: Keys whose values derive from wall-clock time (or cache accounting), hence
-#: legitimately differ between two executions of identical work.
-_NONDETERMINISTIC_KEYS = frozenset({"elapsed_s", "rounds_per_s", "store"})
+#: Keys whose values derive from wall-clock time, cache accounting or the
+#: engine's observability report, hence legitimately differ between two
+#: executions of identical work.
+_NONDETERMINISTIC_KEYS = frozenset({"elapsed_s", "rounds_per_s", "store", "perf_stats"})
 
 
 def deterministic_report_dict(data: Any) -> Any:
     """A deep copy of a report dict with the wall-clock-derived keys removed.
 
-    ``elapsed_s`` / ``rounds_per_s`` measure host timing and ``store``
-    records cache accounting; everything else in a
+    ``elapsed_s`` / ``rounds_per_s`` measure host timing, ``store``
+    records cache accounting and ``perf_stats`` carries the engine lane
+    report plus (when profiling) section timers; everything else in a
     :meth:`SuiteReport.to_dict` is deterministic.  Two runs of the same suite
     -- serial vs pooled vs fleet, cold vs warm vs resumed from a partly
     filled store -- must compare equal under this normalization; that

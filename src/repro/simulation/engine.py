@@ -27,22 +27,24 @@ Reception resolution has two implementations that produce identical results:
   every round.
 * the **generic** (reference) resolver asks the scheduler for the round's full
   topology edge set and scans it.  It is used for ``fast_path=False``, for
-  adaptive schedulers (whose edge choice depends on the round's transmitters)
-  and for schedulers that override
-  :meth:`~repro.dualgraph.adversary.LinkScheduler.resolve_topology`.
+  adaptive schedulers (whose edge choice depends on the round's transmitters),
+  for schedulers that override
+  :meth:`~repro.dualgraph.adversary.LinkScheduler.resolve_topology` and for
+  schedulers built for another graph; :attr:`Simulator.lane_fallback` names
+  which.
 
 Processes exposing a batch group key
 (:meth:`~repro.simulation.process.Process.batch_group_key`) are stepped by
 shared cohort drivers -- one ``transmit_round`` / ``receive_round`` call per
 driver per round, which lets homogeneous populations share per-round
 decisions -- and all other processes individually.  ``batch_path=False``
-steps every process individually, the reference stepping mode.  Both modes
-run through one event loop.  When the trace keeps only counters and provably
-nothing observes event objects, rounds run through a counters-only loop that
-never materializes reception events.  Both loops time their sections
-(``inputs`` / ``transmit`` / ``resolve`` / ``deliver`` / ``outputs``) into
-:attr:`Simulator.perf_stats`.  The ``on_round_start`` / ``on_round_end`` hook
-loops only visit processes whose class overrides those hooks.
+steps every process individually, the reference stepping mode.  Every
+stepping mode and every trace mode runs through one round loop; the
+:class:`~repro.simulation.trace.TraceMode` only decides what the trace
+retains.  The loop times its sections (``inputs`` / ``transmit`` /
+``resolve`` / ``deliver`` / ``outputs``) into :attr:`Simulator.perf_stats`.
+The ``on_round_start`` / ``on_round_end`` hook loops only visit processes
+whose class overrides those hooks.
 """
 
 from __future__ import annotations
@@ -125,13 +127,15 @@ class Simulator:
         #: Wall-clock seconds spent per round-loop section, always collected.
         self.perf_stats: Dict[str, float] = dict.fromkeys(_SECTIONS, 0.0)
 
-        self._fast = bool(fast_path) and self._supports_fast_path()
-        # Round-scoped reusable buffers of the kernel resolver and the
-        # counters-only loop: allocated once, reset at the start of each use.
+        # Surface *why* the kernel resolver does not run (None when it does):
+        # a scheduler that quietly drops a run onto the reference resolver
+        # becomes a recorded, assertable reason instead of a perf mystery.
+        self._lane_fallback = self._kernel_fallback_reason(fast_path)
+        self._fast = self._lane_fallback is None
+        # Round-scoped reusable buffers of the kernel resolver: allocated
+        # once, reset at the start of each use.
         self._kr_masks: List[int] = []
         self._kr_receptions: Dict[Vertex, Any] = {}
-        self._kr_transmissions: Dict[Vertex, Any] = {}
-        self._kr_outputs: List[Any] = []
         if self._fast:
             self._bind_index()
 
@@ -159,53 +163,6 @@ class Simulator:
             if type(p).on_round_end is not Process.on_round_end
         ]
 
-        # Surface *why* the counters-only loop did not engage (None when it
-        # did): a traffic environment whose ``_on_recv`` hook quietly drops
-        # the run off that loop becomes a recorded, assertable reason instead
-        # of a perf mystery.
-        self._lane_fallback = self._counters_fallback_reason()
-        self._counters_lane = self._lane_fallback is None
-
-    def _counters_fallback_reason(self) -> Optional[str]:
-        """The first condition that keeps the counters-only loop off, or
-        ``None`` when it engages.
-
-        The loop engages only when no consumer can ever read event objects:
-        the trace keeps counters only, every process is stepped by a batch
-        driver (which counts receptions without materializing RecvOutputs),
-        there are no round hooks, and the environment uses the base-class
-        observation methods (a subclass hook could inspect recv events the
-        loop never builds).
-        """
-        if self._trace.mode is not TraceMode.COUNTERS:
-            return (
-                f"trace mode is '{self._trace.mode.value}' "
-                "(the counters lane needs 'counters')"
-            )
-        if not self._fast:
-            return (
-                "receptions resolve through the reference resolver "
-                "(fast_path off, adaptive scheduler, or custom resolve_topology)"
-            )
-        if not self._batch_drivers:
-            return "no batch group drivers (processes expose no cohort key)"
-        if self._ungrouped:
-            return (
-                f"{len(self._ungrouped)} process(es) stepped outside "
-                "batch groups"
-            )
-        if self._round_start_hooks or self._round_end_hooks:
-            return (
-                "process round hooks (on_round_start/on_round_end) need "
-                "per-round event stepping"
-            )
-        env_type = type(self._environment)
-        if env_type.observe_outputs is not Environment.observe_outputs:
-            return f"environment {env_type.__name__} overrides observe_outputs"
-        if env_type._on_recv is not Environment._on_recv:
-            return f"environment {env_type.__name__} overrides _on_recv"
-        return None
-
     def _build_batch_groups(self) -> None:
         groups: Dict[Any, Any] = {}
         ungrouped: Dict[Vertex, Process] = {}
@@ -226,16 +183,28 @@ class Simulator:
             self._batch_drivers = list(groups.values())
             self._ungrouped = ungrouped
 
-    def _supports_fast_path(self) -> bool:
+    def _kernel_fallback_reason(self, fast_path: bool) -> Optional[str]:
+        """The first condition that keeps the kernel resolver off, or
+        ``None`` when it runs.
+
+        The kernel reads the scheduler's per-round edge deltas, so it needs
+        an oblivious scheduler built for this graph whose topology is exactly
+        what those deltas describe.
+        """
+        if not fast_path:
+            return "fast_path is off"
         scheduler = self._scheduler
-        return (
-            not scheduler.is_adaptive
-            and scheduler.graph is self._graph
-            # A scheduler that customizes resolve_topology (beyond the
-            # adaptive subclasses) may depend on the transmitter set, which
-            # the delta interface cannot express.
-            and type(scheduler).resolve_topology is LinkScheduler.resolve_topology
-        )
+        name = type(scheduler).__name__
+        if scheduler.is_adaptive:
+            return f"scheduler {name} is adaptive"
+        # A scheduler that customizes resolve_topology (beyond the adaptive
+        # subclasses) may depend on the transmitter set, which the delta
+        # interface cannot express.
+        if type(scheduler).resolve_topology is not LinkScheduler.resolve_topology:
+            return f"scheduler {name} overrides resolve_topology"
+        if scheduler.graph is not self._graph:
+            return f"scheduler {name} was built for another graph"
+        return None
 
     def _bind_index(self) -> None:
         """Bind the kernel resolver's views of the graph's topology index.
@@ -301,24 +270,14 @@ class Simulator:
         return bool(self._batch_drivers)
 
     @property
-    def uses_counters_lane(self) -> bool:
-        """Whether rounds run through the counters-only loop."""
-        return self._counters_lane
-
-    @property
     def lane(self) -> str:
-        """The engine lane rounds actually run through: ``counters-kernel``
-        (kernel resolver, counters-only loop), ``kernel`` (kernel resolver,
-        event loop) or ``reference`` (generic resolver, event loop)."""
-        if self._counters_lane:
-            return "counters-kernel"
-        if self._fast:
-            return "kernel"
-        return "reference"
+        """The engine lane rounds actually run through: ``kernel`` (bitmask
+        kernel resolver) or ``reference`` (generic resolver)."""
+        return "kernel" if self._fast else "reference"
 
     @property
     def lane_fallback(self) -> Optional[str]:
-        """Why the counters-only loop did not engage (``None`` when it did)."""
+        """Why the kernel lane did not run (``None`` when it did)."""
         return self._lane_fallback
 
     @property
@@ -341,10 +300,9 @@ class Simulator:
             for process in self._processes.values():
                 process.on_start()
             self._started = True
-        step = self._run_round_counters if self._counters_lane else self._run_round
         for _ in range(rounds):
             self._current_round += 1
-            step(self._current_round)
+            self._run_round(self._current_round)
         # Settle any deferred batch-driver state (member streams, stats) so
         # callers observe exactly the per-process state at every run boundary;
         # drivers rebuild their cohorts lazily if the run resumes mid-body.
@@ -385,7 +343,7 @@ class Simulator:
                     trace.record_event(_as_bcast_event(vertex, inp, round_number))
 
     def _run_round(self, round_number: int) -> None:
-        """One round through the event loop.
+        """One round of the Section 2 model.
 
         Grouped processes get no per-round ``transmit`` / ``on_receive``
         dispatch at all; their drivers add transmissions to, and consume
@@ -439,61 +397,6 @@ class Simulator:
                     trace.record_event(event)
                     round_outputs.append(event)
         self._environment.observe_outputs(round_number, round_outputs)
-        t5 = clock()
-
-        perf["inputs"] += t1 - t0
-        perf["transmit"] += t2 - t1
-        perf["resolve"] += t3 - t2
-        perf["deliver"] += t4 - t3
-        perf["outputs"] += t5 - t4
-
-    def _run_round_counters(self, round_number: int) -> None:
-        """One round through the counters-only loop.
-
-        :meth:`_run_round` specialized for the configuration the constructor
-        proved safe: every process is driven by a batch driver, the
-        trace keeps only counters, and the environment observes through the
-        base-class methods.  Receptions are therefore counted by the drivers
-        (no ``RecvOutput`` objects, no per-process drain scan -- drivers hand
-        back the round's materialized outputs, which are acks only) and the
-        transmission/output containers are the Simulator's round-scoped
-        reusable buffers.  Aggregate counters match the event loop exactly;
-        event *lists* are empty in ``COUNTERS`` mode either way, so nothing
-        observable is lost.
-        """
-        perf = self.perf_stats
-        clock = time.perf_counter
-        trace = self._trace
-        trace.note_round(round_number)
-
-        t0 = clock()
-        self._apply_inputs(round_number)
-        t1 = clock()
-
-        transmissions = self._kr_transmissions
-        transmissions.clear()
-        for driver in self._batch_drivers:
-            driver.transmit_round(round_number, transmissions)
-        trace.record_transmissions(round_number, transmissions)
-        t2 = clock()
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        if receptions:
-            trace.count_receptions(len(receptions))
-        t3 = clock()
-
-        emitted = self._kr_outputs
-        del emitted[:]
-        recvs = 0
-        for driver in self._batch_drivers:
-            recvs += driver.receive_round_counters(round_number, receptions, emitted)
-        if recvs:
-            trace.count_recv_outputs(recvs)
-        t4 = clock()
-
-        for event in emitted:
-            trace.record_event(event)
-        self._environment.observe_outputs(round_number, emitted)
         t5 = clock()
 
         perf["inputs"] += t1 - t0

@@ -171,11 +171,7 @@ class Process(ABC):
         * ``transmit_round(round_number, transmissions)`` -- add the cohort's
           frames for the round to the round-level dict;
         * ``receive_round(round_number, receptions)`` -- consume the round's
-          receptions and run end-of-round bookkeeping (event loop);
-        * ``receive_round_counters(round_number, receptions, emitted)`` --
-          the counters-lane variant: count novel receptions instead of
-          materializing ``RecvOutput`` events, append any other outputs to
-          ``emitted`` and return the count;
+          receptions and run end-of-round bookkeeping;
         * ``flush_kernel_state()`` -- settle state the driver defers (member
           streams, statistics); the simulator calls it at every ``run()``
           boundary, so callers then observe exactly the per-process state.

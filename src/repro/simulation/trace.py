@@ -123,26 +123,6 @@ class ExecutionTrace:
         if self._record_events:
             self._events.append(event)
 
-    def count_receptions(self, count: int) -> None:
-        """Bump the reception counter without scanning a frame map.
-
-        Used by the engine's counters-only kernel lane, whose resolver
-        returns a map that never contains ``None`` values -- the map's length
-        IS the round's reception count, so the per-value scan of
-        :meth:`record_receptions` is pure overhead there.
-        """
-        self._num_receptions += count
-
-    def count_recv_outputs(self, count: int) -> None:
-        """Bump the ``recv`` event counter without materializing events.
-
-        Used by the engine's counters-only kernel lane, which establishes
-        up front that nothing will ever read the event objects
-        (``TraceMode.COUNTERS`` plus base-class environment hooks) and so
-        skips building one :class:`RecvOutput` per novel reception.
-        """
-        self._event_counts["recv"] += count
-
     def record_transmissions(self, round_number: int, frames: Dict[Vertex, Any]) -> None:
         if frames:
             self._num_transmissions += len(frames)

@@ -12,9 +12,8 @@ Delivery semantics follow the paper's abstract MAC layer: a message counts as
 *delivered* once every reliable neighbor of its origin has produced a
 ``recv`` for it -- the event the ack is supposed to certify.  Tracking that
 requires observing ``RecvOutput`` events, so this environment overrides
-``_on_recv``; the engine's counters-only loop (which never materializes recv
-events) therefore disqualifies itself automatically and queued workloads run
-through the event loop, on the kernel or the reference resolver alike.
+``_on_recv``; the engine materializes those events under every trace mode,
+so queued workloads run on the kernel or the reference resolver alike.
 """
 
 from __future__ import annotations

@@ -649,9 +649,9 @@ class TestBatchedStepping:
 
 
 class TestKernelLane:
-    """The kernel lane (bitmask resolver + bulk cohort stepping) and the
-    counters-only loop: byte-identity with the reference, fallback, and
-    run-boundary flushing."""
+    """The kernel lane (bitmask resolver + bulk cohort stepping):
+    byte-identity with the reference under every trace mode, the recorded
+    fallback reason, and run-boundary flushing."""
 
     def _build(
         self,
@@ -723,38 +723,78 @@ class TestKernelLane:
         )
         assert kernel_sim.lane == "reference"
         assert kernel_sim.uses_batch_stepping
-        assert not kernel_sim.uses_counters_lane
 
         rounds = 2 * params.phase_length
         kernel_trace = kernel_sim.run(rounds)
         assert decodes, "cohort stepping did not run under the adaptive scheduler"
         _assert_identical_traces(kernel_trace, generic_sim.run(rounds), rounds)
 
-    def test_counters_lane_engages_and_matches_full_reduction(self):
-        """The counters-only lane must produce exactly the counters a full
-        event trace reduces to (same event kinds, transmissions, receptions)."""
+    def test_counters_trace_on_kernel_matches_full_reference(self):
+        """A COUNTERS trace runs the same kernel round loop as a FULL one and
+        keeps exactly the counters the FULL reference trace reduces to (same
+        event kinds, transmissions, receptions)."""
         graph = GRAPH_FACTORIES["geometric"]()
         counters_sim, params = self._build(graph, trace_mode=TraceMode.COUNTERS)
         full_sim, _ = self._build(graph, trace_mode=TraceMode.FULL, fast_path=False)
-        assert counters_sim.uses_counters_lane
-        assert counters_sim.lane == "counters-kernel"
+        assert counters_sim.lane == "kernel"
+        assert counters_sim.lane_fallback is None
 
         rounds = 3 * params.phase_length
         counters_trace = counters_sim.run(rounds)
         full_trace = full_sim.run(rounds)
+        assert counters_trace.events == ()
         assert counters_trace.num_rounds == full_trace.num_rounds
         assert counters_trace.event_counts == full_trace.event_counts
         assert counters_trace.num_transmissions == full_trace.num_transmissions
         assert counters_trace.num_receptions == full_trace.num_receptions
 
-    def test_full_trace_mode_keeps_counters_lane_off(self):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "kernel_full",
+            "kernel_counters",
+            "fast_path_off",
+            "adaptive",
+            "custom_topology",
+            "other_graph",
+        ],
+    )
+    def test_lane_fallback_names_the_reason(self, case):
+        """``lane_fallback`` says why the kernel lane did not run, first
+        reason first, and is ``None`` exactly when it did."""
+
+        class _CustomTopology(IIDScheduler):
+            def resolve_topology(self, round_number, transmitters):
+                return super().resolve_topology(round_number, transmitters)
+
         graph = GRAPH_FACTORIES["geometric"]()
-        simulator, _ = self._build(graph, trace_mode=TraceMode.FULL)
-        assert simulator.lane == "kernel"
-        assert not simulator.uses_counters_lane
-        assert simulator.lane_fallback == (
-            "trace mode is 'full' (the counters lane needs 'counters')"
-        )
+        kwargs, reason = {
+            "kernel_full": ({}, None),
+            "kernel_counters": ({"trace_mode": TraceMode.COUNTERS}, None),
+            "fast_path_off": ({"fast_path": False}, "fast_path is off"),
+            "adaptive": (
+                {"scheduler": CollisionAdaptiveAdversary(graph)},
+                "scheduler CollisionAdaptiveAdversary is adaptive",
+            ),
+            "custom_topology": (
+                {"scheduler": _CustomTopology(graph, probability=0.5, seed=7)},
+                "scheduler _CustomTopology overrides resolve_topology",
+            ),
+            # An equal graph that is a different object: the scheduler's
+            # edge ids need not match this graph's topology index.
+            "other_graph": (
+                {
+                    "scheduler": IIDScheduler(
+                        GRAPH_FACTORIES["geometric"](), probability=0.5, seed=7
+                    )
+                },
+                "scheduler IIDScheduler was built for another graph",
+            ),
+        }[case]
+        simulator, _ = self._build(graph, **kwargs)
+        assert simulator.lane_fallback == reason
+        assert simulator.lane == ("kernel" if reason is None else "reference")
+        assert simulator.uses_fast_path is (reason is None)
 
     @pytest.mark.parametrize("trace_mode", [TraceMode.FULL, TraceMode.COUNTERS])
     @pytest.mark.parametrize("fast_path", [True, False])

@@ -24,6 +24,7 @@ import json
 import os
 import re
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -123,6 +124,29 @@ def test_fleet_private_store_when_none_given():
     suite = fleet_suite(entry_count=1, trials=2)
     serial = det(run_suite(suite, jobs=1, prebuild=False))
     assert det(run_suite_fleet(suite, workers=2, chunk_size=1)) == serial
+
+
+def test_profiled_reports_are_deterministic(tmp_path):
+    # Profiling adds wall-clock section timers to every record's perf_stats;
+    # like the lane report beside them they are observability data, so two
+    # identical runs -- serial twice, then serial vs fleet -- must still give
+    # equal deterministic reports.
+    suite = fleet_suite(entry_count=2, trials=2)
+    suite = replace(
+        suite,
+        entries=tuple(
+            replace(entry, scenario=entry.scenario.with_overrides({"engine.profile": True}))
+            for entry in suite.entries
+        ),
+    )
+    first = run_suite(suite, jobs=1, prebuild=False)
+    assert first.to_dict()["entries"][0]["result"]["perf_stats"]["resolve"] > 0
+    serial = det(first)
+    assert det(run_suite(suite, jobs=1, prebuild=False)) == serial
+    fleet = run_suite_fleet(
+        suite, workers=2, store=str(tmp_path / "store"), chunk_size=1, prebuild=False
+    )
+    assert det(fleet) == serial
 
 
 def test_fleet_rejects_zero_workers():

@@ -275,27 +275,26 @@ class TestParamsOnlyResolution:
         assert table  # iid scheduler is cacheable, so a table must come back
 
 
-class TestCountersLaneParity:
-    """The counters-only loop must feed metric reducers exactly the rows the
-    event-materializing reference produces."""
+class TestCountersTraceParity:
+    """A COUNTERS trace on the kernel lane must feed metric reducers exactly
+    the rows the event-materializing reference produces."""
 
-    def test_counters_lane_metric_rows_match_reference(self):
+    def test_counters_trace_metric_rows_match_reference(self):
         spec = lb_spec_with(metrics=("counters",), trials=2, rounds=2)
-        # A counters-only metric set resolves trace_mode="auto" to COUNTERS,
-        # and the kernel resolver then engages the counters lane.
+        # A counters-only metric set resolves trace_mode="auto" to COUNTERS.
         assert resolve_trace_mode(spec) is TraceMode.COUNTERS
-        assert materialize(spec).simulator.uses_counters_lane
+        assert materialize(spec).simulator.lane == "kernel"
 
         lane_rows = run(spec, keep=False).metric_rows
         reference_spec = spec.with_overrides({"engine.fast_path": False})
-        assert not materialize(reference_spec).simulator.uses_counters_lane
+        assert materialize(reference_spec).simulator.lane == "reference"
         reference_rows = run(reference_spec, keep=False).metric_rows
         assert lane_rows == reference_rows
 
-    def test_event_metrics_keep_the_lane_off_and_still_agree(self):
+    def test_event_metrics_on_kernel_agree_with_reference(self):
         spec = lb_spec_with(metrics=("counters", "ack_delay"), trials=1, rounds=2)
         assert resolve_trace_mode(spec) is TraceMode.EVENTS
-        assert not materialize(spec).simulator.uses_counters_lane
+        assert materialize(spec).simulator.lane == "kernel"
         reference = run(spec.with_overrides({"engine.fast_path": False}), keep=False)
         production = run(spec, keep=False)
         assert production.metric_rows == reference.metric_rows

@@ -3,8 +3,8 @@
 Hypothesis draws random :class:`~repro.scenarios.spec.ScenarioSpec` trees
 from the component registries' ``sample_args`` -- topology x scheduler x
 algorithm x environment (``queued`` included) x trace mode -- and checks
-that the production engine (bitmask kernel resolver, batched cohort stepping,
-counters-only loop where eligible) observes exactly the execution of the
+that the production engine (bitmask kernel resolver, batched cohort
+stepping) observes exactly the execution of the
 ``engine.fast_path=False`` reference, that every ``lbalg`` execution meets the
 deterministic half of the LB specification (timely ack and validity), and
 that the spec survives a JSON round trip with its fingerprint.
@@ -127,7 +127,7 @@ class TestProductionMatchesReference:
             )
         )
         assert reference_built.simulator.lane == "reference"
-        assert built.simulator.lane in ("reference", "kernel", "counters-kernel")
+        assert built.simulator.lane in ("reference", "kernel")
 
         assert production.num_rounds == reference.num_rounds
         assert production.event_counts == reference.event_counts

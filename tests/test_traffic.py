@@ -9,11 +9,10 @@ traffic-free specs), engine-lane parity for queued workloads, and the
 serial-vs-parallel row identity of traffic runs.
 
 Lane note: :class:`~repro.traffic.environment.QueuedEnvironment` overrides
-``_on_recv`` for delivery tracking, which *disqualifies the counters-only
-kernel lane by design* (the engine auto-falls back to the event-building
-lanes; see the engine's ``_counters_lane`` gate).  The parity tests below
-therefore cover the generic, fast, batched, and vector/kernel event lanes --
-the counters fast-lane opt-out is asserted explicitly, not skipped silently.
+``_on_recv`` for delivery tracking; the engine materializes recv events under
+every trace mode, so queued workloads take the kernel lane like any other
+oblivious-scheduler run.  The parity tests below cover the kernel and the
+reference lanes, and the lane report is asserted explicitly.
 """
 
 from __future__ import annotations
@@ -206,10 +205,10 @@ class TestQueuedEnvironment:
         # delivered at the round the last neighbor heard it (enqueued round 1)
         assert env.delivery_latencies == [5 + len(neighbors) - 1 - 1]
 
-    def test_queued_environment_disqualifies_counters_lane(self):
-        # QueuedEnvironment overrides _on_recv, so the engine must fall back
-        # from the counters-only kernel lane to the event-building lanes --
-        # the documented lane opt-out for stateful reception tracking.
+    def test_queued_environment_takes_the_kernel_lane(self):
+        # QueuedEnvironment's _on_recv hook reads recv events, which every
+        # trace mode materializes, so even a COUNTERS run stays on the
+        # kernel lane; the lane report travels through RunResult.perf_stats.
         spec = _traffic_spec(
             scheduler="iid",
             scheduler_args={"probability": 0.5},
@@ -218,44 +217,11 @@ class TestQueuedEnvironment:
         )
         built = materialize(spec, 0)
         assert isinstance(built.environment, QueuedEnvironment)
-        assert not built.simulator.uses_counters_lane
-
-    def test_lane_fallback_reason_is_recorded(self):
-        # The opt-out above used to be silent: a traffic workload quietly ran
-        # off the counters lane with nothing in the result saying so.  The
-        # engine now reports the lane that actually ran plus the first
-        # disqualifying reason, and both travel through RunResult.perf_stats.
-        spec = _traffic_spec(
-            scheduler="iid",
-            scheduler_args={"probability": 0.5},
-            trials=1,
-            engine=EngineConfig(trace_mode="counters"),
-        )
-        built = materialize(spec, 0)
         assert built.simulator.lane == "kernel"
-        assert built.simulator.lane_fallback == (
-            "environment QueuedEnvironment overrides _on_recv"
-        )
+        assert built.simulator.lane_fallback is None
 
         result = run(spec, keep=False)
-        assert result.perf_stats["lane"] == built.simulator.lane
-        assert result.perf_stats["lane_fallback"] == (
-            "environment QueuedEnvironment overrides _on_recv"
-        )
-
-    def test_lane_fallback_is_none_when_counters_lane_engages(self):
-        # A queue-free counters run takes the top lane and reports no
-        # fallback -- the absence of a reason is part of the contract.
-        spec = ScenarioSpec(
-            name="lane-top",
-            topology=TopologySpec("target_degree", {"target_delta": 8, "seed": 11}),
-            algorithm=AlgorithmSpec("lbalg", {"preset": "small"}),
-            scheduler=SchedulerSpec("iid", {"probability": 0.5}),
-            run=RunPolicy(rounds=1, rounds_unit="tack", trials=1, master_seed=7),
-            engine=EngineConfig(trace_mode="counters"),
-        )
-        result = run(spec, keep=False)
-        assert result.perf_stats["lane"] == "counters-kernel"
+        assert result.perf_stats["lane"] == "kernel"
         assert result.perf_stats["lane_fallback"] is None
 
 
