@@ -46,6 +46,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -92,11 +93,16 @@ class SuiteTaskError(RuntimeError):
     :func:`_task_failure`); the original exception is chained as
     ``__cause__``.  ``kind`` and ``detail`` let
     :class:`~repro.scenarios.fleet.FleetTaskError` reuse the message shape.
-    Records completed before the failure stay in the result store.
+    Records completed before the failure stay in the result store.  When no
+    task raised (a pool worker died), ``failure["task"]`` is ``None`` and the
+    message is ``failure["message"]`` alone.
     """
 
     def __init__(self, failure: Dict[str, Any], kind: str = "suite", detail: str = "") -> None:
         self.failure = failure
+        if failure.get("task") is None:
+            super().__init__(f"{failure.get('message')}{detail}")
+            return
         super().__init__(
             f"{kind} task {failure.get('task')} (entry {failure.get('entry')!r}, "
             f"trial {failure.get('trial')}) raised {failure.get('type')}: "
@@ -593,7 +599,8 @@ def _prebuild_pending_deltas(
             f"entr{'y' if len(sparse) == 1 else 'ies'} "
             f"({shown}) -- a sparse workload leaves most of its run idle, so "
             "lazy per-round deltas beat a full-table prebuild; pass "
-            "prebuild=False to silence this when the whole suite is sparse",
+            "prebuild=False (CLI: --no-prebuild) to silence this when the "
+            "whole suite is sparse",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -642,6 +649,7 @@ def run_suite(
     tasks, records, pending, stats = _plan_tasks(suite, store, on_progress, should_stop)
     specs = [entry.scenario for entry in suite.entries]
     total = len(tasks)
+    where = " (completed records are in the result store)" if store is not None else ""
 
     def land(index: int, trial: Dict[str, Any]) -> None:
         records[index] = trial
@@ -660,9 +668,6 @@ def run_suite(
                 }
             )
         if should_stop is not None and should_stop():
-            where = ""
-            if store is not None:
-                where = " (completed records are in the result store)"
             raise SuiteCancelled(f"cancelled after {len(records)}/{total} tasks{where}")
 
     if pending:
@@ -700,6 +705,20 @@ def run_suite(
                     for index, future in zip(pending, futures):
                         try:
                             trial = future.result()["trial"]
+                        except BrokenProcessPool as exc:
+                            # Every pending future fails alike, so the one
+                            # awaited first did not necessarily kill it.
+                            unfinished = sum(1 for i in pending if i not in records)
+                            raise SuiteTaskError(
+                                {
+                                    "task": None,
+                                    "type": type(exc).__name__,
+                                    "message": (
+                                        f"a suite pool worker died with {unfinished}/{total} "
+                                        f"tasks unfinished{where}: {exc}"
+                                    ),
+                                }
+                            ) from exc
                         except Exception as exc:
                             raise SuiteTaskError(
                                 _task_failure(suite, tasks, index, exc)

@@ -205,17 +205,23 @@ def progress_report(
     report = ProgressReport()
     num_phases = trace.num_rounds // window
     if use_frames:
-        all_heard = _data_reception_rounds_all(trace)
-        heard_rounds = {v: all_heard.get(v, set()) for v in receivers}
+        heard_rounds = data_reception_round_sets(trace)
     else:
-        heard_rounds = {v: set(trace.recv_rounds_for_vertex(v)) for v in receivers}
+        heard_rounds = {}
+        for ev in trace.recv_outputs:
+            heard_rounds.setdefault(ev.vertex, set()).add(ev.round_number)
+    intervals = {
+        v: [(ev.round_number, trace.ack_round_for(ev.message)) for ev in evs]
+        for v, evs in trace.bcasts_by_vertex().items()
+    }
     for vertex in receivers:
         neighbors = graph.reliable_neighbors(vertex)
+        heard_by_vertex = heard_rounds.get(vertex, ())
         for phase in range(num_phases):
             start = phase * window + 1
             end = (phase + 1) * window
-            active = _has_neighbor_active_throughout(trace, neighbors, start, end)
-            heard = any(start <= rnd <= end for rnd in heard_rounds[vertex])
+            active = any(_intervals_cover(intervals.get(n, ()), start, end) for n in neighbors)
+            heard = any(start <= rnd <= end for rnd in heard_by_vertex)
             report.windows.append(
                 ProgressWindow(
                     vertex=vertex,
@@ -230,49 +236,25 @@ def progress_report(
 
 
 def data_reception_rounds(trace: ExecutionTrace, vertex: Vertex) -> List[int]:
-    """Rounds in which ``vertex`` physically received a data (message) frame.
-
-    Frames are duck-typed: anything with a ``message`` attribute counts as a
-    data frame (LBAlg's and the baselines' ``DataFrame``), while control
-    frames such as SeedAlg's ``(id, seed)`` pairs do not.
-    """
-    return sorted(_data_reception_rounds_all(trace).get(vertex, set()))
+    """Sorted view of :func:`data_reception_round_sets` for one ``vertex``."""
+    return sorted(data_reception_round_sets(trace).get(vertex, ()))
 
 
 def data_reception_round_sets(trace: ExecutionTrace) -> Dict[Vertex, set]:
-    """Bulk form of :func:`data_reception_rounds`: vertex -> round-number set.
+    """Vertex -> rounds in which it physically received a data (message) frame.
 
-    One pass over the recorded receptions, so rating many receivers is linear
-    in the trace rather than quadratic.  Vertices that never received a data
-    frame are absent from the result.
+    Frames are duck-typed: anything with a ``message`` attribute counts as a
+    data frame (LBAlg's and the baselines' ``DataFrame``), while control
+    frames such as SeedAlg's ``(id, seed)`` pairs do not.  One pass over the
+    recorded receptions (requires ``TraceMode.FULL``); vertices that never
+    received a data frame are absent from the result.
     """
-    return _data_reception_rounds_all(trace)
-
-
-def _data_reception_rounds_all(trace: ExecutionTrace) -> Dict[Vertex, set]:
-    """One pass over the recorded receptions: vertex -> rounds with a data frame."""
     result: Dict[Vertex, set] = {}
     for rnd in range(1, trace.num_rounds + 1):
         for vertex, frame in trace.receptions_in_round(rnd).items():
             if frame is not None and getattr(frame, "message", None) is not None:
                 result.setdefault(vertex, set()).add(rnd)
     return result
-
-
-def _has_neighbor_active_throughout(
-    trace: ExecutionTrace, neighbors, start: int, end: int
-) -> bool:
-    """True iff some vertex in ``neighbors`` is active in every round of [start, end]."""
-    for neighbor in neighbors:
-        intervals = []
-        for ev in trace.bcast_inputs:
-            if ev.vertex != neighbor:
-                continue
-            ack_round = trace.ack_round_for(ev.message)
-            intervals.append((ev.round_number, ack_round))
-        if _intervals_cover(intervals, start, end):
-            return True
-    return False
 
 
 def _intervals_cover(intervals, start: int, end: int) -> bool:
@@ -321,33 +303,15 @@ def unique_seed_owner_counts(
     return counts
 
 
-def receive_rate_per_round(
-    trace: ExecutionTrace, vertex: Vertex, start_round: int, end_round: int
-) -> float:
-    """Fraction of rounds in [start_round, end_round] in which ``vertex`` received a frame.
-
-    Uses the recorded per-round receptions (requires ``TraceMode.FULL``).
-    This estimates the per-round receive probability of Lemma 4.2.
-    """
-    if end_round < start_round:
-        raise ValueError("end_round must be at least start_round")
-    hits = 0
-    total = end_round - start_round + 1
-    for rnd in range(start_round, end_round + 1):
-        if vertex in trace.receptions_in_round(rnd):
-            hits += 1
-    return hits / total
-
-
 def receive_rates(
     trace: ExecutionTrace, start_round: int, end_round: int
 ) -> Dict[Vertex, int]:
     """Per-vertex counts of rounds in [start_round, end_round] with a reception.
 
-    One pass over the recorded rounds -- the bulk form of
-    :func:`receive_rate_per_round` (which the ``receive_rate`` scenario metric
-    uses so evaluating every vertex is linear in the trace, not quadratic).
-    Vertices that never received anything are absent from the result.
+    One pass over the recorded per-round receptions (requires
+    ``TraceMode.FULL``); dividing a count by the window length estimates the
+    per-round receive probability of Lemma 4.2.  Vertices that never received
+    anything are absent from the result.
     """
     if end_round < start_round:
         raise ValueError("end_round must be at least start_round")

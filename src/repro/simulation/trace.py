@@ -80,6 +80,13 @@ class ExecutionTrace:
         self._acks: List[AckOutput] = []
         self._recvs: List[RecvOutput] = []
         self._decides: List[DecideOutput] = []
+        # The per-message ledger, kept as events are appended: message id ->
+        # first bcast round, first ack round, {receiver: earliest recv round};
+        # and vertex -> its bcast events in append order.
+        self._bcast_round: Dict[Hashable, int] = {}
+        self._ack_round: Dict[Hashable, int] = {}
+        self._receivers: Dict[Hashable, Dict[Vertex, int]] = {}
+        self._bcasts_of: Dict[Vertex, List[BcastInput]] = {}
         self._transmissions: Dict[int, Dict[Vertex, Any]] = {}
         self._receptions: Dict[int, Dict[Vertex, Optional[Any]]] = {}
         self._num_rounds = 0
@@ -106,14 +113,20 @@ class ExecutionTrace:
             counts["bcast"] += 1
             if self._record_events:
                 self._bcasts.append(event)
+                self._bcast_round.setdefault(event.message.message_id, event.round_number)
+                self._bcasts_of.setdefault(event.vertex, []).append(event)
         elif isinstance(event, AckOutput):
             counts["ack"] += 1
             if self._record_events:
                 self._acks.append(event)
+                self._ack_round.setdefault(event.message.message_id, event.round_number)
         elif isinstance(event, RecvOutput):
             counts["recv"] += 1
             if self._record_events:
                 self._recvs.append(event)
+                heard = self._receivers.setdefault(event.message.message_id, {})
+                rnd = event.round_number
+                heard[event.vertex] = min(heard.get(event.vertex, rnd), rnd)
         elif isinstance(event, DecideOutput):
             counts["decide"] += 1
             if self._record_events:
@@ -200,10 +213,7 @@ class ExecutionTrace:
     # derived views used by spec checkers and metrics
     # ------------------------------------------------------------------
     def bcasts_by_vertex(self) -> Dict[Vertex, List[BcastInput]]:
-        result: Dict[Vertex, List[BcastInput]] = defaultdict(list)
-        for ev in self._bcasts:
-            result[ev.vertex].append(ev)
-        return dict(result)
+        return {v: list(evs) for v, evs in self._bcasts_of.items()}
 
     def acks_by_vertex(self) -> Dict[Vertex, List[AckOutput]]:
         result: Dict[Vertex, List[AckOutput]] = defaultdict(list)
@@ -224,18 +234,12 @@ class ExecutionTrace:
         return dict(result)
 
     def ack_round_for(self, message: Message) -> Optional[int]:
-        """The round in which the origin acknowledged ``message`` (or None)."""
-        for ev in self._acks:
-            if ev.message.message_id == message.message_id:
-                return ev.round_number
-        return None
+        """The round of the first ``ack(message)`` output recorded (or None)."""
+        return self._ack_round.get(message.message_id)
 
     def bcast_round_for(self, message: Message) -> Optional[int]:
-        """The round in which ``message`` was handed to its origin (or None)."""
-        for ev in self._bcasts:
-            if ev.message.message_id == message.message_id:
-                return ev.round_number
-        return None
+        """The round of the first ``bcast(message)`` input recorded (or None)."""
+        return self._bcast_round.get(message.message_id)
 
     def active_interval(self, message: Message) -> Optional[Tuple[int, Optional[int]]]:
         """The rounds during which ``message`` was actively broadcast.
@@ -254,10 +258,10 @@ class ExecutionTrace:
     def actively_broadcasting(self, vertex: Vertex, round_number: int) -> List[Message]:
         """All messages ``vertex`` is actively broadcasting in ``round_number``."""
         result = []
-        for ev in self._bcasts:
-            if ev.vertex != vertex or ev.round_number > round_number:
+        for ev in self._bcasts_of.get(vertex, ()):
+            if ev.round_number > round_number:
                 continue
-            ack_round = self.ack_round_for(ev.message)
+            ack_round = self._ack_round.get(ev.message.message_id)
             if ack_round is None or ack_round >= round_number:
                 result.append(ev.message)
         return result
@@ -268,12 +272,7 @@ class ExecutionTrace:
 
     def receivers_of(self, message: Message) -> Dict[Vertex, int]:
         """Vertices that output ``recv(message)`` mapped to the earliest round."""
-        result: Dict[Vertex, int] = {}
-        for ev in self._recvs:
-            if ev.message.message_id == message.message_id:
-                if ev.vertex not in result or ev.round_number < result[ev.vertex]:
-                    result[ev.vertex] = ev.round_number
-        return result
+        return dict(self._receivers.get(message.message_id, {}))
 
     def recv_rounds_for_vertex(self, vertex: Vertex) -> List[int]:
         """Sorted rounds in which ``vertex`` generated any recv output."""

@@ -21,7 +21,6 @@ from repro import (
 )
 from repro.dualgraph.adversary import AdaptiveLinkScheduler
 from repro.dualgraph.graph import DualGraph, normalize_edge
-from repro.simulation.metrics import data_reception_rounds
 from repro.simulation.process import Process, ProcessContext
 
 

@@ -6,8 +6,11 @@ algorithm x environment (``queued`` included) x trace mode -- and checks
 that the production engine (bitmask kernel resolver, batched cohort
 stepping) observes exactly the execution of the
 ``engine.fast_path=False`` reference, that every ``lbalg`` execution meets the
-deterministic half of the LB specification (timely ack and validity), and
-that the spec survives a JSON round trip with its fingerprint.
+deterministic half of the LB specification (timely ack and validity), that
+every ``seed_agreement`` execution meets the deterministic conditions of
+``Seed(δ, ε)`` (consistency, at most one decide per vertex, and
+well-formedness once the run covers SeedAlg's rounds), and that the spec
+survives a JSON round trip with its fingerprint.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lb_spec import check_lb_execution
+from repro.core.seed_spec import check_seed_execution
 from repro.scenarios import (
     ALGORITHMS,
     ENVIRONMENTS,
@@ -164,6 +168,17 @@ class TestProductionMatchesReference:
                 report.timely_ack_violations,
                 report.validity_violations,
             )
+        # Consistency and single decides hold in every SeedAlg execution, under
+        # any scheduler; every vertex has decided only once the run covers
+        # SeedAlg's rounds (the drawn 1-120 rounds may end before that).
+        if spec.algorithm.name == "seed_agreement" and spec.engine.trace_mode != "counters":
+            params = built.params
+            report = check_seed_execution(production, built.graph, params.delta_bound)
+            assert report.consistent, report.consistency_violations
+            decides = production.decides_by_vertex()
+            assert all(len(events) == 1 for events in decides.values()), decides
+            if production.num_rounds >= params.total_rounds:
+                assert report.well_formed, report.well_formedness_violations
 
     @given(scenario_specs())
     @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from repro.simulation.metrics import (
     data_reception_rounds,
     delivery_report,
     progress_report,
-    receive_rate_per_round,
+    receive_rates,
     unique_seed_owner_counts,
 )
 from repro.simulation.trace import ExecutionTrace
@@ -200,11 +200,12 @@ class TestReceptionHelpers:
         trace.record_receptions(5, {1: DataFrame(message=m)})
         assert data_reception_rounds(trace, 1) == [2, 5]
 
-    def test_receive_rate_per_round(self):
+    def test_receive_rates(self):
         trace = make_trace(10)
         m = Message(origin=0, sequence=0)
         for rnd in (2, 4, 6):
             trace.record_receptions(rnd, {1: DataFrame(message=m)})
-        assert receive_rate_per_round(trace, 1, 1, 10) == pytest.approx(0.3)
+        assert receive_rates(trace, 1, 10)[1] / 10 == pytest.approx(0.3)
+        assert receive_rates(trace, 3, 10) == {1: 2}
         with pytest.raises(ValueError):
-            receive_rate_per_round(trace, 1, 5, 4)
+            receive_rates(trace, 5, 4)

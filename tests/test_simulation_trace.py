@@ -1,6 +1,8 @@
 """Unit tests for execution traces and their derived views."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import AckOutput, BcastInput, DecideOutput, RecvOutput
 from repro.core.messages import Message
@@ -130,3 +132,97 @@ class TestFrameRecording:
         trace = ExecutionTrace()
         trace.record_transmissions(1, {})
         assert trace.transmissions_in_round(1) == {}
+
+
+# ----------------------------------------------------------------------
+# The per-message ledger against the scan-based definitions it replaced
+# ----------------------------------------------------------------------
+def scan_ack_round_for(trace, message):
+    for ev in trace.ack_outputs:
+        if ev.message.message_id == message.message_id:
+            return ev.round_number
+    return None
+
+
+def scan_bcast_round_for(trace, message):
+    for ev in trace.bcast_inputs:
+        if ev.message.message_id == message.message_id:
+            return ev.round_number
+    return None
+
+
+def scan_receivers_of(trace, message):
+    result = {}
+    for ev in trace.recv_outputs:
+        if ev.message.message_id == message.message_id:
+            if ev.vertex not in result or ev.round_number < result[ev.vertex]:
+                result[ev.vertex] = ev.round_number
+    return result
+
+
+def scan_actively_broadcasting(trace, vertex, round_number):
+    result = []
+    for ev in trace.bcast_inputs:
+        if ev.vertex != vertex or ev.round_number > round_number:
+            continue
+        ack_round = scan_ack_round_for(trace, ev.message)
+        if ack_round is None or ack_round >= round_number:
+            result.append(ev.message)
+    return result
+
+
+VERTICES = (0, 1, 2)
+ROUNDS = 8
+# Two payloads per id: a repeated message id need not be an equal Message.
+MESSAGES = tuple(
+    Message(origin=origin, sequence=seq, payload=payload)
+    for origin in VERTICES
+    for seq in (0, 1)
+    for payload in ("a", "b")
+)
+EVENT_KINDS = {"bcast": BcastInput, "ack": AckOutput, "recv": RecvOutput}
+
+# Draws repeat message ids freely, so they cover re-bcasts, double acks, acks
+# by a vertex other than the origin, recvs before the bcast, repeated recvs
+# and rounds that go backwards in append order.
+event_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(EVENT_KINDS)),
+        st.sampled_from(VERTICES),
+        st.sampled_from(MESSAGES),
+        st.integers(1, ROUNDS),
+    ),
+    max_size=30,
+)
+
+
+class TestLedgerMatchesScans:
+    @pytest.mark.parametrize("mode", list(TraceMode))
+    @settings(max_examples=150, deadline=None)
+    @given(events=event_sequences)
+    def test_ledger_matches_scans(self, mode, events):
+        trace = ExecutionTrace(mode=mode)
+        for kind, vertex, message, rnd in events:
+            trace.record_event(
+                EVENT_KINDS[kind](vertex=vertex, message=message, round_number=rnd)
+            )
+        for message in MESSAGES:
+            bcast_round = scan_bcast_round_for(trace, message)
+            ack_round = scan_ack_round_for(trace, message)
+            assert trace.bcast_round_for(message) == bcast_round
+            assert trace.ack_round_for(message) == ack_round
+            assert trace.receivers_of(message) == scan_receivers_of(trace, message)
+            expected = None if bcast_round is None else (bcast_round, ack_round)
+            assert trace.active_interval(message) == expected
+        for vertex in VERTICES:
+            for rnd in range(ROUNDS + 2):
+                expected = scan_actively_broadcasting(trace, vertex, rnd)
+                assert trace.actively_broadcasting(vertex, rnd) == expected
+                assert trace.is_active(vertex, rnd) == bool(expected)
+        by_vertex = {}
+        for ev in trace.bcast_inputs:
+            by_vertex.setdefault(ev.vertex, []).append(ev)
+        assert trace.bcasts_by_vertex() == by_vertex
+        if mode is TraceMode.COUNTERS:
+            assert trace.bcasts_by_vertex() == {}
+            assert all(trace.receivers_of(m) == {} for m in MESSAGES)

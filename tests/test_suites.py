@@ -14,11 +14,13 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -320,7 +322,9 @@ class TestRunSuite:
         """prebuild=True warns on single-shot entries and skips their tables,
         without changing any result row."""
         suite = small_suite(trials=1)  # single_shot environment throughout
-        with pytest.warns(RuntimeWarning, match="single-shot"):
+        # The advice names the library keyword and the CLI flag.
+        advice = r"single-shot.*prebuild=False \(CLI: --no-prebuild\)"
+        with pytest.warns(RuntimeWarning, match=advice):
             warned = run_suite(suite, jobs=1, prebuild=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # prebuild=False stays silent
@@ -483,6 +487,17 @@ def _poisoned_trial_record(spec, trial_index):
     return trial_record(spec, trial_index)
 
 
+_RUN_SUITE_TASK = suite_module.run_suite_task
+KILLED_TASK = 4
+
+
+def _killing_run_suite_task(task, suite_specs, suite_tasks):
+    """``run_suite_task`` whose pool worker SIGKILLs itself on ``KILLED_TASK``."""
+    if task == KILLED_TASK:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RUN_SUITE_TASK(task, suite_specs, suite_tasks)
+
+
 class HookFault(Exception):
     """Stands in for the service's injected ``crash`` fault (raised from a hook)."""
 
@@ -515,6 +530,39 @@ class TestTaskFailure:
         monkeypatch.undo()
         resumed = run_suite(suite, prebuild=False, store=root)
         assert resumed.store_stats == {"tasks": 4, "hits": 3, "misses": 1}
+
+    @pytest.mark.fault_injection
+    def test_dead_pool_worker_blames_no_task_and_resumes(self, tmp_path, monkeypatch):
+        """A SIGKILLed pool worker is reported as such, not pinned on whichever
+        task was awaited first; a rerun executes exactly the unfinished tasks."""
+        # Forked pool workers inherit the patched module global.
+        monkeypatch.setattr(suite_module, "run_suite_task", _killing_run_suite_task)
+        suite = derived_suite(trials=3)  # 6 tasks
+        root = str(tmp_path / "store")
+        with pytest.raises(SuiteTaskError) as excinfo:
+            run_suite(suite, jobs=2, prebuild=False, store=root)
+        error = excinfo.value
+        message = str(error)
+        assert error.failure["task"] is None
+        assert isinstance(error.__cause__, BrokenProcessPool)
+        assert "pool worker died" in message
+        assert "completed records are in the result store" in message
+        assert "raised" not in message and not re.search(r"task \d", message)
+        unfinished = int(re.search(r"(\d+)/6 tasks unfinished", message).group(1))
+        assert 1 <= unfinished <= 6
+
+        monkeypatch.undo()
+        executed = []
+        resumed = run_suite(
+            suite,
+            jobs=2,
+            prebuild=False,
+            store=root,
+            on_progress=lambda e: executed.append(e) if e["event"] == "task" else None,
+        )
+        assert resumed.store_stats == {"tasks": 6, "hits": 6 - unfinished, "misses": unfinished}
+        assert len(executed) == unfinished
+        assert det(resumed) == det(run_suite(suite, jobs=1, prebuild=False))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_hook_exceptions_keep_their_type(self, jobs):
