@@ -52,13 +52,18 @@ class SchedulerDeltaCache:
     included in round ``t`` -- is a pure function of ``(scheduler
     configuration, topology structure, t)``.  Sweeps and multi-trial
     experiments re-derive exactly the same deltas in every trial (each trial
-    builds a fresh graph and scheduler with the same parameters), and for
-    hash-driven schedulers like :class:`IIDScheduler` that derivation is one
-    SHA-256 per unreliable edge per round -- the single most expensive part
-    of reception resolution.  This cache shares the computed deltas across
-    every scheduler instance whose :meth:`LinkScheduler.delta_cache_key`
-    matches, so the hashing happens once per sweep point instead of once per
-    trial.
+    builds a fresh graph and scheduler with the same parameters).  This cache
+    shares the computed deltas across every scheduler instance whose
+    :meth:`LinkScheduler.delta_cache_key` matches, so a delta is derived once
+    per sweep point instead of once per trial.
+
+    The engine's kernel reads deltas -- and so this cache and the prebuilt
+    tables -- only for schedulers without
+    :attr:`LinkScheduler.decides_edges_independently`.  An IID scheduler is
+    decided on demand instead, edge by edge for the transmitters' incident
+    edges (memoized by the engine), so its deltas land here only when the
+    id view :meth:`LinkScheduler.unreliable_edge_ids_for_round` is queried
+    directly.
 
     Contract:
 
@@ -202,7 +207,17 @@ class LinkScheduler(ABC):
     prefixes) override :meth:`_compute_unreliable_edge_ids`; the default maps
     :meth:`unreliable_edges_for_round` through the index, so any oblivious
     scheduler gets the delta interface for free and both views always agree.
+
+    Schedulers whose per-edge decisions are independent of each other set
+    :attr:`decides_edges_independently` and implement
+    :meth:`decide_edge_mask`; the kernel then decides each round only for the
+    edges its transmitters touch, and never reads their per-round deltas.
     """
+
+    #: Whether each unreliable edge's inclusion is a function of (edge,
+    #: round) alone, so any subset of a round's edges can be decided without
+    #: the others (see :meth:`decide_edge_mask`).
+    decides_edges_independently = False
 
     def __init__(self, graph: DualGraph) -> None:
         self._graph = graph
@@ -278,6 +293,14 @@ class LinkScheduler(ABC):
     ) -> Tuple[int, ...]:
         """Uncached id computation; override when structure allows a fast path."""
         return index.edge_ids(self.unreliable_edges_for_round(round_number))
+
+    def decide_edge_mask(self, round_number: int, need: int) -> int:
+        """The edges of ``need`` (a bitmask over dense edge ids) included in
+        ``round_number``; required when :attr:`decides_edges_independently`
+        is set."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not decide edges independently"
+        )
 
     def delta_cache_key(self) -> Optional[Hashable]:
         """The cross-trial identity of this scheduler's delta stream, or ``None``.
@@ -470,14 +493,16 @@ def _edge_round_hash(seed: int, edge: Edge, round_number: int, salt: bytes = b""
 class IIDScheduler(LinkScheduler):
     """Each unreliable edge appears independently with probability ``p`` per round."""
 
+    decides_edges_independently = True
+
     def __init__(self, graph: DualGraph, probability: float = 0.5, seed: int = 0) -> None:
         super().__init__(graph)
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
         self._p = float(probability)
         self._seed = int(seed)
-        self._prefixes_version: Optional[int] = None
-        self._prefixes: Tuple[bytes, ...] = ()
+        self._states_version: Optional[int] = None
+        self._states: Tuple["hashlib._Hash", ...] = ()
 
     @property
     def probability(self) -> float:
@@ -494,44 +519,61 @@ class IIDScheduler(LinkScheduler):
             if _edge_round_hash(self._seed, e, round_number) < self._p
         )
 
-    def _payload_prefixes(self, index: TopologyIndex) -> Tuple[bytes, ...]:
-        """Per-edge-id constant prefix of the `_edge_round_hash` payload.
+    def _edge_hash_states(self) -> Tuple["hashlib._Hash", ...]:
+        """Per-edge-id SHA-256 state over the constant prefix of the
+        :func:`_edge_round_hash` payload.
 
         The payload is ``seed|e0|e1|round|salt`` with an empty salt; only the
         round varies between rounds, so everything up to and including the
-        third separator is hashed from a precomputed bytes object.  The digest
-        (and therefore the inclusion decision) is bit-identical to
-        :func:`_edge_round_hash`.
+        third separator is hashed once per edge.  A decision ``.copy()``-s
+        the edge's state and feeds it the round suffix, which yields the
+        digest (and therefore the inclusion decision) bit-identical to
+        :func:`_edge_round_hash`.  Rebuilt when the topology version moves.
         """
         version = self._graph.topology_version
-        if version != self._prefixes_version:
+        if version != self._states_version:
             seed_bytes = str(self._seed).encode()
-            prefixes = []
-            for edge in index.unreliable_edge_list:
+            states = []
+            for edge in self._graph.topology_index().unreliable_edge_list:
                 e0, e1 = sorted(repr(v) for v in edge)
-                prefixes.append(
-                    seed_bytes + b"|" + e0.encode() + b"|" + e1.encode() + b"|"
+                states.append(
+                    hashlib.sha256(seed_bytes + b"|" + e0.encode() + b"|" + e1.encode() + b"|")
                 )
-            self._prefixes = tuple(prefixes)
-            self._prefixes_version = version
-        return self._prefixes
+            self._states = tuple(states)
+            self._states_version = version
+        return self._states
+
+    def decide_edge_mask(self, round_number: int, need: int) -> int:
+        """The edges of ``need`` (an edge-id bitmask) included in the round.
+
+        One SHA-256 per set bit of ``need``, nothing for the other edges:
+        the decisions are independent, so deciding a subset now and the rest
+        later gives the same schedule as deciding every edge at once.
+        """
+        if self._p == 0.0:
+            return 0
+        if self._p == 1.0:
+            return need
+        states = self._edge_hash_states()
+        suffix = str(round_number).encode() + b"|"
+        p = self._p
+        from_bytes = int.from_bytes
+        included = 0
+        while need:
+            low = need & -need
+            need ^= low
+            state = states[low.bit_length() - 1].copy()
+            state.update(suffix)
+            if from_bytes(state.digest()[:8], "big") / _TWO_64 < p:
+                included |= low
+        return included
 
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
     ) -> Tuple[int, ...]:
-        if self._p == 0.0:
-            return ()
-        if self._p == 1.0:
-            return tuple(range(index.num_unreliable_edges))
-        suffix = str(round_number).encode() + b"|"
-        p = self._p
-        sha256 = hashlib.sha256
-        from_bytes = int.from_bytes
-        return tuple(
-            eid
-            for eid, prefix in enumerate(self._payload_prefixes(index))
-            if from_bytes(sha256(prefix + suffix).digest()[:8], "big") / _TWO_64 < p
-        )
+        count = index.num_unreliable_edges
+        mask = self.decide_edge_mask(round_number, (1 << count) - 1)
+        return tuple(eid for eid in range(count) if mask >> eid & 1)
 
     def _delta_cache_signature(self) -> Tuple[Hashable, ...]:
         # The whole schedule is a pure function of (seed, p) and the edge

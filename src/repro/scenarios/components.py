@@ -642,7 +642,6 @@ def _environment_null(graph):
 @register_environment(
     "single_shot",
     sample_args={"senders": {"select": "first", "count": 1}},
-    workload="sparse",
 )
 def _environment_single_shot(
     graph,

@@ -60,9 +60,6 @@ def _accepts_params_only(builder: Callable[..., Any]) -> bool:
 class Registry:
     """A name -> builder mapping with loud duplicate/unknown-name handling."""
 
-    #: Recognized workload classifications (see :meth:`workload`).
-    WORKLOADS = ("dense", "sparse")
-
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._builders: Dict[str, Callable[..., Any]] = {}
@@ -70,7 +67,6 @@ class Registry:
         self._trial_seeded: Dict[str, bool] = {}
         self._params_only: Dict[str, bool] = {}
         self._embedding_aware: Dict[str, bool] = {}
-        self._workload: Dict[str, str] = {}
         self._traffic_aware: Dict[str, bool] = {}
         self._trial_seed_aware: Dict[str, bool] = {}
 
@@ -79,7 +75,6 @@ class Registry:
         name: str,
         sample_args: Optional[Mapping[str, Any]] = None,
         trial_seeded: bool = False,
-        workload: str = "dense",
     ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator: register a builder under ``name``.
 
@@ -92,20 +87,9 @@ class Registry:
         re-randomizes across trials unless pinned.  The scenario runtime uses
         this (via :meth:`is_trial_seeded`) to decide when cross-trial caches
         such as prebuilt scheduler-delta tables can actually hit.
-
-        ``workload`` classifies the runtime profile the component drives
-        (meaningful for environments): ``"dense"`` components keep most of
-        the run busy, ``"sparse"`` ones leave it mostly idle -- which is when
-        upfront scheduler-delta prebuilds lose to lazy per-round computation,
-        so ``run_suite(prebuild=True)`` auto-skips sparse entries (see
-        :meth:`workload`).
         """
         if not name or not isinstance(name, str):
             raise ValueError(f"{self.kind} registry names must be non-empty strings")
-        if workload not in self.WORKLOADS:
-            raise ValueError(
-                f"workload must be one of {self.WORKLOADS}, got {workload!r}"
-            )
 
         def decorator(builder: Callable[..., Any]) -> Callable[..., Any]:
             if name in self._builders:
@@ -118,7 +102,6 @@ class Registry:
             self._trial_seeded[name] = bool(trial_seeded)
             self._params_only[name] = _accepts_params_only(builder)
             self._embedding_aware[name] = _accepts_keyword(builder, "embedding")
-            self._workload[name] = workload
             self._traffic_aware[name] = _accepts_keyword(builder, "traffic")
             self._trial_seed_aware[name] = _accepts_keyword(builder, "trial_seed")
             return builder
@@ -173,20 +156,6 @@ class Registry:
         """
         self.get(name)  # raise uniformly on unknown names
         return self._embedding_aware[name]
-
-    def workload(self, name: str) -> str:
-        """The component's declared runtime profile: ``"dense"`` or ``"sparse"``.
-
-        Registration metadata, not a name heuristic: ``"sparse"`` marks
-        environments whose submissions leave most of the run idle (the
-        single-shot family), where lazy per-round scheduler deltas beat an
-        upfront prebuild by ~8x (the ROADMAP's measured caveat).  The suite
-        executor consults this to auto-skip prebuilds for sparse entries;
-        queue-backed traffic environments classify ``"dense"`` and keep the
-        prebuild.
-        """
-        self.get(name)  # raise uniformly on unknown names
-        return self._workload[name]
 
     def supports_traffic(self, name: str) -> bool:
         """Whether the builder accepts the scenario's ``traffic`` spec.
@@ -258,15 +227,11 @@ def register_environment(
     name: str,
     sample_args: Optional[Mapping[str, Any]] = None,
     trial_seeded: bool = False,
-    workload: str = "dense",
 ):
     """Register an environment builder: ``f(graph, **args) -> Environment``.
 
-    ``workload`` classifies the submission profile (``"dense"`` / ``"sparse"``,
-    see :meth:`Registry.workload`); builders may additionally declare
-    ``traffic`` and ``trial_seed`` keywords to receive the scenario's
-    :class:`~repro.scenarios.spec.TrafficSpec` and the per-trial seed.
+    Builders may additionally declare ``traffic`` and ``trial_seed`` keywords
+    to receive the scenario's :class:`~repro.scenarios.spec.TrafficSpec` and
+    the per-trial seed.
     """
-    return ENVIRONMENTS.register(
-        name, sample_args=sample_args, trial_seeded=trial_seeded, workload=workload
-    )
+    return ENVIRONMENTS.register(name, sample_args=sample_args, trial_seeded=trial_seeded)

@@ -540,6 +540,9 @@ def prebuild_delta_table(
     when the deltas are cacheable -- computes rounds ``1..rounds`` through
     :func:`repro.dualgraph.adversary.prebuild_scheduler_deltas`.  Returns
     ``None`` for non-cacheable schedulers (adaptive adversaries, unkeyed subclasses),
+    for schedulers the kernel decides on demand
+    (:attr:`~repro.dualgraph.adversary.LinkScheduler.decides_edges_independently`,
+    e.g. IID: it never reads their deltas),
     for engines that bypass the delta interface (``fast_path=False``), and
     for multi-trial specs whose topology or scheduler re-randomizes per trial
     (their per-trial delta streams have distinct cache keys, so a trial-0
@@ -568,7 +571,7 @@ def prebuild_delta_table(
     scheduler = SCHEDULERS.get(spec.scheduler.name)(
         graph, trial_seed, **scheduler_kwargs, **spec.scheduler.args
     )
-    if scheduler.delta_cache_key() is None:
+    if scheduler.decides_edges_independently or scheduler.delta_cache_key() is None:
         return None
     if rounds is None:
         if spec.run.rounds_unit == "rounds":

@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -53,7 +52,6 @@ from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Seque
 from repro.analysis.sweep import format_table
 from repro.dualgraph.adversary import preload_process_delta_cache
 from repro.scenarios.metrics import aggregate_metric_rows, flatten_aggregates
-from repro.scenarios.registry import ENVIRONMENTS
 from repro.scenarios.runtime import (
     RunResult,
     _aggregate,
@@ -559,26 +557,13 @@ def _prebuild_pending_deltas(
     this process; the fleet coordinator preloads it before forking.  Entries
     whose tables coincide (same :func:`repro.scenarios.runtime._delta_identity`:
     e.g. variants differing only in the environment) are computed once.
-
-    Sparse workloads are skipped: environments registered with
-    ``workload="sparse"`` (the ``single_shot`` family; see
-    :meth:`repro.scenarios.registry.Registry.workload`) leave most of their
-    (typically t_ack-long) runs idle, so lazily computed per-round deltas
-    touch only a fraction of the rounds a full-table prebuild would pay for
-    upfront.  A :class:`RuntimeWarning` names the skipped entries.
+    Entries whose scheduler the kernel decides on demand (IID) contribute no
+    table (:func:`repro.scenarios.runtime.prebuild_delta_table` is ``None``).
     """
     merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
     seen_identities = set()
-    sparse: List[str] = []
     for entry_index in sorted(set(entry_indices)):
-        entry = suite.entries[entry_index]
-        spec = entry.scenario
-        # Registration metadata, not name matching, so downstream-registered
-        # environments -- and the queued/traffic family, which is dense --
-        # classify correctly.
-        if ENVIRONMENTS.workload(spec.environment.name) == "sparse":
-            sparse.append(entry.id)
-            continue
+        spec = suite.entries[entry_index].scenario
         identity = _delta_identity(spec)
         if identity in seen_identities:
             continue
@@ -591,19 +576,6 @@ def _prebuild_pending_deltas(
             continue
         if table:
             merged.update(table)
-    if sparse:
-        shown = ", ".join(sparse[:3]) + (", ..." if len(sparse) > 3 else "")
-        warnings.warn(
-            "prebuild=True: skipping the scheduler-delta prebuild "
-            f"for {len(sparse)} sparse-workload (e.g. single-shot) "
-            f"entr{'y' if len(sparse) == 1 else 'ies'} "
-            f"({shown}) -- a sparse workload leaves most of its run idle, so "
-            "lazy per-round deltas beat a full-table prebuild; pass "
-            "prebuild=False (CLI: --no-prebuild) to silence this when the "
-            "whole suite is sparse",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     return merged
 
 
@@ -622,9 +594,7 @@ def run_suite(
     canonical task order either way.  ``prebuild`` computes the pending
     entries' scheduler-delta tables once in this process (see
     :func:`_prebuild_pending_deltas`) and ships the merged table to
-    pool workers through the pool initializer.  Sparse-workload entries are
-    skipped with a :class:`RuntimeWarning`; pass ``prebuild=False`` to
-    silence it when the whole suite is sparse.
+    pool workers through the pool initializer.
 
     ``store`` (a :class:`~repro.scenarios.store.ResultStore` or its root
     path) serves already-computed trials from the content-addressed result

@@ -17,10 +17,16 @@ Reception resolution has two implementations that produce identical results:
 * the **kernel** (production) resolver runs the collision rule as big-integer
   bitmask algebra over the graph's integer-indexed
   :class:`~repro.dualgraph.graph.TopologyIndex`.  Reliable neighborhoods are
-  masks precomputed once per topology; unreliable edges consult the scheduler
-  through its per-round delta
+  masks precomputed once per topology.  A scheduler that decides edges
+  independently
+  (:attr:`~repro.dualgraph.adversary.LinkScheduler.decides_edges_independently`,
+  e.g. IID) is asked on demand, only for the unreliable edges incident to
+  the round's transmitters
+  (:meth:`~repro.dualgraph.adversary.LinkScheduler.decide_edge_mask`), and
+  the decisions are memoized per round in :data:`_SCHED_MASK_CACHE`.  Every
+  other scheduler is read through its per-round delta
   (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_ids_for_round`),
-  decoded into one scheduled-edge mask per round.  The deltas are shared
+  decoded into one scheduled-edge mask per round.  Those deltas are shared
   across trials by the :class:`~repro.dualgraph.adversary.SchedulerDeltaCache`
   and the decoded masks by :data:`_SCHED_MASK_CACHE`, both keyed on the
   scheduler's delta cache key; schedulers without a key decode their own mask
@@ -66,8 +72,12 @@ Vertex = Hashable
 #: (equal keys => identical deltas for every round, across instances and
 #: processes) is exactly the license needed to share the masks the same way
 #: the :class:`~repro.dualgraph.adversary.SchedulerDeltaCache` shares the id
-#: tuples.  Bounded FIFO: inserts past the cap evict the oldest entry.
-_SCHED_MASK_CACHE: Dict[Any, int] = {}
+#: tuples.  A value is the round's full mask, or -- for schedulers that
+#: decide edges independently -- a ``(decided_bits, included_bits)`` pair
+#: that grows as later rounds' transmitters need more edges (see
+#: :meth:`Simulator._decided_edge_mask`).  Bounded FIFO: inserts past the
+#: cap evict the oldest entry.
+_SCHED_MASK_CACHE: Dict[Any, Any] = {}
 _SCHED_MASK_CACHE_MAXSIZE = 8192
 
 #: The round-loop sections :attr:`Simulator.perf_stats` accumulates.
@@ -453,6 +463,7 @@ class Simulator:
         """
         idx_of = self._idx_of
         vertex_of = self._vertex_of
+        tx_indices = [idx_of[vertex] for vertex in transmissions]
 
         if not self._has_unreliable:
             scheduled_mask = 0
@@ -460,10 +471,17 @@ class Simulator:
             # No cross-instance delta identity: decode this scheduler's own
             # delta, which no other instance may share.
             scheduled_mask = self._edge_mask(round_number)
+        elif self._scheduler.decides_edges_independently:
+            # Only edges incident to a transmitter can carry a frame, so
+            # decide just those (a superset may come back from the memo).
+            inc_masks = self._u_inc_masks
+            need = 0
+            for i in tx_indices:
+                need |= inc_masks[i]
+            scheduled_mask = self._decided_edge_mask(round_number, need)
         else:
             scheduled_mask = self._scheduled_edge_mask(round_number)
 
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
         if len(tx_indices) == 1:
             # Lone transmitter: every candidate wins (one transmitter's
             # candidates are duplicate-free, see above).
@@ -554,6 +572,26 @@ class Simulator:
             mask = self._edge_mask(round_number)
             bounded_put(_SCHED_MASK_CACHE, key, mask, _SCHED_MASK_CACHE_MAXSIZE)
         return mask
+
+    def _decided_edge_mask(self, round_number: int, need: int) -> int:
+        """The round's scheduled-edge mask, decided at least on ``need``, for
+        a scheduler that decides edges independently.
+
+        The memo entry of ``(delta identity, round)`` in
+        :data:`_SCHED_MASK_CACHE` is ``(decided_bits, included_bits)``; only
+        ``need & ~decided_bits`` is handed to the scheduler, so every
+        (edge, round) is hashed at most once per process while it stays
+        memoized.
+        """
+        key = (self._sched_mask_key, round_number)
+        decided, included = _SCHED_MASK_CACHE.get(key, (0, 0))
+        todo = need & ~decided
+        if todo:
+            included |= self._scheduler.decide_edge_mask(round_number, todo)
+            bounded_put(
+                _SCHED_MASK_CACHE, key, (decided | todo, included), _SCHED_MASK_CACHE_MAXSIZE
+            )
+        return included
 
     def _resolve_receptions_generic(
         self, round_number: int, transmissions: Dict[Vertex, Any]

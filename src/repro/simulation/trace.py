@@ -274,10 +274,6 @@ class ExecutionTrace:
         """Vertices that output ``recv(message)`` mapped to the earliest round."""
         return dict(self._receivers.get(message.message_id, {}))
 
-    def recv_rounds_for_vertex(self, vertex: Vertex) -> List[int]:
-        """Sorted rounds in which ``vertex`` generated any recv output."""
-        return sorted(ev.round_number for ev in self._recvs if ev.vertex == vertex)
-
     def __repr__(self) -> str:
         return (
             f"ExecutionTrace(rounds={self._num_rounds}, events={len(self._events)}, "

@@ -270,9 +270,11 @@ class TestParamsOnlyResolution:
             raise AssertionError("prebuild constructed a process population")
 
         monkeypatch.setattr(components, "make_lb_processes", explode)
-        spec = lb_spec_with(rounds_unit="tack")
+        spec = lb_spec_with(rounds_unit="tack").with_overrides(
+            {"scheduler.name": "periodic", "scheduler.args": {"stagger": True, "seed": 3}}
+        )
         table = prebuild_delta_table(spec)
-        assert table  # iid scheduler is cacheable, so a table must come back
+        assert table  # periodic scheduler is cacheable, so a table must come back
 
 
 class TestCountersTraceParity:

@@ -100,11 +100,6 @@ class TestMessageLifecycles:
         trace.record_event(RecvOutput(vertex=1, message=message, round_number=4))
         assert trace.receivers_of(message) == {1: 4}
 
-    def test_recv_rounds_for_vertex(self, message, other_message):
-        trace = build_trace(message, other_message)
-        assert trace.recv_rounds_for_vertex(1) == [5]
-        assert trace.recv_rounds_for_vertex(99) == []
-
 
 class TestFrameRecording:
     def test_transmissions_and_receptions(self):

@@ -210,27 +210,35 @@ class TestSuiteSpec:
             SuiteSpec.from_dict(manifest)
 
 
-def dense_suite(environments, scheduler_seeds):
-    """Entries crossing environments x scheduler seeds over one topology.
+def periodic_suite(environments, scheduler_seeds):
+    """Entries crossing environments x periodic-scheduler seeds over one topology.
 
-    Every environment is dense (none is skipped by the prebuild pass), so
-    the entries sharing a scheduler seed share one scheduler-delta table.
+    The staggered periodic scheduler is cacheable and read through its
+    deltas (it does not decide edges on demand, unlike IID), so the entries
+    sharing a scheduler seed share one prebuilt scheduler-delta table.
     """
     entries = []
     for seed in scheduler_seeds:
         for name, args in environments:
             scenario = small_scenario(f"{name}-{seed}", seed=seed)
             scenario = scenario.with_overrides(
-                {"environment.name": name, "environment.args": args}
+                {
+                    "environment.name": name,
+                    "environment.args": args,
+                    "scheduler.name": "periodic",
+                    "scheduler.args": {
+                        "on_rounds": 2, "off_rounds": 1, "stagger": True, "seed": seed
+                    },
+                }
             )
             entries.append(SuiteEntry(id=f"{name}-{seed}", scenario=scenario))
-    return SuiteSpec(name="dense-suite", entries=tuple(entries))
+    return SuiteSpec(name="periodic-suite", entries=tuple(entries))
 
 
-DENSE_ENVIRONMENTS = (
+PREBUILD_ENVIRONMENTS = (
     ("saturating", {"senders": [0]}),
     ("bursty", {"senders": [0], "period": 3}),
-    ("null", {}),
+    ("single_shot", {"senders": [0]}),
 )
 
 
@@ -257,7 +265,7 @@ class TestPrebuildPass:
 
         monkeypatch.setattr(runtime_module, "prebuild_scheduler_deltas", counting)
         # Three environments x two scheduler seeds: two distinct tables.
-        suite = dense_suite(DENSE_ENVIRONMENTS, scheduler_seeds=(21, 22))
+        suite = periodic_suite(PREBUILD_ENVIRONMENTS, scheduler_seeds=(21, 22))
         if mode == "fleet":
             report = run_suite_fleet(suite, workers=2, store=str(tmp_path / "store"))
         else:
@@ -278,8 +286,25 @@ class TestPrebuildPass:
         # path preloads this process.  Either way no trial recomputes a delta.
         # Seeds unique to this test keep other tests' cache entries out.
         monkeypatch.setattr(suite_module, "trial_record", _trial_record_without_delta_misses)
-        suite = dense_suite(DENSE_ENVIRONMENTS[:1], scheduler_seeds=(40 + jobs, 50 + jobs))
+        suite = periodic_suite(PREBUILD_ENVIRONMENTS[:1], scheduler_seeds=(40 + jobs, 50 + jobs))
         report = run_suite(suite, jobs=jobs)
+        assert [e.result.metrics["trials"] for e in report.entries] == [1, 1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_iid_suite_ships_no_delta_table(self, jobs, monkeypatch):
+        # The kernel decides IID edges on demand, so nothing is prebuilt:
+        # neither preloaded here nor installed as a pool initializer.
+        suite = small_suite()
+        assert all(
+            runtime_module.prebuild_delta_table(entry.scenario) is None
+            for entry in suite.entries
+        )
+
+        def no_preload(table):
+            raise AssertionError(f"a delta table of {len(table)} entries was shipped")
+
+        monkeypatch.setattr(suite_module, "preload_process_delta_cache", no_preload)
+        report = run_suite(suite, jobs=jobs, prebuild=True)
         assert [e.result.metrics["trials"] for e in report.entries] == [1, 1]
 
 
@@ -318,21 +343,18 @@ class TestRunSuite:
         assert flat["trials"] == 4
         assert flat["ack_delay.delay_mean"] == entry["value"]
 
-    def test_prebuild_auto_skips_sparse_single_shot_entries(self):
-        """prebuild=True warns on single-shot entries and skips their tables,
-        without changing any result row."""
+    def test_default_run_of_single_shot_iid_suite_is_silent(self):
+        """A default run_suite on single-shot IID entries warns about nothing
+        and matches prebuild=False row for row."""
         suite = small_suite(trials=1)  # single_shot environment throughout
-        # The advice names the library keyword and the CLI flag.
-        advice = r"single-shot.*prebuild=False \(CLI: --no-prebuild\)"
-        with pytest.warns(RuntimeWarning, match=advice):
-            warned = run_suite(suite, jobs=1, prebuild=True)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # prebuild=False stays silent
-            silent = run_suite(suite, jobs=1, prebuild=False)
-        rows_warned = [t.metric_row for e in warned.entries for t in e.result.trials]
-        rows_silent = [t.metric_row for e in silent.entries for t in e.result.trials]
-        assert rows_warned == rows_silent
-        assert warned.group_summaries == silent.group_summaries
+            warnings.simplefilter("error")
+            default = run_suite(suite, jobs=1)
+            without = run_suite(suite, jobs=1, prebuild=False)
+        rows_default = [t.metric_row for e in default.entries for t in e.result.trials]
+        rows_without = [t.metric_row for e in without.entries for t in e.result.trials]
+        assert rows_default == rows_without
+        assert default.group_summaries == without.group_summaries
 
     def test_profile_perf_stats_survive_suite_workers(self):
         suite = SuiteSpec(

@@ -295,8 +295,6 @@ class TestTrafficAwareScheduler:
         assert not SCHEDULERS.supports_traffic("iid")
         assert ENVIRONMENTS.supports_traffic("queued")
         assert ENVIRONMENTS.supports_trial_seed("queued")
-        assert ENVIRONMENTS.workload("queued") == "dense"
-        assert ENVIRONMENTS.workload("single_shot") == "sparse"
 
 
 # ----------------------------------------------------------------------
