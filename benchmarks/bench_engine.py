@@ -14,7 +14,10 @@ through the engine's two lanes:
 
 It writes ``BENCH_engine.json`` at the repo root with rounds/sec, the
 production-over-reference speedup, and each lane's per-section time shares
-(from the engine's always-on section timers).  The five-lane history this
+(from the engine's always-on section timers).  The lanes are timed in
+interleaved (reference, kernel) pairs, and the speedup is the median of the
+per-pair ratios, so load on a shared host slows both sides of the pairs it
+covers instead of one lane's whole sample.  The five-lane history this
 ladder replaced is summarized in ``docs/performance.md``.
 
 Run it directly::
@@ -32,6 +35,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 import time
 from typing import Any, Dict
@@ -96,43 +100,35 @@ def build_workload(n: int, engine: str):
     return simulator, params
 
 
-#: Timing samples per engine config; rounds/sec is the best of these.  The
-#: fastest configs finish a whole sample in tens of milliseconds, where a
-#: single GC pause or scheduler hiccup skews one sample by double digits --
-#: best-of-N keeps the committed numbers and the CI regression gate stable.
-TIMING_REPEATS = 3
-#: Keep sampling (beyond ``TIMING_REPEATS``) until this much wall-clock has
-#: been spent inside timed runs, up to ``TIMING_MAX_REPEATS``.  Slow configs
-#: (the reference spends seconds per sample) stay at the minimum; the kernel
-#: lanes finish a sample in tens of milliseconds and get best-of-~20, which
-#: is what makes a microsecond-scale per-round headline reproducible on a
-#: machine with double-digit run-to-run noise.
-TIMING_MIN_SECONDS = 1.0
-TIMING_MAX_REPEATS = 20
+#: Interleaved (reference, kernel) sample pairs per network size; the
+#: speedup is the median of the per-pair ratios.
+PAIRS = 7
+#: Kernel samples per pair; the fastest is the pair's kernel figure.  A
+#: kernel sample finishes in milliseconds, where a single GC pause or
+#: scheduler hiccup skews it by double digits.
+KERNEL_SAMPLES_PER_PAIR = 5
 
 
-def _timed_run(n: int, rounds: int, engine: str):
-    """Build and run the workload repeatedly; report the best rounds/sec.
+def _interleaved_samples(n: int, rounds: int):
+    """Time both lanes in :data:`PAIRS` interleaved pairs.
 
-    Every repeat constructs an identical fixed-seed simulator, so the traces
-    are interchangeable; the first run's simulator and trace are returned for
-    the identity checks.
+    Every sample constructs an identical fixed-seed simulator, so the traces
+    are interchangeable.  Returns each lane's first ``(simulator, trace)``
+    for the identity checks and each lane's per-pair rounds/sec.
     """
-    simulator = trace = None
-    best_rps = 0.0
-    spent = 0.0
-    for repeat in range(TIMING_MAX_REPEATS):
-        if repeat >= TIMING_REPEATS and spent >= TIMING_MIN_SECONDS:
-            break
-        sim, _ = build_workload(n, engine)
-        start = time.perf_counter()
-        this_trace = sim.run(rounds)
-        elapsed = time.perf_counter() - start
-        spent += elapsed
-        best_rps = max(best_rps, rounds / elapsed)
-        if simulator is None:
-            simulator, trace = sim, this_trace
-    return simulator, trace, best_rps
+    first: Dict[str, Any] = {}
+    rps: Dict[str, list] = {engine: [] for engine in ENGINES}
+    for _ in range(PAIRS):
+        for engine, samples in (("reference", 1), ("kernel", KERNEL_SAMPLES_PER_PAIR)):
+            best = 0.0
+            for _ in range(samples):
+                sim, _ = build_workload(n, engine)
+                start = time.perf_counter()
+                trace = sim.run(rounds)
+                best = max(best, rounds / (time.perf_counter() - start))
+                first.setdefault(engine, (sim, trace))
+            rps[engine].append(best)
+    return first, rps
 
 
 def _breakdown(simulator) -> Dict[str, float]:
@@ -159,8 +155,9 @@ def _traces_identical(trace_a, trace_b, rounds: int) -> bool:
 def run_workload_point(n: int, rounds_by_n: Dict[int, int]) -> Dict[str, Any]:
     """Benchmark one network size across the engine lanes."""
     rounds = rounds_by_n[n]
-    reference_sim, reference_trace, reference_rps = _timed_run(n, rounds, "reference")
-    kernel_sim, kernel_trace, kernel_rps = _timed_run(n, rounds, "kernel")
+    first, rps = _interleaved_samples(n, rounds)
+    reference_sim, reference_trace = first["reference"]
+    kernel_sim, kernel_trace = first["kernel"]
     assert reference_sim.lane == "reference"
     assert not reference_sim.uses_batch_stepping
     assert kernel_sim.lane == "kernel" and kernel_sim.uses_batch_stepping
@@ -173,9 +170,11 @@ def run_workload_point(n: int, rounds_by_n: Dict[int, int]) -> Dict[str, Any]:
         "reliable_edges": len(graph.reliable_edges),
         "unreliable_edges": len(graph.unreliable_edges),
         "rounds": rounds,
-        "reference_rps": reference_rps,
-        "kernel_rps": kernel_rps,
-        "speedup_kernel": kernel_rps / reference_rps,
+        "reference_rps": max(rps["reference"]),
+        "kernel_rps": max(rps["kernel"]),
+        "speedup_kernel": statistics.median(
+            k / r for k, r in zip(rps["kernel"], rps["reference"])
+        ),
         "trace_identical": identical,
         "events": len(reference_trace.events),
         "breakdown_reference": _breakdown(reference_sim),

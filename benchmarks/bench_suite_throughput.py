@@ -366,7 +366,9 @@ def main(argv=None) -> int:
     report = run_benchmark(quick=args.quick, jobs=args.jobs)
     table = render_table(report)
     print(table)
-    save_table("BENCH_suite", table)
+    # Quick smoke runs save under a separate name so they never clobber the
+    # committed full-grid table.
+    save_table("BENCH_suite_quick" if args.quick else "BENCH_suite", table)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -7,11 +7,12 @@ engine's rounds/sec regressed by more than the allowed fraction.
 
 Raw rounds/sec are only comparable between runs on the same machine, and CI
 runners are not the machine the baseline was committed from.  The default
-mode therefore *normalizes* each report's engine rounds/sec by its own
-reference rounds/sec -- the engine/reference speedup -- which cancels the
-hardware factor and regresses only when the engine got slower *relative to
-the same code's reference engine*.  Pass ``--absolute`` for raw rounds/sec
-comparisons between runs on one machine.
+mode therefore gates each report's engine/reference speedup (the
+``speedup_<engine>`` column: the median of per-pair ratios over interleaved
+reference and engine samples), which cancels most of the hardware factor
+and regresses only when the engine got slower *relative to the same code's
+reference engine*.  Pass ``--absolute`` for raw rounds/sec comparisons
+between runs on one machine.
 
 The production lane ``kernel`` (FULL traces) is gated by default
 (``--engines``).  Naming a lane the engine no longer has (``fast``,
@@ -68,15 +69,11 @@ REMOVED_LANES = ("fast", "batched", "vector", "kernel_counters")
 
 def _metric(row: dict, engine: str, absolute: bool):
     """``(value, None)`` for the gated metric, or ``(None, reason)``."""
-    engine_rps = row.get(f"{engine}_rps")
-    if engine_rps is None:
-        return None, f"lacks the '{engine}_rps' column"
-    if not absolute:
-        reference_rps = row.get("reference_rps")
-        if not reference_rps:
-            return None, "lacks a usable 'reference_rps' denominator"
-        return engine_rps / reference_rps, None
-    return engine_rps, None
+    column = f"{engine}_rps" if absolute else f"speedup_{engine}"
+    value = row.get(column)
+    if value is None:
+        return None, f"lacks the '{column}' column"
+    return value, None
 
 
 def check_engine(

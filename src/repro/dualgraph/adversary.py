@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.caches import bounded_put
 from repro.dualgraph.graph import DualGraph, Edge, TopologyIndex, normalize_edge
@@ -63,7 +63,9 @@ class SchedulerDeltaCache:
     decided on demand instead, edge by edge for the transmitters' incident
     edges (memoized by the engine), so its deltas land here only when the
     id view :meth:`LinkScheduler.unreliable_edge_ids_for_round` is queried
-    directly.
+    directly.  Every other scheduler without its own edge-set body derives
+    :meth:`LinkScheduler.unreliable_edges_for_round` from that id view, so
+    the reference resolver reads (and fills) this cache too.
 
     Contract:
 
@@ -194,19 +196,19 @@ def prebuild_scheduler_deltas(
 class LinkScheduler(ABC):
     """Base class for oblivious link schedulers.
 
-    Subclasses implement :meth:`unreliable_edges_for_round`; the simulator
-    calls :meth:`resolve_topology` to obtain the full edge set of the round's
-    communication topology ``G_t`` (always a superset of ``E``).
-
-    For the engine's fast path, schedulers additionally expose a *delta
-    interface*: :meth:`unreliable_edge_ids_for_round` reports the included
-    edges as dense integer ids from the graph's
-    :meth:`~repro.dualgraph.graph.DualGraph.topology_index`, memoized per
-    round, so the engine never touches frozensets of edges on the hot path.
-    Subclasses with structure to exploit (periodic masks, precomputed hash
-    prefixes) override :meth:`_compute_unreliable_edge_ids`; the default maps
-    :meth:`unreliable_edges_for_round` through the index, so any oblivious
-    scheduler gets the delta interface for free and both views always agree.
+    A subclass implements one schedule view, :meth:`_compute_unreliable_edge_ids`:
+    the unreliable edges included in a round, as dense integer ids from the
+    graph's :meth:`~repro.dualgraph.graph.DualGraph.topology_index`.  The
+    engine's kernel reads it through :meth:`unreliable_edge_ids_for_round`
+    (shared across trials by the :class:`SchedulerDeltaCache`), so it never
+    touches frozensets of edges on the hot path.  The reference resolver
+    calls :meth:`resolve_topology` for the full edge set of the round's
+    communication topology ``G_t`` (always a superset of ``E``), built from
+    :meth:`unreliable_edges_for_round`, which this class derives from the id
+    view.  :class:`IIDScheduler` and :class:`PeriodicScheduler` override that
+    frozenset view with an independent body: it is the reference the
+    kernel-vs-reference identity tests and the engine benchmark compare
+    against.
 
     Schedulers whose per-edge decisions are independent of each other set
     :attr:`decides_edges_independently` and implement
@@ -221,8 +223,8 @@ class LinkScheduler(ABC):
 
     def __init__(self, graph: DualGraph) -> None:
         self._graph = graph
-        self._ids_memo_key: Optional[Tuple[int, int]] = None
-        self._ids_memo: Tuple[int, ...] = ()
+        self._slot_ids_version: Optional[int] = None
+        self._slot_ids: Dict[int, Tuple[int, ...]] = {}
         self._delta_cache: Optional[SchedulerDeltaCache] = _PROCESS_DELTA_CACHE
         self._cache_key_memo: Optional[Tuple[int, Optional[Hashable]]] = None
 
@@ -241,9 +243,10 @@ class LinkScheduler(ABC):
         """
         return False
 
-    @abstractmethod
     def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
         """The subset of ``E' \\ E`` included in round ``round_number`` (1-based)."""
+        edges = self._graph.topology_index().unreliable_edge_list
+        return frozenset(edges[eid] for eid in self.unreliable_edge_ids_for_round(round_number))
 
     def topology_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
         """All edges of the communication topology ``G_t`` for the round."""
@@ -258,11 +261,8 @@ class LinkScheduler(ABC):
 
         * Ids refer to ``self.graph.topology_index()`` (the dense edge ids of
           ``E' \\ E``); the tuple is the round's complete inclusion delta.
-        * The result is memoized per ``(round, topology version)``, so the
-          engine -- and anything else inspecting the schedule -- can query
-          the current round repeatedly for free.
         * For schedulers exposing a :meth:`delta_cache_key`, computed deltas
-          are additionally shared through the attached
+          are shared through the attached
           :class:`SchedulerDeltaCache`, so structurally identical trials
           (same scheduler configuration, same indexed topology) never
           re-derive a round's delta.
@@ -270,9 +270,6 @@ class LinkScheduler(ABC):
         The returned tuple must be treated as immutable; it may be the cached
         object shared across scheduler instances and trials.
         """
-        key = (round_number, self._graph.topology_version)
-        if key == self._ids_memo_key:
-            return self._ids_memo
         cache = self._delta_cache
         cache_key = self.delta_cache_key() if cache is not None else None
         ids: Optional[Tuple[int, ...]] = None
@@ -284,15 +281,28 @@ class LinkScheduler(ABC):
             )
             if cache_key is not None:
                 cache.store(cache_key, round_number, ids)
-        self._ids_memo_key = key
-        self._ids_memo = ids
         return ids
 
+    @abstractmethod
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
     ) -> Tuple[int, ...]:
-        """Uncached id computation; override when structure allows a fast path."""
-        return index.edge_ids(self.unreliable_edges_for_round(round_number))
+        """The ids of the unreliable edges included in ``round_number``,
+        uncached: the one schedule view a subclass implements."""
+
+    def _memo_slot_ids(
+        self, slot: int, compute: Callable[[int], Tuple[int, ...]]
+    ) -> Tuple[int, ...]:
+        """``compute(slot)``, memoized per slot until the topology version
+        moves: for cyclic schedules, whose ids repeat every few rounds."""
+        version = self._graph.topology_version
+        if version != self._slot_ids_version:
+            self._slot_ids = {}
+            self._slot_ids_version = version
+        ids = self._slot_ids.get(slot)
+        if ids is None:
+            ids = self._slot_ids[slot] = compute(slot)
+        return ids
 
     def decide_edge_mask(self, round_number: int, need: int) -> int:
         """The edges of ``need`` (a bitmask over dense edge ids) included in
@@ -382,10 +392,12 @@ class AdaptiveLinkScheduler(LinkScheduler):
     def is_adaptive(self) -> bool:
         return True
 
-    def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
+    def _compute_unreliable_edge_ids(
+        self, round_number: int, index: TopologyIndex
+    ) -> Tuple[int, ...]:
         # The non-adaptive projection: used only if someone drives an adaptive
         # scheduler through the oblivious interface (e.g. for inspection).
-        return frozenset()
+        return ()
 
     @abstractmethod
     def adaptive_unreliable_edges(
@@ -447,9 +459,6 @@ class CollisionAdaptiveAdversary(AdaptiveLinkScheduler):
 class NoUnreliableScheduler(LinkScheduler):
     """Never include any unreliable edge: the topology is always ``G``."""
 
-    def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
-        return frozenset()
-
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
     ) -> Tuple[int, ...]:
@@ -458,9 +467,6 @@ class NoUnreliableScheduler(LinkScheduler):
 
 class FullInclusionScheduler(LinkScheduler):
     """Always include every unreliable edge: the topology is always ``G'``."""
-
-    def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
-        return self._graph.unreliable_edges
 
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
@@ -608,8 +614,6 @@ class PeriodicScheduler(LinkScheduler):
         self._off = int(off_rounds)
         self._stagger = bool(stagger)
         self._seed = int(seed)
-        self._period_masks_version: Optional[int] = None
-        self._period_masks: Dict[int, Tuple[int, ...]] = {}
 
     def _offset_for_edge(self, edge: Edge) -> int:
         if not self._stagger:
@@ -631,23 +635,15 @@ class PeriodicScheduler(LinkScheduler):
     ) -> Tuple[int, ...]:
         # The schedule is periodic: the inclusion mask depends only on
         # (round - 1) mod period, so at most `period` distinct masks exist.
-        # Compute each lazily and reuse it for the rest of the run.
         period = self._on + self._off
-        version = self._graph.topology_version
-        if version != self._period_masks_version:
-            self._period_masks = {}
-            self._period_masks_version = version
-        phase = (round_number - 1) % period
-        mask = self._period_masks.get(phase)
-        if mask is None:
-            on = self._on
-            mask = tuple(
+        return self._memo_slot_ids(
+            (round_number - 1) % period,
+            lambda phase: tuple(
                 eid
                 for eid, edge in enumerate(index.unreliable_edge_list)
-                if (phase + self._offset_for_edge(edge)) % period < on
-            )
-            self._period_masks[phase] = mask
-        return mask
+                if (phase + self._offset_for_edge(edge)) % period < self._on
+            ),
+        )
 
     def _delta_cache_signature(self) -> Tuple[Hashable, ...]:
         return ("periodic", self._on, self._off, self._stagger, self._seed)
@@ -706,11 +702,6 @@ class AntiScheduleAdversary(LinkScheduler):
         index = (round_number - 1 + self._offset) % len(self._victim)
         return self._victim[index]
 
-    def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
-        if self.victim_probability_for_round(round_number) >= self._threshold:
-            return self._graph.unreliable_edges
-        return frozenset()
-
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
     ) -> Tuple[int, ...]:
@@ -755,34 +746,18 @@ class TraceScheduler(LinkScheduler):
                 )
             self._schedule.append(edges)
         self._cycle = bool(cycle)
-        self._id_schedule_version: Optional[int] = None
-        self._id_schedule: List[Tuple[int, ...]] = []
-
-    def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
-        if not self._schedule:
-            return frozenset()
-        index = round_number - 1
-        if index >= len(self._schedule):
-            if not self._cycle:
-                return frozenset()
-            index %= len(self._schedule)
-        return self._schedule[index]
 
     def _compute_unreliable_edge_ids(
         self, round_number: int, index: TopologyIndex
     ) -> Tuple[int, ...]:
-        version = self._graph.topology_version
-        if version != self._id_schedule_version:
-            self._id_schedule = [index.edge_ids(entry) for entry in self._schedule]
-            self._id_schedule_version = version
-        if not self._id_schedule:
+        if not self._schedule:
             return ()
         slot = round_number - 1
-        if slot >= len(self._id_schedule):
+        if slot >= len(self._schedule):
             if not self._cycle:
                 return ()
-            slot %= len(self._id_schedule)
-        return self._id_schedule[slot]
+            slot %= len(self._schedule)
+        return self._memo_slot_ids(slot, lambda s: index.edge_ids(self._schedule[s]))
 
     def describe(self) -> str:
         return f"TraceScheduler(length={len(self._schedule)}, cycle={self._cycle})"

@@ -197,9 +197,11 @@ class Simulator:
         """The first condition that keeps the kernel resolver off, or
         ``None`` when it runs.
 
-        The kernel reads the scheduler's per-round edge deltas, so it needs
-        an oblivious scheduler built for this graph whose topology is exactly
-        what those deltas describe.
+        The kernel reads the schedule as edge ids -- a scheduler's whole
+        per-round delta, or, for one that decides edges independently, the
+        decisions for the transmitters' incident edges -- so it needs an
+        oblivious scheduler built for this graph whose topology is exactly
+        what those ids describe.
         """
         if not fast_path:
             return "fast_path is off"

@@ -20,9 +20,9 @@ Compared to an iid inclusion coin, the frame admits far fewer unreliable
 edges per round and never two incident to the same vertex, so receivers see
 much less collision interference -- which is what drives delivery latency
 down under load.  The schedule is a pure function of ``(graph, forecast,
-frame)``: the scheduler stays oblivious, exposes the edge-id delta interface
-with lazily memoized per-slot masks (the :class:`PeriodicScheduler` pattern),
-and participates in the cross-trial delta cache and the kernel lane unchanged.
+frame)``: the scheduler stays oblivious, implements the edge-id schedule view
+with lazily memoized per-slot masks (as :class:`PeriodicScheduler` does), and
+participates in the cross-trial delta cache and the kernel lane unchanged.
 
 Two prioritization variants exist:
 
@@ -34,7 +34,7 @@ Two prioritization variants exist:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dualgraph.adversary import LinkScheduler
 
@@ -110,9 +110,10 @@ class TrafficAwareScheduler(LinkScheduler):
     frame:
         Slot-frame length in rounds.  Defaults to the number of slots the
         conflict-free assignment needs (the maximum "unreliable degree"
-        governs it); a larger frame lowers the duty cycle further, a smaller
-        one forces conflicting edges to share slots (first-fit by least
-        conflict, deterministic).
+        governs it); a larger frame lowers the duty cycle further.  In a
+        smaller one, an edge that finds no free slot before the last one
+        lands in the last slot (``frame - 1``), sharing it with conflicting
+        edges.
     variant:
         ``"tasa"`` (subtree-aggregated priority) or ``"longest_queue"``
         (local-forecast priority, no tree).
@@ -148,10 +149,6 @@ class TrafficAwareScheduler(LinkScheduler):
         else:
             priority = {v: float(rates.get(v, 0.0)) for v in graph.vertices}
         self._slots, self._frame = self._assign_slots(graph, priority, frame)
-        self._slot_edges: List[FrozenSet[Edge]] = [
-            frozenset(e for e, s in self._slots.items() if s == slot)
-            for slot in range(self._frame)
-        ]
         # Canonical text of the slot table: the delta-cache signature hashes
         # it, so two instances share cached deltas iff their schedules agree.
         table = ";".join(
@@ -160,8 +157,6 @@ class TrafficAwareScheduler(LinkScheduler):
         self._table_digest = hashlib.sha256(
             f"{variant}|{self._frame}|{table}".encode()
         ).hexdigest()[:16]
-        self._slot_masks_version: Optional[int] = None
-        self._slot_masks: Dict[int, Tuple[int, ...]] = {}
 
     @staticmethod
     def _assign_slots(
@@ -185,8 +180,6 @@ class TrafficAwareScheduler(LinkScheduler):
             slot = 0
             while slot in taken and (frame is None or slot < frame - 1):
                 slot += 1
-            if frame is not None and slot >= frame:
-                slot = frame - 1
             slots[edge] = slot
             used_at[u].add(slot)
             used_at[v].add(slot)
@@ -206,26 +199,16 @@ class TrafficAwareScheduler(LinkScheduler):
         """The frame slot assigned to one unreliable edge (None if unknown)."""
         return self._slots.get(edge)
 
-    def unreliable_edges_for_round(self, round_number: int) -> FrozenSet[Edge]:
-        return self._slot_edges[(round_number - 1) % self._frame]
-
     def _compute_unreliable_edge_ids(self, round_number: int, index) -> Tuple[int, ...]:
-        # At most `frame` distinct masks exist; compute each lazily and reuse
-        # it for the rest of the run (the PeriodicScheduler pattern).
-        version = self._graph.topology_version
-        if version != self._slot_masks_version:
-            self._slot_masks = {}
-            self._slot_masks_version = version
-        slot = (round_number - 1) % self._frame
-        mask = self._slot_masks.get(slot)
-        if mask is None:
-            mask = tuple(
+        # At most `frame` distinct masks exist.
+        return self._memo_slot_ids(
+            (round_number - 1) % self._frame,
+            lambda slot: tuple(
                 eid
                 for eid, edge in enumerate(index.unreliable_edge_list)
                 if self._slots.get(edge) == slot
-            )
-            self._slot_masks[slot] = mask
-        return mask
+            ),
+        )
 
     def _delta_cache_signature(self) -> Tuple[Hashable, ...]:
         return ("traffic_aware", self._variant, self._frame, self._table_digest)

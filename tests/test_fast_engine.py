@@ -34,12 +34,14 @@ from repro import (
     random_geographic_network,
 )
 from repro.core.local_broadcast import LocalBroadcastProcess
+from repro.dualgraph.graph import normalize_edge
 from repro.simulation.environment import (
     SaturatingEnvironment,
     ScriptedEnvironment,
     SingleShotEnvironment,
 )
 from repro.simulation.process import ProcessContext, SilentProcess
+from repro.traffic.schedulers import TrafficAwareScheduler
 
 
 def _trace_scheduler(graph):
@@ -55,6 +57,47 @@ SCHEDULER_FACTORIES = {
     "periodic": lambda g: PeriodicScheduler(g, on_rounds=3, off_rounds=2, stagger=True, seed=5),
     "anti": lambda g: AntiScheduleAdversary(g, [0.5, 0.02, 0.25]),
     "trace": _trace_scheduler,
+    "tasa": lambda g: TrafficAwareScheduler(g, variant="tasa"),
+    "longest_queue": lambda g: TrafficAwareScheduler(
+        g, rates={v: float(v % 4) for v in g.vertices}, variant="longest_queue"
+    ),
+}
+
+
+def _anti_oracle(scheduler, graph, round_number):
+    if scheduler.victim_probability_for_round(round_number) >= scheduler.threshold:
+        return graph.unreliable_edges
+    return frozenset()
+
+
+def _trace_oracle(scheduler, graph, round_number):
+    if not scheduler._schedule:
+        return frozenset()
+    index = round_number - 1
+    if index >= len(scheduler._schedule):
+        if not scheduler._cycle:
+            return frozenset()
+        index %= len(scheduler._schedule)
+    return scheduler._schedule[index]
+
+
+def _slot_frame_oracle(scheduler, graph, round_number):
+    slot = (round_number - 1) % scheduler.frame
+    return frozenset(e for e in graph.unreliable_edges if scheduler.slot_of(e) == slot)
+
+
+#: Each scheduler's round edge set, computed without its id view, so
+#: ``test_edge_ids_match_edge_sets`` compares two implementations.  IID and
+#: periodic define their own frozenset view, so it is their oracle.
+EDGE_SET_ORACLES = {
+    "none": lambda scheduler, graph, t: frozenset(),
+    "full": lambda scheduler, graph, t: graph.unreliable_edges,
+    "iid": lambda scheduler, graph, t: scheduler.unreliable_edges_for_round(t),
+    "periodic": lambda scheduler, graph, t: scheduler.unreliable_edges_for_round(t),
+    "anti": _anti_oracle,
+    "trace": _trace_oracle,
+    "tasa": _slot_frame_oracle,
+    "longest_queue": _slot_frame_oracle,
 }
 
 #: Schedulers whose unreliable edges must carry a lone transmitter's frame in
@@ -261,14 +304,18 @@ class TestSchedulerDeltaInterface:
     def test_edge_ids_match_edge_sets(self, scheduler_key):
         graph = _make_network()
         scheduler = SCHEDULER_FACTORIES[scheduler_key](graph)
+        oracle = EDGE_SET_ORACLES[scheduler_key]
         index = graph.topology_index()
+        included = set()
         for round_number in range(1, 25):
             ids = scheduler.unreliable_edge_ids_for_round(round_number)
             via_ids = frozenset(index.unreliable_edge_list[eid] for eid in ids)
-            reference = (
-                scheduler.unreliable_edges_for_round(round_number) & graph.unreliable_edges
-            )
-            assert via_ids == reference
+            expected = oracle(scheduler, graph, round_number) & graph.unreliable_edges
+            assert via_ids == expected
+            assert scheduler.unreliable_edges_for_round(round_number) == expected
+            included |= expected
+        if scheduler_key != "none":
+            assert included  # the comparison saw a non-empty schedule
 
     def test_trace_scheduler_ids(self):
         graph = DualGraph(
@@ -276,14 +323,18 @@ class TestSchedulerDeltaInterface:
             reliable_edges=[(0, 1)],
             unreliable_edges=[(1, 2), (2, 3)],
         )
-        scheduler = TraceScheduler(graph, [[(1, 2)], []], cycle=True)
         index = graph.topology_index()
-        assert [
-            frozenset(index.unreliable_edge_list[eid] for eid in scheduler.unreliable_edge_ids_for_round(t))
-            for t in (1, 2, 3)
-        ] == [
-            scheduler.unreliable_edges_for_round(t) for t in (1, 2, 3)
-        ]
+        a, b = normalize_edge(1, 2), normalize_edge(2, 3)
+        schedule = [[(2, 1)], [], [(1, 2), (3, 2)]]
+        for cycle, fourth in ((True, {a}), (False, set())):
+            scheduler = TraceScheduler(graph, schedule, cycle=cycle)
+            expected = [{a}, set(), {a, b}, fourth]
+            rounds = range(1, len(expected) + 1)
+            assert [
+                {index.unreliable_edge_list[eid] for eid in scheduler.unreliable_edge_ids_for_round(t)}
+                for t in rounds
+            ] == expected
+            assert [scheduler.unreliable_edges_for_round(t) for t in rounds] == expected
 
     def test_memoization_tracks_graph_mutation(self):
         graph = DualGraph([0, 1, 2], reliable_edges=[(0, 1)], unreliable_edges=[(1, 2)])

@@ -25,6 +25,7 @@ from dataclasses import replace
 import pytest
 
 from repro.dualgraph.generators import two_clusters_network
+from repro.dualgraph.graph import DualGraph, normalize_edge
 from repro.scenarios.components import network_with_target_degree
 from repro.scenarios.registry import ENVIRONMENTS, SCHEDULERS
 from repro.scenarios.runtime import materialize, run, run_many, run_trial
@@ -275,6 +276,37 @@ class TestTrafficAwareScheduler:
         assert a.unreliable_edges_for_round(1) == a.unreliable_edges_for_round(
             1 + a.frame
         )
+
+    @staticmethod
+    def _star_graph():
+        """Four unreliable edges sharing vertex 0: the conflict-free frame
+        needs four slots."""
+        return DualGraph(
+            [0, 1, 2, 3, 4],
+            reliable_edges=[(1, 2), (2, 3), (3, 4)],
+            unreliable_edges=[(0, 1), (0, 2), (0, 3), (0, 4)],
+        )
+
+    def test_frame_of_one_puts_every_edge_in_slot_zero(self):
+        graph = self._star_graph()
+        assert TrafficAwareScheduler(graph).frame == 4
+        scheduler = TrafficAwareScheduler(graph, frame=1)
+        assert scheduler.frame == 1
+        assert {scheduler.slot_of(e) for e in graph.unreliable_edges} == {0}
+        for round_number in (1, 2, 3):
+            assert scheduler.unreliable_edges_for_round(round_number) == graph.unreliable_edges
+
+    def test_short_frame_sends_overflow_edges_to_the_last_slot(self):
+        graph = self._star_graph()
+        scheduler = TrafficAwareScheduler(graph, frame=3, variant="longest_queue")
+        # Uniform forecast: edges are placed in repr order, first fit; the
+        # two that find slots 0 and 1 taken both land in slot 2.
+        assert [scheduler.unreliable_edges_for_round(t) for t in (1, 2, 3, 4)] == [
+            {normalize_edge(0, 1)},
+            {normalize_edge(0, 2)},
+            {normalize_edge(0, 3), normalize_edge(0, 4)},
+            {normalize_edge(0, 1)},
+        ]
 
     def test_variants_and_signatures_differ_with_forecast(self):
         graph = self._graph()
