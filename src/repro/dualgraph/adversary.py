@@ -223,10 +223,10 @@ class LinkScheduler(ABC):
 
     def __init__(self, graph: DualGraph) -> None:
         self._graph = graph
-        self._slot_ids_version: Optional[int] = None
         self._slot_ids: Dict[int, Tuple[int, ...]] = {}
         self._delta_cache: Optional[SchedulerDeltaCache] = _PROCESS_DELTA_CACHE
-        self._cache_key_memo: Optional[Tuple[int, Optional[Hashable]]] = None
+        # ``(delta_cache_key,)`` once computed (the key itself may be None).
+        self._cache_key_memo: Optional[Tuple[Optional[Hashable]]] = None
 
     @property
     def graph(self) -> DualGraph:
@@ -293,12 +293,8 @@ class LinkScheduler(ABC):
     def _memo_slot_ids(
         self, slot: int, compute: Callable[[int], Tuple[int, ...]]
     ) -> Tuple[int, ...]:
-        """``compute(slot)``, memoized per slot until the topology version
-        moves: for cyclic schedules, whose ids repeat every few rounds."""
-        version = self._graph.topology_version
-        if version != self._slot_ids_version:
-            self._slot_ids = {}
-            self._slot_ids_version = version
+        """``compute(slot)``, memoized per slot: for cyclic schedules, whose
+        ids repeat every few rounds."""
         ids = self._slot_ids.get(slot)
         if ids is None:
             ids = self._slot_ids[slot] = compute(slot)
@@ -326,20 +322,17 @@ class LinkScheduler(ABC):
         """
         if self.is_adaptive:
             return None
-        version = self._graph.topology_version
-        memo = self._cache_key_memo
-        if memo is not None and memo[0] == version:
-            return memo[1]
-        signature = self._delta_cache_signature()
-        key: Optional[Hashable] = None
-        if signature is not None:
-            key = (
-                type(self).__name__,
-                tuple(signature),
-                self._graph.topology_index().fingerprint,
-            )
-        self._cache_key_memo = (version, key)
-        return key
+        if self._cache_key_memo is None:
+            signature = self._delta_cache_signature()
+            key: Optional[Hashable] = None
+            if signature is not None:
+                key = (
+                    type(self).__name__,
+                    tuple(signature),
+                    self._graph.topology_index().fingerprint,
+                )
+            self._cache_key_memo = (key,)
+        return self._cache_key_memo[0]
 
     def _delta_cache_signature(self) -> Optional[Tuple[Hashable, ...]]:
         """The scheduler-configuration part of :meth:`delta_cache_key`.
@@ -507,8 +500,7 @@ class IIDScheduler(LinkScheduler):
             raise ValueError(f"probability must be in [0, 1], got {probability}")
         self._p = float(probability)
         self._seed = int(seed)
-        self._states_version: Optional[int] = None
-        self._states: Tuple["hashlib._Hash", ...] = ()
+        self._states: Optional[Tuple["hashlib._Hash", ...]] = None
 
     @property
     def probability(self) -> float:
@@ -534,10 +526,9 @@ class IIDScheduler(LinkScheduler):
         third separator is hashed once per edge.  A decision ``.copy()``-s
         the edge's state and feeds it the round suffix, which yields the
         digest (and therefore the inclusion decision) bit-identical to
-        :func:`_edge_round_hash`.  Rebuilt when the topology version moves.
+        :func:`_edge_round_hash`.  Built on first use.
         """
-        version = self._graph.topology_version
-        if version != self._states_version:
+        if self._states is None:
             seed_bytes = str(self._seed).encode()
             states = []
             for edge in self._graph.topology_index().unreliable_edge_list:
@@ -546,7 +537,6 @@ class IIDScheduler(LinkScheduler):
                     hashlib.sha256(seed_bytes + b"|" + e0.encode() + b"|" + e1.encode() + b"|")
                 )
             self._states = tuple(states)
-            self._states_version = version
         return self._states
 
     def decide_edge_mask(self, round_number: int, need: int) -> int:

@@ -51,7 +51,7 @@ class TopologyIndex:
     resolve receptions transmitter-centrically.
 
     Instances are built via :meth:`DualGraph.topology_index`, which caches the
-    index and invalidates it when edges are added.
+    index and freezes the graph: the index is valid for the graph's lifetime.
     """
 
     __slots__ = (
@@ -191,6 +191,10 @@ class DualGraph:
     The paper requires ``E ⊆ E'``.  This class maintains the invariant
     automatically: ``E'`` is represented as the union of ``E`` and the extra
     unreliable edges.
+
+    The dual graph is fixed for an execution (Section 2): the first
+    :meth:`topology_index` call freezes it, and adding an edge after that
+    raises ``RuntimeError``.  A different topology is a new ``DualGraph``.
     """
 
     def __init__(
@@ -208,7 +212,6 @@ class DualGraph:
         self._g_adj: Dict[Vertex, Set[Vertex]] = {v: set() for v in self._vertices}
         self._gprime_adj: Dict[Vertex, Set[Vertex]] = {v: set() for v in self._vertices}
         self._topology_index: Optional[TopologyIndex] = None
-        self._topology_version = 0
 
         for edge in reliable_edges:
             self.add_reliable_edge(*self._edge_endpoints(edge))
@@ -229,34 +232,35 @@ class DualGraph:
         if u not in self._vertices:
             raise KeyError(f"vertex {u!r} is not part of this dual graph")
 
-    def add_reliable_edge(self, u: Vertex, v: Vertex) -> None:
-        """Add ``{u, v}`` to ``E`` (and therefore also to ``E'``)."""
+    def _new_edge(self, u: Vertex, v: Vertex) -> Edge:
+        """The edge ``{u, v}`` to add, if the graph is not frozen yet."""
+        if self._topology_index is not None:
+            raise RuntimeError(
+                "this dual graph is frozen (it has been indexed for a run); "
+                "build a new DualGraph for a different topology"
+            )
         self._check_vertex(u)
         self._check_vertex(v)
-        edge = normalize_edge(u, v)
+        return normalize_edge(u, v)
+
+    def add_reliable_edge(self, u: Vertex, v: Vertex) -> None:
+        """Add ``{u, v}`` to ``E`` (and therefore also to ``E'``)."""
+        edge = self._new_edge(u, v)
         self._reliable.add(edge)
         self._unreliable_extra.discard(edge)
         self._g_adj[u].add(v)
         self._g_adj[v].add(u)
         self._gprime_adj[u].add(v)
         self._gprime_adj[v].add(u)
-        self._invalidate_index()
 
     def add_unreliable_edge(self, u: Vertex, v: Vertex) -> None:
         """Add ``{u, v}`` to ``E' \\ E`` (ignored if it is already reliable)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        edge = normalize_edge(u, v)
+        edge = self._new_edge(u, v)
         if edge in self._reliable:
             return
         self._unreliable_extra.add(edge)
         self._gprime_adj[u].add(v)
         self._gprime_adj[v].add(u)
-        self._invalidate_index()
-
-    def _invalidate_index(self) -> None:
-        self._topology_index = None
-        self._topology_version += 1
 
     def topology_index(self) -> TopologyIndex:
         """The cached integer-indexed (CSR) view of this graph.
@@ -268,21 +272,15 @@ class DualGraph:
         id* that link schedulers use to describe per-round inclusion deltas
         (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_ids_for_round`).
 
-        Contract: the index is immutable and cached; it is rebuilt lazily
-        after any edge mutation, so callers must not hold on to one across
-        mutations -- re-call this method, or compare :attr:`topology_version`
-        (every consumer that memoizes by edge id keys its memo on that
-        version).  Building is O(V + E log E); every subsequent call is a
-        cache hit until the graph changes.
+        Contract: the first call builds the index (O(V + E log E)) and
+        freezes the graph -- :meth:`add_reliable_edge` and
+        :meth:`add_unreliable_edge` raise from then on -- so the index, and
+        every edge-id memo a consumer derives from it, is valid for the
+        graph's lifetime.  Every later call returns the same object.
         """
         if self._topology_index is None:
             self._topology_index = TopologyIndex(self)
         return self._topology_index
-
-    @property
-    def topology_version(self) -> int:
-        """Bumped on every edge mutation; keys scheduler-side memoization."""
-        return self._topology_version
 
     # ------------------------------------------------------------------
     # basic accessors

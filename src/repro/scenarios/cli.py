@@ -239,11 +239,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"store      : {stats['root']}")
         print(f"buckets    : {stats['files']} file(s), {stats['bytes']} bytes")
         print(f"entries    : {stats['entries']} distinct key(s) over {stats['lines']} line(s)")
-        if stats["lines"] > stats["entries"]:
+        corrupt = stats["corrupt_lines"]
+        superseded = stats["lines"] - stats["entries"] - corrupt
+        if superseded:
             print(
-                f"             ({stats['lines'] - stats['entries']} superseded/duplicate "
+                f"             ({superseded} superseded/duplicate "
                 "line(s); `store gc` compacts them)"
             )
+        hint = "; `store gc` drops them" if corrupt else ""
+        print(f"corrupt    : {corrupt} line(s){hint}")
         return 0
     # args.action == "gc"
     outcome = store.gc(

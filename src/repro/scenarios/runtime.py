@@ -21,10 +21,12 @@ tables and dispatches trials to a process pool.
 
 The raw :class:`~repro.simulation.engine.Simulator` constructor remains the
 supported low-level escape hatch for experiments whose wiring a spec cannot
-express (hand-built process populations, adaptive environments, mid-run graph
-mutation); everything a spec *can* express behaves identically either way --
+express (hand-built process populations, adaptive environments); everything a
+spec *can* express behaves identically either way --
 :func:`build` produces byte-identical traces to the equivalent hand
-construction.
+construction.  Either way the dual graph is fixed for the execution: the
+simulator freezes it
+(:meth:`~repro.dualgraph.graph.DualGraph.topology_index`).
 """
 
 from __future__ import annotations

@@ -61,6 +61,12 @@ def _check_json_value(value: Any, where: str) -> Any:
         ) from None
 
 
+def _check_int(value: Any, where: str) -> None:
+    """Reject anything but a plain integer (``True`` and ``2.0`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{where} must be an integer, got {value!r}")
+
+
 def _reject_unknown_keys(data: Mapping[str, Any], allowed, where: str) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
@@ -175,6 +181,7 @@ class TrafficSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.arrival, ArrivalSpec):
             raise TypeError("traffic arrival must be an ArrivalSpec")
+        _check_int(self.capacity, "traffic capacity")
         if self.capacity < 0:
             raise ValueError("traffic capacity must be non-negative (0 = unbounded)")
         if self.sources is not None:
@@ -209,7 +216,7 @@ class TrafficSpec:
             raise ValueError("traffic spec needs an 'arrival' node")
         return cls(
             arrival=ArrivalSpec.from_dict(data["arrival"]),
-            capacity=int(data.get("capacity", 0)),
+            capacity=data.get("capacity", 0),
             sources=data.get("sources"),
             sinks=tuple(data.get("sinks", ())),
             seed=data.get("seed"),
@@ -309,6 +316,8 @@ class RunPolicy:
     seed_policy: str = "derived"
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "trials", "master_seed"):
+            _check_int(getattr(self, name), f"run {name}")
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
         if self.rounds_unit not in _ROUNDS_UNITS:

@@ -67,7 +67,7 @@ import os
 import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, TextIO, Tuple
 
 try:  # POSIX advisory locks; absent on Windows (degrades to lock-free mode).
     import fcntl
@@ -221,6 +221,26 @@ def trial_key(spec: ScenarioSpec, trial_index: int) -> str:
     return hashlib.sha256(_json_canonical(payload).encode()).hexdigest()[:32]
 
 
+def _decode_lines(handle: TextIO) -> Iterator[Optional[Dict[str, Any]]]:
+    """Each non-blank bucket line's entry, or ``None`` if it is corrupt (not a
+    JSON object with a string ``key`` and an object ``record``): the one
+    rule ``get``, ``stats`` and ``gc`` share."""
+    for line in handle:
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            yield None
+            continue
+        valid = (
+            isinstance(entry, dict)
+            and isinstance(entry.get("key"), str)
+            and isinstance(entry.get("record"), dict)
+        )
+        yield entry if valid else None
+
+
 class ResultStore:
     """An append-only, fsync-safe on-disk trial cache with an LRU front.
 
@@ -293,21 +313,11 @@ class ResultStore:
         with _locked_bucket_reader(path) as handle:
             if handle is None:
                 return index
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = entry["key"]
-                    record = entry["record"]
-                except (ValueError, TypeError, KeyError):
+            for entry in _decode_lines(handle):
+                if entry is None:
                     corrupt += 1
-                    continue
-                if not isinstance(key, str) or not isinstance(record, dict):
-                    corrupt += 1
-                    continue
-                index[key] = entry  # last write wins on duplicate keys
+                else:
+                    index[entry["key"]] = entry  # last write wins on duplicates
         if corrupt:
             self._corrupt_lines += corrupt
             warnings.warn(
@@ -430,8 +440,8 @@ class ResultStore:
         Safe to call while other processes append or ``gc`` runs: each bucket
         is scanned under a shared lock (so no live writer is mid-line), a
         bucket deleted between the directory listing and the scan is skipped,
-        and unparseable lines are counted in ``corrupt_lines`` instead of
-        silently inflating ``lines``.
+        and corrupt lines (by the rule ``get`` skips them with) are counted
+        in ``corrupt_lines``; ``lines`` counts every non-blank line.
         """
         scanned = 0
         lines = 0
@@ -439,23 +449,19 @@ class ResultStore:
         corrupt = 0
         size_bytes = 0
         for path in self._bucket_files():
-            index: Dict[str, Any] = {}
+            keys: Set[str] = set()
             with _locked_bucket_reader(path) as handle:
                 if handle is None:
                     continue  # deleted (e.g. by an rm/gc) since the listing
                 scanned += 1
                 size_bytes += os.fstat(handle.fileno()).st_size
-                for line in handle:
-                    if not line.strip():
-                        continue
+                for entry in _decode_lines(handle):
                     lines += 1
-                    try:
-                        entry = json.loads(line)
-                        index[entry["key"]] = True
-                    except (ValueError, TypeError, KeyError):
+                    if entry is None:
                         corrupt += 1
-                        continue
-            entries += len(index)
+                    else:
+                        keys.add(entry["key"])
+            entries += len(keys)
         return {
             "root": self.root,
             "files": scanned,
@@ -502,21 +508,12 @@ class ResultStore:
                 _flock(handle, exclusive=True)
                 if not _same_inode(handle, path):
                     continue  # another gc replaced it; nothing lost, skip
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
+                for entry in _decode_lines(handle):
                     raw_lines += 1
-                    try:
-                        entry = json.loads(line)
-                        key = entry["key"]
-                        entry["record"]
-                    except (ValueError, TypeError, KeyError):
+                    if entry is None:
                         dropped_corrupt += 1
                         continue
-                    if not isinstance(key, str):
-                        dropped_corrupt += 1
-                        continue
+                    key = entry["key"]
                     if entry.get("spec") in drop:
                         index.pop(key, None)
                         dropped_evicted += 1

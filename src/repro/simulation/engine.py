@@ -90,7 +90,8 @@ class Simulator:
     Parameters
     ----------
     graph:
-        The dual graph network ``(G, G')``.
+        The dual graph network ``(G, G')``, fixed for the execution: the
+        simulator indexes it, which freezes it.
     processes:
         A mapping from every vertex of the graph to its process automaton.
     scheduler:
@@ -128,6 +129,7 @@ class Simulator:
         if extra:
             raise ValueError(f"processes supplied for unknown vertices: {sorted(map(repr, extra))}")
         self._graph = graph
+        graph.topology_index()  # freeze (G, G') on every lane
         self._processes: Dict[Vertex, Process] = dict(processes)
         self._scheduler = scheduler if scheduler is not None else NoUnreliableScheduler(graph)
         self._environment = environment if environment is not None else NullEnvironment()
@@ -228,7 +230,6 @@ class Simulator:
         of ints, which is what keeps the mask operations cache-resident.
         """
         index = self._graph.topology_index()
-        self._index_version = self._graph.topology_version
         self._idx_of = index.index_of
         self._vertex_of = index.vertices
         self._g_neighbors = index.g_neighbors
@@ -432,11 +433,6 @@ class Simulator:
             return {}
         if not self._fast:
             return self._resolve_receptions_generic(round_number, transmissions)
-        if self._index_version != self._graph.topology_version:
-            # The graph was mutated mid-run (dynamic-topology experiment):
-            # refresh the index view so edge ids stay in sync with the
-            # schedulers, which key their own caches on the same version.
-            self._bind_index()
         return self._resolve_receptions_kernel(round_number, transmissions)
 
     def _resolve_receptions_kernel(

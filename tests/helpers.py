@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro import DualGraph, IIDScheduler, LBParams, SeedParams, Simulator, SingleShotEnvironment
 from repro import make_lb_processes
 from repro.core.seed_agreement import SeedAgreementProcess
@@ -64,3 +66,15 @@ def run_lb_scenario(
     )
     trace = simulator.run(rounds)
     return simulator, trace
+
+
+def assert_frozen(graph: DualGraph) -> None:
+    """Both edge mutators refuse the (already indexed) graph, which stays
+    unchanged."""
+    reliable, unreliable = graph.reliable_edges, graph.unreliable_edges
+    u, v = sorted(graph.vertices, key=repr)[:2]
+    for add in (graph.add_reliable_edge, graph.add_unreliable_edge):
+        with pytest.raises(RuntimeError, match="build a new DualGraph"):
+            add(u, v)
+    assert graph.reliable_edges == reliable
+    assert graph.unreliable_edges == unreliable

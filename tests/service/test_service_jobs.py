@@ -71,6 +71,13 @@ def test_parse_submission_rejects_non_integer_jobs(jobs):
         parse_submission({"scenario": tiny_scenario(), "options": {"jobs": jobs}})
 
 
+def test_parse_submission_rejects_non_integer_trials():
+    scenario = tiny_scenario()
+    scenario["run"]["trials"] = 2.5
+    with pytest.raises(JobRejected, match="run trials must be an integer"):
+        parse_submission({"scenario": scenario})
+
+
 # ----------------------------------------------------------------------
 # journal + recovery
 # ----------------------------------------------------------------------

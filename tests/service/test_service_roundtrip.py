@@ -130,6 +130,11 @@ def _corruptions(valid: dict):
     case["scenario"]["run"]["trials"] = 0
     yield "zero trials", case, "trials"
 
+    for field, value in (("trials", 2.5), ("rounds", True), ("master_seed", 1.5)):
+        case = copy.deepcopy(valid)
+        case["scenario"]["run"][field] = value
+        yield f"non-integer run.{field}={value!r}", case, f"run {field} must be an integer"
+
     case = copy.deepcopy(valid)
     case["scenario"]["version"] = 999
     yield "bad version", case, "version"

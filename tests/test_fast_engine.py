@@ -42,6 +42,7 @@ from repro.simulation.environment import (
 )
 from repro.simulation.process import ProcessContext, SilentProcess
 from repro.traffic.schedulers import TrafficAwareScheduler
+from tests.helpers import assert_frozen
 
 
 def _trace_scheduler(graph):
@@ -219,52 +220,31 @@ class TestKernelMatchesReference:
         assert kernel_trace.num_receptions > 0
         _assert_identical_traces(kernel_trace, reference_sim.run(rounds), rounds)
 
-    def test_graph_mutation_between_runs_rebinds_index(self):
-        graph = DualGraph([0, 1, 2, 3], reliable_edges=[(0, 1), (1, 2)])
-        params = LBParams.small_for_testing(delta=4, delta_prime=4)
-        simulator = Simulator(
-            graph,
-            make_lb_processes(graph, params, random.Random(5)),
-            scheduler=FullInclusionScheduler(graph),
-            environment=SaturatingEnvironment(senders=[0]),
-        )
-        simulator.run(3)
-        graph.add_unreliable_edge(2, 3)
-        simulator.run(3)  # must pick up the new edge without error
-        assert simulator.trace.num_rounds == 6
-
-    def test_graph_mutation_mid_run_stays_identical_to_generic(self):
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_simulator_freezes_graph(self, fast_path):
         class MutatingEnvironment(SaturatingEnvironment):
-            """Adds an unreliable edge partway through a single run() call."""
-
-            def __init__(self, graph, senders):
-                super().__init__(senders=senders)
-                self._graph_ref = graph
+            """Tries to add an unreliable edge partway through a run."""
 
             def inputs_for_round(self, round_number):
                 if round_number == 5:
-                    self._graph_ref.add_unreliable_edge(0, 3)
+                    graph.add_unreliable_edge(0, 3)
                 return super().inputs_for_round(round_number)
 
-        def run_one(fast_path):
-            graph = DualGraph(
-                [0, 1, 2, 3],
-                reliable_edges=[(0, 1), (1, 2)],
-                unreliable_edges=[(2, 3)],
-            )
-            params = LBParams.small_for_testing(delta=4, delta_prime=4)
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(17)),
-                scheduler=IIDScheduler(graph, probability=0.6, seed=3),
-                environment=MutatingEnvironment(graph, senders=[0, 2]),
-                fast_path=fast_path,
-            )
-            return simulator.run(2 * params.phase_length)
-
-        fast_trace = run_one(True)
-        legacy_trace = run_one(False)
-        _assert_identical_traces(fast_trace, legacy_trace, fast_trace.num_rounds)
+        graph = DualGraph(
+            [0, 1, 2, 3], reliable_edges=[(0, 1), (1, 2)], unreliable_edges=[(2, 3)]
+        )
+        params = LBParams.small_for_testing(delta=4, delta_prime=4)
+        simulator = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(17)),
+            scheduler=IIDScheduler(graph, probability=0.6, seed=3),
+            environment=MutatingEnvironment(senders=[0, 2]),
+            fast_path=fast_path,
+        )
+        assert_frozen(graph)
+        with pytest.raises(RuntimeError, match="frozen"):
+            simulator.run(2 * params.phase_length)
+        assert not graph.has_any_edge(0, 3)
 
 
 class TestTraceModes:
@@ -336,12 +316,15 @@ class TestSchedulerDeltaInterface:
             ] == expected
             assert [scheduler.unreliable_edges_for_round(t) for t in rounds] == expected
 
-    def test_memoization_tracks_graph_mutation(self):
+    def test_edges_added_before_indexing_are_scheduled(self):
         graph = DualGraph([0, 1, 2], reliable_edges=[(0, 1)], unreliable_edges=[(1, 2)])
-        scheduler = FullInclusionScheduler(graph)
-        assert len(scheduler.unreliable_edge_ids_for_round(1)) == 1
-        graph.add_unreliable_edge(0, 2)
+        scheduler = PeriodicScheduler(graph, on_rounds=1, off_rounds=1)
+        graph.add_unreliable_edge(0, 2)  # the scheduler has not indexed yet
         assert len(scheduler.unreliable_edge_ids_for_round(1)) == 2
+        assert scheduler.unreliable_edge_ids_for_round(3) is (
+            scheduler.unreliable_edge_ids_for_round(1)
+        )
+        assert_frozen(graph)
 
 
 def _cache_probe_graph():
@@ -403,13 +386,12 @@ class TestSchedulerDeltaCache:
 
             prebuild_scheduler_deltas(CollisionAdaptiveAdversary(graph), 5)
 
-    def test_cache_key_tracks_graph_mutation(self):
+    def test_cache_key_freezes_graph(self):
         graph = _cache_probe_graph()
         scheduler = IIDScheduler(graph, probability=0.4, seed=21)
-        before = scheduler.delta_cache_key()
-        graph.add_unreliable_edge(3, 0)
-        after = scheduler.delta_cache_key()
-        assert before != after
+        key = scheduler.delta_cache_key()
+        assert_frozen(graph)
+        assert scheduler.delta_cache_key() is key
 
     def test_fifo_bound_evicts_but_stays_correct(self):
         from repro import SchedulerDeltaCache
@@ -476,14 +458,15 @@ class TestTopologyIndex:
             seen.add(edge)
         assert seen == set(graph.unreliable_edges)
 
-    def test_index_is_cached_and_invalidated(self):
-        graph = DualGraph([0, 1, 2], reliable_edges=[(0, 1)])
-        first = graph.topology_index()
-        assert graph.topology_index() is first
-        graph.add_reliable_edge(1, 2)
-        second = graph.topology_index()
-        assert second is not first
-        assert second.g_neighbors[1] != first.g_neighbors[1]
+    def test_index_is_cached_and_freezes_graph(self):
+        graph = DualGraph([0, 1, 2], reliable_edges=[(0, 1)], unreliable_edges=[(1, 2)])
+        graph.add_reliable_edge(1, 2)  # promotion before indexing is allowed
+        index = graph.topology_index()
+        assert graph.topology_index() is index
+        assert index.g_neighbors[1] == (0, 2)
+        assert index.num_unreliable_edges == 0
+        assert_frozen(graph)
+        assert graph.topology_index() is index
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ transmitters need them (``IIDScheduler.decide_edge_mask``), memoized per
 ``(delta cache key, round)`` as ``(decided_bits, included_bits)`` in
 ``engine._SCHED_MASK_CACHE``.  These tests check every decision against the
 per-edge reference hash ``_edge_round_hash``, the memo's partial entries
-against fresh decisions, and the per-edge hash states across topology
-mutations.
+against fresh decisions, and that deciding freezes the graph the per-edge
+hash states are built from.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro import (
 from repro.dualgraph.adversary import _edge_round_hash
 from repro.simulation import engine
 from repro.simulation.environment import SaturatingEnvironment
+from tests.helpers import assert_frozen
 
 PROBABILITIES = st.one_of(
     st.sampled_from([0.0, 1.0]), st.floats(min_value=0.01, max_value=0.99)
@@ -82,20 +83,23 @@ class TestDecideEdgeMask:
         with pytest.raises(NotImplementedError):
             periodic.decide_edge_mask(1, 1)
 
-    def test_topology_version_bump_rebuilds_hash_states(self):
+    def test_deciding_freezes_graph(self):
         graph = DualGraph(
             [0, 1, 2, 3, 4],
             reliable_edges=[(0, 1), (1, 2), (2, 3), (3, 4)],
             unreliable_edges=[(1, 3), (2, 4)],
         )
         scheduler = IIDScheduler(graph, probability=0.5, seed=8)
-        for round_number in range(1, 30):
-            scheduler.decide_edge_mask(round_number, 0b11)
-        # New edges sort before and between the old ones, shifting their ids.
+        # Edges added before the first decision sort before and between the
+        # old ones; the hash states are built over the finished graph.
         graph.add_unreliable_edge(0, 2)
         graph.add_unreliable_edge(0, 3)
         graph.add_unreliable_edge(1, 4)
+        graph.add_reliable_edge(1, 3)  # promoted: no longer an unreliable edge
+        assert scheduler.decide_edge_mask(1, 0b1) == _reference_mask(graph, 8, 0.5, 1, 0b1)
+        assert_frozen(graph)
         everything = (1 << graph.topology_index().num_unreliable_edges) - 1
+        assert everything == 0b1111
         for round_number in range(1, 30):
             assert scheduler.decide_edge_mask(round_number, everything) == _reference_mask(
                 graph, 8, 0.5, round_number, everything

@@ -161,6 +161,25 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="warp_drive"):
             ScenarioSpec.from_dict(engine)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("rounds", 2.5),
+            ("rounds", "3"),
+            ("master_seed", 1.5),
+            ("master_seed", False),
+        ],
+    )
+    def test_run_policy_rejects_non_integers(self, field, value):
+        data = small_spec().to_dict()
+        data["run"][field] = value
+        with pytest.raises(TypeError, match=f"run {field} must be an integer"):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(TypeError, match=f"run {field} must be an integer"):
+            RunPolicy(**{field: value})
+
     def test_non_json_args_are_rejected(self):
         with pytest.raises(TypeError, match="JSON-serializable"):
             TopologySpec("grid", {"rows": object()})

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import warnings
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.scenarios import (
     run,
     trial_key,
 )
+from repro.scenarios.cli import main as cli_main
 
 
 def store_scenario(
@@ -167,6 +169,33 @@ class TestRobustness:
         compacted = ResultStore(root)
         assert compacted.get_entry("aa" + "0" * 30)["record"] == {"v": 3}
         assert compacted.stats()["lines"] == 2
+
+    def test_get_stats_and_gc_agree_on_corrupt_lines(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        store = ResultStore(root)
+        store.put_entry("aa" + "0" * 30, {"v": 1})
+        bucket = os.path.join(root, "objects", "aa.jsonl")
+        with open(bucket, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "aa' + "1" * 30 + '", "record": 5}\n')
+            handle.write('{"key": 7, "record": {"v": 2}}\n')
+            handle.write('["aa' + "2" * 30 + '"]\n')
+        fresh = ResultStore(root)
+        with pytest.warns(RuntimeWarning, match="skipped 3 corrupted"):
+            assert fresh.get_entry("aa" + "1" * 30) is None
+        stats = fresh.stats()
+        assert stats["corrupt_lines"] == stats["corrupt_lines_seen"] == 3
+        assert (stats["lines"], stats["entries"]) == (4, 1)
+        assert cli_main(["store", "stats", root]) == 0
+        assert "corrupt    : 3 line(s)" in capsys.readouterr().out
+
+        assert ResultStore(root).gc()["dropped_corrupt"] == 3
+        compacted = ResultStore(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compacted.get_entry("aa" + "0" * 30)["record"] == {"v": 1}
+        stats = compacted.stats()
+        assert (stats["lines"], stats["entries"], stats["corrupt_lines"]) == (1, 1, 0)
+        assert stats["corrupt_lines_seen"] == 0
 
     def test_gc_dry_run_reports_without_rewriting(self, tmp_path):
         root = str(tmp_path / "store")

@@ -360,6 +360,12 @@ class TestTrafficSpecSerialization:
         with pytest.raises(TypeError, match="TrafficSpec"):
             _traffic_spec(traffic={"arrival": {"name": "poisson"}})
 
+    @pytest.mark.parametrize("capacity", [2.5, True, "3", None])
+    def test_traffic_capacity_must_be_an_integer(self, capacity):
+        data = {"arrival": {"name": "poisson", "args": {}}, "capacity": capacity}
+        with pytest.raises(TypeError, match="traffic capacity must be an integer"):
+            TrafficSpec.from_dict(data)
+
     def test_fingerprint_stable_across_processes(self):
         spec = _traffic_spec()
         code = (

@@ -12,6 +12,13 @@ Scans ``docs/*.md`` and ``README.md`` for
   class body: methods, nested classes, class-level assignments, ``__slots__``
   entries, and ``self.attr`` assignments inside methods all count.
 
+It also scans ``src/**/*.py`` for Sphinx-role references in docstrings --
+``:class:``/``:meth:``/``:attr:``/``:func:``/``:data:``/``:mod:`` whose
+target is a dotted ``repro.`` path, with or without the ``~`` prefix.  The
+longest prefix naming a module under ``src/`` is the module; the rest
+resolves like a code reference, where names a package ``__init__``
+re-exports count as defined (and dotted tails follow the import).
+
 Exit status is non-zero when anything dangles, with one line per problem --
 this is the CI docs job (see ``.github/workflows/ci.yml``).
 
@@ -26,7 +33,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +44,8 @@ CHECKED_PREFIXES = ("src/", "tests/", "benchmarks/", "tools/", "examples/")
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_REFERENCE = re.compile(r"`([\w./-]+\.py):([A-Za-z_][\w.]*)`")
+ROLE_REFERENCE = re.compile(r":(?:class|meth|attr|func|data|mod):`~?(repro(?:\.\w+)*)`")
+SRC_ROOT = REPO_ROOT / "src"
 
 
 def doc_files() -> List[Path]:
@@ -110,46 +119,65 @@ def _slot_strings(value: ast.expr) -> Set[str]:
     return names
 
 
-def check_code_reference(doc: Path, path: str, symbol: str) -> Optional[str]:
-    if not path.startswith(CHECKED_PREFIXES):
-        return None
-    where = f"{doc.relative_to(REPO_ROOT)}: `{path}:{symbol}`"
-    source = REPO_ROOT / path
-    if not source.exists():
-        return f"{where} -- file does not exist"
-    try:
-        tree = ast.parse(source.read_text())
-    except SyntaxError as error:  # pragma: no cover - tree is CI-tested code
-        return f"{where} -- file failed to parse: {error}"
-
-    parts = symbol.split(".")
-    top = {
-        item.name: item
-        for item in tree.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    for item in tree.body:  # module-level assignments (constants)
+def _top_level_names(tree: ast.Module, reexports: bool) -> Dict[str, ast.AST]:
+    """Module-level defs and assignments (plus ``from`` imports when the
+    module is a package ``__init__``, whose re-exports count as defined)."""
+    top: Dict[str, ast.AST] = {}
+    for item in tree.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top[item.name] = item
+    for item in tree.body:
         if isinstance(item, ast.Assign):
             for target in item.targets:
                 if isinstance(target, ast.Name):
                     top.setdefault(target.id, item)
         elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             top.setdefault(item.target.id, item)
+        elif reexports and isinstance(item, ast.ImportFrom):
+            for alias in item.names:
+                top.setdefault(alias.asname or alias.name, item)
+    return top
 
+
+def _imported_from(item: ast.ImportFrom, name: str) -> Optional[str]:
+    """The dotted origin of ``name`` if ``item`` binds it (``src/`` uses
+    absolute imports only)."""
+    for alias in item.names:
+        if (alias.asname or alias.name) == name:
+            return f"{item.module}.{alias.name}"
+    return None
+
+
+def _module_file(module: str) -> Path:
+    path = SRC_ROOT.joinpath(*module.split("."))
+    package = path / "__init__.py"
+    return package if package.exists() else path.with_suffix(".py")
+
+
+def _resolve_in_module(
+    tree: ast.Module, parts: List[str], reexports: bool = False
+) -> Optional[str]:
+    """``None`` when ``parts`` (a dotted symbol) is defined in ``tree``, else
+    what is missing.  With ``reexports`` (a package ``__init__``), imported
+    names count too and resolve through their origin."""
+    top = _top_level_names(tree, reexports)
     head = top.get(parts[0])
     if head is None:
-        return f"{where} -- no top-level symbol {parts[0]!r}"
+        return f"no top-level symbol {parts[0]!r}"
+    if isinstance(head, ast.ImportFrom):
+        origin = _imported_from(head, parts[0])
+        return check_dotted_target(".".join([origin] + parts[1:]))
     if len(parts) == 1:
         return None
     if not isinstance(head, ast.ClassDef):
-        return f"{where} -- {parts[0]!r} is not a class, cannot hold {parts[1]!r}"
+        return f"{parts[0]!r} is not a class, cannot hold {parts[1]!r}"
     # Resolve the dotted tail one level at a time (nested classes supported).
     node: ast.ClassDef = head
     for depth, part in enumerate(parts[1:], start=1):
         members = _class_member_names(node)
         if part not in members:
             owner = ".".join(parts[:depth])
-            return f"{where} -- {owner!r} has no member {part!r}"
+            return f"{owner!r} has no member {part!r}"
         nested = next(
             (
                 item
@@ -161,10 +189,48 @@ def check_code_reference(doc: Path, path: str, symbol: str) -> Optional[str]:
         if nested is None:
             if depth != len(parts) - 1:
                 owner = ".".join(parts[: depth + 1])
-                return f"{where} -- {owner!r} is not a nested class"
+                return f"{owner!r} is not a nested class"
             break
         node = nested
     return None
+
+
+def check_code_reference(doc: Path, path: str, symbol: str) -> Optional[str]:
+    if not path.startswith(CHECKED_PREFIXES):
+        return None
+    where = f"{doc.relative_to(REPO_ROOT)}: `{path}:{symbol}`"
+    source = REPO_ROOT / path
+    if not source.exists():
+        return f"{where} -- file does not exist"
+    try:
+        tree = ast.parse(source.read_text())
+    except SyntaxError as error:  # pragma: no cover - tree is CI-tested code
+        return f"{where} -- file failed to parse: {error}"
+    problem = _resolve_in_module(tree, symbol.split("."))
+    return f"{where} -- {problem}" if problem else None
+
+
+def check_dotted_target(target: str) -> Optional[str]:
+    """``None`` when the dotted ``repro.`` path names a module under ``src/``
+    or a symbol in one, else what is missing."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        source = _module_file(module)
+        if source.exists():
+            if split == len(parts):
+                return None
+            tree = ast.parse(source.read_text())
+            problem = _resolve_in_module(
+                tree, parts[split:], reexports=source.name == "__init__.py"
+            )
+            return f"{module}: {problem}" if problem else None
+    return f"no module {parts[0]!r} under src/"
+
+
+def iter_role_references(text: str) -> Iterator[Tuple[int, str]]:
+    for match in ROLE_REFERENCE.finditer(text):
+        yield text.count("\n", 0, match.start()) + 1, match.group(1)
 
 
 def main() -> int:
@@ -186,11 +252,19 @@ def main() -> int:
             problem = check_code_reference(doc, path, symbol)
             if problem:
                 problems.append(problem)
+    roles = 0
+    for source in sorted(SRC_ROOT.rglob("*.py")):
+        for line, target in iter_role_references(source.read_text()):
+            roles += 1
+            problem = check_dotted_target(target)
+            if problem:
+                where = f"{source.relative_to(REPO_ROOT)}:{line}: {target}"
+                problems.append(f"{where} -- {problem}")
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     print(
-        f"checked {len(docs)} docs, {links} links, {refs} code references: "
-        f"{len(problems)} problem(s)"
+        f"checked {len(docs)} docs, {links} links, {refs} code references, "
+        f"{roles} docstring references: {len(problems)} problem(s)"
     )
     return 1 if problems else 0
 
