@@ -39,16 +39,17 @@ class TopologyIndex:
     * ``vertices[i]`` is the vertex with index ``i`` (indices are assigned in
       ``sorted(..., key=repr)`` order so they are stable across runs and match
       the ordering used by the process factories);
-    * the reliable adjacency of ``G`` is stored CSR-style: the neighbors of
-      vertex index ``i`` are ``g_indices[g_indptr[i]:g_indptr[i+1]]`` (also
-      exposed pre-sliced as ``g_neighbors[i]`` for tight loops);
-    * every unreliable edge of ``E' \\ E`` gets a dense *edge id*; the
-      endpoints of edge id ``e`` are ``(unreliable_u[e], unreliable_v[e])``.
+    * ``g_neighbors[i]`` is the sorted tuple of the reliable (``G``)
+      neighbors of vertex index ``i``;
+    * every unreliable edge of ``E' \\ E`` gets a dense *edge id* (its
+      position in ``unreliable_edge_list``, ordered by endpoint indices), and
+      ``unreliable_neighbor_by_eid[i]`` maps each edge id incident to vertex
+      index ``i`` to the other endpoint's index.
 
     Link schedulers use the edge ids to describe per-round inclusion deltas
     (:meth:`repro.dualgraph.adversary.LinkScheduler.unreliable_edge_ids_for_round`)
-    without materializing frozensets, and the engine uses the CSR arrays to
-    resolve receptions transmitter-centrically.
+    without materializing frozensets, and the engine uses the adjacency views
+    to resolve receptions transmitter-centrically.
 
     Instances are built via :meth:`DualGraph.topology_index`, which caches the
     index and freezes the graph: the index is valid for the graph's lifetime.
@@ -57,13 +58,9 @@ class TopologyIndex:
     __slots__ = (
         "vertices",
         "index_of",
-        "g_indptr",
-        "g_indices",
         "g_neighbors",
         "unreliable_edge_list",
         "unreliable_id_of",
-        "unreliable_u",
-        "unreliable_v",
         "unreliable_neighbor_by_eid",
         "_fingerprint",
     )
@@ -72,17 +69,10 @@ class TopologyIndex:
         self.vertices: Tuple[Vertex, ...] = tuple(sorted(graph._vertices, key=repr))
         self.index_of: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
 
-        indptr: List[int] = [0]
-        indices: List[int] = []
-        neighbors: List[Tuple[int, ...]] = []
-        for vertex in self.vertices:
-            row = sorted(self.index_of[nb] for nb in graph._g_adj[vertex])
-            indices.extend(row)
-            indptr.append(len(indices))
-            neighbors.append(tuple(row))
-        self.g_indptr: Tuple[int, ...] = tuple(indptr)
-        self.g_indices: Tuple[int, ...] = tuple(indices)
-        self.g_neighbors: Tuple[Tuple[int, ...], ...] = tuple(neighbors)
+        self.g_neighbors: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(sorted(self.index_of[nb] for nb in graph._g_adj[vertex]))
+            for vertex in self.vertices
+        )
 
         def edge_key(edge: Edge) -> Tuple[int, int]:
             a, b = sorted(self.index_of[v] for v in edge)
@@ -94,17 +84,11 @@ class TopologyIndex:
         self.unreliable_id_of: Dict[Edge, int] = {
             edge: eid for eid, edge in enumerate(self.unreliable_edge_list)
         }
-        endpoint_u: List[int] = []
-        endpoint_v: List[int] = []
         u_adj: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
         for eid, edge in enumerate(self.unreliable_edge_list):
             a, b = edge_key(edge)
-            endpoint_u.append(a)
-            endpoint_v.append(b)
             u_adj[a].append((b, eid))
             u_adj[b].append((a, eid))
-        self.unreliable_u: Tuple[int, ...] = tuple(endpoint_u)
-        self.unreliable_v: Tuple[int, ...] = tuple(endpoint_v)
         # Per-vertex incidence over E' \ E: an incident eid -> other-endpoint
         # map per vertex (the kernel resolver folds its keys into the vertex's
         # incident-edge bitmask).
@@ -122,22 +106,20 @@ class TopologyIndex:
         """A structural hash of the indexed topology (hex digest, cached).
 
         Two dual graphs that index identically -- same vertex reprs in the
-        same order, same reliable CSR arrays, same unreliable edge endpoint
-        arrays -- share a fingerprint, even when they are distinct objects
-        built independently (e.g. one per sweep trial).  The
+        same order, same reliable neighbor rows, same unreliable edge
+        endpoint index pairs -- share a fingerprint, even when they are
+        distinct objects built independently (e.g. one per sweep trial).  The
         :class:`~repro.dualgraph.adversary.SchedulerDeltaCache` keys on it so
         per-round edge-id deltas computed in one trial are valid in every
         other trial over a structurally identical network.
         """
         if self._fingerprint is None:
+            endpoints = tuple(
+                tuple(sorted(self.index_of[v] for v in edge))
+                for edge in self.unreliable_edge_list
+            )
             payload = "|".join(
-                (
-                    repr(self.vertices),
-                    repr(self.g_indptr),
-                    repr(self.g_indices),
-                    repr(self.unreliable_u),
-                    repr(self.unreliable_v),
-                )
+                (repr(self.vertices), repr(self.g_neighbors), repr(endpoints))
             )
             self._fingerprint = hashlib.sha256(payload.encode()).hexdigest()
         return self._fingerprint
@@ -152,8 +134,9 @@ class TopologyIndex:
         return tuple(id_of[e] for e in edges if e in id_of)
 
     def __repr__(self) -> str:
+        reliable_edges = sum(map(len, self.g_neighbors)) // 2
         return (
-            f"TopologyIndex(n={self.n}, reliable_entries={len(self.g_indices) // 2}, "
+            f"TopologyIndex(n={self.n}, reliable_entries={reliable_edges}, "
             f"unreliable_edges={self.num_unreliable_edges})"
         )
 

@@ -393,7 +393,7 @@ def _algorithm_lbalg(
     then identical for every sampled network).  ``params_only=True`` resolves
     the derived parameters and round lengths without constructing the process
     population (the params-only resolution mode; see
-    :meth:`repro.scenarios.registry.Registry.supports_params_only`).
+    :meth:`repro.scenarios.registry.Registry.build`).
     """
     delta, delta_prime = graph.degree_bounds()
     if delta_budget is not None:
@@ -572,10 +572,9 @@ def resolve_senders(graph, senders: Any, embedding: Any = None) -> List[Hashable
       the deployment area (:func:`repro.dualgraph.geometric.central_vertex`);
       the probe itself when it has no reliable neighbor.  Needs the trial's
       ``embedding`` (environment builders declare an ``embedding`` keyword to
-      receive it; see
-      :meth:`repro.scenarios.registry.Registry.supports_embedding`).  The E9
-      locality experiment's contention recipe: saturate the probe's immediate
-      neighborhood, wherever the sample put it.
+      receive it; see :meth:`repro.scenarios.registry.Registry.build`).  The
+      E9 locality experiment's contention recipe: saturate the probe's
+      immediate neighborhood, wherever the sample put it.
     """
     if isinstance(senders, (list, tuple)):
         return list(senders)

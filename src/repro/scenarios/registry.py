@@ -25,12 +25,14 @@ Builder signatures by kind:
 their args carry no explicit seed, which is what makes multi-trial runs vary
 while fully-pinned specs stay byte-reproducible.
 
-Algorithm builders may additionally implement the **params-only resolution
-mode**: accepting a keyword-only ``params_only: bool = False`` and, when it is
-true, returning an ``AlgorithmBuild`` whose derived parameters and round
-lengths are resolved but whose process population is empty.  Support is
-auto-detected from the signature (:meth:`Registry.supports_params_only`), so
-downstream-registered algorithms opt in just by taking the keyword.
+Builders may additionally declare **context keywords** -- values the
+runtime owns rather than the spec's args: ``embedding``, ``traffic`` and
+``trial_seed`` for environments, ``traffic`` for schedulers, and
+``params_only`` for algorithms (when true, the builder returns an
+``AlgorithmBuild`` whose derived parameters and round lengths are resolved
+but whose process population is empty).  :meth:`Registry.build` passes each
+context keyword only to builders whose signature declares it, so
+downstream-registered components opt in just by taking the keyword.
 
 A fifth registry -- metrics -- lives in :mod:`repro.scenarios.metrics`
 (:class:`~repro.scenarios.metrics.MetricRegistry` subclasses
@@ -40,21 +42,15 @@ A fifth registry -- metrics -- lives in :mod:`repro.scenarios.metrics`
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 
-def _accepts_keyword(builder: Callable[..., Any], keyword: str) -> bool:
-    """True iff the builder's signature declares the named parameter."""
+def _parameter_names(builder: Callable[..., Any]) -> FrozenSet[str]:
+    """The parameter names the builder's signature declares."""
     try:
-        signature = inspect.signature(builder)
+        return frozenset(inspect.signature(builder).parameters)
     except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return keyword in signature.parameters
-
-
-def _accepts_params_only(builder: Callable[..., Any]) -> bool:
-    """True iff the builder's signature declares a ``params_only`` parameter."""
-    return _accepts_keyword(builder, "params_only")
+        return frozenset()
 
 
 class Registry:
@@ -65,10 +61,7 @@ class Registry:
         self._builders: Dict[str, Callable[..., Any]] = {}
         self._sample_args: Dict[str, Dict[str, Any]] = {}
         self._trial_seeded: Dict[str, bool] = {}
-        self._params_only: Dict[str, bool] = {}
-        self._embedding_aware: Dict[str, bool] = {}
-        self._traffic_aware: Dict[str, bool] = {}
-        self._trial_seed_aware: Dict[str, bool] = {}
+        self._parameters: Dict[str, FrozenSet[str]] = {}
 
     def register(
         self,
@@ -100,10 +93,7 @@ class Registry:
             self._builders[name] = builder
             self._sample_args[name] = dict(sample_args) if sample_args else {}
             self._trial_seeded[name] = bool(trial_seeded)
-            self._params_only[name] = _accepts_params_only(builder)
-            self._embedding_aware[name] = _accepts_keyword(builder, "embedding")
-            self._traffic_aware[name] = _accepts_keyword(builder, "traffic")
-            self._trial_seed_aware[name] = _accepts_keyword(builder, "trial_seed")
+            self._parameters[name] = _parameter_names(builder)
             return builder
 
         return decorator
@@ -128,57 +118,30 @@ class Registry:
         self.get(name)  # raise uniformly on unknown names
         return self._trial_seeded[name]
 
-    def supports_params_only(self, name: str) -> bool:
-        """Whether the builder implements the params-only resolution mode.
-
-        Detected from the builder's signature at registration: a builder that
-        accepts a ``params_only`` keyword promises that
-        ``builder(..., params_only=True)`` returns its usual build object with
-        the derived parameters and round-structure lengths resolved but **no
-        process population constructed**.  The scenario runtime uses this
-        (``repro.scenarios.runtime.resolve_params``) wherever it needs only
-        derived quantities -- delta-table prebuilds, round budget resolution,
-        trace-mode selection -- so those paths stop materializing throwaway
-        processes.
-        """
+    def accepts(self, name: str, keyword: str) -> bool:
+        """Whether the builder's signature declares the named parameter."""
         self.get(name)  # raise uniformly on unknown names
-        return self._params_only[name]
+        return keyword in self._parameters[name]
 
-    def supports_embedding(self, name: str) -> bool:
-        """Whether the builder accepts the trial topology's ``embedding``.
+    def build(
+        self,
+        name: str,
+        /,
+        *leading: Any,
+        context: Optional[Mapping[str, Any]] = None,
+        **args: Any,
+    ) -> Any:
+        """Call the builder registered under ``name``.
 
-        Detected from the signature at registration (like
-        :meth:`supports_params_only`): a builder declaring an ``embedding``
-        keyword receives the topology builder's
-        :class:`~repro.dualgraph.geometric.Embedding` from the scenario
-        runtime, which is what lets environment sender selections place
-        themselves geometrically (e.g. ``center_probe_neighbors``).
+        ``leading`` are the kind's positional arguments (see the module
+        docstring) and ``args`` the spec's argument mapping.  Each
+        ``context`` keyword is passed only when the builder declares it
+        (:meth:`accepts`), so builders take exactly the context they need.
         """
-        self.get(name)  # raise uniformly on unknown names
-        return self._embedding_aware[name]
-
-    def supports_traffic(self, name: str) -> bool:
-        """Whether the builder accepts the scenario's ``traffic`` spec.
-
-        Detected from the signature at registration (like
-        :meth:`supports_params_only`): a builder declaring a ``traffic``
-        keyword receives the :class:`~repro.scenarios.spec.TrafficSpec` of
-        the scenario being materialized -- how the ``queued`` environment
-        and the traffic-aware schedulers read the declared workload.
-        """
-        self.get(name)  # raise uniformly on unknown names
-        return self._traffic_aware[name]
-
-    def supports_trial_seed(self, name: str) -> bool:
-        """Whether an environment builder accepts the per-trial seed.
-
-        Environment builders historically take ``f(graph, **args)``; one that
-        declares a ``trial_seed`` keyword receives the trial's seed from the
-        runtime, which lets seed-consuming environments (queued arrivals)
-        re-randomize across trials unless their spec pins an explicit seed.
-        """
-        self.get(name)  # raise uniformly on unknown names
-        return self._trial_seed_aware[name]
+        builder = self.get(name)
+        declared = self._parameters[name]
+        passed = {k: v for k, v in (context or {}).items() if k in declared}
+        return builder(*leading, **passed, **args)
 
     def names(self) -> List[str]:
         return sorted(self._builders)
@@ -230,8 +193,9 @@ def register_environment(
 ):
     """Register an environment builder: ``f(graph, **args) -> Environment``.
 
-    Builders may additionally declare ``traffic`` and ``trial_seed`` keywords
-    to receive the scenario's :class:`~repro.scenarios.spec.TrafficSpec` and
-    the per-trial seed.
+    Builders may additionally declare ``embedding``, ``traffic`` and
+    ``trial_seed`` keywords to receive the topology's embedding, the
+    scenario's :class:`~repro.scenarios.spec.TrafficSpec` and the per-trial
+    seed.
     """
     return ENVIRONMENTS.register(name, sample_args=sample_args, trial_seeded=trial_seeded)

@@ -104,13 +104,34 @@ def resolve_trace_mode(spec: ScenarioSpec) -> TraceMode:
     return spec.engine.trace_mode_enum
 
 
+def _build_topology(spec: ScenarioSpec, trial_seed: int):
+    """One trial's ``(graph, embedding)`` sample."""
+    return TOPOLOGIES.build(spec.topology.name, trial_seed, **spec.topology.args)
+
+
+def _build_scheduler(spec: ScenarioSpec, graph: Any, trial_seed: int):
+    """One trial's link scheduler.
+
+    Traffic-aware schedulers (declaring a ``traffic`` keyword) get the
+    scenario's TrafficSpec so their slot frames are sized from the declared
+    arrival forecast -- in :func:`materialize` and in the delta prebuild alike.
+    """
+    return SCHEDULERS.build(
+        spec.scheduler.name,
+        graph,
+        trial_seed,
+        context={"traffic": spec.traffic},
+        **spec.scheduler.args,
+    )
+
+
 def resolve_params(spec: ScenarioSpec, trial_index: int = 0, graph: Any = None):
     """Resolve one trial's derived algorithm build **without processes**.
 
-    Uses the algorithm builder's params-only resolution mode when it declares
-    one (see :meth:`repro.scenarios.registry.Registry.supports_params_only`),
-    falling back to a full build otherwise.  ``graph`` lets callers that have
-    already sampled the trial's topology skip resampling it.
+    Passes ``params_only=True`` to algorithm builders that declare it (see
+    :meth:`repro.scenarios.registry.Registry.build`); the others do a full
+    build.  ``graph`` lets callers that have already sampled the trial's
+    topology skip resampling it.
 
     This is what lets a spec that needs a derived quantity to finish its own
     configuration -- e.g. a burst period in phase-length units -- ask for the
@@ -119,12 +140,14 @@ def resolve_params(spec: ScenarioSpec, trial_index: int = 0, graph: Any = None):
     """
     trial_seed = spec.run.trial_seed(trial_index)
     if graph is None:
-        graph, _ = TOPOLOGIES.get(spec.topology.name)(trial_seed, **spec.topology.args)
-    builder = ALGORITHMS.get(spec.algorithm.name)
-    rng = random.Random(trial_seed)
-    if ALGORITHMS.supports_params_only(spec.algorithm.name):
-        return builder(graph, rng, params_only=True, **spec.algorithm.args)
-    return builder(graph, rng, **spec.algorithm.args)
+        graph, _ = _build_topology(spec, trial_seed)
+    return ALGORITHMS.build(
+        spec.algorithm.name,
+        graph,
+        random.Random(trial_seed),
+        context={"params_only": True},
+        **spec.algorithm.args,
+    )
 
 
 def materialize(spec: ScenarioSpec, trial_index: int = 0) -> BuiltScenario:
@@ -134,41 +157,25 @@ def materialize(spec: ScenarioSpec, trial_index: int = 0) -> BuiltScenario:
     ``random.Random(trial_seed)``, then scheduler, then environment) is part
     of the determinism contract: a spec-built simulator is byte-identical to
     the equivalent hand construction that follows the same order (the
-    convention used throughout the examples and benchmarks).
+    convention used throughout the examples and benchmarks).  Environments
+    receive the trial's ``embedding``, ``traffic`` and ``trial_seed`` when
+    their builders declare those keywords.
     """
     trial_seed = spec.run.trial_seed(trial_index)
-
-    topology_builder = TOPOLOGIES.get(spec.topology.name)
-    graph, embedding = topology_builder(trial_seed, **spec.topology.args)
-
-    algorithm_builder = ALGORITHMS.get(spec.algorithm.name)
-    rng = random.Random(trial_seed)
-    build = algorithm_builder(graph, rng, **spec.algorithm.args)
-
-    scheduler_builder = SCHEDULERS.get(spec.scheduler.name)
-    scheduler_kwargs: Dict[str, Any] = {}
-    if SCHEDULERS.supports_traffic(spec.scheduler.name):
-        # Traffic-aware schedulers (declared via a `traffic` keyword; see
-        # Registry.supports_traffic) get the scenario's TrafficSpec so their
-        # slot frames can be sized from the declared arrival forecast.
-        scheduler_kwargs["traffic"] = spec.traffic
-    scheduler = scheduler_builder(
-        graph, trial_seed, **scheduler_kwargs, **spec.scheduler.args
+    graph, embedding = _build_topology(spec, trial_seed)
+    build = ALGORITHMS.build(
+        spec.algorithm.name, graph, random.Random(trial_seed), **spec.algorithm.args
     )
-
-    environment_builder = ENVIRONMENTS.get(spec.environment.name)
-    environment_kwargs: Dict[str, Any] = {}
-    if ENVIRONMENTS.supports_embedding(spec.environment.name):
-        # Embedding-aware environments (declared via an `embedding` keyword;
-        # see Registry.supports_embedding) get the topology's embedding so
-        # sender selections can place themselves geometrically.
-        environment_kwargs["embedding"] = embedding
-    if ENVIRONMENTS.supports_traffic(spec.environment.name):
-        environment_kwargs["traffic"] = spec.traffic
-    if ENVIRONMENTS.supports_trial_seed(spec.environment.name):
-        environment_kwargs["trial_seed"] = trial_seed
-    environment = environment_builder(
-        graph, **environment_kwargs, **spec.environment.args
+    scheduler = _build_scheduler(spec, graph, trial_seed)
+    environment = ENVIRONMENTS.build(
+        spec.environment.name,
+        graph,
+        context={
+            "embedding": embedding,
+            "traffic": spec.traffic,
+            "trial_seed": trial_seed,
+        },
+        **spec.environment.args,
     )
 
     engine = spec.engine
@@ -215,11 +222,11 @@ class TrialRunResult:
     graph: Any = None
     params: Any = None
     environment: Any = None
-    # Which engine lane actually ran and (when the kernel lane did not run)
-    # the first disqualifying reason -- captured before the simulator
-    # is dropped under keep=False, surfaced via perf_stats.  Deterministic
-    # for a given host/install, so excluded from to_dict()'s metric payload.
-    lane: Optional[Dict[str, Any]] = None
+    # The engine lane report ("lane"; "lane_fallback": why the kernel lane
+    # did not run, None when it did) and the engine's round-section timers,
+    # captured before the simulator is dropped under keep=False.
+    # Observability only, so excluded from to_dict()'s metric payload.
+    perf_stats: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def metric_row(self) -> Dict[str, Any]:
@@ -257,9 +264,8 @@ class RunResult:
     trials: List[TrialRunResult] = field(default_factory=list)
     metrics: Dict[str, Any] = field(default_factory=dict)
     metric_summaries: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # Timing sections (floats, summed across trials) plus the engine-lane
-    # report: "lane" (the lane that actually ran) and "lane_fallback" (why
-    # the kernel lane did not run; None when it did).  Observability only:
+    # The trials' perf_stats merged by _add_trial: timing sections summed
+    # across trials, the lane report assigned.  Observability only:
     # deterministic_report_dict strips the whole section.
     perf_stats: Dict[str, Any] = field(default_factory=dict)
 
@@ -350,15 +356,14 @@ def run_trial(spec: ScenarioSpec, trial_index: int, keep: bool = True) -> TrialR
         rounds=built.total_rounds,
         metrics=metrics,
         trace=trace if keep else None,
-        # Profiling runs keep the simulator even under keep=False: its
-        # perf_stats sections are the whole point of profile=True.
-        simulator=built.simulator if keep or spec.engine.profile else None,
+        simulator=built.simulator if keep else None,
         graph=built.graph if keep else None,
         params=built.params if keep else None,
         environment=built.environment if keep else None,
-        lane={
+        perf_stats={
             "lane": built.simulator.lane,
             "lane_fallback": built.simulator.lane_fallback,
+            **built.simulator.perf_stats,
         },
     )
 
@@ -366,43 +371,43 @@ def run_trial(spec: ScenarioSpec, trial_index: int, keep: bool = True) -> TrialR
 def trial_record(spec: ScenarioSpec, trial_index: int) -> Dict[str, Any]:
     """Execute one trial and return its plain-data (picklable) record.
 
-    :meth:`TrialRunResult.to_dict` plus the simulator's perf sections when
-    profiling -- the wire format every suite task produces (serially, in
-    ``run_suite_task`` pool workers and in fleet workers), the result store
-    keeps, and :func:`absorb_trial_record` consumes.
+    :meth:`TrialRunResult.to_dict` plus its ``perf_stats`` -- the wire
+    format every suite task produces (serially, in ``run_suite_task`` pool
+    workers and in fleet workers), the result store keeps, and
+    :func:`absorb_trial_record` consumes.  The lane report travels with every
+    record: it is how a silent fallback -- e.g. an adaptive scheduler
+    dropping a run onto the reference resolver -- becomes visible in
+    :attr:`RunResult.perf_stats`.
     """
     trial = run_trial(spec, trial_index, keep=False)
     record = trial.to_dict()
-    # The lane report travels with every record (it is how a silent fallback
-    # -- e.g. an adaptive scheduler dropping a run onto the reference
-    # resolver -- becomes visible in RunResult.perf_stats);
-    # profiling merges its timing sections alongside.
-    perf: Dict[str, Any] = dict(trial.lane or {})
-    if spec.engine.profile and trial.simulator is not None:
-        perf.update(trial.simulator.perf_stats)
-    record["perf_stats"] = perf
+    record["perf_stats"] = trial.perf_stats
     return record
 
 
-def absorb_trial_record(result: RunResult, record: Mapping[str, Any]) -> None:
-    """Append one :func:`trial_record` to a :class:`RunResult` (the pool-side
-    counterpart: reconstructs the :class:`TrialRunResult` and accumulates the
-    perf sections)."""
-    result.trials.append(
-        TrialRunResult(
-            trial_index=record["trial_index"],
-            seed=record["seed"],
-            rounds=record["rounds"],
-            metrics=dict(record["metrics"]),
-        )
-    )
-    for section, value in record.get("perf_stats", {}).items():
+def _add_trial(result: RunResult, trial: TrialRunResult) -> None:
+    """Append a trial to ``result`` and merge its ``perf_stats`` in."""
+    result.trials.append(trial)
+    for section, value in trial.perf_stats.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             # Lane identity (strings / None): identical across a spec's
             # trials, so plain assignment -- summing would be nonsense.
             result.perf_stats[section] = value
         else:
             result.perf_stats[section] = result.perf_stats.get(section, 0.0) + value
+
+
+def absorb_trial_record(result: RunResult, record: Mapping[str, Any]) -> None:
+    """Append one :func:`trial_record` to a :class:`RunResult` (the pool-side
+    counterpart of the serial :func:`run` loop)."""
+    trial = TrialRunResult(
+        trial_index=record["trial_index"],
+        seed=record["seed"],
+        rounds=record["rounds"],
+        metrics=dict(record["metrics"]),
+        perf_stats=dict(record.get("perf_stats", {})),
+    )
+    _add_trial(result, trial)
 
 
 def _aggregate(result: RunResult) -> None:
@@ -472,13 +477,7 @@ def run(
 
     result = RunResult(spec=spec, fingerprint=spec.fingerprint())
     for trial_index in range(spec.run.trials):
-        trial = run_trial(spec, trial_index, keep=keep)
-        result.trials.append(trial)
-        if trial.lane:
-            result.perf_stats.update(trial.lane)
-        if spec.engine.profile and trial.simulator is not None:
-            for section, seconds in trial.simulator.perf_stats.items():
-                result.perf_stats[section] = result.perf_stats.get(section, 0.0) + seconds
+        _add_trial(result, run_trial(spec, trial_index, keep=keep))
     _aggregate(result)
     return result
 
@@ -513,7 +512,7 @@ def _delta_identity(spec: ScenarioSpec) -> str:
     }
     if spec.run.rounds_unit != "rounds":
         payload["algorithm"] = spec.algorithm.to_dict()
-    if spec.traffic is not None and SCHEDULERS.supports_traffic(spec.scheduler.name):
+    if spec.traffic is not None and SCHEDULERS.accepts(spec.scheduler.name, "traffic"):
         # A traffic-aware scheduler's slot frame depends on the declared
         # workload forecast; traffic-agnostic schedulers keep sharing tables
         # across load grid points.
@@ -564,24 +563,16 @@ def prebuild_delta_table(
         if _component_rerandomizes_per_trial(SCHEDULERS, spec.scheduler):
             return None
     trial_seed = spec.run.trial_seed(0)
-    graph, _ = TOPOLOGIES.get(spec.topology.name)(trial_seed, **spec.topology.args)
-    scheduler_kwargs: Dict[str, Any] = {}
-    if SCHEDULERS.supports_traffic(spec.scheduler.name):
-        # Must mirror materialize(): a traffic-aware scheduler built without
-        # the workload forecast would prebuild a different slot schedule.
-        scheduler_kwargs["traffic"] = spec.traffic
-    scheduler = SCHEDULERS.get(spec.scheduler.name)(
-        graph, trial_seed, **scheduler_kwargs, **spec.scheduler.args
-    )
+    graph, _ = _build_topology(spec, trial_seed)
+    scheduler = _build_scheduler(spec, graph, trial_seed)
     if scheduler.decides_edges_independently or scheduler.delta_cache_key() is None:
         return None
     if rounds is None:
         if spec.run.rounds_unit == "rounds":
             rounds = spec.run.rounds
         else:
-            # Params-only resolution: derived round lengths without a
-            # throwaway process population (falls back to a full build only
-            # for algorithms that never declared the mode).
+            # Derived round lengths without a throwaway process population
+            # (a full build only for algorithms without params_only).
             algorithm_build = resolve_params(spec, graph=graph)
             rounds = _resolve_total_rounds(spec, algorithm_build)
     return prebuild_scheduler_deltas(scheduler, rounds)

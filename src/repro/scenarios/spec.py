@@ -40,10 +40,11 @@ _SEED_POLICIES = TRIAL_SEED_POLICIES
 #: :func:`repro.scenarios.metrics.required_trace_mode`).
 AUTO_TRACE_MODE = "auto"
 _TRACE_MODES = tuple(mode.value for mode in TraceMode) + (AUTO_TRACE_MODE,)
-#: Engine keys of removed lane knobs (the vector resolver toggle and the
-#: kernel backend selector): accepted and ignored on load, so every manifest
-#: written before their removal still loads with its identity intact.
-_LEGACY_ENGINE_KEYS = ("vector_path", "kernel")
+#: Engine keys of removed knobs (the vector resolver toggle, the kernel
+#: backend selector, and the profile flag -- the engine's section timers are
+#: now always reported): accepted and ignored on load, so every manifest
+#: written before their removal still loads.
+_LEGACY_ENGINE_KEYS = ("vector_path", "kernel", "profile")
 
 
 def _json_canonical(data: Any) -> str:
@@ -234,15 +235,13 @@ class EngineConfig:
     scenario declares (``"full"`` when it declares none, the safe historical
     default).
 
-    ``profile`` copies the engine's per-section timers into each trial
-    record's ``perf_stats``.  The legacy keys ``vector_path`` and ``kernel``
-    are accepted and ignored by :meth:`from_dict`.
+    The legacy keys ``vector_path``, ``kernel`` and ``profile`` are
+    accepted and ignored by :meth:`from_dict`.
     """
 
     fast_path: bool = True
     batch_path: bool = True
     trace_mode: str = "full"
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.trace_mode not in _TRACE_MODES:
@@ -269,7 +268,6 @@ class EngineConfig:
             "fast_path": self.fast_path,
             "batch_path": self.batch_path,
             "trace_mode": self.trace_mode,
-            "profile": self.profile,
         }
 
     @classmethod

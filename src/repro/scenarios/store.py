@@ -2,7 +2,7 @@
 
 A :class:`ResultStore` persists executed trial records -- the picklable
 ``trial_record`` wire format of :mod:`repro.scenarios.runtime` (metrics row,
-counters, optional ``perf_stats``) -- under a content-derived key, so any
+counters, ``perf_stats``) -- under a content-derived key, so any
 repeated trial anywhere (a rerun or resumed suite, an overlapping sweep, a
 fleet worker picking up a dead worker's chunk) becomes a near-free cache hit
 instead of a recompute.
@@ -21,9 +21,8 @@ A trial's key is the SHA-256 of three canonical-JSON components:
   :func:`repro.analysis.sweep.derive_trial_seed` (via
   :meth:`repro.scenarios.spec.RunPolicy.trial_seed`);
 * the **metrics signature** (:func:`metrics_signature`): the declared metric
-  specs, the resolved trace mode, and the profile flag -- so changing a
-  metric's definition or recording mode invalidates exactly the rows it
-  affects, never more.
+  specs and the resolved trace mode -- so changing a metric's definition or
+  recording mode invalidates exactly the rows it affects, never more.
 
 Dropping the spec name and trial bookkeeping from the key is what makes the
 store *content*-addressed: two suite entries with different ids but identical
@@ -81,7 +80,8 @@ from repro.scenarios.spec import ScenarioSpec, _json_canonical
 #: metrics signature -- bump it to invalidate all stored rows at once.
 #: v2: trial records always carry a ``perf_stats`` section with the engine
 #: lane report (``lane`` / ``lane_fallback``: why the kernel lane did not
-#: run).  The section is observability data, outside
+#: run) and the engine's round-section timers.  The section is
+#: observability data, outside
 #: :func:`~repro.scenarios.suite.deterministic_report_dict`, so its contents
 #: may change without a version bump.
 STORE_SCHEMA_VERSION = 2
@@ -167,8 +167,7 @@ def metrics_signature(spec: ScenarioSpec) -> str:
 
     Covers the declared metric specs (names + args, canonical JSON), the
     trace mode the trial records under (``"auto"`` resolved against the
-    metric registry), the engine ``profile`` flag (it adds ``perf_stats`` to
-    the record), and :data:`STORE_SCHEMA_VERSION`.  Changing any of these --
+    metric registry), and :data:`STORE_SCHEMA_VERSION`.  Changing any of these --
     adding a metric, changing its args, switching trace modes -- changes the
     signature and therefore misses the old cache entries; everything else
     (engine lanes) deliberately does not.
@@ -181,7 +180,9 @@ def metrics_signature(spec: ScenarioSpec) -> str:
         "schema": STORE_SCHEMA_VERSION,
         "metrics": [metric.to_dict() for metric in spec.metrics],
         "trace_mode": trace_mode,
-        "profile": spec.engine.profile,
+        # The removed engine profile flag, pinned to its old default so v2
+        # keys stay valid: perf data never enters a key.
+        "profile": False,
     }
     digest = hashlib.sha256(_json_canonical(payload).encode()).hexdigest()
     return digest[:16]
@@ -193,8 +194,8 @@ def scenario_trial_identity(spec: ScenarioSpec) -> str:
     The scenario's canonical dict minus the fields a trial's trace provably
     does not depend on: ``name``/``description`` (labels), ``metrics``
     (covered by :func:`metrics_signature`), the engine block (all engine
-    lanes/kernels are trace-identical; the trace mode and profile flag ride
-    in the metrics signature), and the run policy's trial bookkeeping
+    lanes/kernels are trace-identical; the trace mode rides in the metrics
+    signature), and the run policy's trial bookkeeping
     (``trials`` / ``master_seed`` / ``seed_policy`` matter only through the
     resolved per-trial seed, which is keyed separately).  The round budget
     (``rounds`` + ``rounds_unit``) stays: it decides how long the trial ran.
@@ -514,7 +515,8 @@ class ResultStore:
                         dropped_corrupt += 1
                         continue
                     key = entry["key"]
-                    if entry.get("spec") in drop:
+                    spec = entry.get("spec")
+                    if isinstance(spec, str) and spec in drop:
                         index.pop(key, None)
                         dropped_evicted += 1
                         continue

@@ -18,7 +18,7 @@ _SPEC.loader.exec_module(check_docs)
     [
         "repro.scenarios.runtime",  # a module
         "repro.simulation.engine._SCHED_MASK_CACHE",  # a module-level name
-        "repro.dualgraph.graph.TopologyIndex.unreliable_u",  # a __slots__ entry
+        "repro.dualgraph.graph.TopologyIndex.g_neighbors",  # a __slots__ entry
         "repro.simulation.engine.Simulator.lane_fallback",  # a property
         "repro.DualGraph.topology_index",  # re-exported by a package __init__
     ],

@@ -438,25 +438,25 @@ class TestSchedulerDeltaCache:
 
 
 class TestTopologyIndex:
-    def test_csr_matches_adjacency(self):
+    def test_index_views_match_adjacency(self):
         graph = _make_network()
         index = graph.topology_index()
         assert index.n == graph.n
         for i, vertex in enumerate(index.vertices):
             assert index.index_of[vertex] == i
-            row = index.g_indices[index.g_indptr[i] : index.g_indptr[i + 1]]
-            assert tuple(row) == index.g_neighbors[i]
+            row = index.g_neighbors[i]
+            assert list(row) == sorted(row)
             neighbors = frozenset(index.vertices[j] for j in row)
             assert neighbors == graph.reliable_neighbors(vertex)
         seen = set()
         for eid, edge in enumerate(index.unreliable_edge_list):
             assert index.unreliable_id_of[edge] == eid
-            endpoints = frozenset(
-                (index.vertices[index.unreliable_u[eid]], index.vertices[index.unreliable_v[eid]])
-            )
-            assert frozenset(endpoints) == edge
+            a, b = sorted(index.index_of[v] for v in edge)
+            assert index.unreliable_neighbor_by_eid[a][eid] == b
+            assert index.unreliable_neighbor_by_eid[b][eid] == a
             seen.add(edge)
         assert seen == set(graph.unreliable_edges)
+        assert sum(map(len, index.unreliable_neighbor_by_eid)) == 2 * len(seen)
 
     def test_index_is_cached_and_freezes_graph(self):
         graph = DualGraph([0, 1, 2], reliable_edges=[(0, 1)], unreliable_edges=[(1, 2)])
@@ -467,6 +467,16 @@ class TestTopologyIndex:
         assert index.num_unreliable_edges == 0
         assert_frozen(graph)
         assert graph.topology_index() is index
+
+    def test_fingerprint_is_structural(self):
+        def index(unreliable):
+            return DualGraph([0, 1, 2, 3], [(0, 1), (1, 2)], unreliable).topology_index()
+
+        assert index([(2, 3)]).fingerprint == index([(3, 2)]).fingerprint
+        assert index([(2, 3)]).fingerprint != index([(0, 3)]).fingerprint
+        assert index([(2, 3)]).fingerprint != index([]).fingerprint
+        other_reliable = DualGraph([0, 1, 2, 3], [(0, 1), (2, 3)], [])
+        assert other_reliable.topology_index().fingerprint != index([]).fingerprint
 
 
 # ----------------------------------------------------------------------

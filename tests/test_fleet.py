@@ -24,7 +24,6 @@ import json
 import os
 import re
 import signal
-from dataclasses import replace
 
 import pytest
 
@@ -127,18 +126,11 @@ def test_fleet_private_store_when_none_given():
 
 
 def test_profiled_reports_are_deterministic(tmp_path):
-    # Profiling adds wall-clock section timers to every record's perf_stats;
-    # like the lane report beside them they are observability data, so two
-    # identical runs -- serial twice, then serial vs fleet -- must still give
-    # equal deterministic reports.
+    # Every record's perf_stats carries wall-clock section timers; like the
+    # lane report beside them they are observability data, so two identical
+    # runs -- serial twice, then serial vs fleet -- must still give equal
+    # deterministic reports.
     suite = fleet_suite(entry_count=2, trials=2)
-    suite = replace(
-        suite,
-        entries=tuple(
-            replace(entry, scenario=entry.scenario.with_overrides({"engine.profile": True}))
-            for entry in suite.entries
-        ),
-    )
     first = run_suite(suite, jobs=1, prebuild=False)
     assert first.to_dict()["entries"][0]["result"]["perf_stats"]["resolve"] > 0
     serial = det(first)

@@ -242,9 +242,9 @@ class TestSerialParallelIdentity:
 
 class TestParamsOnlyResolution:
     def test_support_is_detected_from_signature(self):
-        assert ALGORITHMS.supports_params_only("lbalg")
-        assert ALGORITHMS.supports_params_only("seed_agreement")
-        assert not ALGORITHMS.supports_params_only("decay")
+        assert ALGORITHMS.accepts("lbalg", "params_only")
+        assert ALGORITHMS.accepts("seed_agreement", "params_only")
+        assert not ALGORITHMS.accepts("decay", "params_only")
 
     def test_resolve_params_matches_full_build_without_processes(self):
         spec = lb_spec_with()

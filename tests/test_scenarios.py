@@ -231,16 +231,10 @@ class TestFingerprint:
             != spec.with_overrides({"topology.args.n": 15}).fingerprint()
         )
 
-    def test_engine_profile_round_trips(self):
-        profiled = small_spec(**{"engine.profile": True})
-        restored = ScenarioSpec.from_json(profiled.to_json())
-        assert restored == profiled and restored.engine.profile
-        assert restored.fingerprint() == profiled.fingerprint()
-        assert profiled.fingerprint() != small_spec().fingerprint()
-
 
 class TestLegacyEngineKeys:
-    """Removed engine knobs (``vector_path``, ``kernel``) stay loadable."""
+    """Removed engine knobs (``vector_path``, ``kernel``, ``profile``) stay
+    loadable."""
 
     #: ``trial_key(small_spec(), 0)``, as computed when the knobs still
     #: existed: stores filled back then must keep hitting.
@@ -256,6 +250,8 @@ class TestLegacyEngineKeys:
             {"kernel": "numpy"},
             {"kernel": "auto"},
             {"vector_path": False, "kernel": "numpy"},
+            {"profile": False},
+            {"profile": True},
         ],
     )
     def test_legacy_keys_load_as_the_default_spec(self, legacy):
@@ -270,9 +266,8 @@ class TestLegacyEngineKeys:
         assert overridden == base
 
     def test_legacy_keys_leave_the_serialized_form(self):
-        assert set(small_spec().engine.to_dict()) == {
-            "fast_path", "batch_path", "trace_mode", "profile"
-        }
+        engine_keys = set(small_spec().engine.to_dict())
+        assert engine_keys == {"fast_path", "batch_path", "trace_mode"}
 
     def test_other_unknown_engine_keys_are_still_rejected(self):
         data = small_spec().to_dict()
@@ -310,6 +305,26 @@ class TestRegistries:
             @registry.register("thing")
             def _build_thing_again():
                 return 2
+
+    def test_build_passes_only_declared_context_keywords(self):
+        registry = Registry("widget")
+
+        @registry.register("plain")
+        def _build_plain(graph, size=1, **extra):
+            return ("plain", graph, size, extra)
+
+        @registry.register("aware")
+        def _build_aware(graph, size=1, traffic=None):
+            return ("aware", graph, size, traffic)
+
+        context = {"traffic": "load", "trial_seed": 9}
+        plain = registry.build("plain", "g", context=context, size=2)
+        assert plain == ("plain", "g", 2, {})
+        assert registry.build("aware", "g", context=context) == ("aware", "g", 1, "load")
+        assert registry.accepts("aware", "traffic")
+        assert not registry.accepts("plain", "traffic")
+        with pytest.raises(KeyError, match="registered widget names"):
+            registry.build("gadget", "g", context=context)
 
     def test_trial_seeded_metadata_is_recorded(self):
         assert TOPOLOGIES.is_trial_seeded("random_geographic")

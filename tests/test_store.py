@@ -219,6 +219,17 @@ class TestRobustness:
         assert fresh.get(spec_a, 0) is None
         assert fresh.get(spec_b, 0) is not None
 
+    def test_gc_keeps_a_line_whose_spec_is_not_a_string(self, tmp_path):
+        root = str(tmp_path / "store")
+        key = "aa" + "1" * 30
+        ResultStore(root).put_entry("aa" + "0" * 30, {"v": 1})
+        bucket = os.path.join(root, "objects", "aa.jsonl")
+        with open(bucket, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": key, "spec": [1], "record": {"v": 2}}) + "\n")
+        summary = ResultStore(root).gc(drop_fingerprints=("f" * 16,))
+        assert (summary["kept"], summary["dropped_evicted"]) == (2, 0)
+        assert ResultStore(root).get_entry(key)["record"] == {"v": 2}
+
     def test_concurrent_writers_lose_no_rows(self, tmp_path):
         """Four processes appending into the *same* bucket file: O_APPEND
         line-granular writes mean every row survives."""

@@ -357,17 +357,10 @@ class TestRunSuite:
         assert default.group_summaries == without.group_summaries
 
     def test_profile_perf_stats_survive_suite_workers(self):
-        suite = SuiteSpec(
-            name="profiled",
-            entries=(
-                SuiteEntry(
-                    id="p",
-                    scenario=small_scenario("p").with_overrides({"engine.profile": True}),
-                ),
-            ),
-        )
-        report = run_suite(suite, jobs=1)
-        assert report.entries[0].result.perf_stats  # sections accumulated
+        entry = SuiteEntry(id="p", scenario=small_scenario("p"))
+        suite = SuiteSpec(name="profiled", entries=(entry,))
+        perf_stats = run_suite(suite, jobs=1).entries[0].result.perf_stats
+        assert perf_stats["lane"] == "kernel" and perf_stats["resolve"] > 0
 
     def test_report_renders_table_markdown_and_json(self):
         report = run_suite(small_suite(), jobs=1)

@@ -322,11 +322,11 @@ class TestTrafficAwareScheduler:
 
     def test_registry_metadata(self):
         for name in ("tasa", "longest_queue"):
-            assert SCHEDULERS.supports_traffic(name)
+            assert SCHEDULERS.accepts(name, "traffic")
             assert not SCHEDULERS.is_trial_seeded(name)
-        assert not SCHEDULERS.supports_traffic("iid")
-        assert ENVIRONMENTS.supports_traffic("queued")
-        assert ENVIRONMENTS.supports_trial_seed("queued")
+        assert not SCHEDULERS.accepts("iid", "traffic")
+        assert ENVIRONMENTS.accepts("queued", "traffic")
+        assert ENVIRONMENTS.accepts("queued", "trial_seed")
 
 
 # ----------------------------------------------------------------------
