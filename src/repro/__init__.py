@@ -47,91 +47,100 @@ Quickstart
 True
 """
 
-from repro.dualgraph import (
-    AdaptiveLinkScheduler,
-    SchedulerDeltaCache,
-    AntiScheduleAdversary,
-    CollisionAdaptiveAdversary,
-    DualGraph,
-    Embedding,
-    TopologyIndex,
-    FullInclusionScheduler,
-    GridRegionPartition,
-    IIDScheduler,
-    LinkScheduler,
-    NoUnreliableScheduler,
-    PeriodicScheduler,
-    RegionGraph,
-    TraceScheduler,
-    clique_network,
-    cluster_network,
-    geographic_dual_graph,
-    grid_network,
-    is_r_geographic,
-    line_network,
-    random_geographic_network,
-    star_network,
-    two_clusters_network,
-)
-from repro.simulation import (
-    BurstyEnvironment,
-    Environment,
-    ExecutionTrace,
-    NullEnvironment,
-    Process,
-    ProcessContext,
-    SaturatingEnvironment,
-    ScriptedEnvironment,
-    Simulator,
-    SingleShotEnvironment,
-    TraceMode,
-    ack_delays,
-    delivery_report,
-    progress_report,
-    unique_seed_owner_counts,
-)
-from repro.core import (
-    LBConstants,
-    LBParams,
-    LBSpecReport,
-    LocalBroadcastProcess,
-    Message,
-    ParamMode,
-    SeedAgreementProcess,
-    SeedBitStream,
-    SeedConstants,
-    SeedParams,
-    SeedSpecReport,
-    check_lb_execution,
-    check_seed_execution,
-    make_message,
-)
-from repro.core.local_broadcast import make_lb_processes
-from repro.baselines import (
-    DecayProcess,
-    RoundRobinProcess,
-    UniformProcess,
-    make_baseline_processes,
-)
-from repro.mac import AbstractMacNode, FloodClient, MacClient, run_flood
-from repro.analysis import theory
-from repro.analysis.stats import empirical_error_rate, summarize, wilson_interval
-from repro.analysis.sweep import SweepResult, format_table, sweep
-from repro import scenarios
-from repro.scenarios import (
-    AlgorithmSpec,
-    EngineConfig,
-    EnvironmentSpec,
-    RunPolicy,
-    RunResult,
-    ScenarioSpec,
-    SchedulerSpec,
-    TopologySpec,
-    register_algorithm,
-    register_environment,
-    register_scheduler,
-    register_topology,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    # dual graph substrate
+    "DualGraph": "repro.dualgraph.graph",
+    "TopologyIndex": "repro.dualgraph.graph",
+    "Embedding": "repro.dualgraph.geometric",
+    "geographic_dual_graph": "repro.dualgraph.geometric",
+    "is_r_geographic": "repro.dualgraph.geometric",
+    "GridRegionPartition": "repro.dualgraph.regions",
+    "RegionGraph": "repro.dualgraph.regions",
+    "random_geographic_network": "repro.dualgraph.generators",
+    "grid_network": "repro.dualgraph.generators",
+    "line_network": "repro.dualgraph.generators",
+    "clique_network": "repro.dualgraph.generators",
+    "star_network": "repro.dualgraph.generators",
+    "cluster_network": "repro.dualgraph.generators",
+    "two_clusters_network": "repro.dualgraph.generators",
+    "LinkScheduler": "repro.dualgraph.adversary",
+    "AdaptiveLinkScheduler": "repro.dualgraph.adversary",
+    "CollisionAdaptiveAdversary": "repro.dualgraph.adversary",
+    "NoUnreliableScheduler": "repro.dualgraph.adversary",
+    "FullInclusionScheduler": "repro.dualgraph.adversary",
+    "IIDScheduler": "repro.dualgraph.adversary",
+    "PeriodicScheduler": "repro.dualgraph.adversary",
+    "AntiScheduleAdversary": "repro.dualgraph.adversary",
+    "TraceScheduler": "repro.dualgraph.adversary",
+    "SchedulerDeltaCache": "repro.dualgraph.adversary",
+    # simulation substrate
+    "Process": "repro.simulation.process",
+    "ProcessContext": "repro.simulation.process",
+    "Simulator": "repro.simulation.engine",
+    "Environment": "repro.simulation.environment",
+    "NullEnvironment": "repro.simulation.environment",
+    "SingleShotEnvironment": "repro.simulation.environment",
+    "SaturatingEnvironment": "repro.simulation.environment",
+    "ScriptedEnvironment": "repro.simulation.environment",
+    "BurstyEnvironment": "repro.simulation.environment",
+    "ExecutionTrace": "repro.simulation.trace",
+    "TraceMode": "repro.simulation.trace",
+    "ack_delays": "repro.simulation.metrics",
+    "delivery_report": "repro.simulation.metrics",
+    "progress_report": "repro.simulation.metrics",
+    "unique_seed_owner_counts": "repro.simulation.metrics",
+    # core contribution
+    "Message": "repro.core.messages",
+    "make_message": "repro.core.messages",
+    "ParamMode": "repro.core.constants",
+    "SeedConstants": "repro.core.constants",
+    "LBConstants": "repro.core.constants",
+    "SeedParams": "repro.core.params",
+    "LBParams": "repro.core.params",
+    "SeedBitStream": "repro.core.seedbits",
+    "SeedAgreementProcess": "repro.core.seed_agreement",
+    "SeedSpecReport": "repro.core.seed_spec",
+    "check_seed_execution": "repro.core.seed_spec",
+    "LocalBroadcastProcess": "repro.core.local_broadcast",
+    "make_lb_processes": "repro.core.local_broadcast",
+    "LBSpecReport": "repro.core.lb_spec",
+    "check_lb_execution": "repro.core.lb_spec",
+    # baselines
+    "DecayProcess": "repro.baselines.decay",
+    "UniformProcess": "repro.baselines.uniform",
+    "RoundRobinProcess": "repro.baselines.round_robin",
+    "make_baseline_processes": "repro.baselines.factory",
+    # abstract MAC layer
+    "AbstractMacNode": "repro.mac.adapter",
+    "MacClient": "repro.mac.spec",
+    "FloodClient": "repro.mac.applications.flood",
+    "run_flood": "repro.mac.applications.flood",
+    # declarative scenarios
+    "scenarios": "repro.scenarios",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "TopologySpec": "repro.scenarios.spec",
+    "SchedulerSpec": "repro.scenarios.spec",
+    "AlgorithmSpec": "repro.scenarios.spec",
+    "EnvironmentSpec": "repro.scenarios.spec",
+    "EngineConfig": "repro.scenarios.spec",
+    "RunPolicy": "repro.scenarios.spec",
+    "RunResult": "repro.scenarios.runtime",
+    "register_topology": "repro.scenarios.registry",
+    "register_scheduler": "repro.scenarios.registry",
+    "register_algorithm": "repro.scenarios.registry",
+    "register_environment": "repro.scenarios.registry",
+    # analysis
+    "theory": "repro.analysis",
+    "empirical_error_rate": "repro.analysis.stats",
+    "wilson_interval": "repro.analysis.stats",
+    "summarize": "repro.analysis.stats",
+    "sweep": "repro.analysis.sweep",
+    "SweepResult": "repro.analysis.sweep",
+    "format_table": "repro.analysis.sweep",
+}
 
 __version__ = "1.1.0"
 
@@ -227,3 +236,5 @@ __all__ = [
     "format_table",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -9,22 +9,27 @@
   formatter so every benchmark prints its figure/table data the same way.
 """
 
-from repro.analysis import theory
-from repro.analysis.stats import (
-    empirical_error_rate,
-    mean,
-    quantile,
-    std,
-    summarize,
-    wilson_interval,
-)
-from repro.analysis.sweep import (
-    SweepResult,
-    derive_point_seed,
-    format_table,
-    iter_grid_points,
-    sweep,
-)
+from repro._lazy import lazy_exports
+
+# ``sweep`` names both a submodule and the function it defines.  Binding the
+# function here, before anything imports the submodule, keeps
+# ``repro.analysis.sweep`` the function, as it has always been.
+from repro.analysis.sweep import sweep
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "theory": "repro.analysis.theory",
+    "mean": "repro.analysis.stats",
+    "std": "repro.analysis.stats",
+    "quantile": "repro.analysis.stats",
+    "summarize": "repro.analysis.stats",
+    "empirical_error_rate": "repro.analysis.stats",
+    "wilson_interval": "repro.analysis.stats",
+    "iter_grid_points": "repro.analysis.sweep",
+    "derive_point_seed": "repro.analysis.sweep",
+    "SweepResult": "repro.analysis.sweep",
+    "format_table": "repro.analysis.sweep",
+}
 
 __all__ = [
     "theory",
@@ -40,3 +45,5 @@ __all__ = [
     "SweepResult",
     "format_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -18,10 +18,15 @@ All three speak the same ``bcast/ack/recv`` event vocabulary as LBAlg, so
 traces produced by any of them feed the same metrics and spec checkers.
 """
 
-from repro.baselines.decay import DecayProcess
-from repro.baselines.uniform import UniformProcess
-from repro.baselines.round_robin import RoundRobinProcess
-from repro.baselines.factory import make_baseline_processes
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "DecayProcess": "repro.baselines.decay",
+    "UniformProcess": "repro.baselines.uniform",
+    "RoundRobinProcess": "repro.baselines.round_robin",
+    "make_baseline_processes": "repro.baselines.factory",
+}
 
 __all__ = [
     "DecayProcess",
@@ -29,3 +34,5 @@ __all__ = [
     "RoundRobinProcess",
     "make_baseline_processes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -20,25 +20,32 @@ Modules
   ``(seed, cursor)`` cohort's body decisions, with byte-identical traces.
 """
 
-from repro.core.messages import Message, make_message
-from repro.core.events import (
-    AckOutput,
-    BcastInput,
-    DecideOutput,
-    Event,
-    RecvOutput,
-)
-from repro.core.constants import ParamMode, SeedConstants, LBConstants
-from repro.core.params import SeedParams, LBParams
-from repro.core.seedbits import SeedBitStream
-from repro.core.seed_agreement import SeedAgreementProcess
-from repro.core.seed_spec import SeedSpecReport, check_seed_execution
-from repro.core.local_broadcast import LocalBroadcastProcess
-from repro.core.seed_groups import (
-    LocalBroadcastBatchDriver,
-    SeedAgreementCohort,
-)
-from repro.core.lb_spec import LBSpecReport, check_lb_execution
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "Message": "repro.core.messages",
+    "make_message": "repro.core.messages",
+    "Event": "repro.core.events",
+    "BcastInput": "repro.core.events",
+    "AckOutput": "repro.core.events",
+    "RecvOutput": "repro.core.events",
+    "DecideOutput": "repro.core.events",
+    "ParamMode": "repro.core.constants",
+    "SeedConstants": "repro.core.constants",
+    "LBConstants": "repro.core.constants",
+    "SeedParams": "repro.core.params",
+    "LBParams": "repro.core.params",
+    "SeedBitStream": "repro.core.seedbits",
+    "SeedAgreementProcess": "repro.core.seed_agreement",
+    "SeedSpecReport": "repro.core.seed_spec",
+    "check_seed_execution": "repro.core.seed_spec",
+    "LocalBroadcastProcess": "repro.core.local_broadcast",
+    "LocalBroadcastBatchDriver": "repro.core.seed_groups",
+    "SeedAgreementCohort": "repro.core.seed_groups",
+    "LBSpecReport": "repro.core.lb_spec",
+    "check_lb_execution": "repro.core.lb_spec",
+}
 
 __all__ = [
     "Message",
@@ -63,3 +70,5 @@ __all__ = [
     "LBSpecReport",
     "check_lb_execution",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -14,38 +14,41 @@ This package implements the network model of Section 2 of the paper:
   unreliable edges appear in each round's communication topology.
 """
 
-from repro.dualgraph.graph import DualGraph, Edge, TopologyIndex, normalize_edge
-from repro.dualgraph.geometric import (
-    Embedding,
-    euclidean_distance,
-    geographic_dual_graph,
-    is_r_geographic,
-)
-from repro.dualgraph.generators import (
-    clique_network,
-    cluster_network,
-    grid_network,
-    line_network,
-    random_geographic_network,
-    star_network,
-    two_clusters_network,
-)
-from repro.dualgraph.regions import GridRegionPartition, RegionGraph
-from repro.dualgraph.adversary import (
-    AdaptiveLinkScheduler,
-    SchedulerDeltaCache,
-    prebuild_scheduler_deltas,
-    preload_process_delta_cache,
-    process_delta_cache,
-    AntiScheduleAdversary,
-    CollisionAdaptiveAdversary,
-    FullInclusionScheduler,
-    IIDScheduler,
-    LinkScheduler,
-    NoUnreliableScheduler,
-    PeriodicScheduler,
-    TraceScheduler,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "DualGraph": "repro.dualgraph.graph",
+    "Edge": "repro.dualgraph.graph",
+    "TopologyIndex": "repro.dualgraph.graph",
+    "normalize_edge": "repro.dualgraph.graph",
+    "Embedding": "repro.dualgraph.geometric",
+    "euclidean_distance": "repro.dualgraph.geometric",
+    "geographic_dual_graph": "repro.dualgraph.geometric",
+    "is_r_geographic": "repro.dualgraph.geometric",
+    "random_geographic_network": "repro.dualgraph.generators",
+    "line_network": "repro.dualgraph.generators",
+    "grid_network": "repro.dualgraph.generators",
+    "clique_network": "repro.dualgraph.generators",
+    "star_network": "repro.dualgraph.generators",
+    "cluster_network": "repro.dualgraph.generators",
+    "two_clusters_network": "repro.dualgraph.generators",
+    "GridRegionPartition": "repro.dualgraph.regions",
+    "RegionGraph": "repro.dualgraph.regions",
+    "LinkScheduler": "repro.dualgraph.adversary",
+    "AdaptiveLinkScheduler": "repro.dualgraph.adversary",
+    "CollisionAdaptiveAdversary": "repro.dualgraph.adversary",
+    "FullInclusionScheduler": "repro.dualgraph.adversary",
+    "NoUnreliableScheduler": "repro.dualgraph.adversary",
+    "IIDScheduler": "repro.dualgraph.adversary",
+    "PeriodicScheduler": "repro.dualgraph.adversary",
+    "AntiScheduleAdversary": "repro.dualgraph.adversary",
+    "TraceScheduler": "repro.dualgraph.adversary",
+    "SchedulerDeltaCache": "repro.dualgraph.adversary",
+    "prebuild_scheduler_deltas": "repro.dualgraph.adversary",
+    "preload_process_delta_cache": "repro.dualgraph.adversary",
+    "process_delta_cache": "repro.dualgraph.adversary",
+}
 
 __all__ = [
     "DualGraph",
@@ -79,3 +82,5 @@ __all__ = [
     "preload_process_delta_cache",
     "process_delta_cache",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

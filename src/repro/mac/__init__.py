@@ -17,17 +17,22 @@ implementation of the layer in the dual graph model.
   :mod:`repro.mac.applications.flood` is the representative example.
 """
 
-from repro.mac.spec import MacClient, MacLayerGuarantees
-from repro.mac.adapter import AbstractMacNode, make_mac_nodes
-from repro.mac.applications.flood import FloodClient, FloodResult, run_flood
-from repro.mac.applications.multi_message import (
-    MultiMessageResult,
-    run_multi_message_broadcast,
-)
-from repro.mac.applications.neighbor_discovery import (
-    NeighborDiscoveryResult,
-    run_neighbor_discovery,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "MacClient": "repro.mac.spec",
+    "MacLayerGuarantees": "repro.mac.spec",
+    "AbstractMacNode": "repro.mac.adapter",
+    "make_mac_nodes": "repro.mac.adapter",
+    "FloodClient": "repro.mac.applications.flood",
+    "FloodResult": "repro.mac.applications.flood",
+    "run_flood": "repro.mac.applications.flood",
+    "MultiMessageResult": "repro.mac.applications.multi_message",
+    "run_multi_message_broadcast": "repro.mac.applications.multi_message",
+    "NeighborDiscoveryResult": "repro.mac.applications.neighbor_discovery",
+    "run_neighbor_discovery": "repro.mac.applications.neighbor_discovery",
+}
 
 __all__ = [
     "MacClient",
@@ -42,3 +47,5 @@ __all__ = [
     "NeighborDiscoveryResult",
     "run_neighbor_discovery",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

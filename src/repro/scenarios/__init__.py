@@ -42,81 +42,71 @@ See ``docs/scenarios.md`` for the spec schema and the registry catalogue,
 ``docs/service.md`` for the serving API.
 """
 
-from repro.scenarios import components  # noqa: F401  (registers built-ins)
-from repro.scenarios.components import AlgorithmBuild, resolve_senders
-from repro.scenarios.metrics import (
-    METRICS,
-    MetricContext,
-    MetricRegistry,
-    aggregate_metric_rows,
-    evaluate_metrics,
-    flatten_aggregates,
-    register_metric,
-    required_trace_mode,
-)
-from repro.scenarios.registry import (
-    ALGORITHMS,
-    ENVIRONMENTS,
-    SCHEDULERS,
-    TOPOLOGIES,
-    Registry,
-    register_algorithm,
-    register_environment,
-    register_scheduler,
-    register_topology,
-)
-from repro.scenarios.runtime import (
-    BuiltScenario,
-    RunResult,
-    TrialRunResult,
-    build,
-    materialize,
-    prebuild_delta_table,
-    resolve_params,
-    resolve_trace_mode,
-    run,
-    run_many,
-    run_trial,
-)
-from repro.scenarios.spec import (
-    AlgorithmSpec,
-    EngineConfig,
-    EnvironmentSpec,
-    MetricSpec,
-    RunPolicy,
-    ScenarioSpec,
-    SchedulerSpec,
-    TopologySpec,
-)
-from repro.scenarios.store import (
-    ResultStore,
-    metrics_signature,
-    scenario_trial_identity,
-    trial_key,
-)
-from repro.scenarios.suite import (
-    SuiteCancelled,
-    SuiteEntry,
-    SuiteEntryResult,
-    SuiteReport,
-    SuiteSpec,
-    SuiteTaskError,
-    deterministic_report_dict,
-    run_suite,
-)
-from repro.scenarios.fleet import (
-    DEFAULT_LEASE_TTL_S,
-    FleetTaskError,
-    default_task_runner,
-    run_suite_fleet,
-)
-from repro.scenarios.jobs import (
-    FaultPlan,
-    Job,
-    JobManager,
-    JobRejected,
-    parse_submission,
-)
+from repro._lazy import lazy_exports
+from repro.scenarios import components  # noqa: F401  (registers built-ins, eagerly)
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "AlgorithmBuild": "repro.scenarios.components",
+    "resolve_senders": "repro.scenarios.components",
+    "METRICS": "repro.scenarios.metrics",
+    "MetricContext": "repro.scenarios.metrics",
+    "MetricRegistry": "repro.scenarios.metrics",
+    "aggregate_metric_rows": "repro.scenarios.metrics",
+    "evaluate_metrics": "repro.scenarios.metrics",
+    "flatten_aggregates": "repro.scenarios.metrics",
+    "register_metric": "repro.scenarios.metrics",
+    "required_trace_mode": "repro.scenarios.metrics",
+    "ALGORITHMS": "repro.scenarios.registry",
+    "ENVIRONMENTS": "repro.scenarios.registry",
+    "SCHEDULERS": "repro.scenarios.registry",
+    "TOPOLOGIES": "repro.scenarios.registry",
+    "Registry": "repro.scenarios.registry",
+    "register_algorithm": "repro.scenarios.registry",
+    "register_environment": "repro.scenarios.registry",
+    "register_scheduler": "repro.scenarios.registry",
+    "register_topology": "repro.scenarios.registry",
+    "BuiltScenario": "repro.scenarios.runtime",
+    "RunResult": "repro.scenarios.runtime",
+    "TrialRunResult": "repro.scenarios.runtime",
+    "build": "repro.scenarios.runtime",
+    "materialize": "repro.scenarios.runtime",
+    "prebuild_delta_table": "repro.scenarios.runtime",
+    "resolve_params": "repro.scenarios.runtime",
+    "resolve_trace_mode": "repro.scenarios.runtime",
+    "run": "repro.scenarios.runtime",
+    "run_many": "repro.scenarios.runtime",
+    "run_trial": "repro.scenarios.runtime",
+    "AlgorithmSpec": "repro.scenarios.spec",
+    "EngineConfig": "repro.scenarios.spec",
+    "EnvironmentSpec": "repro.scenarios.spec",
+    "MetricSpec": "repro.scenarios.spec",
+    "RunPolicy": "repro.scenarios.spec",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "SchedulerSpec": "repro.scenarios.spec",
+    "TopologySpec": "repro.scenarios.spec",
+    "ResultStore": "repro.scenarios.store",
+    "metrics_signature": "repro.scenarios.store",
+    "scenario_trial_identity": "repro.scenarios.store",
+    "trial_key": "repro.scenarios.store",
+    "SuiteCancelled": "repro.scenarios.suite",
+    "SuiteEntry": "repro.scenarios.suite",
+    "SuiteEntryResult": "repro.scenarios.suite",
+    "SuiteReport": "repro.scenarios.suite",
+    "SuiteSpec": "repro.scenarios.suite",
+    "SuiteTaskError": "repro.scenarios.suite",
+    "deterministic_report_dict": "repro.scenarios.suite",
+    "run_suite": "repro.scenarios.suite",
+    "DEFAULT_LEASE_TTL_S": "repro.scenarios.fleet",
+    "FleetTaskError": "repro.scenarios.fleet",
+    "default_task_runner": "repro.scenarios.fleet",
+    "run_suite_fleet": "repro.scenarios.fleet",
+    "FaultPlan": "repro.scenarios.jobs",
+    "Job": "repro.scenarios.jobs",
+    "JobManager": "repro.scenarios.jobs",
+    "JobRejected": "repro.scenarios.jobs",
+    "parse_submission": "repro.scenarios.jobs",
+}
 
 __all__ = [
     # spec tree
@@ -187,3 +177,5 @@ __all__ = [
     "FaultPlan",
     "parse_submission",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -35,16 +35,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.analysis.sweep import format_table
-from repro.scenarios.metrics import METRICS
-from repro.scenarios.registry import ALGORITHMS, ENVIRONMENTS, SCHEDULERS, TOPOLOGIES
-from repro.scenarios.runtime import run, run_many
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.store import ResultStore
-from repro.scenarios.fleet import run_suite_fleet
-from repro.scenarios.suite import SuiteSpec, run_suite
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
+
+# Each subcommand imports the layers it runs, so ``list`` and ``store`` do
+# not load the runtime, and only ``suite --fleet`` and ``serve`` load the
+# fleet and the service (with ``multiprocessing`` and ``asyncio``).
+
+
+def run_suite_fleet(*args: Any, **kwargs: Any):
+    """:func:`repro.scenarios.fleet.run_suite_fleet`, imported on first use.
+
+    A module-level name, so ``perfbench/spans.py`` can time the fleet
+    coordinator by wrapping it."""
+    from repro.scenarios.fleet import run_suite_fleet as run_fleet
+
+    return run_fleet(*args, **kwargs)
 
 
 def _parse_value(text: str) -> Any:
@@ -93,6 +103,8 @@ def _parse_grid_options(options: Optional[Sequence[str]]) -> Dict[str, List[Any]
 
 
 def _load_spec(path: str, set_options: Optional[Sequence[str]]) -> ScenarioSpec:
+    from repro.scenarios.spec import ScenarioSpec
+
     spec = ScenarioSpec.load(path)
     overrides = _parse_set_options(set_options)
     if overrides:
@@ -101,6 +113,8 @@ def _load_spec(path: str, set_options: Optional[Sequence[str]]) -> ScenarioSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.scenarios.runtime import run
+
     spec = _load_spec(args.scenario, args.set)
     result = run(spec, keep=False)
     summary = result.to_dict()
@@ -132,6 +146,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.scenarios.runtime import run_many
+
     spec = _load_spec(args.scenario, args.set)
     grid = _parse_grid_options(args.grid)
     if not grid:
@@ -171,6 +187,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from repro.scenarios.suite import SuiteSpec, run_suite
+
     suite = SuiteSpec.load(args.suite)
     if args.fleet is not None:
         if args.fleet < 1:
@@ -230,6 +248,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
+    from repro.scenarios.store import ResultStore
+
     store = ResultStore(args.dir)
     if args.action == "stats":
         stats = store.stats()
@@ -282,6 +302,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.scenarios.metrics import METRICS
+    from repro.scenarios.registry import ALGORITHMS, ENVIRONMENTS, SCHEDULERS, TOPOLOGIES
+
     registries = {
         "topology": TOPOLOGIES,
         "scheduler": SCHEDULERS,

@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
-from repro.baselines.decay import decay_schedule
-from repro.baselines.factory import make_baseline_processes
 from repro.core.local_broadcast import make_lb_processes
 from repro.core.params import LBParams, SeedParams
 from repro.core.seed_agreement import SeedAgreementProcess
@@ -63,12 +61,7 @@ from repro.simulation.environment import (
     ScriptedEnvironment,
     SingleShotEnvironment,
 )
-from repro.mac.adapter import make_mac_nodes
-from repro.mac.applications.flood import FloodClient
 from repro.simulation.process import ProcessContext
-from repro.traffic.arrivals import build_arrival_process
-from repro.traffic.environment import QueuedEnvironment
-from repro.traffic.schedulers import TrafficAwareScheduler
 
 #: Network "density profiles" for degree-targeted sampling: approximate
 #: reliable degree bound -> (n, side) for random geographic networks.  Degree
@@ -264,6 +257,8 @@ def _scheduler_anti_schedule(
             raise ValueError(
                 "anti_schedule needs either victim_probabilities or victim='decay'"
             )
+        from repro.baselines.decay import decay_schedule
+
         victim_probabilities = list(decay_schedule(graph.max_reliable_degree))
     return AntiScheduleAdversary(
         graph,
@@ -299,6 +294,8 @@ def _traffic_forecast(graph, traffic, trial_seed: int):
     """
     if traffic is None:
         return None, ()
+    from repro.traffic.arrivals import build_arrival_process
+
     sources = resolve_senders(
         graph, traffic.sources if traffic.sources is not None else {"select": "all"}
     )
@@ -323,6 +320,8 @@ def _register_traffic_scheduler(variant: str):
         frame: Optional[int] = None,
         sinks: Optional[List[Any]] = None,
     ):
+        from repro.traffic.schedulers import TrafficAwareScheduler
+
         rates, traffic_sinks = _traffic_forecast(graph, traffic, trial_seed)
         return TrafficAwareScheduler(
             graph,
@@ -485,6 +484,8 @@ def _algorithm_seed_agreement(
 def _register_baseline(kind: str, sample_args: Mapping[str, Any]):
     @register_algorithm(kind, sample_args=sample_args)
     def _build(graph, rng: random.Random, r: float = 2.0, **kwargs) -> AlgorithmBuild:
+        from repro.baselines.factory import make_baseline_processes
+
         return AlgorithmBuild(
             processes=make_baseline_processes(graph, kind, rng, r=r, **kwargs)
         )
@@ -525,6 +526,9 @@ def _algorithm_flood(
     per-vertex receipt state is fixed once the token lands, so the metric
     row does not depend on where inside the cap the flood completed.
     """
+    from repro.mac.adapter import make_mac_nodes
+    from repro.mac.applications.flood import FloodClient
+
     if source not in graph:
         raise KeyError(f"flood source vertex {source!r} is not in the graph")
     delta, delta_prime = graph.degree_bounds()
@@ -737,6 +741,9 @@ def _environment_queued(
         resolved_sources if resolved_sources is not None else {"select": "all"},
         embedding=embedding,
     )
+    from repro.traffic.arrivals import build_arrival_process
+    from repro.traffic.environment import QueuedEnvironment
+
     process = build_arrival_process(
         arrival_name,
         arrival_args,

@@ -38,10 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import quantile, summarize, wilson_interval
-from repro.core.lb_spec import check_lb_execution
-from repro.core.seed_spec import check_seed_execution, decide_latency_rounds
-from repro.dualgraph.geometric import central_vertex
-from repro.mac.spec import MacLayerGuarantees, check_mac_guarantees
 from repro.scenarios.components import resolve_senders
 from repro.scenarios.registry import Registry
 from repro.scenarios.spec import MetricSpec
@@ -96,7 +92,7 @@ class MetricRegistry(Registry):
     """
 
     def __init__(self) -> None:
-        super().__init__("metric")
+        super().__init__("metric", leading=1)
         self._trace_modes: Dict[str, TraceMode] = {}
         self._ratios: Dict[str, Dict[str, Tuple[str, str]]] = {}
         self._rates: Dict[str, Dict[str, Tuple[str, str]]] = {}
@@ -443,6 +439,8 @@ def _resolve_probe(ctx: MetricContext, metric: str, vertex: Optional[Any]) -> An
     (:func:`repro.dualgraph.geometric.central_vertex`), which needs the
     trial's embedding.
     """
+    from repro.dualgraph.geometric import central_vertex
+
     if vertex is not None:
         return vertex
     if ctx.embedding is None:
@@ -682,6 +680,8 @@ def _metric_commit_latency(ctx: MetricContext) -> Dict[str, Any]:
     vertex's earliest decide round across all trials -- the E2 runtime
     measurement.
     """
+    from repro.core.seed_spec import decide_latency_rounds
+
     latencies = decide_latency_rounds(ctx.trace)
     return {
         "decided": len(latencies),
@@ -707,6 +707,8 @@ def _metric_lb_spec(
 ) -> Dict[str, Any]:
     """``LB(t_ack, t_prog, ε)`` verdicts as numbers (wraps
     :func:`repro.core.lb_spec.check_lb_execution`)."""
+    from repro.core.lb_spec import check_lb_execution
+
     if tack is None:
         tack = _require_params(ctx, "lb_spec", "t_ack").tack_rounds
     if tprog is None:
@@ -738,6 +740,8 @@ def _metric_seed_spec(
 ) -> Dict[str, Any]:
     """``Seed(δ, ε)`` verdicts as numbers (wraps
     :func:`repro.core.seed_spec.check_seed_execution`)."""
+    from repro.core.seed_spec import check_seed_execution
+
     if delta_bound is None:
         delta_bound = getattr(
             _require_params(ctx, "seed_spec", "the δ agreement bound"),
@@ -783,6 +787,8 @@ def _metric_mac_guarantees(
     The promise defaults to the one the LBAlg-backed layer advertises for the
     trial's derived params (:meth:`repro.mac.spec.MacLayerGuarantees.from_lb_params`).
     """
+    from repro.mac.spec import MacLayerGuarantees, check_mac_guarantees
+
     if f_ack is None and f_prog is None and epsilon is None:
         params = _require_params(ctx, "mac_guarantees", "an f_ack/f_prog/epsilon promise")
         guarantees = MacLayerGuarantees.from_lb_params(params)

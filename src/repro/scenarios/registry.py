@@ -34,6 +34,13 @@ but whose process population is empty).  :meth:`Registry.build` passes each
 context keyword only to builders whose signature declares it, so
 downstream-registered components opt in just by taking the keyword.
 
+Because the runtime supplies the leading arguments and the declared context
+keywords, a spec may not: :meth:`Registry.check_args` (run when a scenario
+is loaded or put in a suite, see
+:meth:`~repro.scenarios.spec.ScenarioSpec.check_component_args`) rejects an
+arg that repeats one of them, and an arg the builder does not declare
+unless it takes ``**kwargs``.
+
 A fifth registry -- metrics -- lives in :mod:`repro.scenarios.metrics`
 (:class:`~repro.scenarios.metrics.MetricRegistry` subclasses
 :class:`Registry` with trace-mode and pooled-aggregate metadata).
@@ -42,26 +49,30 @@ A fifth registry -- metrics -- lives in :mod:`repro.scenarios.metrics`
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-
-def _parameter_names(builder: Callable[..., Any]) -> FrozenSet[str]:
-    """The parameter names the builder's signature declares."""
-    try:
-        return frozenset(inspect.signature(builder).parameters)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return frozenset()
+_POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
 
 class Registry:
-    """A name -> builder mapping with loud duplicate/unknown-name handling."""
+    """A name -> builder mapping with loud duplicate/unknown-name handling.
 
-    def __init__(self, kind: str) -> None:
+    ``leading`` is how many positional arguments the runtime passes before
+    a spec's args and ``context`` the context keywords it may pass (see the
+    module docstring); both only serve :meth:`check_args`.
+    """
+
+    def __init__(self, kind: str, leading: int = 0, context: Iterable[str] = ()) -> None:
         self.kind = kind
+        self._leading = leading
+        self._context = frozenset(context)
         self._builders: Dict[str, Callable[..., Any]] = {}
         self._sample_args: Dict[str, Dict[str, Any]] = {}
         self._trial_seeded: Dict[str, bool] = {}
         self._parameters: Dict[str, FrozenSet[str]] = {}
+        #: name -> (names the runtime supplies, names a spec arg may take;
+        #: ``None`` when the builder takes ``**kwargs`` or has no signature)
+        self._arg_rules: Dict[str, Tuple[FrozenSet[str], Optional[FrozenSet[str]]]] = {}
 
     def register(
         self,
@@ -93,10 +104,28 @@ class Registry:
             self._builders[name] = builder
             self._sample_args[name] = dict(sample_args) if sample_args else {}
             self._trial_seeded[name] = bool(trial_seeded)
-            self._parameters[name] = _parameter_names(builder)
+            self._record_signature(name, builder)
             return builder
 
         return decorator
+
+    def _record_signature(self, name: str, builder: Callable[..., Any]) -> None:
+        try:
+            parameters = inspect.signature(builder).parameters
+        except (TypeError, ValueError):  # pragma: no cover - exotic callables
+            self._parameters[name] = frozenset()
+            self._arg_rules[name] = (frozenset(), None)
+            return
+        positional = [p.name for p in parameters.values() if p.kind in _POSITIONAL]
+        supplied = frozenset(positional[: self._leading]) | (self._context & set(parameters))
+        keywords = frozenset(
+            p.name
+            for p in parameters.values()
+            if p.kind in _POSITIONAL or p.kind is inspect.Parameter.KEYWORD_ONLY
+        )
+        open_ended = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
+        self._parameters[name] = frozenset(parameters)
+        self._arg_rules[name] = (supplied, None if open_ended else keywords - supplied)
 
     def get(self, name: str) -> Callable[..., Any]:
         """The builder registered under ``name`` (KeyError lists known names)."""
@@ -122,6 +151,31 @@ class Registry:
         """Whether the builder's signature declares the named parameter."""
         self.get(name)  # raise uniformly on unknown names
         return keyword in self._parameters[name]
+
+    def check_args(self, name: str, args: Iterable[str]) -> None:
+        """Reject spec args the builder registered under ``name`` cannot take.
+
+        Raises ``ValueError`` naming the component and the arg when an arg
+        repeats a leading argument or a context keyword the runtime passes
+        the builder (``trial_seed`` on ``queued``, ``traffic`` on ``tasa``),
+        or when the builder declares no such parameter and takes no
+        ``**kwargs``.  Unregistered names pass: :meth:`get` reports them
+        when the component is built.
+        """
+        if name not in self._builders:
+            return
+        supplied, accepted = self._arg_rules[name]
+        for arg in sorted(args):
+            if arg in supplied:
+                raise ValueError(
+                    f"{self.kind} {name!r}: arg {arg!r} is passed by the runtime "
+                    "and cannot be set in a spec"
+                )
+            if accepted is not None and arg not in accepted:
+                raise ValueError(
+                    f"{self.kind} {name!r} has no arg {arg!r}; "
+                    f"its args are: {', '.join(sorted(accepted)) or '(none)'}"
+                )
 
     def build(
         self,
@@ -157,10 +211,12 @@ class Registry:
 
 
 #: The process-wide registries backing :class:`~repro.scenarios.spec.ScenarioSpec`.
-TOPOLOGIES = Registry("topology")
-SCHEDULERS = Registry("scheduler")
-ALGORITHMS = Registry("algorithm")
-ENVIRONMENTS = Registry("environment")
+TOPOLOGIES = Registry("topology", leading=1)
+SCHEDULERS = Registry("scheduler", leading=2, context=("traffic",))
+ALGORITHMS = Registry("algorithm", leading=2, context=("params_only",))
+ENVIRONMENTS = Registry(
+    "environment", leading=1, context=("embedding", "traffic", "trial_seed")
+)
 
 
 def register_topology(

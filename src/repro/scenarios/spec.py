@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.analysis.sweep import TRIAL_SEED_POLICIES, derive_trial_seed
+from repro.scenarios.registry import ALGORITHMS, ENVIRONMENTS, SCHEDULERS, TOPOLOGIES
 from repro.simulation.trace import TraceMode
 
 #: Spec schema version, embedded in serialized form so future layouts can
@@ -486,14 +487,40 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioSpec":
-        """Read a scenario JSON file (the ``python -m repro run`` input)."""
+        """Read a scenario JSON file (the ``python -m repro run`` input),
+        with its component args checked (:meth:`check_component_args`)."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+            spec = cls.from_json(handle.read())
+        spec.check_component_args()
+        return spec
 
     def save(self, path: str) -> str:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json() + "\n")
         return path
+
+    def check_component_args(self) -> None:
+        """Raise ``ValueError`` naming the component and the arg when a
+        topology, algorithm, scheduler, environment or metric arg cannot
+        reach its builder (:meth:`repro.scenarios.registry.Registry.check_args`).
+
+        Loaded scenario files and every suite entry are checked, so a bad arg
+        fails at load (a service submission gets a 400) rather than as a
+        ``TypeError`` in the middle of a run.  Construction does not check: a
+        spec may pass through such states while overrides rename a component
+        before replacing its args.
+        """
+        for registry, component in (
+            (TOPOLOGIES, self.topology),
+            (ALGORITHMS, self.algorithm),
+            (SCHEDULERS, self.scheduler),
+            (ENVIRONMENTS, self.environment),
+        ):
+            registry.check_args(component.name, component.args)
+        from repro.scenarios.metrics import METRICS  # metrics imports spec: import here
+
+        for metric in self.metrics:
+            METRICS.check_args(metric.name, metric.args)
 
     # ------------------------------------------------------------------
     # identity

@@ -44,8 +44,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -114,7 +112,8 @@ class SuiteEntry:
 
     Entries with the same ``group`` pool their per-trial metric rows in the
     report's group aggregates; ``group`` defaults to the entry ``id`` (one
-    group per entry).
+    group per entry).  The scenario's component args are checked here
+    (:meth:`~repro.scenarios.spec.ScenarioSpec.check_component_args`).
     """
 
     id: str
@@ -126,6 +125,7 @@ class SuiteEntry:
             raise ValueError("suite entry needs a non-empty id string")
         if not isinstance(self.scenario, ScenarioSpec):
             raise TypeError("suite entry scenario must be a ScenarioSpec")
+        self.scenario.check_component_args()
 
     @property
     def group_label(self) -> str:
@@ -658,6 +658,9 @@ def run_suite(
                     raise SuiteTaskError(_task_failure(suite, tasks, index, exc)) from exc
                 land(index, trial)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
             suite_specs = [spec.to_json(indent=None) for spec in specs]
             pool_kwargs: Dict[str, Any] = {"max_workers": workers}
             if delta_table:

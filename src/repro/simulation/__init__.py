@@ -10,23 +10,26 @@ collision detection -- and finally process outputs are handed to the
 environment and recorded in the execution trace.
 """
 
-from repro.simulation.process import Process, ProcessContext
-from repro.simulation.engine import Simulator
-from repro.simulation.environment import (
-    Environment,
-    NullEnvironment,
-    SaturatingEnvironment,
-    ScriptedEnvironment,
-    SingleShotEnvironment,
-    BurstyEnvironment,
-)
-from repro.simulation.trace import ExecutionTrace, TraceMode
-from repro.simulation.metrics import (
-    ack_delays,
-    delivery_report,
-    progress_report,
-    unique_seed_owner_counts,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "Process": "repro.simulation.process",
+    "ProcessContext": "repro.simulation.process",
+    "Simulator": "repro.simulation.engine",
+    "Environment": "repro.simulation.environment",
+    "NullEnvironment": "repro.simulation.environment",
+    "SingleShotEnvironment": "repro.simulation.environment",
+    "SaturatingEnvironment": "repro.simulation.environment",
+    "ScriptedEnvironment": "repro.simulation.environment",
+    "BurstyEnvironment": "repro.simulation.environment",
+    "ExecutionTrace": "repro.simulation.trace",
+    "TraceMode": "repro.simulation.trace",
+    "ack_delays": "repro.simulation.metrics",
+    "delivery_report": "repro.simulation.metrics",
+    "progress_report": "repro.simulation.metrics",
+    "unique_seed_owner_counts": "repro.simulation.metrics",
+}
 
 __all__ = [
     "Process",
@@ -45,3 +48,5 @@ __all__ = [
     "progress_report",
     "unique_seed_owner_counts",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

@@ -19,22 +19,23 @@ and the ``queue`` metric reports backlog percentiles, waiting times and
 delivery latency with pooled Wilson intervals.
 """
 
-from repro.traffic.arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    BurstyArrivals,
-    ConvergecastArrivals,
-    PeriodicArrivals,
-    PoissonArrivals,
-    build_arrival_process,
-    derive_stream_seed,
-)
-from repro.traffic.environment import QueuedEnvironment
-from repro.traffic.schedulers import (
-    TrafficAwareScheduler,
-    build_routing_tree,
-    subtree_loads,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "ARRIVAL_KINDS": "repro.traffic.arrivals",
+    "ArrivalProcess": "repro.traffic.arrivals",
+    "BurstyArrivals": "repro.traffic.arrivals",
+    "ConvergecastArrivals": "repro.traffic.arrivals",
+    "PeriodicArrivals": "repro.traffic.arrivals",
+    "PoissonArrivals": "repro.traffic.arrivals",
+    "build_arrival_process": "repro.traffic.arrivals",
+    "derive_stream_seed": "repro.traffic.arrivals",
+    "QueuedEnvironment": "repro.traffic.environment",
+    "TrafficAwareScheduler": "repro.traffic.schedulers",
+    "build_routing_tree": "repro.traffic.schedulers",
+    "subtree_loads": "repro.traffic.schedulers",
+}
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -50,3 +51,5 @@ __all__ = [
     "derive_stream_seed",
     "subtree_loads",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)

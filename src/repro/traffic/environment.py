@@ -69,6 +69,8 @@ class QueuedEnvironment(Environment):
             v: deque() for v in self._order
         }
         self._pending: Dict[str, _InFlight] = {}
+        #: Messages queued over all vertices, kept in step with the queues.
+        self._backlog = 0
         # Aggregate counters and per-message samples the queue metric reads.
         self.offered = 0
         self.enqueued = 0
@@ -100,7 +102,8 @@ class QueuedEnvironment(Environment):
         return len(queue) if queue is not None else 0
 
     def total_backlog(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        """Messages queued (not yet submitted) over all vertices, right now."""
+        return self._backlog
 
     # ------------------------------------------------------------------
     # environment hooks
@@ -115,6 +118,7 @@ class QueuedEnvironment(Environment):
                     continue
                 queue.append((f"traffic-{vertex}-r{round_number}-{index}", round_number))
                 self.enqueued += 1
+                self._backlog += 1
         ready = []
         for vertex in self._order:
             if vertex in self._busy:
@@ -123,6 +127,7 @@ class QueuedEnvironment(Environment):
             if not queue:
                 continue
             payload, enqueue_round = queue.popleft()
+            self._backlog -= 1
             record = _InFlight(
                 origin=vertex,
                 enqueue_round=enqueue_round,
@@ -139,7 +144,7 @@ class QueuedEnvironment(Environment):
             ready.append((vertex, payload))
         # Sampled after arrivals and head-of-line dequeues: the backlog that
         # actually waits through the round.
-        self.backlog_samples.append(self.total_backlog())
+        self.backlog_samples.append(self._backlog)
         self.rounds_observed = round_number
         return ready
 

@@ -143,6 +143,17 @@ def _corruptions(valid: dict):
     case["scenario"]["topology"]["name"] = ""
     yield "empty component name", case, "name"
 
+    case = copy.deepcopy(valid)
+    case["scenario"]["environment"] = {
+        "name": "queued",
+        "args": {"arrival": {"name": "periodic", "args": {"period": 5}}, "trial_seed": 3},
+    }
+    yield "runtime arg on a component", case, "environment 'queued': arg 'trial_seed'"
+
+    case = copy.deepcopy(valid)
+    case["scenario"]["scheduler"] = {"name": "periodic", "args": {"period": 3}}
+    yield "unknown component arg", case, "scheduler 'periodic' has no arg 'period'"
+
     yield "both forms", {"scenario": valid["scenario"], "suite": {"name": "x", "entries": []}}, "exactly one"
     yield "neither form", {"options": {}}, "exactly one"
     yield "unknown top key", {**copy.deepcopy(valid), "priority": 9}, "priority"

@@ -44,6 +44,7 @@ from repro import (
 from repro.scenarios import (
     ALGORITHMS,
     ENVIRONMENTS,
+    METRICS,
     SCHEDULERS,
     TOPOLOGIES,
     AlgorithmSpec,
@@ -343,6 +344,95 @@ class TestRegistries:
         spec = small_spec(**{"scheduler.name": "quantum"})
         with pytest.raises(KeyError, match="unknown scheduler 'quantum'"):
             build(spec)
+
+
+QUEUED_ARRIVAL = {"name": "periodic", "args": {"period": 5}}
+
+
+class TestComponentArgChecks:
+    """Args the runtime supplies, or the builder lacks, fail at load."""
+
+    @pytest.mark.parametrize(
+        "path, component, message",
+        [
+            (
+                "environment",
+                {"name": "queued", "args": {"arrival": QUEUED_ARRIVAL, "trial_seed": 3}},
+                "environment 'queued': arg 'trial_seed' is passed by the runtime",
+            ),
+            (
+                "scheduler",
+                {"name": "tasa", "args": {"traffic": {}}},
+                "scheduler 'tasa': arg 'traffic' is passed by the runtime",
+            ),
+            (
+                "scheduler",
+                {"name": "periodic", "args": {"period": 3}},
+                "scheduler 'periodic' has no arg 'period'",
+            ),
+            (
+                "topology",
+                {"name": "grid", "args": {"rows": 2, "cols": 2, "trial_seed": 1}},
+                "topology 'grid': arg 'trial_seed' is passed by the runtime",
+            ),
+            (
+                "algorithm",
+                {"name": "lbalg", "args": {"params_only": True}},
+                "algorithm 'lbalg': arg 'params_only' is passed by the runtime",
+            ),
+            (
+                "metrics",
+                [{"name": "progress", "args": {"windows": 3}}],
+                "metric 'progress' has no arg 'windows'",
+            ),
+        ],
+    )
+    def test_bad_args_fail_at_load(self, tmp_path, path, component, message):
+        data = small_spec().to_dict()
+        data[path] = component
+        with pytest.raises(ValueError, match=message):
+            SuiteSpec.from_dict({"name": "bad", "entries": [{"scenario": data}]})
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.load(str(scenario_file))
+
+    def test_construction_allows_a_rename_before_its_args(self):
+        # Overrides may rename a component before replacing its args.
+        spec = small_spec(**{"topology.name": "grid"})
+        assert spec.topology.args["require_connected"] is True
+        with pytest.raises(ValueError, match="topology 'grid' has no arg 'n'"):
+            spec.check_component_args()
+        fixed = spec.with_overrides({"topology.args": {"rows": 2, "cols": 3}})
+        fixed.check_component_args()
+
+    def test_open_builders_and_unknown_names_pass(self):
+        registry = Registry("widget", leading=1, context=("traffic",))
+
+        @registry.register("open")
+        def _build_open(graph, size=1, **extra):
+            return size
+
+        @registry.register("aware")
+        def _build_aware(graph, traffic=None, size=1):
+            return size
+
+        registry.check_args("open", ["size", "anything", "traffic"])
+        registry.check_args("nosuch", ["anything"])
+        registry.check_args("aware", ["size"])
+        with pytest.raises(ValueError, match="widget 'aware': arg 'graph'"):
+            registry.check_args("aware", ["graph"])
+        with pytest.raises(ValueError, match="widget 'aware': arg 'traffic'"):
+            registry.check_args("aware", ["traffic"])
+
+    def test_every_sample_and_checked_in_spec_passes(self):
+        for registry in (TOPOLOGIES, SCHEDULERS, ALGORITHMS, ENVIRONMENTS, METRICS):
+            for name in registry.names():
+                registry.check_args(name, registry.sample_args(name))
+        for path in sorted(glob.glob(os.path.join(EXAMPLES_DIR, "scenarios", "*.json"))):
+            ScenarioSpec.load(path)
+        for path in sorted(glob.glob(os.path.join(EXAMPLES_DIR, "suites", "*.json"))):
+            SuiteSpec.load(path)
 
 
 class TestTraceIdentity:

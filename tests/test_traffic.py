@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.events import AckOutput
 from repro.dualgraph.generators import two_clusters_network
 from repro.dualgraph.graph import DualGraph, normalize_edge
 from repro.scenarios.components import network_with_target_degree
@@ -182,6 +183,30 @@ class TestQueuedEnvironment:
         assert env.offered == 5
         assert env.enqueued == 2
         assert env.dropped == 3
+
+    def test_running_backlog_matches_the_queues(self):
+        """The running backlog count equals the summed queue lengths in every
+        round, under arrivals, capacity drops and ack-freed dequeues."""
+        graph = self._graph()
+        arrival = PoissonArrivals(
+            sources=sorted(graph.vertices)[:6], sinks=(), seed=3, rate=0.6
+        )
+        env = QueuedEnvironment(graph, arrival, capacity=3)
+        for round_number in range(1, 61):
+            inputs = env.inputs_for_round(round_number)
+            queued = sum(env.backlog(v) for v in graph.vertices)
+            assert env.total_backlog() == queued
+            assert env.backlog_samples[-1] == queued
+            if round_number % 3 == 0:  # free every busy node now and then
+                acks = [
+                    AckOutput(vertex, env.outstanding_message(vertex), round_number)
+                    for vertex in sorted(graph.vertices)
+                    if env.is_busy(vertex)
+                ]
+                env.observe_outputs(round_number, acks)
+            assert all(len(messages) == 1 for messages in inputs.values())
+        assert env.dropped > 0 and env.acked > 0
+        assert len(env.backlog_samples) == 60
 
     def test_delivery_requires_every_reliable_neighbor(self):
         graph, _ = two_clusters_network(cluster_size=3, gap=1.5, rng=1)

@@ -17,7 +17,9 @@ It also scans ``src/**/*.py`` for Sphinx-role references in docstrings --
 target is a dotted ``repro.`` path, with or without the ``~`` prefix.  The
 longest prefix naming a module under ``src/`` is the module; the rest
 resolves like a code reference, where names a package ``__init__``
-re-exports count as defined (and dotted tails follow the import).
+re-exports count as defined (and dotted tails follow the import): its
+``from`` imports, and the entries of its lazy ``_EXPORTS`` table (public
+name -> source module, see ``src/repro/_lazy.py``).
 
 Exit status is non-zero when anything dangles, with one line per problem --
 this is the CI docs job (see ``.github/workflows/ci.yml``).
@@ -119,9 +121,29 @@ def _slot_strings(value: ast.expr) -> Set[str]:
     return names
 
 
-def _top_level_names(tree: ast.Module, reexports: bool) -> Dict[str, ast.AST]:
-    """Module-level defs and assignments (plus ``from`` imports when the
-    module is a package ``__init__``, whose re-exports count as defined)."""
+def _lazy_exports(tree: ast.Module, package: str) -> Iterator[ast.ImportFrom]:
+    """The package's literal ``_EXPORTS`` table, each entry as the ``from``
+    import it stands for (an entry naming the package's own submodule of
+    that name re-exports the submodule)."""
+    for item in tree.body:
+        if not (
+            isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in item.targets)
+            and isinstance(item.value, ast.Dict)
+        ):
+            continue
+        for key, value in zip(item.value.keys, item.value.values):
+            if isinstance(key, ast.Constant) and isinstance(value, ast.Constant):
+                name, source = key.value, value.value
+                if source == f"{package}.{name}":
+                    source = package
+                yield ast.ImportFrom(module=source, names=[ast.alias(name=name)], level=0)
+
+
+def _top_level_names(tree: ast.Module, reexports: Optional[str]) -> Dict[str, ast.AST]:
+    """Module-level defs and assignments (plus ``from`` imports and lazy
+    ``_EXPORTS`` entries when ``reexports`` names the package whose
+    ``__init__`` this is: its re-exports count as defined)."""
     top: Dict[str, ast.AST] = {}
     for item in tree.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -136,6 +158,9 @@ def _top_level_names(tree: ast.Module, reexports: bool) -> Dict[str, ast.AST]:
         elif reexports and isinstance(item, ast.ImportFrom):
             for alias in item.names:
                 top.setdefault(alias.asname or alias.name, item)
+    if reexports:
+        for item in _lazy_exports(tree, reexports):
+            top.setdefault(item.names[0].name, item)
     return top
 
 
@@ -155,11 +180,12 @@ def _module_file(module: str) -> Path:
 
 
 def _resolve_in_module(
-    tree: ast.Module, parts: List[str], reexports: bool = False
+    tree: ast.Module, parts: List[str], reexports: Optional[str] = None
 ) -> Optional[str]:
     """``None`` when ``parts`` (a dotted symbol) is defined in ``tree``, else
-    what is missing.  With ``reexports`` (a package ``__init__``), imported
-    names count too and resolve through their origin."""
+    what is missing.  With ``reexports`` (the name of the package whose
+    ``__init__`` ``tree`` is), imported and lazily exported names count too
+    and resolve through their origin."""
     top = _top_level_names(tree, reexports)
     head = top.get(parts[0])
     if head is None:
@@ -222,7 +248,9 @@ def check_dotted_target(target: str) -> Optional[str]:
                 return None
             tree = ast.parse(source.read_text())
             problem = _resolve_in_module(
-                tree, parts[split:], reexports=source.name == "__init__.py"
+                tree,
+                parts[split:],
+                reexports=module if source.name == "__init__.py" else None,
             )
             return f"{module}: {problem}" if problem else None
     return f"no module {parts[0]!r} under src/"
