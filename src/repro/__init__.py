@@ -144,97 +144,6 @@ _EXPORTS = {
 
 __version__ = "1.1.0"
 
-__all__ = [
-    # dual graph substrate
-    "DualGraph",
-    "TopologyIndex",
-    "Embedding",
-    "GridRegionPartition",
-    "RegionGraph",
-    "geographic_dual_graph",
-    "is_r_geographic",
-    "random_geographic_network",
-    "grid_network",
-    "line_network",
-    "clique_network",
-    "star_network",
-    "cluster_network",
-    "two_clusters_network",
-    "LinkScheduler",
-    "AdaptiveLinkScheduler",
-    "CollisionAdaptiveAdversary",
-    "NoUnreliableScheduler",
-    "FullInclusionScheduler",
-    "IIDScheduler",
-    "PeriodicScheduler",
-    "AntiScheduleAdversary",
-    "TraceScheduler",
-    "SchedulerDeltaCache",
-    # simulation substrate
-    "Process",
-    "ProcessContext",
-    "Simulator",
-    "Environment",
-    "NullEnvironment",
-    "SingleShotEnvironment",
-    "SaturatingEnvironment",
-    "ScriptedEnvironment",
-    "BurstyEnvironment",
-    "ExecutionTrace",
-    "TraceMode",
-    "ack_delays",
-    "delivery_report",
-    "progress_report",
-    "unique_seed_owner_counts",
-    # core contribution
-    "Message",
-    "make_message",
-    "ParamMode",
-    "SeedConstants",
-    "LBConstants",
-    "SeedParams",
-    "LBParams",
-    "SeedBitStream",
-    "SeedAgreementProcess",
-    "SeedSpecReport",
-    "check_seed_execution",
-    "LocalBroadcastProcess",
-    "make_lb_processes",
-    "LBSpecReport",
-    "check_lb_execution",
-    # baselines
-    "DecayProcess",
-    "UniformProcess",
-    "RoundRobinProcess",
-    "make_baseline_processes",
-    # abstract MAC layer
-    "AbstractMacNode",
-    "MacClient",
-    "FloodClient",
-    "run_flood",
-    # declarative scenarios
-    "scenarios",
-    "ScenarioSpec",
-    "TopologySpec",
-    "SchedulerSpec",
-    "AlgorithmSpec",
-    "EnvironmentSpec",
-    "EngineConfig",
-    "RunPolicy",
-    "RunResult",
-    "register_topology",
-    "register_scheduler",
-    "register_algorithm",
-    "register_environment",
-    # analysis
-    "theory",
-    "empirical_error_rate",
-    "wilson_interval",
-    "summarize",
-    "sweep",
-    "SweepResult",
-    "format_table",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -2,7 +2,8 @@
 
 Every package ``__init__`` of :mod:`repro` lists its re-exports in one
 literal ``_EXPORTS`` table -- public name -> the module it is taken from --
-and installs the ``__getattr__`` / ``__dir__`` pair :func:`lazy_exports`
+derives ``__all__`` from it (plus any name the package binds eagerly), and
+installs the ``__getattr__`` / ``__dir__`` pair :func:`lazy_exports`
 returns.  A name's module is imported the first time the name is read and
 the value is then bound on the package, so ``import repro.x.y`` runs only
 ``repro.x.y`` and what it imports itself, never every subpackage.
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import importlib
 import sys
-from typing import Any, Callable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Tuple
 
 
 def lazy_exports(
-    package: str, exports: Mapping[str, str], public: Sequence[str]
+    package: str, exports: Mapping[str, str]
 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
     """The module ``__getattr__`` and ``__dir__`` of ``package``."""
 
@@ -36,6 +37,6 @@ def lazy_exports(
         return value
 
     def __dir__() -> List[str]:
-        return sorted(set(vars(sys.modules[package])) | set(public))
+        return sorted(set(vars(sys.modules[package])) | set(exports))
 
     return __getattr__, __dir__

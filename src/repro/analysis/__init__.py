@@ -31,19 +31,6 @@ _EXPORTS = {
     "format_table": "repro.analysis.sweep",
 }
 
-__all__ = [
-    "theory",
-    "mean",
-    "std",
-    "quantile",
-    "summarize",
-    "empirical_error_rate",
-    "wilson_interval",
-    "sweep",
-    "iter_grid_points",
-    "derive_point_seed",
-    "SweepResult",
-    "format_table",
-]
+__all__ = [*_EXPORTS, "sweep"]
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

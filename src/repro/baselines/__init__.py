@@ -28,11 +28,6 @@ _EXPORTS = {
     "make_baseline_processes": "repro.baselines.factory",
 }
 
-__all__ = [
-    "DecayProcess",
-    "UniformProcess",
-    "RoundRobinProcess",
-    "make_baseline_processes",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

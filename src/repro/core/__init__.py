@@ -47,28 +47,6 @@ _EXPORTS = {
     "check_lb_execution": "repro.core.lb_spec",
 }
 
-__all__ = [
-    "Message",
-    "make_message",
-    "Event",
-    "BcastInput",
-    "AckOutput",
-    "RecvOutput",
-    "DecideOutput",
-    "ParamMode",
-    "SeedConstants",
-    "LBConstants",
-    "SeedParams",
-    "LBParams",
-    "SeedBitStream",
-    "SeedAgreementProcess",
-    "SeedSpecReport",
-    "check_seed_execution",
-    "LocalBroadcastProcess",
-    "LocalBroadcastBatchDriver",
-    "SeedAgreementCohort",
-    "LBSpecReport",
-    "check_lb_execution",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,14 +20,17 @@ trials):
 
 :func:`check_lb_execution` evaluates all four on a single trace, reporting the
 hard violations of 1-2 and the per-message / per-window outcomes of 3-4 so a
-multi-trial driver can estimate error rates.
+multi-trial driver can estimate error rates.  :func:`check_lb_delivery` is the
+same check without validity: the promise of the abstract MAC layer, which
+:func:`repro.mac.spec.check_mac_guarantees` reads off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, NamedTuple, Optional
 
+from repro.core.messages import Message
 from repro.dualgraph.graph import DualGraph
 from repro.simulation.metrics import (
     DeliveryRecord,
@@ -37,7 +40,17 @@ from repro.simulation.metrics import (
 )
 from repro.simulation.trace import ExecutionTrace
 
-Vertex = Hashable
+
+class AckViolation(NamedTuple):
+    """One timely-acknowledgment breach: ``kind`` is ``duplicate``, ``missed``
+    (no ack by the deadline), ``wrong_vertex``, ``early``, ``late`` or
+    ``unknown`` (no bcast; ``bcast_round`` is ``None``)."""
+
+    kind: str
+    text: str
+    message: Message
+    bcast_round: Optional[int]
+    ack_round: Optional[int]  # the message's first ack round
 
 
 @dataclass
@@ -46,7 +59,7 @@ class LBSpecReport:
 
     tack: int
     tprog: int
-    timely_ack_violations: List[str] = field(default_factory=list)
+    ack_violations: List[AckViolation] = field(default_factory=list)
     validity_violations: List[str] = field(default_factory=list)
     deliveries: List[DeliveryRecord] = field(default_factory=list)
     progress: Optional[ProgressReport] = None
@@ -55,8 +68,13 @@ class LBSpecReport:
     # deterministic conditions
     # ------------------------------------------------------------------
     @property
+    def timely_ack_violations(self) -> List[str]:
+        """Human-readable descriptions of :attr:`ack_violations`."""
+        return [v.text for v in self.ack_violations]
+
+    @property
     def timely_ack_ok(self) -> bool:
-        return not self.timely_ack_violations
+        return not self.ack_violations
 
     @property
     def validity_ok(self) -> bool:
@@ -83,21 +101,19 @@ class LBSpecReport:
     @property
     def reliability_failure_rate(self) -> float:
         completed = self.completed_deliveries
-        if not completed:
-            return 0.0
-        return len(self.reliability_failures) / len(completed)
+        return len(self.reliability_failures) / len(completed) if completed else 0.0
 
     @property
     def progress_failure_rate(self) -> float:
-        if self.progress is None:
-            return 0.0
-        return self.progress.failure_rate
+        return 0.0 if self.progress is None else self.progress.failure_rate
 
     @property
     def num_progress_windows(self) -> int:
-        if self.progress is None:
-            return 0
-        return self.progress.num_applicable
+        return 0 if self.progress is None else self.progress.num_applicable
+
+    @property
+    def num_progress_failures(self) -> int:
+        return 0 if self.progress is None else len(self.progress.failures)
 
     def summary(self) -> Dict[str, float]:
         """A compact dictionary used by benchmark result tables."""
@@ -120,74 +136,75 @@ def check_lb_execution(
     check_progress: bool = True,
 ) -> LBSpecReport:
     """Check one execution trace against the local broadcast specification."""
-    if tack < tprog or tprog < 1:
-        raise ValueError("need t_ack >= t_prog >= 1")
-    report = LBSpecReport(tack=tack, tprog=tprog)
-
-    _check_timely_ack(trace, tack, report)
-    _check_validity(trace, graph, report)
-    report.deliveries = delivery_report(trace, graph)
-    if check_progress:
-        report.progress = progress_report(trace, graph, window=tprog)
+    report = check_lb_delivery(trace, graph, tack, tprog, check_progress)
+    report.validity_violations = _validity_violations(trace, graph)
     return report
 
 
-def _check_timely_ack(trace: ExecutionTrace, tack: int, report: LBSpecReport) -> None:
-    acked_ids = {}
-    for ack in trace.ack_outputs:
-        acked_ids.setdefault(ack.message.message_id, []).append(ack)
+def check_lb_delivery(
+    trace: ExecutionTrace,
+    graph: DualGraph,
+    tack: int,
+    tprog: int,
+    check_progress: bool = True,
+) -> LBSpecReport:
+    """Conditions 1, 3 and 4 -- every one but validity, which
+    :func:`check_lb_execution` adds.  ``check_progress=True`` evaluates the
+    progress windows, which needs a ``TraceMode.FULL`` trace."""
+    if tack < tprog or tprog < 1:
+        raise ValueError("need t_ack >= t_prog >= 1")
+    return LBSpecReport(
+        tack=tack,
+        tprog=tprog,
+        ack_violations=_timely_ack_violations(trace, tack),
+        deliveries=delivery_report(trace, graph),
+        progress=progress_report(trace, graph, window=tprog) if check_progress else None,
+    )
 
-    bcast_ids = set()
+
+def _timely_ack_violations(trace: ExecutionTrace, tack: int) -> List[AckViolation]:
+    acks_of: Dict[Hashable, list] = {}
+    for ack in trace.ack_outputs:
+        acks_of.setdefault(ack.message.message_id, []).append(ack)
+    violations: List[AckViolation] = []
     for bcast in trace.bcast_inputs:
-        mid = bcast.message.message_id
-        bcast_ids.add(mid)
-        acks = acked_ids.get(mid, [])
+        mid, start = bcast.message.message_id, bcast.round_number
+        acks = acks_of.get(mid, [])
+        first = acks[0].round_number if acks else None
+        deadline = start + tack
+        found = []
         if len(acks) > 1:
-            report.timely_ack_violations.append(
-                f"message {mid!r} was acknowledged {len(acks)} times"
-            )
-        deadline = bcast.round_number + tack
+            found.append(("duplicate", f"message {mid!r} was acknowledged {len(acks)} times"))
         if not acks:
             # Only a violation if the trace ran long enough to see the deadline.
             if trace.num_rounds >= deadline:
-                report.timely_ack_violations.append(
-                    f"message {mid!r} (bcast at round {bcast.round_number}) was never "
-                    f"acknowledged although the deadline (round {deadline}) passed"
-                )
+                found.append(("missed", f"message {mid!r} (bcast at round {start}) was never "
+                               f"acknowledged although the deadline (round {deadline}) passed"))
         else:
-            ack = acks[0]
-            if ack.vertex != bcast.vertex:
-                report.timely_ack_violations.append(
-                    f"message {mid!r} was acknowledged by {ack.vertex!r}, not by its "
-                    f"origin {bcast.vertex!r}"
-                )
-            if not bcast.round_number <= ack.round_number <= deadline:
-                report.timely_ack_violations.append(
-                    f"message {mid!r} acknowledged at round {ack.round_number}, outside "
-                    f"[{bcast.round_number}, {deadline}]"
-                )
-
-    for mid, acks in acked_ids.items():
-        if mid not in bcast_ids:
-            report.timely_ack_violations.append(
-                f"ack for message {mid!r} which was never submitted by the environment"
-            )
+            if acks[0].vertex != bcast.vertex:
+                found.append(("wrong_vertex", f"message {mid!r} was acknowledged by "
+                              f"{acks[0].vertex!r}, not by its origin {bcast.vertex!r}"))
+            if not start <= first <= deadline:
+                found.append(("early" if first < start else "late", f"message {mid!r} "
+                              f"acknowledged at round {first}, outside [{start}, {deadline}]"))
+        violations += [AckViolation(k, text, bcast.message, start, first) for k, text in found]
+    submitted = {bcast.message.message_id for bcast in trace.bcast_inputs}
+    for mid, acks in acks_of.items():
+        if mid not in submitted:
+            text = f"ack for message {mid!r} which was never submitted by the environment"
+            first = acks[0].round_number
+            violations.append(AckViolation("unknown", text, acks[0].message, None, first))
+    return violations
 
 
-def _check_validity(trace: ExecutionTrace, graph: DualGraph, report: LBSpecReport) -> None:
-    for recv in trace.recv_outputs:
-        receiver = recv.vertex
-        message = recv.message
-        round_number = recv.round_number
-        neighbors = graph.potential_neighbors(receiver)
-        origin_ok = False
-        for neighbor in neighbors:
-            active = trace.actively_broadcasting(neighbor, round_number)
-            if any(m.message_id == message.message_id for m in active):
-                origin_ok = True
-                break
-        if not origin_ok:
-            report.validity_violations.append(
-                f"vertex {receiver!r} output recv({message.message_id!r}) at round "
-                f"{round_number} but no G' neighbor was actively broadcasting it"
-            )
+def _validity_violations(trace: ExecutionTrace, graph: DualGraph) -> List[str]:
+    return [
+        f"vertex {recv.vertex!r} output recv({recv.message.message_id!r}) at round "
+        f"{recv.round_number} but no G' neighbor was actively broadcasting it"
+        for recv in trace.recv_outputs
+        if not any(
+            m.message_id == recv.message.message_id
+            for neighbor in graph.potential_neighbors(recv.vertex)
+            for m in trace.actively_broadcasting(neighbor, recv.round_number)
+        )
+    ]

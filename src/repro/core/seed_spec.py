@@ -21,9 +21,10 @@ E1 benchmark) feed into frequency checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.dualgraph.graph import DualGraph
+from repro.simulation.metrics import unique_seed_owner_counts
 from repro.simulation.trace import ExecutionTrace
 
 Vertex = Hashable
@@ -102,6 +103,21 @@ def check_seed_execution(
         Optionally check well-formedness/agreement only for these vertices
         (used when only part of the network runs the algorithm).
     """
+    return seed_spec_report(
+        trace, graph, delta_bound, unique_seed_owner_counts(trace, graph), restrict_to
+    )
+
+
+def seed_spec_report(
+    trace: ExecutionTrace,
+    graph: DualGraph,
+    delta_bound: int,
+    owner_counts: Mapping[Vertex, int],
+    restrict_to: Optional[List[Vertex]] = None,
+) -> SeedSpecReport:
+    """:func:`check_seed_execution` on ``owner_counts``, the trace's
+    :func:`repro.simulation.metrics.unique_seed_owner_counts` (so a caller
+    that already has them counts once)."""
     report = SeedSpecReport(delta_bound=delta_bound)
     vertices = list(restrict_to) if restrict_to is not None else sorted(graph.vertices, key=repr)
     decides = trace.decides_by_vertex()
@@ -128,17 +144,8 @@ def check_seed_execution(
             )
 
     # 3. Agreement: distinct owners in each closed G' neighborhood.
-    owners_at: Dict[Vertex, set] = {}
-    for vertex, events in decides.items():
-        owners_at[vertex] = {ev.owner for ev in events}
-    for u in vertices:
-        owners = set()
-        for v in graph.closed_potential_neighborhood(u):
-            owners |= owners_at.get(v, set())
-        report.agreement_counts[u] = len(owners)
-        if len(owners) > delta_bound:
-            report.agreement_violations.append(u)
-
+    report.agreement_counts = {u: owner_counts[u] for u in vertices}
+    report.agreement_violations = [u for u in vertices if owner_counts[u] > delta_bound]
     return report
 
 

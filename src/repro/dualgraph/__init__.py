@@ -50,37 +50,6 @@ _EXPORTS = {
     "process_delta_cache": "repro.dualgraph.adversary",
 }
 
-__all__ = [
-    "DualGraph",
-    "Edge",
-    "TopologyIndex",
-    "normalize_edge",
-    "Embedding",
-    "euclidean_distance",
-    "geographic_dual_graph",
-    "is_r_geographic",
-    "random_geographic_network",
-    "line_network",
-    "grid_network",
-    "clique_network",
-    "star_network",
-    "cluster_network",
-    "two_clusters_network",
-    "GridRegionPartition",
-    "RegionGraph",
-    "LinkScheduler",
-    "AdaptiveLinkScheduler",
-    "CollisionAdaptiveAdversary",
-    "FullInclusionScheduler",
-    "NoUnreliableScheduler",
-    "IIDScheduler",
-    "PeriodicScheduler",
-    "AntiScheduleAdversary",
-    "TraceScheduler",
-    "SchedulerDeltaCache",
-    "prebuild_scheduler_deltas",
-    "preload_process_delta_cache",
-    "process_delta_cache",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

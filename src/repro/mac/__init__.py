@@ -34,18 +34,6 @@ _EXPORTS = {
     "run_neighbor_discovery": "repro.mac.applications.neighbor_discovery",
 }
 
-__all__ = [
-    "MacClient",
-    "MacLayerGuarantees",
-    "AbstractMacNode",
-    "make_mac_nodes",
-    "FloodClient",
-    "FloodResult",
-    "run_flood",
-    "MultiMessageResult",
-    "run_multi_message_broadcast",
-    "NeighborDiscoveryResult",
-    "run_neighbor_discovery",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,30 +13,23 @@ paper's related-work section points at:
   one announcement per node.
 """
 
-from repro.mac.applications.flood import FloodClient, FloodResult, run_flood
-from repro.mac.applications.multi_message import (
-    MultiMessageClient,
-    MultiMessageResult,
-    Token,
-    run_multi_message_broadcast,
-)
-from repro.mac.applications.neighbor_discovery import (
-    Announcement,
-    NeighborDiscoveryClient,
-    NeighborDiscoveryResult,
-    run_neighbor_discovery,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FloodClient",
-    "FloodResult",
-    "run_flood",
-    "Token",
-    "MultiMessageClient",
-    "MultiMessageResult",
-    "run_multi_message_broadcast",
-    "Announcement",
-    "NeighborDiscoveryClient",
-    "NeighborDiscoveryResult",
-    "run_neighbor_discovery",
-]
+#: Public name -> the module it is re-exported from (imported on first use).
+_EXPORTS = {
+    "FloodClient": "repro.mac.applications.flood",
+    "FloodResult": "repro.mac.applications.flood",
+    "run_flood": "repro.mac.applications.flood",
+    "Token": "repro.mac.applications.multi_message",
+    "MultiMessageClient": "repro.mac.applications.multi_message",
+    "MultiMessageResult": "repro.mac.applications.multi_message",
+    "run_multi_message_broadcast": "repro.mac.applications.multi_message",
+    "Announcement": "repro.mac.applications.neighbor_discovery",
+    "NeighborDiscoveryClient": "repro.mac.applications.neighbor_discovery",
+    "NeighborDiscoveryResult": "repro.mac.applications.neighbor_discovery",
+    "run_neighbor_discovery": "repro.mac.applications.neighbor_discovery",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Protocol
 
 from repro.core.params import LBParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
+    from repro.core.lb_spec import LBSpecReport
     from repro.dualgraph.graph import DualGraph
     from repro.simulation.trace import ExecutionTrace
 
@@ -84,6 +85,31 @@ class MacGuaranteeReport:
     progress_windows: int = 0
     progress_failures: int = 0
 
+    @classmethod
+    def from_lb(cls, guarantees: MacLayerGuarantees, lb: "LBSpecReport") -> "MacGuaranteeReport":
+        """The report read off ``lb``, the LB clause results at ``(f_ack, f_prog)``
+        (:func:`repro.core.lb_spec.check_lb_delivery`): the deadline violations
+        are its timely-ack violations of kinds ``missed`` (never acknowledged by
+        the deadline) and ``late`` (acknowledged after it)."""
+        f_ack = guarantees.f_ack
+        return cls(
+            guarantees=guarantees,
+            ack_deadline_violations=[
+                f"payload {v.message.payload!r} (bcast at round {v.bcast_round}) missed its "
+                f"ack deadline (round {v.bcast_round + f_ack})"
+                if v.kind == "missed"
+                else f"payload {v.message.payload!r} acknowledged after "
+                f"{v.ack_round - v.bcast_round} rounds (bound {f_ack})"
+                for v in lb.ack_violations
+                if v.kind in ("missed", "late")
+            ],
+            acked_broadcasts=len(lb.completed_deliveries),
+            pending_broadcasts=len(lb.deliveries) - len(lb.completed_deliveries),
+            reliability_failures=len(lb.reliability_failures),
+            progress_windows=lb.num_progress_windows,
+            progress_failures=lb.num_progress_failures,
+        )
+
     @property
     def ack_ok(self) -> bool:
         """No acknowledged-too-late / never-acknowledged violations observed."""
@@ -134,38 +160,15 @@ def check_mac_guarantees(
     This is the abstract-layer counterpart of
     :func:`repro.core.lb_spec.check_lb_execution`: it knows nothing about
     LBAlg's internals, only the ``f_ack`` / ``f_prog`` / ``epsilon`` the layer
-    promised.  ``check_progress=True`` evaluates the progress windows through
-    :func:`repro.simulation.metrics.progress_report`, which needs a
-    ``TraceMode.FULL`` trace; pass ``False`` for events-only traces.
+    promised, which it checks as the LB clauses they are
+    (:func:`repro.core.lb_spec.check_lb_delivery`).  ``check_progress=True``
+    evaluates the progress windows, which needs a ``TraceMode.FULL`` trace;
+    pass ``False`` for events-only traces.
     """
-    from repro.simulation.metrics import ack_delays, delivery_report, progress_report
+    from repro.core.lb_spec import check_lb_delivery
 
-    report = MacGuaranteeReport(guarantees=guarantees)
-    for record in ack_delays(trace):
-        if record.delay is None:
-            report.pending_broadcasts += 1
-            deadline = record.bcast_round + guarantees.f_ack
-            if trace.num_rounds >= deadline:
-                report.ack_deadline_violations.append(
-                    f"payload {record.message.payload!r} (bcast at round "
-                    f"{record.bcast_round}) missed its ack deadline (round {deadline})"
-                )
-        elif record.delay > guarantees.f_ack:
-            report.ack_deadline_violations.append(
-                f"payload {record.message.payload!r} acknowledged after "
-                f"{record.delay} rounds (bound {guarantees.f_ack})"
-            )
-    for record in delivery_report(trace, graph):
-        if record.ack_round is None:
-            continue
-        report.acked_broadcasts += 1
-        if not record.fully_delivered:
-            report.reliability_failures += 1
-    if check_progress:
-        progress = progress_report(trace, graph, window=guarantees.f_prog)
-        report.progress_windows = progress.num_applicable
-        report.progress_failures = len(progress.failures)
-    return report
+    lb = check_lb_delivery(trace, graph, guarantees.f_ack, guarantees.f_prog, check_progress)
+    return MacGuaranteeReport.from_lb(guarantees, lb)
 
 
 class MacApi(Protocol):

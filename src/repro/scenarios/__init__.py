@@ -108,74 +108,6 @@ _EXPORTS = {
     "parse_submission": "repro.scenarios.jobs",
 }
 
-__all__ = [
-    # spec tree
-    "ScenarioSpec",
-    "TopologySpec",
-    "SchedulerSpec",
-    "AlgorithmSpec",
-    "EnvironmentSpec",
-    "MetricSpec",
-    "EngineConfig",
-    "RunPolicy",
-    # registries
-    "Registry",
-    "MetricRegistry",
-    "TOPOLOGIES",
-    "SCHEDULERS",
-    "ALGORITHMS",
-    "ENVIRONMENTS",
-    "METRICS",
-    "register_topology",
-    "register_scheduler",
-    "register_algorithm",
-    "register_environment",
-    "register_metric",
-    # metrics pipeline
-    "MetricContext",
-    "evaluate_metrics",
-    "aggregate_metric_rows",
-    "flatten_aggregates",
-    "required_trace_mode",
-    # runtime
-    "AlgorithmBuild",
-    "BuiltScenario",
-    "RunResult",
-    "TrialRunResult",
-    "build",
-    "materialize",
-    "resolve_params",
-    "resolve_trace_mode",
-    "run",
-    "run_trial",
-    "run_many",
-    "prebuild_delta_table",
-    "resolve_senders",
-    # result store
-    "ResultStore",
-    "metrics_signature",
-    "scenario_trial_identity",
-    "trial_key",
-    # suites
-    "SuiteSpec",
-    "SuiteEntry",
-    "SuiteEntryResult",
-    "SuiteReport",
-    "run_suite",
-    "deterministic_report_dict",
-    "SuiteCancelled",
-    "SuiteTaskError",
-    # fleet execution
-    "run_suite_fleet",
-    "default_task_runner",
-    "DEFAULT_LEASE_TTL_S",
-    "FleetTaskError",
-    # service
-    "JobManager",
-    "Job",
-    "JobRejected",
-    "FaultPlan",
-    "parse_submission",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

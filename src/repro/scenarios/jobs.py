@@ -135,7 +135,10 @@ def parse_submission(payload: Any) -> Tuple[SuiteSpec, Dict[str, Any]]:
                 name=f"scenario:{spec.name}",
                 entries=(SuiteEntry(id=spec.name, scenario=spec),),
             )
-        options = dict(payload.get("options", {}) or {})
+        options = payload.get("options")
+        if options is not None and not isinstance(options, Mapping):
+            raise JobRejected(f"options must be a JSON object, got {type(options).__name__}")
+        options = dict(options or {})
         _reject_unknown_keys(options, _SUBMIT_OPTION_KEYS, "submission options")
         options.pop("fleet", None)
         if "jobs" in options:

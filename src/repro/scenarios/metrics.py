@@ -34,8 +34,8 @@ suite's process pool, or on the fleet (pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import quantile, summarize, wilson_interval
 from repro.scenarios.components import resolve_senders
@@ -80,6 +80,15 @@ class MetricContext:
     #: (geometry-aware metrics such as ``probe_progress`` need it; ``None``
     #: for topologies without one).
     embedding: Any = None
+    _memo: Dict[Hashable, Any] = field(default_factory=dict, init=False, repr=False)
+
+    def shared(self, reducer: Callable[..., Any], *args: Hashable) -> Any:
+        """``reducer(trace, graph, *args)``, evaluated once per trial: the
+        progress windows and owner counts that several metrics report."""
+        key = (reducer, args)
+        if key not in self._memo:
+            self._memo[key] = reducer(self.trace, self.graph, *args)
+        return self._memo[key]
 
 
 class MetricRegistry(Registry):
@@ -285,13 +294,31 @@ def flatten_aggregates(aggregates: Mapping[str, Mapping[str, float]]) -> Dict[st
 # ----------------------------------------------------------------------
 # built-in metrics
 # ----------------------------------------------------------------------
-def _require_params(ctx: MetricContext, metric: str, what: str) -> Any:
-    if ctx.params is None:
-        raise ValueError(
-            f"metric {metric!r} needs {what} but the trial has no derived params; "
-            "pass the value explicitly in the metric's args"
-        )
-    return ctx.params
+def _param_arg(ctx: MetricContext, metric: str, arg: str, value: Any, attr: str) -> Any:
+    """Metric arg ``arg``: ``value`` if given, else the trial's positive ``params.<attr>``."""
+    if value is None:
+        value = getattr(ctx.params, attr, None)
+        if not value:
+            what = "derived params" if ctx.params is None else type(ctx.params).__name__
+            raise ValueError(
+                f"metric {metric!r} needs {arg}: the trial's {what} define no positive "
+                f"{attr}; pass {arg} explicitly in the metric's args"
+            )
+    return value
+
+
+def _progress_row(
+    ctx: MetricContext, metric: str, window: Optional[int], receivers: Any, use_frames: bool
+) -> Tuple[Any, Dict[str, Any]]:
+    """The shared progress report of a window metric and its common columns."""
+    window = _param_arg(ctx, metric, "window", window, "tprog_rounds")
+    report = ctx.shared(progress_report, window, receivers, use_frames)
+    return report, {
+        "window": window,
+        "total_windows": len(report.windows),
+        "windows": report.num_applicable,
+        "failures": len(report.failures),
+    }
 
 
 @register_metric("counters", sample_args={}, trace_mode=TraceMode.COUNTERS)
@@ -411,24 +438,7 @@ def _metric_progress(
 
     ``window`` defaults to the trial's derived ``t_prog``.
     """
-    if window is None:
-        window = getattr(
-            _require_params(ctx, "progress", "a window length (t_prog)"),
-            "tprog_rounds",
-            None,
-        )
-        if window is None:
-            raise ValueError(
-                "metric 'progress' needs an explicit window: the trial's params "
-                "do not define tprog_rounds"
-            )
-    report = progress_report(ctx.trace, ctx.graph, window=window, use_frames=use_frames)
-    return {
-        "window": window,
-        "total_windows": len(report.windows),
-        "windows": report.num_applicable,
-        "failures": len(report.failures),
-    }
+    return _progress_row(ctx, "progress", window, None, use_frames)[1]
 
 
 def _resolve_probe(ctx: MetricContext, metric: str, vertex: Optional[Any]) -> Any:
@@ -470,26 +480,8 @@ def _metric_probe_progress(
     cross-trial aggregate with a Wilson interval.
     """
     probe = _resolve_probe(ctx, "probe_progress", vertex)
-    if window is None:
-        window = getattr(
-            _require_params(ctx, "probe_progress", "a window length (t_prog)"),
-            "tprog_rounds",
-            None,
-        )
-        if window is None:
-            raise ValueError(
-                "metric 'probe_progress' needs an explicit window: the trial's "
-                "params do not define tprog_rounds"
-            )
-    report = progress_report(ctx.trace, ctx.graph, window=window, receivers=[probe])
-    return {
-        "probe": probe,
-        "window": window,
-        "total_windows": len(report.windows),
-        "windows": report.num_applicable,
-        "failures": len(report.failures),
-        "failure_rate": report.failure_rate,
-    }
+    report, row = _progress_row(ctx, "probe_progress", window, (probe,), True)
+    return {"probe": probe, **row, "failure_rate": report.failure_rate}
 
 
 @register_metric(
@@ -565,7 +557,12 @@ def _metric_body_receive(
     neighbor.  The pooled ``rate_mean`` ratio equals the flat mean over all
     per-receiver rates across trials.
     """
-    params = _require_params(ctx, "body_receive", "the phase structure (ts, phase_length)")
+    params = ctx.params
+    if params is None:
+        raise ValueError(
+            "metric 'body_receive' needs the phase structure (ts, phase_length) but "
+            "the trial has no derived params"
+        )
     if senders is None:
         env_spec = getattr(ctx.spec, "environment", None)
         senders = env_spec.args.get("senders") if env_spec is not None else None
@@ -651,8 +648,9 @@ def _metric_seed_owners(
     ctx: MetricContext, delta_bound: Optional[int] = None
 ) -> Dict[str, Any]:
     """Unique seed-owner counts per closed neighborhood (wraps
-    :func:`repro.simulation.metrics.unique_seed_owner_counts`)."""
-    counts = unique_seed_owner_counts(ctx.trace, ctx.graph)
+    :func:`repro.simulation.metrics.unique_seed_owner_counts`, counted once
+    per trial with ``seed_spec``)."""
+    counts = ctx.shared(unique_seed_owner_counts)
     if delta_bound is None:
         delta_bound = getattr(ctx.params, "delta_bound", None)
     row: Dict[str, Any] = {
@@ -706,16 +704,15 @@ def _metric_lb_spec(
     check_progress: bool = True,
 ) -> Dict[str, Any]:
     """``LB(t_ack, t_prog, ε)`` verdicts as numbers (wraps
-    :func:`repro.core.lb_spec.check_lb_execution`)."""
+    :func:`repro.core.lb_spec.check_lb_execution`; the progress windows are
+    shared per trial through :meth:`MetricContext.shared`)."""
     from repro.core.lb_spec import check_lb_execution
 
-    if tack is None:
-        tack = _require_params(ctx, "lb_spec", "t_ack").tack_rounds
-    if tprog is None:
-        tprog = _require_params(ctx, "lb_spec", "t_prog").tprog_rounds
-    report = check_lb_execution(
-        ctx.trace, ctx.graph, tack, tprog, check_progress=check_progress
-    )
+    tack = _param_arg(ctx, "lb_spec", "tack", tack, "tack_rounds")
+    tprog = _param_arg(ctx, "lb_spec", "tprog", tprog, "tprog_rounds")
+    report = check_lb_execution(ctx.trace, ctx.graph, tack, tprog, check_progress=False)
+    if check_progress:
+        report.progress = ctx.shared(progress_report, tprog, None, True)
     return {
         "deterministic_ok": int(report.deterministic_ok),
         "timely_ack_violations": len(report.timely_ack_violations),
@@ -723,9 +720,7 @@ def _metric_lb_spec(
         "completed_broadcasts": len(report.completed_deliveries),
         "reliability_failures": len(report.reliability_failures),
         "progress_windows": report.num_progress_windows,
-        "progress_failures": (
-            len(report.progress.failures) if report.progress is not None else 0
-        ),
+        "progress_failures": report.num_progress_failures,
     }
 
 
@@ -739,21 +734,13 @@ def _metric_seed_spec(
     ctx: MetricContext, delta_bound: Optional[int] = None
 ) -> Dict[str, Any]:
     """``Seed(δ, ε)`` verdicts as numbers (wraps
-    :func:`repro.core.seed_spec.check_seed_execution`)."""
-    from repro.core.seed_spec import check_seed_execution
+    :func:`repro.core.seed_spec.check_seed_execution`; the agreement counts
+    are shared per trial through :meth:`MetricContext.shared`)."""
+    from repro.core.seed_spec import seed_spec_report
 
-    if delta_bound is None:
-        delta_bound = getattr(
-            _require_params(ctx, "seed_spec", "the δ agreement bound"),
-            "delta_bound",
-            None,
-        )
-        if not delta_bound:
-            raise ValueError(
-                "metric 'seed_spec' needs delta_bound: the trial's params do not "
-                "define a positive one"
-            )
-    report = check_seed_execution(ctx.trace, ctx.graph, delta_bound)
+    delta_bound = _param_arg(ctx, "seed_spec", "delta_bound", delta_bound, "delta_bound")
+    counts = ctx.shared(unique_seed_owner_counts)
+    report = seed_spec_report(ctx.trace, ctx.graph, delta_bound, counts)
     return {
         "ok": int(report.ok),
         "delta_bound": delta_bound,
@@ -785,23 +772,30 @@ def _metric_mac_guarantees(
     :func:`repro.mac.spec.check_mac_guarantees`).
 
     The promise defaults to the one the LBAlg-backed layer advertises for the
-    trial's derived params (:meth:`repro.mac.spec.MacLayerGuarantees.from_lb_params`).
+    trial's derived params (:meth:`repro.mac.spec.MacLayerGuarantees.from_lb_params`:
+    ``t_ack``, ``t_prog``, ``ε``); its progress windows are shared per trial
+    through :meth:`MetricContext.shared`.
     """
-    from repro.mac.spec import MacLayerGuarantees, check_mac_guarantees
+    from repro.core.lb_spec import check_lb_delivery
+    from repro.mac.spec import MacGuaranteeReport, MacLayerGuarantees
 
-    if f_ack is None and f_prog is None and epsilon is None:
-        params = _require_params(ctx, "mac_guarantees", "an f_ack/f_prog/epsilon promise")
-        guarantees = MacLayerGuarantees.from_lb_params(params)
-    else:
-        if f_ack is None or f_prog is None or epsilon is None:
-            raise ValueError(
-                "metric 'mac_guarantees' needs all of f_ack, f_prog and epsilon "
-                "when any of them is given explicitly"
-            )
-        guarantees = MacLayerGuarantees(f_ack=f_ack, f_prog=f_prog, epsilon=epsilon)
-    report = check_mac_guarantees(
-        ctx.trace, ctx.graph, guarantees, check_progress=check_progress
+    explicit = (f_ack, f_prog, epsilon)
+    if any(v is not None for v in explicit) and any(v is None for v in explicit):
+        raise ValueError(
+            "metric 'mac_guarantees' needs all of f_ack, f_prog and epsilon "
+            "when any of them is given explicitly"
+        )
+    guarantees = MacLayerGuarantees(
+        f_ack=_param_arg(ctx, "mac_guarantees", "f_ack", f_ack, "tack_rounds"),
+        f_prog=_param_arg(ctx, "mac_guarantees", "f_prog", f_prog, "tprog_rounds"),
+        epsilon=_param_arg(ctx, "mac_guarantees", "epsilon", epsilon, "epsilon"),
     )
+    lb = check_lb_delivery(
+        ctx.trace, ctx.graph, guarantees.f_ack, guarantees.f_prog, check_progress=False
+    )
+    if check_progress:
+        lb.progress = ctx.shared(progress_report, guarantees.f_prog, None, True)
+    report = MacGuaranteeReport.from_lb(guarantees, lb)
     row = dict(report.summary())
     row["ack_ok"] = int(report.ack_ok)
     row["within_epsilon"] = int(report.within_epsilon)

@@ -31,22 +31,6 @@ _EXPORTS = {
     "unique_seed_owner_counts": "repro.simulation.metrics",
 }
 
-__all__ = [
-    "Process",
-    "ProcessContext",
-    "Simulator",
-    "Environment",
-    "NullEnvironment",
-    "SingleShotEnvironment",
-    "SaturatingEnvironment",
-    "ScriptedEnvironment",
-    "BurstyEnvironment",
-    "ExecutionTrace",
-    "TraceMode",
-    "ack_delays",
-    "delivery_report",
-    "progress_report",
-    "unique_seed_owner_counts",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,7 +18,7 @@ guarantees speak about:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.events import DecideOutput
 from repro.core.messages import Message
@@ -202,37 +202,63 @@ def progress_report(
         raise ValueError("the progress window must be at least one round")
     if receivers is None:
         receivers = sorted(graph.vertices, key=repr)
-    report = ProgressReport()
     num_phases = trace.num_rounds // window
+    # Window index k holds rounds k*window + 1 .. (k+1)*window.
+    heard_windows: Dict[Vertex, Set[int]] = {}
     if use_frames:
-        heard_rounds = data_reception_round_sets(trace)
+        for v, rounds in data_reception_round_sets(trace).items():
+            heard_windows[v] = {(rnd - 1) // window for rnd in rounds}
     else:
-        heard_rounds = {}
         for ev in trace.recv_outputs:
-            heard_rounds.setdefault(ev.vertex, set()).add(ev.round_number)
-    intervals = {
-        v: [(ev.round_number, trace.ack_round_for(ev.message)) for ev in evs]
+            heard_windows.setdefault(ev.vertex, set()).add((ev.round_number - 1) // window)
+    covered = {
+        v: _covered_windows(
+            [(ev.round_number, trace.ack_round_for(ev.message)) for ev in evs], window, num_phases
+        )
         for v, evs in trace.bcasts_by_vertex().items()
     }
+    report = ProgressReport()
     for vertex in receivers:
-        neighbors = graph.reliable_neighbors(vertex)
-        heard_by_vertex = heard_rounds.get(vertex, ())
+        active = set().union(*(covered.get(n, ()) for n in graph.reliable_neighbors(vertex)))
+        heard = heard_windows.get(vertex, ())
         for phase in range(num_phases):
-            start = phase * window + 1
-            end = (phase + 1) * window
-            active = any(_intervals_cover(intervals.get(n, ()), start, end) for n in neighbors)
-            heard = any(start <= rnd <= end for rnd in heard_by_vertex)
             report.windows.append(
                 ProgressWindow(
                     vertex=vertex,
                     phase_index=phase + 1,
-                    start_round=start,
-                    end_round=end,
-                    had_active_neighbor=active,
-                    received_something=heard,
+                    start_round=phase * window + 1,
+                    end_round=(phase + 1) * window,
+                    had_active_neighbor=phase in active,
+                    received_something=phase in heard,
                 )
             )
     return report
+
+
+def _covered_windows(intervals, window: int, num_phases: int) -> Set[int]:
+    """Indices ``k < num_phases`` of the windows that the union of one
+    vertex's active ``[s, e]`` intervals covers (``e is None``: never acked).
+
+    The premise is that *some single neighbor* is active throughout the
+    window, possibly with different messages (ack then immediately bcast
+    again), hence the union: sorted once and merged into maximal runs of
+    rounds, a window is covered iff it lies inside one run.
+    """
+    last = num_phases * window
+    runs: List[List[int]] = []
+    for s, e in sorted(intervals, key=lambda it: it[0]):
+        top = last if e is None else min(e, last)
+        if top < s:
+            continue
+        if runs and s <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], top)
+        else:
+            runs.append([s, top])
+    covered: Set[int] = set()
+    for s, top in runs:
+        # window k starts at or after s and ends at or before top
+        covered.update(range(max(0, -(-(s - 1) // window)), top // window))
+    return covered
 
 
 def data_reception_rounds(trace: ExecutionTrace, vertex: Vertex) -> List[int]:
@@ -255,29 +281,6 @@ def data_reception_round_sets(trace: ExecutionTrace) -> Dict[Vertex, set]:
             if frame is not None and getattr(frame, "message", None) is not None:
                 result.setdefault(vertex, set()).add(rnd)
     return result
-
-
-def _intervals_cover(intervals, start: int, end: int) -> bool:
-    """True iff the union of [s, e] intervals covers every round in [start, end].
-
-    Open-ended intervals (``e is None``) extend to infinity.  The paper's
-    premise is that *some single neighbor* is active throughout the window,
-    but a neighbor is allowed to be active with different messages in
-    different parts of it (ack then immediately bcast again), hence coverage
-    by a union of that neighbor's own intervals.
-    """
-    if not intervals:
-        return False
-    needed = start
-    for s, e in sorted(intervals, key=lambda it: it[0]):
-        if s > needed:
-            return False
-        top = float("inf") if e is None else e
-        if top >= needed:
-            needed = int(top) + 1 if top != float("inf") else end + 1
-        if needed > end:
-            return True
-    return needed > end
 
 
 # ----------------------------------------------------------------------

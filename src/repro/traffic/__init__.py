@@ -37,19 +37,6 @@ _EXPORTS = {
     "subtree_loads": "repro.traffic.schedulers",
 }
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "ConvergecastArrivals",
-    "PeriodicArrivals",
-    "PoissonArrivals",
-    "QueuedEnvironment",
-    "TrafficAwareScheduler",
-    "build_arrival_process",
-    "build_routing_tree",
-    "derive_stream_seed",
-    "subtree_loads",
-]
+__all__ = list(_EXPORTS)
 
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, __all__)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

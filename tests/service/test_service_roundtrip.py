@@ -172,6 +172,11 @@ def _corruptions(valid: dict):
     case["options"] = {"turbo": True}
     yield "unknown option", case, "turbo"
 
+    for options in ([["jobs", 2]], "ab"):
+        case = copy.deepcopy(valid)
+        case["options"] = options
+        yield f"non-object options={options!r}", case, "options must be a JSON object"
+
 
 def test_malformed_payloads_rejected_with_named_errors(threaded_service):
     url, _ = threaded_service()

@@ -229,6 +229,67 @@ class TestAggregation:
         with pytest.raises(ValueError, match="all of f_ack"):
             run(spec, keep=False)
 
+    @pytest.mark.parametrize(
+        "metric, args, arg",
+        [
+            ("progress", {}, "window"),
+            ("probe_progress", {"vertex": 0}, "window"),
+            ("lb_spec", {}, "tack"),
+            ("mac_guarantees", {}, "f_ack"),
+        ],
+    )
+    def test_lb_defaults_on_seed_params_raise_a_named_error(self, metric, args, arg):
+        # SeedParams carry no t_ack / t_prog: the error names the metric,
+        # the missing parameter and the arg to pass instead.
+        spec = seed_spec_with().with_metrics(MetricSpec(metric, args))
+        with pytest.raises(
+            ValueError, match=rf"metric '{metric}' needs {arg}: .*SeedParams.* pass {arg}"
+        ):
+            run(spec, keep=False)
+
+
+class TestSharedReductions:
+    def test_one_progress_evaluation_per_trial_and_window(self, monkeypatch):
+        import repro.core.lb_spec
+        import repro.scenarios.metrics
+        import repro.simulation.metrics
+
+        calls = []
+        original = repro.simulation.metrics.progress_report
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("window", args[2] if len(args) > 2 else None))
+            return original(*args, **kwargs)
+
+        for module in (repro.simulation.metrics, repro.core.lb_spec, repro.scenarios.metrics):
+            monkeypatch.setattr(module, "progress_report", counting)
+        spec = lb_spec_with(metrics=("progress", "lb_spec", "mac_guarantees"), trials=2)
+        rows = run(spec, keep=False).metric_rows
+        window = rows[0]["progress.window"]
+        assert calls == [window, window]  # one per trial
+        for row in rows:
+            assert row["lb_spec.progress_windows"] == row["progress.windows"]
+            assert row["mac_guarantees.progress_windows"] == row["progress.windows"]
+            assert row["mac_guarantees.progress_failures"] == row["progress.failures"]
+
+    def test_one_owner_count_per_trial(self, monkeypatch):
+        import repro.core.seed_spec
+        import repro.scenarios.metrics
+        import repro.simulation.metrics
+
+        calls = []
+        original = repro.simulation.metrics.unique_seed_owner_counts
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (repro.simulation.metrics, repro.core.seed_spec, repro.scenarios.metrics):
+            monkeypatch.setattr(module, "unique_seed_owner_counts", counting)
+        row = run(seed_spec_with(metrics=("seed_owners", "seed_spec")), keep=False).metric_rows[0]
+        assert len(calls) == 1
+        assert row["seed_spec.owners_max"] == row["seed_owners.owners_max"]
+
 
 class TestSerialParallelIdentity:
     def test_metric_rows_identical_serial_vs_trial_pool(self):
