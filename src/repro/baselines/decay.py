@@ -14,7 +14,7 @@ experiment E6).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.baselines.base import BaselineBroadcastProcess
 from repro.simulation.process import ProcessContext
@@ -61,3 +61,8 @@ class DecayProcess(BaselineBroadcastProcess):
     def transmission_probability(self, active_round_index: int) -> float:
         position = (active_round_index - 1) % len(self._schedule)
         return self._schedule[position]
+
+    def probability_cycle(self) -> Optional[Tuple[float, ...]]:
+        if type(self) is not DecayProcess:
+            return None
+        return tuple(self._schedule)

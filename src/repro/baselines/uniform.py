@@ -9,6 +9,8 @@ lower-bound context experiment E7.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 from repro.baselines.base import BaselineBroadcastProcess
 from repro.simulation.process import ProcessContext
 
@@ -43,3 +45,8 @@ class UniformProcess(BaselineBroadcastProcess):
 
     def transmission_probability(self, active_round_index: int) -> float:
         return self.probability
+
+    def probability_cycle(self) -> Optional[Tuple[float, ...]]:
+        if type(self) is not UniformProcess:
+            return None
+        return (self.probability,)

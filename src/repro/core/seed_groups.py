@@ -39,6 +39,7 @@ against the reference engine (``fast_path=False, batch_path=False``).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.caches import bounded_put
@@ -280,7 +281,9 @@ class LocalBroadcastBatchDriver:
     ones, dispatching per-member work only to the active set.  Phase-boundary
     work (state transitions, subroutine creation, stream setup) reuses the
     members' own methods, so the driver cannot drift from the per-process
-    semantics there.
+    semantics there.  Inside a body it also reports the next round a cohort
+    participates in (:meth:`next_busy_round`), so the engine can skip the
+    silent rounds in between (:meth:`skip_rounds`).
     """
 
     __slots__ = (
@@ -291,7 +294,9 @@ class LocalBroadcastBatchDriver:
         "_senders",
         "_cohorts",
         "_body_rounds_elapsed",
+        "_body_rounds_built",
         "_round_active",
+        "_busy_served",
     )
 
     def __init__(self, params: LBParams) -> None:
@@ -303,8 +308,10 @@ class LocalBroadcastBatchDriver:
         # Body-round state: seed cohorts grouped at body start, flushed at
         # phase ends and run boundaries (see _body_transmit_kernel).
         self._cohorts: Optional[List[_SeedCohort]] = None
-        self._round_active: List[List[Tuple["_SeedCohort", int]]] = []
+        self._round_active: Dict[int, List[Tuple["_SeedCohort", int]]] = {}
+        self._busy_served: List[int] = []
         self._body_rounds_elapsed = 0
+        self._body_rounds_built = 0
 
     # ------------------------------------------------------------------
     # registration (engine-facing)
@@ -369,6 +376,32 @@ class LocalBroadcastBatchDriver:
             for member in self._senders:
                 member._end_phase(round_number)
 
+    def next_busy_round(self, round_number: int) -> int:
+        """The first round ``>= round_number`` this cohort may act in.
+
+        Live cohorts exist only inside a body, between the round that built
+        them and the phase end (or run boundary) that flushes them.  There
+        the answer is the next served round with a participating cohort,
+        read off the inverted decoded schedule, and never later than the
+        phase-end round, which acks.  Preamble rounds, phase and body starts
+        and a body whose cohorts are not built yet all answer
+        ``round_number``.
+        """
+        if self._cohorts is None:
+            return round_number
+        served = self._body_rounds_elapsed
+        busy = self._busy_served
+        i = bisect_left(busy, served)
+        # The phase-end round is the last served round of this build.
+        target = busy[i] if i < len(busy) else self._body_rounds_built - 1
+        return round_number + target - served
+
+    def skip_rounds(self, count: int) -> None:
+        """Advance past ``count`` silent body rounds (no cohort
+        participates): their seed bits and statistics are settled by
+        :meth:`flush_kernel_state` from the elapsed count."""
+        self._body_rounds_elapsed += count
+
     # ------------------------------------------------------------------
     # phase boundaries (delegate to the members' own methods)
     # ------------------------------------------------------------------
@@ -427,22 +460,22 @@ class LocalBroadcastBatchDriver:
                 )
             )
         built = list(cohorts.values())
-        # Invert the decoded schedule: per served round, only the cohorts
-        # that actually participate (with their decoded ``b``).  Most body
-        # rounds have no participants, so the transmit hot loop iterates a
-        # (usually empty) per-round list instead of scanning every cohort
-        # each round.
-        round_active: List[List[Tuple[_SeedCohort, int]]] = [
-            [] for _ in range(rounds_remaining)
-        ]
+        # Invert the decoded schedule: served round -> the cohorts that
+        # participate in it (with their decoded ``b``).  Most body rounds
+        # have no participants, so they are absent: the transmit hot loop
+        # does one lookup instead of scanning every cohort, and the sorted
+        # keys are the rounds next_busy_round may not skip.
+        round_active: Dict[int, List[Tuple[_SeedCohort, int]]] = {}
         params = self._params
         for cohort in built:
             cohort.bulk_decode(params, rounds_remaining)
             for served, b in cohort.active:
-                round_active[served].append((cohort, b))
+                round_active.setdefault(served, []).append((cohort, b))
         self._cohorts = built
         self._round_active = round_active
+        self._busy_served = sorted(round_active)
         self._body_rounds_elapsed = 0
+        self._body_rounds_built = rounds_remaining
 
     def _body_transmit_kernel(self, out: Dict[Vertex, Any], rounds_remaining: int) -> None:
         """One body round served from the cohort buffers.
@@ -459,7 +492,7 @@ class LocalBroadcastBatchDriver:
             self._build_kernel_cohorts(rounds_remaining)
         served = self._body_rounds_elapsed
         self._body_rounds_elapsed = served + 1
-        for cohort, b in self._round_active[served]:
+        for cohort, b in self._round_active.get(served, ()):
             cohort.participant_rounds += 1
             for rand, vertex, frame, member in cohort.actors:
                 for _ in range(b):
@@ -495,5 +528,6 @@ class LocalBroadcastBatchDriver:
                 if end_cursor > member.stats_max_bits_consumed:
                     member.stats_max_bits_consumed = end_cursor
         self._cohorts = None
-        self._round_active = []
+        self._round_active = {}
+        self._busy_served = []
         self._body_rounds_elapsed = 0

@@ -384,8 +384,9 @@ def _metric_ack_delay(ctx: MetricContext, bound: Optional[int] = None) -> Dict[s
     """Acknowledgment latency (wraps :func:`repro.simulation.metrics.ack_delays`).
 
     ``bound`` defaults to the trial's derived ``t_ack`` when available;
-    ``bound_violations`` counts delays exceeding it (the Timely
-    Acknowledgment condition as a number).
+    ``bound_violations`` counts acked delays exceeding it.  It is a latency
+    statistic, not the LB timely-ack clause: at the default bound it equals
+    the clause's ``late`` violations only (``lb_spec`` reports the clause).
     """
     if bound is None:
         bound = getattr(ctx.params, "tack_rounds", None)
@@ -620,9 +621,11 @@ def _metric_reception_provenance(ctx: MetricContext) -> Dict[str, Any]:
     trace, graph = ctx.trace, ctx.graph
     data_receptions = 0
     unreliable_receptions = 0
-    for round_number in range(1, ctx.rounds + 1):
+    for round_number, received in trace.receptions_by_round():
+        if round_number > ctx.rounds:
+            break
         transmissions = trace.transmissions_in_round(round_number)
-        for receiver, frame in trace.receptions_in_round(round_number).items():
+        for receiver, frame in received.items():
             if getattr(frame, "message", None) is None:
                 continue
             data_receptions += 1

@@ -394,7 +394,7 @@ def _add_trial(result: RunResult, trial: TrialRunResult) -> None:
             # trials, so plain assignment -- summing would be nonsense.
             result.perf_stats[section] = value
         else:
-            result.perf_stats[section] = result.perf_stats.get(section, 0.0) + value
+            result.perf_stats[section] = result.perf_stats.get(section, 0) + value
 
 
 def absorb_trial_record(result: RunResult, record: Mapping[str, Any]) -> None:

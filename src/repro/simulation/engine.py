@@ -51,12 +51,20 @@ retains.  The loop times its sections (``inputs`` / ``transmit`` /
 ``resolve`` / ``deliver`` / ``outputs``) into :attr:`Simulator.perf_stats`.
 The ``on_round_start`` / ``on_round_end`` hook loops only visit processes
 whose class overrides those hooks.
+
+On the kernel lane, :meth:`Simulator.run` also skips *silent rounds*: every
+batch driver and the environment report their next busy round
+(``next_busy_round``), and the loop jumps over the rounds before the
+earliest, telling each driver how many it skipped.  Skipped rounds record no
+frames and call no section; :attr:`Simulator.perf_stats` counts them as
+``rounds_skipped``.  See :meth:`Simulator._silent_round_sources` for when
+skipping applies.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Hashable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional
 
 from repro.caches import bounded_put
 from repro.dualgraph.adversary import LinkScheduler, NoUnreliableScheduler
@@ -136,8 +144,10 @@ class Simulator:
         self._trace = ExecutionTrace(mode=trace_mode)
         self._current_round = 0
         self._started = False
-        #: Wall-clock seconds spent per round-loop section, always collected.
-        self.perf_stats: Dict[str, float] = dict.fromkeys(_SECTIONS, 0.0)
+        #: Wall-clock seconds spent per round-loop section, always collected,
+        #: plus ``rounds_skipped``: the silent rounds run() jumped over.
+        self.perf_stats: Dict[str, Any] = dict.fromkeys(_SECTIONS, 0.0)
+        self.perf_stats["rounds_skipped"] = 0
 
         # Surface *why* the kernel resolver does not run (None when it does):
         # a scheduler that quietly drops a run onto the reference resolver
@@ -174,6 +184,7 @@ class Simulator:
             for p in self._ordered_processes
             if type(p).on_round_end is not Process.on_round_end
         ]
+        self._busy_sources = self._silent_round_sources()
 
     def _build_batch_groups(self) -> None:
         groups: Dict[Any, Any] = {}
@@ -220,6 +231,36 @@ class Simulator:
             return f"scheduler {name} was built for another graph"
         return None
 
+    def _silent_round_sources(self) -> Optional[List[Callable[[int], Optional[int]]]]:
+        """The ``next_busy_round`` callables :meth:`run` consults to skip
+        silent rounds, or ``None`` when it steps every round.
+
+        Skipping needs the kernel lane, no per-process (ungrouped) process
+        and no round hook, since neither reports a next busy round; every
+        batch driver must offer ``next_busy_round``; and the environment's
+        own class must define
+        :meth:`~repro.simulation.environment.Environment.next_busy_round` --
+        a subclass that overrides only its submissions inherits an answer
+        about another class.  Drivers are asked first: a busy driver ends
+        the query before the environment is asked.
+        """
+        if (
+            not self._fast
+            or self._ungrouped
+            or self._round_start_hooks
+            or self._round_end_hooks
+            or "next_busy_round" not in vars(type(self._environment))
+        ):
+            return None
+        sources = []
+        for driver in self._batch_drivers:
+            busy = getattr(driver, "next_busy_round", None)
+            if busy is None:
+                return None
+            sources.append(busy)
+        sources.append(self._environment.next_busy_round)
+        return sources
+
     def _bind_index(self) -> None:
         """Bind the kernel resolver's views of the graph's topology index.
 
@@ -234,7 +275,12 @@ class Simulator:
         self._vertex_of = index.vertices
         self._g_neighbors = index.g_neighbors
         self._u_neighbor_of = index.unreliable_neighbor_by_eid
-        self._has_unreliable = index.num_unreliable_edges > 0
+        # NoUnreliableScheduler schedules no unreliable edge in any round, so
+        # its (empty) delta is never asked for.
+        self._has_unreliable = (
+            index.num_unreliable_edges > 0
+            and type(self._scheduler) is not NoUnreliableScheduler
+        )
         bit = self._v_bit = [1 << i for i in range(index.n)]
         self._g_vmasks = [sum(bit[j] for j in row) for row in index.g_neighbors]
         self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
@@ -306,16 +352,42 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def run(self, rounds: int) -> ExecutionTrace:
-        """Run ``rounds`` additional rounds and return the trace."""
+        """Run ``rounds`` additional rounds and return the trace.
+
+        With silent-round sources (see :meth:`_silent_round_sources`), each
+        round first asks them for their next busy round; when the earliest
+        lies ahead, the rounds before it (capped at this run's end) are
+        skipped: the trace notes them, no frame is recorded, and every
+        driver's ``skip_rounds`` is told how many passed.
+        """
         if rounds < 0:
             raise ValueError("cannot run a negative number of rounds")
         if not self._started:
             for process in self._processes.values():
                 process.on_start()
             self._started = True
-        for _ in range(rounds):
-            self._current_round += 1
-            self._run_round(self._current_round)
+        end = self._current_round + rounds
+        sources = self._busy_sources
+        while self._current_round < end:
+            round_number = self._current_round + 1
+            if sources is not None:
+                resume = end + 1
+                for next_busy_round in sources:
+                    busy = next_busy_round(round_number)
+                    if busy is not None and busy < resume:
+                        resume = busy
+                        if busy <= round_number:
+                            break
+                if resume > round_number:
+                    skipped = resume - round_number
+                    for driver in self._batch_drivers:
+                        driver.skip_rounds(skipped)
+                    self._current_round = resume - 1
+                    self._trace.note_round(resume - 1)
+                    self.perf_stats["rounds_skipped"] += skipped
+                    continue
+            self._current_round = round_number
+            self._run_round(round_number)
         # Settle any deferred batch-driver state (member streams, stats) so
         # callers observe exactly the per-process state at every run boundary;
         # drivers rebuild their cohorts lazily if the run resumes mid-body.

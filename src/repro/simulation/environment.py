@@ -17,6 +17,7 @@ generate are a pure function -- matching the paper's modeling assumption.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.events import AckOutput, Event, RecvOutput
@@ -56,6 +57,20 @@ class Environment(ABC):
             self._submitted.append(message)
             inputs.setdefault(vertex, []).append(message)
         return inputs
+
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        """The first round ``>= round_number`` that may submit an input,
+        assuming every round before it is silent (no outputs), or ``None``
+        when nothing is submitted until an output arrives.
+
+        The simulator skips the rounds before the answer without calling
+        :meth:`inputs_for_round` or :meth:`observe_outputs`, so an override
+        promises both are no-ops there.  It is consulted only when the
+        environment's own class defines it (see
+        :meth:`repro.simulation.engine.Simulator._silent_round_sources`);
+        this default, ``round_number``, never skips.
+        """
+        return round_number
 
     def observe_outputs(self, round_number: int, outputs: Sequence[Event]) -> None:
         """Called at the end of each round with every process output."""
@@ -103,6 +118,9 @@ class NullEnvironment(Environment):
     def _wanted_submissions(self, round_number: int) -> Iterable[tuple]:
         return ()
 
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        return None
+
 
 class SingleShotEnvironment(Environment):
     """Each designated sender gets exactly one message, at a chosen round.
@@ -130,6 +148,11 @@ class SingleShotEnvironment(Environment):
             return ()
         self._done = True
         return [(v, f"{self._prefix}{v}") for v in self._senders]
+
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        if self._done:
+            return None
+        return max(round_number, self._start_round)
 
 
 class SaturatingEnvironment(Environment):
@@ -163,6 +186,15 @@ class SaturatingEnvironment(Environment):
             if vertex not in busy
         ]
 
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        if round_number < self._start_round:
+            return self._start_round
+        busy = self._busy
+        if len(busy) == len(self._senders) or all(v in busy for v in self._senders):
+            # Every sender waits for an ack, and acks come only in stepped rounds.
+            return None
+        return round_number
+
 
 class ScriptedEnvironment(Environment):
     """Submissions given explicitly as ``{round: {vertex: payload}}``.
@@ -177,6 +209,7 @@ class ScriptedEnvironment(Environment):
         self._script: Dict[int, Dict[Vertex, Any]] = {
             int(rnd): dict(entries) for rnd, entries in script.items()
         }
+        self._script_rounds = sorted(self._script)
         self._queue: List[tuple] = []
 
     def _wanted_submissions(self, round_number: int) -> Iterable[tuple]:
@@ -193,6 +226,15 @@ class ScriptedEnvironment(Environment):
             else:
                 ready.append((vertex, payload))
         return ready
+
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        # A queued submission waits for its vertex's ack (a stepped round);
+        # once the vertex is free it goes out this round.
+        if any(not self.is_busy(vertex) for vertex, _ in self._queue):
+            return round_number
+        rounds = self._script_rounds
+        i = bisect_left(rounds, round_number)
+        return rounds[i] if i < len(rounds) else None
 
     @property
     def pending(self) -> List[tuple]:

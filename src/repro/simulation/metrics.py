@@ -276,8 +276,8 @@ def data_reception_round_sets(trace: ExecutionTrace) -> Dict[Vertex, set]:
     received a data frame are absent from the result.
     """
     result: Dict[Vertex, set] = {}
-    for rnd in range(1, trace.num_rounds + 1):
-        for vertex, frame in trace.receptions_in_round(rnd).items():
+    for rnd, received in trace.receptions_by_round():
+        for vertex, frame in received.items():
             if frame is not None and getattr(frame, "message", None) is not None:
                 result.setdefault(vertex, set()).add(rnd)
     return result
@@ -319,7 +319,10 @@ def receive_rates(
     if end_round < start_round:
         raise ValueError("end_round must be at least start_round")
     counts: Dict[Vertex, int] = {}
-    for rnd in range(start_round, end_round + 1):
-        for vertex in trace.receptions_in_round(rnd):
-            counts[vertex] = counts.get(vertex, 0) + 1
+    for rnd, received in trace.receptions_by_round():
+        if rnd > end_round:
+            break
+        if rnd >= start_round:
+            for vertex in received:
+                counts[vertex] = counts.get(vertex, 0) + 1
     return counts

@@ -175,6 +175,18 @@ class Process(ABC):
         * ``flush_kernel_state()`` -- settle state the driver defers (member
           streams, statistics); the simulator calls it at every ``run()``
           boundary, so callers then observe exactly the per-process state.
+
+        Optionally, for silent-round skipping on the kernel lane:
+
+        * ``next_busy_round(round_number)`` -- the first round
+          ``>= round_number`` in which the cohort may transmit, draw, change
+          state or emit, assuming every round before it is silent; ``None``
+          when only an input can wake it.  Answering ``round_number`` never
+          skips;
+        * ``skip_rounds(count)`` -- the simulator skipped ``count`` rounds,
+          none of them later than this driver's answer.
+
+        A driver without ``next_busy_round`` turns skipping off for the run.
         """
         return None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.events import AckOutput, BcastInput, DecideOutput, Event, RecvOutput
 from repro.core.messages import Message
@@ -208,6 +208,16 @@ class ExecutionTrace:
     def receptions_in_round(self, round_number: int) -> Dict[Vertex, Any]:
         """Vertex -> frame received, for one round (only successful receptions)."""
         return dict(self._receptions.get(round_number, {}))
+
+    def receptions_by_round(self) -> Iterator[Tuple[int, Mapping[Vertex, Any]]]:
+        """``(round, vertex -> frame)`` for every round with a recorded
+        reception, in ascending round order (empty unless ``FULL``).
+
+        The maps are the trace's own, not copies: read them, do not mutate
+        them.  Rounds without a reception are absent, so a scan over the
+        receptions costs what was received, not the run's length.
+        """
+        return iter(self._receptions.items())
 
     # ------------------------------------------------------------------
     # derived views used by spec checkers and metrics

@@ -29,7 +29,11 @@ pytestmark = [pytest.mark.service, pytest.mark.fault_injection]
 
 
 def slow_suite(trials: int = 16) -> dict:
-    """~50ms per task: wide enough to kill the server mid-execution."""
+    """~50ms per task: wide enough to kill the server mid-execution.
+
+    ``round_robin`` is stepped per process, so its idle rounds are never
+    skipped: a task costs its 400 rounds whatever the environment.
+    """
     return {
         "name": "svc-slow",
         "entries": [
@@ -38,7 +42,7 @@ def slow_suite(trials: int = 16) -> dict:
                 "scenario": {
                     "name": "svc-slow-e0",
                     "topology": {"name": "clique", "args": {"n": 10}},
-                    "algorithm": {"name": "uniform"},
+                    "algorithm": {"name": "round_robin"},
                     "run": {
                         "rounds": 400,
                         "rounds_unit": "rounds",

@@ -33,9 +33,13 @@ from repro import (
     make_lb_processes,
     random_geographic_network,
 )
+from repro.baselines.base import BaselineBatchDriver
+from repro.baselines.decay import DecayProcess
+from repro.baselines.factory import make_baseline_processes
 from repro.core.local_broadcast import LocalBroadcastProcess
 from repro.dualgraph.graph import normalize_edge
 from repro.simulation.environment import (
+    NullEnvironment,
     SaturatingEnvironment,
     ScriptedEnvironment,
     SingleShotEnvironment,
@@ -847,12 +851,13 @@ class TestKernelLane:
         simulator, params = self._build(
             graph, trace_mode=trace_mode, fast_path=fast_path
         )
-        assert simulator.perf_stats == dict.fromkeys(
-            ("inputs", "transmit", "resolve", "deliver", "outputs"), 0.0
-        )
+        assert simulator.perf_stats == {
+            **dict.fromkeys(("inputs", "transmit", "resolve", "deliver", "outputs"), 0.0),
+            "rounds_skipped": 0,
+        }
         simulator.run(params.phase_length)
         assert set(simulator.perf_stats) == {
-            "inputs", "transmit", "resolve", "deliver", "outputs"
+            "inputs", "transmit", "resolve", "deliver", "outputs", "rounds_skipped"
         }
         assert simulator.perf_stats["resolve"] > 0.0
 
@@ -905,3 +910,280 @@ class TestRoundHookSkipping:
         assert simulator._round_end_hooks == []
         simulator.run(3)  # runs without error
         assert simulator.trace.num_rounds == 3
+
+
+def _assert_same_execution(trace_a, trace_b):
+    """Counters always; events unless COUNTERS; frames when FULL."""
+    assert trace_a.num_rounds == trace_b.num_rounds
+    assert trace_a.event_counts == trace_b.event_counts
+    assert trace_a.num_transmissions == trace_b.num_transmissions
+    assert trace_a.num_receptions == trace_b.num_receptions
+    _assert_identical_traces(trace_a, trace_b, trace_a.num_rounds)
+
+
+#: Environments that report their next busy round, over a graph's sorted
+#: vertices ``vs``.
+SKIPPING_ENVIRONMENTS = {
+    "saturating": lambda vs: SaturatingEnvironment(senders=vs[:5]),
+    "single_shot": lambda vs: SingleShotEnvironment(senders=vs[:3], start_round=4),
+    "scripted": lambda vs: ScriptedEnvironment(
+        {2: {vs[0]: "a"}, 3: {vs[0]: "queued behind a"}, 90: {vs[1]: "b", vs[2]: "c"}}
+    ),
+    "null": lambda vs: NullEnvironment(),
+}
+
+
+def _lb_stats(simulator):
+    return [
+        (
+            p.stats_participant_rounds,
+            p.stats_broadcast_rounds,
+            p.stats_body_rounds_sending,
+            p.stats_max_bits_consumed,
+            None if p._seed_stream is None else p._seed_stream.bits_consumed,
+        )
+        for p in (simulator.process_at(v) for v in sorted(simulator.graph.vertices))
+    ]
+
+
+class TestSilentRounds:
+    """Silent-round skipping: which runs skip, and that a skipping run
+    observes exactly the reference execution."""
+
+    def _lb(self, environment, trace_mode=TraceMode.FULL, reference=False):
+        graph = GRAPH_FACTORIES["geometric"]()
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        simulator = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(71)),
+            scheduler=IIDScheduler(graph, probability=0.5, seed=7),
+            environment=SKIPPING_ENVIRONMENTS[environment](sorted(graph.vertices)),
+            trace_mode=trace_mode,
+            fast_path=not reference,
+            batch_path=not reference,
+        )
+        return simulator, params
+
+    @pytest.mark.parametrize("environment", sorted(SKIPPING_ENVIRONMENTS))
+    @pytest.mark.parametrize("trace_mode", list(TraceMode))
+    def test_lbalg_skips_and_matches_reference(self, environment, trace_mode):
+        kernel, params = self._lb(environment, trace_mode)
+        reference, _ = self._lb(environment, trace_mode, reference=True)
+        rounds = 5 * params.phase_length
+        kernel_trace = kernel.run(rounds)
+        reference_trace = reference.run(rounds)
+        assert kernel.perf_stats["rounds_skipped"] > 0
+        assert reference.perf_stats["rounds_skipped"] == 0
+        _assert_same_execution(kernel_trace, reference_trace)
+        # Skipped body rounds still consume seed bits and count as sending
+        # rounds once the run boundary settles the cohorts.
+        assert _lb_stats(kernel) == _lb_stats(reference)
+
+    def test_skips_stop_at_run_boundaries(self):
+        """Runs split at every few rounds cross skips, flushes and mid-body
+        cohort rebuilds, and still equal one reference run."""
+        kernel, params = self._lb("saturating")
+        reference, _ = self._lb("saturating", reference=True)
+        rounds = 4 * params.phase_length
+        done = 0
+        for step in [1, 7, 2, params.phase_length - 3, 13] * rounds:
+            step = min(step, rounds - done)
+            kernel.run(step)
+            done += step
+            if done == rounds:
+                break
+        assert kernel.current_round == rounds
+        assert kernel.perf_stats["rounds_skipped"] > 0
+        _assert_same_execution(kernel.trace, reference.run(rounds))
+        assert _lb_stats(kernel) == _lb_stats(reference)
+
+    def test_phase_ends_are_never_skipped(self, monkeypatch):
+        from repro.core.seed_groups import LocalBroadcastBatchDriver
+
+        stepped = []
+        transmit_round = LocalBroadcastBatchDriver.transmit_round
+
+        def spy(driver, round_number, out):
+            stepped.append(round_number)
+            return transmit_round(driver, round_number, out)
+
+        monkeypatch.setattr(LocalBroadcastBatchDriver, "transmit_round", spy)
+        kernel, params = self._lb("null")
+        kernel.run(4 * params.phase_length)
+        assert kernel.perf_stats["rounds_skipped"] > 0
+        length = params.phase_length
+        for phase in range(4):
+            start = phase * length
+            # Every preamble round, the body start and the phase end run.
+            assert set(range(start + 1, start + params.ts + 2)) <= set(stepped)
+            assert start + length in stepped
+
+    def test_queued_environment_never_skips(self):
+        from repro.traffic.arrivals import build_arrival_process
+        from repro.traffic.environment import QueuedEnvironment
+
+        graph = GRAPH_FACTORIES["geometric"]()
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        arrival = build_arrival_process(
+            "periodic", {"period": 40}, sources=sorted(graph.vertices)[:2], sinks=(), seed=3
+        )
+        simulator = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(71)),
+            environment=QueuedEnvironment(graph, arrival),
+        )
+        assert simulator.lane == "kernel" and simulator.uses_batch_stepping
+        simulator.run(3 * params.phase_length)
+        assert simulator.perf_stats["rounds_skipped"] == 0
+
+    def test_inherited_answer_never_skips(self):
+        """A subclass that changes submissions inherits its parent's
+        next_busy_round, which is not about it: the run steps every round."""
+
+        class EveryTenRounds(NullEnvironment):
+            def _wanted_submissions(self, round_number):
+                return [(0, f"tick-{round_number}")] if round_number % 10 == 0 else ()
+
+        graph = GRAPH_FACTORIES["geometric"]()
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        simulator = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(71)),
+            environment=EveryTenRounds(),
+        )
+        simulator.run(2 * params.phase_length)
+        assert simulator.perf_stats["rounds_skipped"] == 0
+        assert simulator.trace.event_counts["bcast"] > 0
+
+    def test_round_hook_process_never_skips(self):
+        graph = GRAPH_FACTORIES["geometric"]()
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        processes = make_lb_processes(graph, params, random.Random(71))
+        hooked = sorted(graph.vertices)[-1]
+        processes[hooked] = TestRoundHookSkipping.HookCountingProcess(
+            processes[hooked].ctx
+        )
+        simulator = Simulator(graph, processes, environment=NullEnvironment())
+        assert simulator.lane == "kernel" and simulator.uses_batch_stepping
+        rounds = 2 * params.phase_length
+        simulator.run(rounds)
+        assert simulator.perf_stats["rounds_skipped"] == 0
+        assert processes[hooked].starts == rounds
+
+    @pytest.mark.parametrize("environment", ["single_shot", "null"])
+    def test_reference_lane_never_skips(self, environment):
+        reference, params = self._lb(environment, reference=True)
+        reference.run(3 * params.phase_length)
+        assert reference.perf_stats["rounds_skipped"] == 0
+
+
+class TestBaselineBatching:
+    """Exact Decay / Uniform populations are stepped by one driver per
+    population; RoundRobin and subclasses are stepped per process."""
+
+    def _build(self, kind, environment, reference=False, **kwargs):
+        graph = clique_network(9)[0]
+        simulator = Simulator(
+            graph,
+            make_baseline_processes(graph, kind, random.Random(13), **kwargs),
+            environment=SKIPPING_ENVIRONMENTS[environment](sorted(graph.vertices)),
+            fast_path=not reference,
+            batch_path=not reference,
+        )
+        return simulator
+
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("decay", {"num_cycles": 3}),
+            ("uniform", {}),
+            ("uniform", {"probability": 1.0, "active_rounds": 5}),
+        ],
+    )
+    @pytest.mark.parametrize("environment", sorted(SKIPPING_ENVIRONMENTS))
+    def test_batched_baselines_match_reference(self, kind, kwargs, environment):
+        batched = self._build(kind, environment, **kwargs)
+        reference = self._build(kind, environment, reference=True, **kwargs)
+        assert batched.uses_batch_stepping
+        (driver,) = batched.batch_drivers
+        assert isinstance(driver, BaselineBatchDriver)
+        assert len(driver.members) == batched.graph.n
+        assert not reference.uses_batch_stepping
+        rounds = 150
+        _assert_same_execution(batched.run(rounds), reference.run(rounds))
+        assert [
+            (p.current_message, p.rounds_active, p.rng.random())
+            for p in (batched.process_at(v) for v in sorted(batched.graph.vertices))
+        ] == [
+            (p.current_message, p.rounds_active, p.rng.random())
+            for p in (reference.process_at(v) for v in sorted(reference.graph.vertices))
+        ]
+        if environment != "saturating":
+            # Idle populations are skipped once every message is acked.
+            assert batched.perf_stats["rounds_skipped"] > 0
+
+    def test_round_robin_is_stepped_per_process(self):
+        simulator = self._build("round_robin", "single_shot")
+        assert not simulator.uses_batch_stepping
+        simulator.run(100)
+        assert simulator.perf_stats["rounds_skipped"] == 0
+
+    def test_baseline_subclasses_are_never_batched(self):
+        class TweakedDecay(DecayProcess):
+            pass
+
+        ctx = ProcessContext(vertex=0, delta=4, delta_prime=4)
+        assert TweakedDecay(ctx).batch_group_key() is None
+        assert DecayProcess(ctx.child()).batch_group_key() is not None
+
+    def test_cohorts_key_on_class_cycle_and_active_rounds(self):
+        graph = clique_network(4)[0]
+        rng = random.Random(3)
+        decay = make_baseline_processes(graph, "decay", rng, num_cycles=2)
+        uniform = make_baseline_processes(graph, "uniform", rng, active_rounds=8)
+        longer = make_baseline_processes(graph, "uniform", rng, active_rounds=9)
+        processes = {0: decay[0], 1: uniform[1], 2: uniform[2], 3: longer[3]}
+        simulator = Simulator(graph, processes)
+        assert sorted(len(d.members) for d in simulator.batch_drivers) == [1, 1, 2]
+
+
+class TestNoUnreliableBinding:
+    def test_none_scheduler_is_never_asked(self, monkeypatch):
+        """On a graph with unreliable edges the kernel treats ``none`` as
+        having none: its empty delta is never decoded."""
+        graph = GRAPH_FACTORIES["geometric"]()
+        assert graph.unreliable_edges
+        asked = []
+        monkeypatch.setattr(
+            NoUnreliableScheduler,
+            "_compute_unreliable_edge_ids",
+            lambda self, round_number, index: asked.append(round_number) or (),
+        )
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+
+        def build(fast):
+            return Simulator(
+                graph,
+                make_lb_processes(graph, params, random.Random(71)),
+                scheduler=NoUnreliableScheduler(graph),
+                environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
+                fast_path=fast,
+                batch_path=fast,
+            )
+
+        kernel = build(True)
+        rounds = 2 * params.phase_length
+        kernel_trace = kernel.run(rounds)
+        assert asked == []
+        assert kernel_trace.num_transmissions > 0
+        _assert_same_execution(kernel_trace, build(False).run(rounds))

@@ -8,6 +8,8 @@ byte-identity of metric rows between serial and parallel execution.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.stats import wilson_interval
@@ -289,6 +291,34 @@ class TestSharedReductions:
         row = run(seed_spec_with(metrics=("seed_owners", "seed_spec")), keep=False).metric_rows[0]
         assert len(calls) == 1
         assert row["seed_spec.owners_max"] == row["seed_owners.owners_max"]
+
+
+class TestAckDelayBound:
+    """``ack_delay.bound_violations`` is a latency statistic; at its default
+    bound (t_ack) it counts what LB 1 calls ``late``."""
+
+    @pytest.mark.parametrize("bound", [None, 2])
+    def test_bound_violations_count_late_acks(self, bound):
+        from repro.core.lb_spec import _timely_ack_violations
+
+        spec = lb_spec_with(rounds=3).with_overrides(
+            {"environment": {"name": "saturating", "args": {"senders": [0, 2, 4]}}}
+        )
+        metric = MetricSpec("ack_delay", {} if bound is None else {"bound": bound})
+        spec = dataclasses.replace(spec, metrics=(metric,))
+        trial = run(spec, keep=True).trials[0]
+        tack = trial.params.tack_rounds
+        late = [
+            v
+            for v in _timely_ack_violations(trial.trace, tack if bound is None else bound)
+            if v.kind == "late"
+        ]
+        assert trial.metrics["ack_delay.bound"] == (tack if bound is None else bound)
+        assert trial.metrics["ack_delay.acked"] > 0
+        assert trial.metrics["ack_delay.bound_violations"] == len(late)
+        if bound is not None:
+            # A bound under the phase structure's ack delay: every ack is late.
+            assert len(late) == trial.metrics["ack_delay.acked"]
 
 
 class TestSerialParallelIdentity:

@@ -10,7 +10,9 @@ deterministic half of the LB specification (timely ack and validity), that
 every ``seed_agreement`` execution meets the deterministic conditions of
 ``Seed(δ, ε)`` (consistency, at most one decide per vertex, and
 well-formedness once the run covers SeedAlg's rounds), and that the spec
-survives a JSON round trip with its fingerprint.
+survives a JSON round trip with its fingerprint.  The production side runs
+in two ``run()`` calls split at a drawn round, so silent-round skipping is
+checked across run-boundary flushes and mid-body cohort rebuilds.
 """
 
 from __future__ import annotations
@@ -115,70 +117,92 @@ def scenario_specs(draw) -> ScenarioSpec:
     )
 
 
-def _execute(spec: ScenarioSpec):
+def _execute(spec: ScenarioSpec, split_round: int = 0):
+    """Materialize and run ``spec``; a positive ``split_round`` (capped at
+    the run's length) splits it into two ``run()`` calls there."""
     built = materialize(spec)
-    return built, built.simulator.run(built.total_rounds)
+    first = min(split_round, built.total_rounds)
+    built.simulator.run(first)
+    return built, built.simulator.run(built.total_rounds - first)
+
+
+def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, split_round: int):
+    """Run ``spec`` on the production engine (split at ``split_round``) and
+    on the reference, assert they observe one execution and that it meets
+    the deterministic spec clauses; return the production build."""
+    built, production = _execute(spec, split_round)
+    reference_built, reference = _execute(
+        spec.with_overrides(
+            {"engine.fast_path": False, "engine.batch_path": reference_batched}
+        )
+    )
+    assert reference_built.simulator.lane == "reference"
+    assert built.simulator.lane in ("reference", "kernel")
+
+    assert production.num_rounds == reference.num_rounds
+    assert production.event_counts == reference.event_counts
+    assert production.num_transmissions == reference.num_transmissions
+    assert production.num_receptions == reference.num_receptions
+    if spec.engine.trace_mode != "counters":
+        assert production.events == reference.events
+    if spec.engine.trace_mode == "full":
+        for round_number in range(1, production.num_rounds + 1):
+            assert production.transmissions_in_round(
+                round_number
+            ) == reference.transmissions_in_round(round_number)
+            assert production.receptions_in_round(
+                round_number
+            ) == reference.receptions_in_round(round_number)
+    # The LB guarantees are stated against oblivious link schedulers,
+    # fixed before the execution as every other drawn scheduler is (tasa
+    # included); adaptive_collision reads the round's transmitters, so it
+    # is left out.  A counters trace records no events to check.
+    if (
+        spec.algorithm.name == "lbalg"
+        and spec.scheduler.name != "adaptive_collision"
+        and spec.engine.trace_mode != "counters"
+    ):
+        params = built.params
+        report = check_lb_execution(
+            production,
+            built.graph,
+            params.tack_rounds,
+            params.tprog_rounds,
+            check_progress=False,
+        )
+        assert report.deterministic_ok, (
+            report.timely_ack_violations,
+            report.validity_violations,
+        )
+    # Consistency and single decides hold in every SeedAlg execution, under
+    # any scheduler; every vertex has decided only once the run covers
+    # SeedAlg's rounds (the drawn 1-120 rounds may end before that).
+    if spec.algorithm.name == "seed_agreement" and spec.engine.trace_mode != "counters":
+        params = built.params
+        report = check_seed_execution(production, built.graph, params.delta_bound)
+        assert report.consistent, report.consistency_violations
+        decides = production.decides_by_vertex()
+        assert all(len(events) == 1 for events in decides.values()), decides
+        if production.num_rounds >= params.total_rounds:
+            assert report.well_formed, report.well_formedness_violations
+    return built
 
 
 class TestProductionMatchesReference:
-    @given(scenario_specs(), st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_production_trace_equals_reference(self, spec, reference_batched):
-        built, production = _execute(spec)
-        reference_built, reference = _execute(
-            spec.with_overrides(
-                {"engine.fast_path": False, "engine.batch_path": reference_batched}
-            )
-        )
-        assert reference_built.simulator.lane == "reference"
-        assert built.simulator.lane in ("reference", "kernel")
+    def test_production_trace_equals_reference(self):
+        """The production side runs in two ``run()`` calls split at a drawn
+        round, so skipped silent rounds cross the run-boundary flush and
+        mid-body cohort rebuilds; some drawn examples must skip."""
+        skipped = []
 
-        assert production.num_rounds == reference.num_rounds
-        assert production.event_counts == reference.event_counts
-        assert production.num_transmissions == reference.num_transmissions
-        assert production.num_receptions == reference.num_receptions
-        if spec.engine.trace_mode != "counters":
-            assert production.events == reference.events
-        if spec.engine.trace_mode == "full":
-            for round_number in range(1, production.num_rounds + 1):
-                assert production.transmissions_in_round(
-                    round_number
-                ) == reference.transmissions_in_round(round_number)
-                assert production.receptions_in_round(
-                    round_number
-                ) == reference.receptions_in_round(round_number)
-        # The LB guarantees are stated against oblivious link schedulers,
-        # fixed before the execution as every other drawn scheduler is (tasa
-        # included); adaptive_collision reads the round's transmitters, so it
-        # is left out.  A counters trace records no events to check.
-        if (
-            spec.algorithm.name == "lbalg"
-            and spec.scheduler.name != "adaptive_collision"
-            and spec.engine.trace_mode != "counters"
-        ):
-            params = built.params
-            report = check_lb_execution(
-                production,
-                built.graph,
-                params.tack_rounds,
-                params.tprog_rounds,
-                check_progress=False,
-            )
-            assert report.deterministic_ok, (
-                report.timely_ack_violations,
-                report.validity_violations,
-            )
-        # Consistency and single decides hold in every SeedAlg execution, under
-        # any scheduler; every vertex has decided only once the run covers
-        # SeedAlg's rounds (the drawn 1-120 rounds may end before that).
-        if spec.algorithm.name == "seed_agreement" and spec.engine.trace_mode != "counters":
-            params = built.params
-            report = check_seed_execution(production, built.graph, params.delta_bound)
-            assert report.consistent, report.consistency_violations
-            decides = production.decides_by_vertex()
-            assert all(len(events) == 1 for events in decides.values()), decides
-            if production.num_rounds >= params.total_rounds:
-                assert report.well_formed, report.well_formedness_violations
+        @given(scenario_specs(), st.booleans(), st.integers(0, 120))
+        @settings(max_examples=150, deadline=None)
+        def check(spec, reference_batched, split_round):
+            built = _check_production_trace(spec, reference_batched, split_round)
+            skipped.append(built.simulator.perf_stats["rounds_skipped"])
+
+        check()
+        assert any(skipped), "no drawn example skipped a silent round"
 
     @given(scenario_specs())
     @settings(max_examples=40, deadline=None)

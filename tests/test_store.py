@@ -308,6 +308,26 @@ class TestWarmIdentity:
         assert blob(cold) == blob(warm)
         assert cold.metric_rows == warm.metric_rows
 
+    def test_record_without_rounds_skipped_still_absorbs(self, tmp_path):
+        """A v2 record written before ``perf_stats`` gained
+        ``rounds_skipped`` is served as is: same metric rows, and the merged
+        ``perf_stats`` counts only the trials that report skips."""
+        from repro.scenarios.runtime import trial_record
+
+        root = str(tmp_path / "store")
+        spec = store_scenario(trials=2, seed_policy="sequential")
+        store = ResultStore(root)
+        old = trial_record(spec, 0)
+        del old["perf_stats"]["rounds_skipped"]
+        store.put(spec, 0, old)
+        cold = run(spec, keep=False)
+        warm_store = ResultStore(root)
+        warm = run(spec, keep=False, store=warm_store)
+        assert warm_store.hits == 1 and warm_store.misses == 1
+        assert warm.metric_rows == cold.metric_rows
+        assert "rounds_skipped" not in warm.trials[0].perf_stats
+        assert warm.perf_stats["rounds_skipped"] == warm.trials[1].perf_stats["rounds_skipped"]
+
     def test_pooled_run_shares_the_store(self, tmp_path):
         root = str(tmp_path / "store")
         spec = store_scenario(trials=3, seed_policy="sequential")
