@@ -11,17 +11,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import warnings
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro import (
-    DualGraph,
-    IIDScheduler,
-    LBParams,
-    Simulator,
-    make_lb_processes,
-)
 from repro.analysis.sweep import SweepResult, format_table, sweep
 
 # The density-profile table and degree-targeted sampler moved into the
@@ -39,8 +31,6 @@ from repro.scenarios.spec import (
     SchedulerSpec,
     TopologySpec,
 )
-from repro.simulation.environment import Environment
-from repro.simulation.trace import TraceMode
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -63,34 +53,6 @@ def save_table(name: str, table: str) -> str:
     return path
 
 
-def build_lb_simulator(
-    graph: DualGraph,
-    params: LBParams,
-    environment: Environment,
-    scheduler=None,
-    master_seed: int = 0,
-    trace_mode: Optional[TraceMode] = None,
-    batch_path: bool = True,
-) -> Simulator:
-    """A Simulator running LBAlg at every vertex (the default experiment setup).
-
-    This is the low-level escape hatch kept for harnesses that hand-build
-    graphs or environments; spec-expressible workloads use
-    :mod:`repro.scenarios` instead (see ``docs/scenarios.md``).
-    """
-    rng = random.Random(master_seed)
-    if scheduler is None:
-        scheduler = IIDScheduler(graph, probability=0.5, seed=master_seed)
-    return Simulator(
-        graph,
-        make_lb_processes(graph, params, rng),
-        scheduler=scheduler,
-        environment=environment,
-        trace_mode=trace_mode,
-        batch_path=batch_path,
-    )
-
-
 def lb_point_spec(
     name: str,
     target_delta: int,
@@ -111,9 +73,9 @@ def lb_point_spec(
     One trial of the classic experiment recipe: a degree-targeted random
     geographic network (``graph_seed`` pins the sample), LBAlg with
     parameters derived from the measured bounds, an i.i.d. link scheduler
-    seeded by the trial, and process RNGs rooted at ``trial_seed`` -- exactly
-    the wiring :func:`build_lb_simulator` produced, so migrated harnesses
-    keep their historical traces byte-for-byte.  ``metrics`` declares the
+    seeded by the trial, and process RNGs rooted at ``trial_seed``, so every
+    harness built on it runs the same workload and keeps its traces
+    byte-for-byte across changes.  ``metrics`` declares the
     :class:`~repro.scenarios.spec.MetricSpec` entries the harness reads back
     (``trace_mode="auto"`` then records exactly what they need).
     """

@@ -173,8 +173,7 @@ class SeedAgreementProcess(Process):
             self._begin_phase(phase, global_round)
 
         if self._status == STATUS_LEADER and self._leader_this_phase:
-            if self.rng.random() < self.params.leader_broadcast_probability:
-                return self._broadcast_frame()
+            return self._leader_frame()
         return None
 
     def step_receive(self, global_round: int, frame: Optional[Any]) -> None:
@@ -192,45 +191,6 @@ class SeedAgreementProcess(Process):
         phase, within = self.params.phase_of_round(self._local_round)
         if within == self.params.phase_length:
             self._end_phase(phase, global_round)
-
-    # ------------------------------------------------------------------
-    # cohort stepping (used by the batched LBAlg preamble driver)
-    # ------------------------------------------------------------------
-    # These methods expose the round structure of step_transmit/step_receive
-    # as individually callable pieces so a group driver can compute the
-    # round-position arithmetic once per cohort and dispatch only to the
-    # members that actually have work (active members at phase starts,
-    # leaders in broadcast rounds).  Each piece performs exactly the RNG
-    # draws and state transitions of the corresponding fragment of the
-    # per-process path, which is what keeps batched traces byte-identical.
-
-    def batch_broadcast_frame(self) -> Optional[SeedFrame]:
-        """The per-round leader broadcast draw (call only for current leaders)."""
-        if self.ctx.rng.random() < self.params.leader_broadcast_probability:
-            return self._broadcast_frame()
-        return None
-
-    def _broadcast_frame(self) -> SeedFrame:
-        """This subroutine's ``(id, seed)`` frame (cached; frozen and value-equal)."""
-        frame = self._own_frame
-        if frame is None:
-            frame = self._own_frame = SeedFrame(
-                owner=self.process_id, seed=self._initial_seed
-            )
-        return frame
-
-    def batch_commit_reception(self, frame: SeedFrame, global_round: int) -> None:
-        """Adopt a received ``(id, seed)`` pair (call only while active)."""
-        self._commit(frame.owner, frame.seed, global_round)
-        self._status = STATUS_INACTIVE
-
-    def batch_end_phase(self, phase: int, global_round: int) -> None:
-        """Run the phase-end bookkeeping (leader retirement, default decide)."""
-        self._end_phase(phase, global_round)
-
-    def batch_mark_stepped(self, local_round: int) -> None:
-        """Record that the cohort driver advanced this subroutine's clock."""
-        self._local_round = local_round
 
     # ------------------------------------------------------------------
     # Process hooks for standalone execution
@@ -254,6 +214,19 @@ class SeedAgreementProcess(Process):
             self._status = STATUS_LEADER
             self._leader_this_phase = True
             self._commit(self.process_id, self._initial_seed, global_round)
+
+    def _leader_frame(self) -> Optional[SeedFrame]:
+        """A current leader's per-round broadcast draw: its ``(id, seed)``
+        frame (cached; frozen and value-equal) with probability
+        ``1/log(1/ε1)``, else ``None``."""
+        if self.ctx.rng.random() >= self.params.leader_broadcast_probability:
+            return None
+        frame = self._own_frame
+        if frame is None:
+            frame = self._own_frame = SeedFrame(
+                owner=self.process_id, seed=self._initial_seed
+            )
+        return frame
 
     def _end_phase(self, phase: int, global_round: int) -> None:
         if self._leader_this_phase:

@@ -21,11 +21,12 @@ This module packages those observations as the batch group driver protocol of
 ``make_batch_driver``):
 
 * :class:`_SeedCohort` bulk-decodes one ``(seed, cursor)`` cohort's body
-  decisions and settles its members' streams with one cursor
+  decisions into the sparse list of its participant rounds, from which the
+  driver settles its members' streams with one cursor
   :meth:`~repro.core.seedbits.SeedBitStream.skip` each at flush time;
 * :class:`SeedAgreementCohort` steps a phase's embedded
   :class:`~repro.core.seed_agreement.SeedAgreementProcess` instances as one
-  unit;
+  unit, through their own election, leader-draw and phase-end methods;
 * :class:`LocalBroadcastBatchDriver` is the engine-facing driver gluing both
   together for a cohort of :class:`~repro.core.local_broadcast.LocalBroadcastProcess`.
 
@@ -38,7 +39,6 @@ against the reference engine (``fast_path=False, batch_path=False``).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -48,8 +48,13 @@ from repro.core.local_broadcast import (
     DataFrame,
     LocalBroadcastProcess,
 )
-from repro.core.params import LBParams, SeedParams, _election_probability_table
-from repro.core.seed_agreement import STATUS_ACTIVE, STATUS_LEADER, SeedFrame
+from repro.core.params import LBParams, SeedParams
+from repro.core.seed_agreement import (
+    STATUS_ACTIVE,
+    STATUS_INACTIVE,
+    STATUS_LEADER,
+    SeedFrame,
+)
 from repro.core.seedbits import SeedBitStream
 
 Vertex = Hashable
@@ -58,11 +63,11 @@ Vertex = Hashable
 #: the decode is a function of: ``(seed, start_cursor, kappa,
 #: participant_bits, b_width, b_modulus, rounds)``.  A SeedBitStream is a
 #: pure function of its seed and kappa, so equal keys decode to equal
-#: buffers -- repeated workloads (benchmark repeats, suite trials sharing a
+#: schedules -- repeated workloads (benchmark repeats, suite trials sharing a
 #: master seed) skip the pool parse entirely.  Bounded FIFO like the
 #: scheduler delta cache: inserts past the cap evict the oldest entry
 #: (through :func:`~repro.caches.bounded_put`, safe across threads).
-_DECODE_CACHE: Dict[tuple, tuple] = {}
+_DECODE_CACHE: Dict[tuple, List[Tuple[int, int]]] = {}
 _DECODE_CACHE_MAXSIZE = 4096
 
 
@@ -71,62 +76,52 @@ class _SeedCohort:
 
     Members are grouped at body start by the exact state of their seed
     streams; within one body they stay in lockstep (identical shared draws
-    every round), so the cohort carries everything a round needs in flat
-    parallel buffers:
+    every round), so the cohort carries everything a round needs:
 
     * ``actors`` -- one ``(rng.random, vertex, frame, member)`` tuple per
       member, precomputed so the participant-round hot loop does no attribute
       lookups (the ``DataFrame`` is value-equal to the per-round instances the
       unbatched path builds, and a member's message is constant for the whole
       body);
-    * ``cum`` / ``active`` -- the body's remaining shared decisions,
-      bulk-decoded in one pass over a shadow stream at build time (cumulative
-      bits consumed per round, and the sparse ``(round, b)`` participant
-      rounds).  Every cohort is decoded, including two that share a seed at
-      different cursors: if they converge to the same cursor mid-body they
-      decode the same decisions from there on, exactly as per-member stepping
-      draws them.
+    * ``active`` -- the body's remaining shared decisions, bulk-decoded in
+      one pass over a shadow stream at build time as the sparse sorted list
+      of ``(served round, b)`` participant rounds.  Every cohort is decoded,
+      including two that share a seed at different cursors: if they converge
+      to the same cursor mid-body they decode the same decisions from there
+      on, exactly as per-member stepping draws them.
 
-    Member streams are not touched during the body; the driver applies one
-    bulk :meth:`~repro.core.seedbits.SeedBitStream.skip` per member at flush
-    time, which is what keeps every future draw byte-identical to per-member
-    stepping.
+    Member streams are not touched during the body.  At flush time the
+    driver reads the number of participant rounds before the elapsed count
+    off ``active`` (one bisection), derives the bits the body consumed from
+    it, and applies one bulk :meth:`~repro.core.seedbits.SeedBitStream.skip`
+    per member, which is what keeps every future draw byte-identical to
+    per-member stepping.
     """
 
-    __slots__ = (
-        "seed",
-        "start_cursor",
-        "members",
-        "actors",
-        "participant_rounds",
-        "cum",
-        "active",
-    )
+    __slots__ = ("seed", "start_cursor", "members", "actors", "active")
 
     def __init__(self, seed: int, start_cursor: int) -> None:
         self.seed = seed
         self.start_cursor = start_cursor
         self.members: List[LocalBroadcastProcess] = []
         self.actors: List[tuple] = []
-        self.participant_rounds = 0
-        self.cum: Optional[array] = None
         self.active: Optional[List[Tuple[int, int]]] = None
 
     def bulk_decode(self, params: LBParams, rounds: int) -> None:
-        """Decode this body's remaining shared decisions into flat buffers.
+        """Decode this body's remaining shared decisions into ``active``.
 
         One pass over a *shadow* stream (same seed, skipped to the cohort's
         cursor -- :class:`SeedBitStream` is a pure function of both), so the
-        members' own streams stay untouched until flush.  Consumption order
-        is exactly the per-round order, so the cumulative-bits buffer gives
-        the cursor position after any prefix of the body.  Besides that dense
-        buffer the decode collects ``active``, the sparse ``(round, b)`` list
-        of participant rounds -- with participation probability
-        ``2^-participant_bits`` most rounds are absent, so the driver's
-        schedule inversion touches a handful of entries instead of every
-        (cohort, round) pair.  Because the whole decode is a pure
-        function of ``(seed, cursor, params, rounds)``, results are memoized
-        process-wide in :data:`_DECODE_CACHE`.
+        members' own streams stay untouched until flush.  The result is the
+        sparse ``(round, b)`` list of participant rounds -- with
+        participation probability ``2^-participant_bits`` most rounds are
+        absent, so the driver's schedule inversion touches a handful of
+        entries instead of every (cohort, round) pair.  Every round consumes
+        ``participant_bits`` and a participant round ``b_selection_bits``
+        more, so the list also fixes the cursor after any prefix of the body
+        (see :meth:`LocalBroadcastBatchDriver.flush_kernel_state`).  Because
+        the whole decode is a pure function of ``(seed, cursor, params,
+        rounds)``, results are memoized process-wide in :data:`_DECODE_CACHE`.
         """
         key = (
             self.seed,
@@ -137,18 +132,16 @@ class _SeedCohort:
             params.log_delta,
             rounds,
         )
-        cached = _DECODE_CACHE.get(key)
-        if cached is not None:
-            self.cum, self.active = cached
+        active = _DECODE_CACHE.get(key)
+        if active is not None:
+            self.active = active
             return
         shadow = SeedBitStream(self.seed, params.kappa)
         shadow.skip(self.start_cursor)
         participant_bits = params.participant_bits
         b_modulus = params.log_delta
         b_width = params.b_selection_bits
-        cum = array("L", [0])
-        active: List[Tuple[int, int]] = []
-        bits = 0
+        active = []
         # One bulk RNG read covers the worst case (every round participates);
         # sequential consume_int calls concatenate MSB-first, so parsing the
         # pool with a descending bit pointer yields exactly the per-round
@@ -165,14 +158,9 @@ class _SeedCohort:
             if (pool >> pos) & p_mask == 0:
                 pos -= b_width
                 b = ((pool >> pos) & b_mask) % b_modulus + 1
-                bits += participant_bits + b_width
                 active.append((served, b))
-            else:
-                bits += participant_bits
-            cum.append(bits)
-        self.cum = cum
         self.active = active
-        bounded_put(_DECODE_CACHE, key, (cum, active), _DECODE_CACHE_MAXSIZE)
+        bounded_put(_DECODE_CACHE, key, active, _DECODE_CACHE_MAXSIZE)
 
 
 class SeedAgreementCohort:
@@ -184,10 +172,13 @@ class SeedAgreementCohort:
     with per-round work: actives at seed-phase starts (leader election),
     leaders every round (the broadcast draw), and phase-end bookkeeping.
     Inactive members draw nothing in the per-process path, so skipping their
-    dispatch entirely preserves RNG draw order.
+    dispatch entirely preserves RNG draw order.  Every piece of per-member
+    work is the member's own method (``_begin_phase``, ``_leader_frame``,
+    ``_commit``, ``_end_phase``), so there is one implementation of each
+    SeedAlg decision.
     """
 
-    __slots__ = ("_sp", "_by_vertex", "_actives", "_leaders", "_probs")
+    __slots__ = ("_sp", "_by_vertex", "_actives", "_leaders")
 
     def __init__(
         self,
@@ -199,7 +190,6 @@ class SeedAgreementCohort:
         self._by_vertex = by_vertex
         self._actives: List[LocalBroadcastProcess] = list(members)
         self._leaders: List[LocalBroadcastProcess] = []
-        self._probs = _election_probability_table(seed_params.num_phases)
 
     def transmit_round(self, offset: int, global_round: int, out: Dict[Vertex, Any]) -> None:
         """The cohort's transmissions for preamble offset ``offset`` (1-based)."""
@@ -212,29 +202,20 @@ class SeedAgreementCohort:
         phase += 1
         within += 1
         if within == 1:
-            # SeedAgreementProcess._begin_phase's leader election, inlined:
-            # one pass both prunes inactive members and runs the phase-start
-            # draw, in the exact member (and hence RNG) order of the two-pass
-            # form -- only still-active members ever draw.
-            prob = self._probs[phase - 1]
+            # The phase-start election, in member (and hence RNG) order; only
+            # still-active members draw, and the draw sorts each into this
+            # phase's leaders or the actives that listen.
             actives: List[LocalBroadcastProcess] = []
             leaders = self._leaders = []
             for member in self._actives:
                 sub = member._seed_subroutine
                 if sub._status != STATUS_ACTIVE:
                     continue
-                actives.append(member)
-                sub._current_phase = phase
-                if sub.ctx.rng.random() < prob:
-                    sub._status = STATUS_LEADER
-                    sub._leader_this_phase = True
-                    sub._commit(sub.ctx.process_id, sub._initial_seed, global_round)
-                    leaders.append(member)
-                else:
-                    sub._leader_this_phase = False
+                sub._begin_phase(phase, global_round)
+                (leaders if sub._status == STATUS_LEADER else actives).append(member)
             self._actives = actives
         for member in self._leaders:
-            frame = member._seed_subroutine.batch_broadcast_frame()
+            frame = member._seed_subroutine._leader_frame()
             if frame is not None:
                 out[member.vertex] = frame
 
@@ -258,16 +239,17 @@ class SeedAgreementCohort:
                     continue
                 sub = member._seed_subroutine
                 if sub is not None and sub._status == STATUS_ACTIVE:
-                    sub.batch_commit_reception(frame, global_round)
+                    sub._commit(frame.owner, frame.seed, global_round)
+                    sub._status = STATUS_INACTIVE
         if within == sp.phase_length:
-            for member in self._leaders:
-                member._seed_subroutine.batch_end_phase(phase, global_round)
-            self._leaders = []
+            # _end_phase is a no-op for a member that is neither this phase's
+            # leader nor active in the final phase.
+            ending = self._leaders
             if phase == sp.num_phases:
-                for member in self._actives:
-                    sub = member._seed_subroutine
-                    if sub._status == STATUS_ACTIVE:
-                        sub.batch_end_phase(phase, global_round)
+                ending = ending + self._actives
+            for member in ending:
+                member._seed_subroutine._end_phase(phase, global_round)
+            self._leaders = []
 
 
 class LocalBroadcastBatchDriver:
@@ -308,7 +290,7 @@ class LocalBroadcastBatchDriver:
         # Body-round state: seed cohorts grouped at body start, flushed at
         # phase ends and run boundaries (see _body_transmit_kernel).
         self._cohorts: Optional[List[_SeedCohort]] = None
-        self._round_active: Dict[int, List[Tuple["_SeedCohort", int]]] = {}
+        self._round_active: Dict[int, List[Tuple[List[tuple], int]]] = {}
         self._busy_served: List[int] = []
         self._body_rounds_elapsed = 0
         self._body_rounds_built = 0
@@ -426,7 +408,7 @@ class LocalBroadcastBatchDriver:
             sub = member._seed_subroutine
             if sub is not None:
                 member._finish_preamble()
-                sub.batch_mark_stepped(local_rounds)
+                sub._local_round = local_rounds
 
     def _begin_body_all(self) -> None:
         senders = []
@@ -465,12 +447,12 @@ class LocalBroadcastBatchDriver:
         # have no participants, so they are absent: the transmit hot loop
         # does one lookup instead of scanning every cohort, and the sorted
         # keys are the rounds next_busy_round may not skip.
-        round_active: Dict[int, List[Tuple[_SeedCohort, int]]] = {}
+        round_active: Dict[int, List[Tuple[List[tuple], int]]] = {}
         params = self._params
         for cohort in built:
             cohort.bulk_decode(params, rounds_remaining)
             for served, b in cohort.active:
-                round_active.setdefault(served, []).append((cohort, b))
+                round_active.setdefault(served, []).append((cohort.actors, b))
         self._cohorts = built
         self._round_active = round_active
         self._busy_served = sorted(round_active)
@@ -492,9 +474,8 @@ class LocalBroadcastBatchDriver:
             self._build_kernel_cohorts(rounds_remaining)
         served = self._body_rounds_elapsed
         self._body_rounds_elapsed = served + 1
-        for cohort, b in self._round_active.get(served, ()):
-            cohort.participant_rounds += 1
-            for rand, vertex, frame, member in cohort.actors:
+        for actors, b in self._round_active.get(served, ()):
+            for rand, vertex, frame, member in actors:
                 for _ in range(b):
                     if rand() >= 0.5:
                         break
@@ -509,16 +490,22 @@ class LocalBroadcastBatchDriver:
         per member (every future draw then matches per-member stepping
         exactly) and credits the per-member statistics per-process stepping
         maintains per round.  The members' streams were never touched during
-        the body (the decode read a shadow stream).  Called at phase ends, before regrouping, and by the engine at run
+        the body (the decode read a shadow stream).  A cohort's first
+        ``elapsed`` rounds consumed ``participant_bits`` each, plus
+        ``b_selection_bits`` for each of its participant rounds among them,
+        whose count is one bisection of the sorted ``active`` list.  Called
+        at phase ends, before regrouping, and by the engine at run
         boundaries, so partially-run bodies resume correctly.
         """
         cohorts = self._cohorts
         if cohorts is None:
             return
         elapsed = self._body_rounds_elapsed
+        base_bits = elapsed * self._params.participant_bits
+        b_width = self._params.b_selection_bits
         for cohort in cohorts:
-            participant_rounds = cohort.participant_rounds
-            bits = cohort.cum[elapsed]
+            participant_rounds = bisect_left(cohort.active, (elapsed,))
+            bits = base_bits + participant_rounds * b_width
             end_cursor = cohort.start_cursor + bits
             for member in cohort.members:
                 if bits:

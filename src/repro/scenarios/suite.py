@@ -722,7 +722,7 @@ def deterministic_report_dict(data: Any) -> Any:
 
     ``elapsed_s`` / ``rounds_per_s`` measure host timing, ``store``
     records cache accounting and ``perf_stats`` carries the engine lane
-    report plus (when profiling) section timers; everything else in a
+    report and its section timers; everything else in a
     :meth:`SuiteReport.to_dict` is deterministic.  Two runs of the same suite
     -- serial vs pooled vs fleet, cold vs warm vs resumed from a partly
     filled store -- must compare equal under this normalization; that

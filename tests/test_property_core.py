@@ -1,13 +1,17 @@
 """Property-based tests (hypothesis) for the core algorithms and checkers."""
 
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import seed_groups
 from repro.core.constants import ParamMode
 from repro.core.params import LBParams, SeedParams
 from repro.core.seed_agreement import SeedAgreementProcess
+from repro.core.seed_groups import LocalBroadcastBatchDriver, _SeedCohort
 from repro.core.seed_spec import check_seed_execution
 from repro.core.seedbits import SeedBitStream
 from repro.dualgraph.adversary import IIDScheduler
@@ -52,6 +56,70 @@ class TestSeedBitStreamProperties:
         stream = SeedBitStream(seed, kappa=16)
         stream.consume_bits(total)
         assert stream.bits_consumed == total
+
+
+# ----------------------------------------------------------------------
+# batched body schedule: flush arithmetic vs per-round stepping
+# ----------------------------------------------------------------------
+class TestBodyFlushProperties:
+    @given(
+        st.integers(min_value=0, max_value=2 ** 64 - 1),
+        st.integers(min_value=0, max_value=400),
+        st.sampled_from([2, 4, 8, 16, 64]),
+        st.sampled_from([0.05, 0.2, 0.5]),
+        st.integers(min_value=1, max_value=60),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_flush_matches_round_by_round_stream(
+        self, seed, start_cursor, delta, epsilon, rounds, data
+    ):
+        """The cursor skip and participant count the batch driver derives
+        from a cohort's sparse decoded schedule equal what a stream stepped
+        round by round with ``LocalBroadcastProcess.transmit``'s draws
+        consumed, for a fresh decode and for a decode-cache hit alike."""
+        params = LBParams.small_for_testing(delta=delta, epsilon=epsilon)
+        elapsed = data.draw(st.integers(min_value=0, max_value=rounds))
+        shadow = SeedBitStream(seed, params.kappa)
+        shadow.skip(start_cursor)
+        participants = []
+        for served in range(elapsed):
+            if shadow.consume_all_zero(params.participant_bits):
+                b_index = shadow.consume_uniform_index(
+                    params.log_delta, params.b_selection_bits
+                )
+                participants.append((served, b_index + 1))
+        expected_cursor = shadow.bits_consumed
+        next_bits = shadow.consume_int(64)
+
+        with mock.patch.dict(seed_groups._DECODE_CACHE, clear=True):
+            decoded = []
+            for _ in ("fresh", "cached"):
+                stream = SeedBitStream(seed, params.kappa)
+                stream.skip(start_cursor)
+                member = SimpleNamespace(
+                    _seed_stream=stream,
+                    stats_body_rounds_sending=0,
+                    stats_participant_rounds=0,
+                    stats_max_bits_consumed=start_cursor,
+                )
+                cohort = _SeedCohort(seed, start_cursor)
+                cohort.members.append(member)
+                cohort.bulk_decode(params, rounds)
+                decoded.append(cohort.active)
+                driver = LocalBroadcastBatchDriver(params)
+                driver._cohorts = [cohort]
+                driver._body_rounds_elapsed = elapsed
+                driver.flush_kernel_state()
+
+                assert cohort.active[: len(participants)] == participants
+                assert stream.bits_consumed == expected_cursor
+                assert stream.consume_int(64) == next_bits
+                assert member.stats_participant_rounds == len(participants)
+                assert member.stats_body_rounds_sending == elapsed
+                assert member.stats_max_bits_consumed == expected_cursor
+            assert len(seed_groups._DECODE_CACHE) == 1
+            assert decoded[1] is decoded[0]
 
 
 # ----------------------------------------------------------------------
