@@ -219,6 +219,28 @@ class SeedAgreementCohort:
             if frame is not None:
                 out[member.vertex] = frame
 
+    def next_busy_offset(self, offset: int) -> Optional[int]:
+        """The first preamble offset ``>= offset`` (1-based) the cohort may
+        act in, or ``None`` when it stays silent for the rest of the preamble.
+
+        With a leader it acts now (the leader's broadcast draw).  Without
+        one, a seed-phase start with actives left elects now, and otherwise
+        the actives only listen until the phase's last round, whose
+        bookkeeping (the final phase's default decisions) runs stepped.
+        With neither, nothing draws or decides again this preamble.
+        """
+        sp = self._sp
+        if self._leaders:
+            return offset
+        if offset > sp.total_rounds or not any(
+            member._seed_subroutine._status == STATUS_ACTIVE for member in self._actives
+        ):
+            return None
+        within = (offset - 1) % sp.phase_length + 1
+        if within == 1:
+            return offset
+        return offset - within + sp.phase_length
+
     def receive_round(
         self, offset: int, global_round: int, receptions: Dict[Vertex, Any]
     ) -> None:
@@ -263,9 +285,11 @@ class LocalBroadcastBatchDriver:
     ones, dispatching per-member work only to the active set.  Phase-boundary
     work (state transitions, subroutine creation, stream setup) reuses the
     members' own methods, so the driver cannot drift from the per-process
-    semantics there.  Inside a body it also reports the next round a cohort
-    participates in (:meth:`next_busy_round`), so the engine can skip the
-    silent rounds in between (:meth:`skip_rounds`).
+    semantics there.  It also reports the next round it may act in
+    (:meth:`next_busy_round`): inside a body the next round a cohort
+    participates in, inside a preamble the next round SeedAlg draws or
+    decides in, so the engine can skip the silent rounds in between
+    (:meth:`skip_rounds`).
     """
 
     __slots__ = (
@@ -365,12 +389,22 @@ class LocalBroadcastBatchDriver:
         them and the phase end (or run boundary) that flushes them.  There
         the answer is the next served round with a participating cohort,
         read off the inverted decoded schedule, and never later than the
-        phase-end round, which acks.  Preamble rounds, phase and body starts
-        and a body whose cohorts are not built yet all answer
-        ``round_number``.
+        phase-end round, which acks.  Past a phase's first round, a preamble
+        answers from its SeedAlg cohort
+        (:meth:`SeedAgreementCohort.next_busy_offset`): with none left to
+        act, the preamble-end round, and with no SeedAlg cohort at all, the
+        body start.  Phase starts and a body whose cohorts are not built yet
+        answer ``round_number``.
         """
         if self._cohorts is None:
-            return round_number
+            params = self._params
+            offset = (round_number - 1) % params.phase_length + 1
+            if offset == 1 or offset > params.ts:
+                return round_number
+            if self._cohort is None:
+                return round_number - offset + params.ts + 1
+            busy = self._cohort.next_busy_offset(offset)
+            return round_number - offset + (params.ts if busy is None else min(busy, params.ts))
         served = self._body_rounds_elapsed
         busy = self._busy_served
         i = bisect_left(busy, served)
@@ -379,10 +413,12 @@ class LocalBroadcastBatchDriver:
         return round_number + target - served
 
     def skip_rounds(self, count: int) -> None:
-        """Advance past ``count`` silent body rounds (no cohort
-        participates): their seed bits and statistics are settled by
-        :meth:`flush_kernel_state` from the elapsed count."""
-        self._body_rounds_elapsed += count
+        """Advance past ``count`` silent rounds.  In a body (no cohort
+        participates) their seed bits and statistics are settled by
+        :meth:`flush_kernel_state` from the elapsed count; a preamble keeps
+        no per-round state."""
+        if self._cohorts is not None:
+            self._body_rounds_elapsed += count
 
     # ------------------------------------------------------------------
     # phase boundaries (delegate to the members' own methods)

@@ -31,7 +31,9 @@ from repro.dualgraph.geometric import (
     Embedding,
     GreyZonePolicy,
     always_unreliable_policy,
+    build_geographic_dual_graph,
     geographic_dual_graph,
+    geographic_edges,
 )
 from repro.dualgraph.graph import DualGraph
 
@@ -43,6 +45,26 @@ def _as_rng(seed: RandomLike) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+def _reliably_connected(n: int, edges: Iterable[Tuple[int, int, bool]]) -> bool:
+    """Whether the reliable ``edges`` connect vertices ``0 .. n-1`` (union-find)."""
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for u, v, reliable in edges:
+        if reliable:
+            ru, rv = root(u), root(v)
+            if ru != rv:
+                parent[ru] = rv
+                components -= 1
+    return components == 1
 
 
 def random_geographic_network(
@@ -85,9 +107,10 @@ def random_geographic_network(
         positions = {
             i: (rng.uniform(0.0, side), rng.uniform(0.0, side)) for i in range(n)
         }
-        graph, embedding = geographic_dual_graph(positions, r=r, grey_zone_policy=policy)
-        if not require_connected or graph.is_reliably_connected():
-            return graph, embedding
+        # Classify first and build only the accepted attempt's graph.
+        edges = geographic_edges(positions, r=r, grey_zone_policy=policy)
+        if not require_connected or _reliably_connected(n, edges):
+            return build_geographic_dual_graph(positions, edges)
     raise RuntimeError(
         f"could not sample a connected network of n={n} in {max_attempts} attempts; "
         "increase density (smaller side) or allow disconnected graphs"

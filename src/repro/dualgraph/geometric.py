@@ -162,6 +162,59 @@ def always_reliable_policy(u: Vertex, v: Vertex, distance: float) -> str:
     return "reliable"
 
 
+def geographic_edges(
+    positions: Mapping[Vertex, Point],
+    r: float = 2.0,
+    grey_zone_policy: GreyZonePolicy = always_unreliable_policy,
+) -> List[Tuple[Vertex, Vertex, bool]]:
+    """The edges of the r-geographic dual graph over ``positions``.
+
+    One ``(u, v, reliable)`` triple per connected pair, in pair order (``u``
+    before ``v`` in ``positions`` order): pairs at distance <= 1 are reliable,
+    pairs at distance in (1, r] are classified by ``grey_zone_policy`` (called
+    once per grey-zone pair, in that order), and farther pairs get no edge.
+    """
+    if r < 1:
+        raise ValueError(f"the r-geographic parameter must satisfy r >= 1, got {r}")
+    vertices = list(positions)
+    points = [(float(p[0]), float(p[1])) for p in positions.values()]
+    edges: List[Tuple[Vertex, Vertex, bool]] = []
+    for i, u in enumerate(vertices):
+        ux, uy = points[i]
+        for j in range(i + 1, len(vertices)):
+            vx, vy = points[j]
+            d = math.hypot(ux - vx, uy - vy)
+            if d <= 1.0:
+                edges.append((u, vertices[j], True))
+            elif d <= r:
+                v = vertices[j]
+                decision = grey_zone_policy(u, v, d)
+                if decision == "reliable":
+                    edges.append((u, v, True))
+                elif decision == "unreliable":
+                    edges.append((u, v, False))
+                elif decision != "none":
+                    raise ValueError(
+                        "grey-zone policy must return 'reliable', 'unreliable' or "
+                        f"'none', got {decision!r}"
+                    )
+    return edges
+
+
+def build_geographic_dual_graph(
+    positions: Mapping[Vertex, Point], edges: Iterable[Tuple[Vertex, Vertex, bool]]
+) -> Tuple[DualGraph, Embedding]:
+    """The dual graph of :func:`geographic_edges`' ``edges`` and its embedding."""
+    embedding = Embedding(positions)
+    graph = DualGraph(list(positions))
+    for u, v, reliable in edges:
+        if reliable:
+            graph.add_reliable_edge(u, v)
+        else:
+            graph.add_unreliable_edge(u, v)
+    return graph, embedding
+
+
 def geographic_dual_graph(
     positions: Mapping[Vertex, Point],
     r: float = 2.0,
@@ -176,25 +229,5 @@ def geographic_dual_graph(
     Returns the graph and its embedding.  The result is r-geographic by
     construction; :func:`is_r_geographic` on it is always true.
     """
-    if r < 1:
-        raise ValueError(f"the r-geographic parameter must satisfy r >= 1, got {r}")
-    embedding = Embedding(positions)
-    vertices = list(positions)
-    graph = DualGraph(vertices)
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            d = embedding.distance(u, v)
-            if d <= 1.0:
-                graph.add_reliable_edge(u, v)
-            elif d <= r:
-                decision = grey_zone_policy(u, v, d)
-                if decision == "reliable":
-                    graph.add_reliable_edge(u, v)
-                elif decision == "unreliable":
-                    graph.add_unreliable_edge(u, v)
-                elif decision != "none":
-                    raise ValueError(
-                        "grey-zone policy must return 'reliable', 'unreliable' or "
-                        f"'none', got {decision!r}"
-                    )
-    return graph, embedding
+    edges = geographic_edges(positions, r=r, grey_zone_policy=grey_zone_policy)
+    return build_geographic_dual_graph(positions, edges)

@@ -55,10 +55,11 @@ whose class overrides those hooks.
 On the kernel lane, :meth:`Simulator.run` also skips *silent rounds*: every
 batch driver and the environment report their next busy round
 (``next_busy_round``), and the loop jumps over the rounds before the
-earliest, telling each driver how many it skipped.  Skipped rounds record no
-frames and call no section; :attr:`Simulator.perf_stats` counts them as
-``rounds_skipped``.  See :meth:`Simulator._silent_round_sources` for when
-skipping applies.
+earliest, telling each driver how many it skipped and the environment which
+rounds (``skip_rounds``; a queued environment realizes their arrivals and
+backlog samples there).  Skipped rounds record no frames and call no
+section; :attr:`Simulator.perf_stats` counts them as ``rounds_skipped``.
+See :meth:`Simulator._silent_round_sources` for when skipping applies.
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ import time
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional
 
 from repro.caches import bounded_put
-from repro.dualgraph.adversary import LinkScheduler, NoUnreliableScheduler
+from repro.dualgraph.adversary import (
+    FullInclusionScheduler,
+    LinkScheduler,
+    NoUnreliableScheduler,
+)
 from repro.dualgraph.graph import DualGraph
 from repro.simulation.environment import Environment, NullEnvironment
 from repro.simulation.process import Process
@@ -275,12 +280,18 @@ class Simulator:
         self._vertex_of = index.vertices
         self._g_neighbors = index.g_neighbors
         self._u_neighbor_of = index.unreliable_neighbor_by_eid
-        # NoUnreliableScheduler schedules no unreliable edge in any round, so
-        # its (empty) delta is never asked for.
-        self._has_unreliable = (
-            index.num_unreliable_edges > 0
-            and type(self._scheduler) is not NoUnreliableScheduler
-        )
+        # NoUnreliableScheduler schedules no unreliable edge in any round and
+        # FullInclusionScheduler every one, so their fixed masks are bound
+        # here and their deltas are never asked for; None means the mask
+        # changes per round.
+        num_unreliable = index.num_unreliable_edges
+        scheduler_type = type(self._scheduler)
+        if not num_unreliable or scheduler_type is NoUnreliableScheduler:
+            self._fixed_edge_mask: Optional[int] = 0
+        elif scheduler_type is FullInclusionScheduler:
+            self._fixed_edge_mask = (1 << num_unreliable) - 1
+        else:
+            self._fixed_edge_mask = None
         bit = self._v_bit = [1 << i for i in range(index.n)]
         self._g_vmasks = [sum(bit[j] for j in row) for row in index.g_neighbors]
         self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
@@ -291,7 +302,7 @@ class Simulator:
         # scheduler's delta cache key (same sharing license as the deltas
         # themselves); None means the scheduler offers no such identity.
         self._sched_mask_key = (
-            self._scheduler.delta_cache_key() if self._has_unreliable else None
+            self._scheduler.delta_cache_key() if self._fixed_edge_mask is None else None
         )
 
     # ------------------------------------------------------------------
@@ -357,8 +368,9 @@ class Simulator:
         With silent-round sources (see :meth:`_silent_round_sources`), each
         round first asks them for their next busy round; when the earliest
         lies ahead, the rounds before it (capped at this run's end) are
-        skipped: the trace notes them, no frame is recorded, and every
-        driver's ``skip_rounds`` is told how many passed.
+        skipped: the trace notes them, no frame is recorded, every driver's
+        ``skip_rounds`` is told how many passed and the environment's
+        ``skip_rounds`` which ones.
         """
         if rounds < 0:
             raise ValueError("cannot run a negative number of rounds")
@@ -382,6 +394,7 @@ class Simulator:
                     skipped = resume - round_number
                     for driver in self._batch_drivers:
                         driver.skip_rounds(skipped)
+                    self._environment.skip_rounds(round_number, skipped)
                     self._current_round = resume - 1
                     self._trace.note_round(resume - 1)
                     self.perf_stats["rounds_skipped"] += skipped
@@ -535,8 +548,8 @@ class Simulator:
         vertex_of = self._vertex_of
         tx_indices = [idx_of[vertex] for vertex in transmissions]
 
-        if not self._has_unreliable:
-            scheduled_mask = 0
+        if self._fixed_edge_mask is not None:
+            scheduled_mask = self._fixed_edge_mask
         elif self._sched_mask_key is None:
             # No cross-instance delta identity: decode this scheduler's own
             # delta, which no other instance may share.

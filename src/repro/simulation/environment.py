@@ -65,12 +65,19 @@ class Environment(ABC):
 
         The simulator skips the rounds before the answer without calling
         :meth:`inputs_for_round` or :meth:`observe_outputs`, so an override
-        promises both are no-ops there.  It is consulted only when the
-        environment's own class defines it (see
+        promises both would submit nothing there; whatever else those rounds
+        change (arrivals that only enqueue, per-round samples) is settled by
+        :meth:`skip_rounds`.  It is consulted only when the environment's own
+        class defines it (see
         :meth:`repro.simulation.engine.Simulator._silent_round_sources`);
         this default, ``round_number``, never skips.
         """
         return round_number
+
+    def skip_rounds(self, first: int, count: int) -> None:
+        """The simulator skipped rounds ``first .. first + count - 1``: no
+        inputs were asked for and no outputs observed.  A no-op here;
+        environments with per-round state catch up on it."""
 
     def observe_outputs(self, round_number: int, outputs: Sequence[Event]) -> None:
         """Called at the end of each round with every process output."""

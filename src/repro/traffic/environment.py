@@ -108,7 +108,9 @@ class QueuedEnvironment(Environment):
     # ------------------------------------------------------------------
     # environment hooks
     # ------------------------------------------------------------------
-    def _wanted_submissions(self, round_number: int) -> Iterable[tuple]:
+    def _enqueue_arrivals(self, round_number: int) -> None:
+        """Realize the round's arrivals: enqueue each, or drop it when the
+        vertex's queue is full."""
         for vertex, count in self._arrival.arrivals_for_round(round_number):
             queue = self._queues[vertex]
             for index in range(count):
@@ -119,8 +121,12 @@ class QueuedEnvironment(Environment):
                 queue.append((f"traffic-{vertex}-r{round_number}-{index}", round_number))
                 self.enqueued += 1
                 self._backlog += 1
+
+    def _wanted_submissions(self, round_number: int) -> Iterable[tuple]:
+        self._enqueue_arrivals(round_number)
         ready = []
-        for vertex in self._order:
+        # With nothing queued there is nothing to dequeue.
+        for vertex in self._order if self._backlog else ():
             if vertex in self._busy:
                 continue
             queue = self._queues[vertex]
@@ -147,6 +153,32 @@ class QueuedEnvironment(Environment):
         self.backlog_samples.append(self._backlog)
         self.rounds_observed = round_number
         return ready
+
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        """``round_number`` while an idle vertex has a queued message, else
+        the arrival process's next arrival at an idle vertex.
+
+        An arrival at a busy vertex only enqueues, which :meth:`skip_rounds`
+        does for the skipped rounds; the busy set changes only on acks, which
+        come in stepped rounds.
+        """
+        busy = self._busy
+        if self._backlog and any(
+            queue and vertex not in busy for vertex, queue in self._queues.items()
+        ):
+            return round_number
+        return self._arrival.next_arrival(round_number, busy)
+
+    def skip_rounds(self, first: int, count: int) -> None:
+        """Realize the skipped rounds' arrivals in order, each at its own
+        round number, and sample the backlog once per round, exactly as
+        stepping them would (nothing is dequeued: every vertex with a queue
+        is busy throughout)."""
+        samples = self.backlog_samples
+        for round_number in range(first, first + count):
+            self._enqueue_arrivals(round_number)
+            samples.append(self._backlog)
+        self.rounds_observed = first + count - 1
 
     def _on_recv(self, round_number: int, event: RecvOutput) -> None:
         record = self._pending.get(event.message.payload)

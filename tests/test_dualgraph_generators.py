@@ -14,7 +14,13 @@ from repro.dualgraph.generators import (
     star_network,
     two_clusters_network,
 )
-from repro.dualgraph.geometric import is_r_geographic
+from repro.dualgraph.geometric import (
+    Embedding,
+    always_reliable_policy,
+    always_unreliable_policy,
+    is_r_geographic,
+)
+from repro.dualgraph.graph import DualGraph
 
 
 class TestRandomGeographicNetwork:
@@ -59,6 +65,73 @@ class TestRandomGeographicNetwork:
             random_geographic_network(
                 30, side=200.0, rng=0, require_connected=True, max_attempts=3
             )
+
+    @staticmethod
+    def _attempt_loop(n, side, r, rng, policy, max_attempts):
+        """The generator's contract, one full graph per attempt: drop points,
+        build the r-geographic graph pair by pair, keep it once G is
+        connected.  Returns the graph, the embedding and the attempts."""
+        for attempt in range(1, max_attempts + 1):
+            positions = {
+                i: (rng.uniform(0.0, side), rng.uniform(0.0, side)) for i in range(n)
+            }
+            embedding = Embedding(positions)
+            graph = DualGraph(list(positions))
+            for i, u in enumerate(positions):
+                for v in list(positions)[i + 1 :]:
+                    d = embedding.distance(u, v)
+                    if d <= 1.0:
+                        graph.add_reliable_edge(u, v)
+                    elif d <= r:
+                        decision = policy(u, v, d)
+                        if decision == "reliable":
+                            graph.add_reliable_edge(u, v)
+                        elif decision == "unreliable":
+                            graph.add_unreliable_edge(u, v)
+            if graph.is_reliably_connected():
+                return graph, embedding, attempt
+        return None, None, max_attempts
+
+    @pytest.mark.parametrize("policy", ["default", "always_reliable", "probability"])
+    def test_matches_one_graph_per_attempt(self, policy):
+        """Classifying pairs once per attempt and building only the accepted
+        graph gives the same graph, positions and rng state, over accepted
+        first attempts, accepted later ones and exhausted attempts."""
+        # Grey-zone pairs joining G make it connect at twice the spacing.
+        n, side, r = 16, (6.0 if policy == "always_reliable" else 3.6), 2.0
+        outcomes = set()
+        for seed in range(8):
+            for max_attempts in (2, 40):
+                kwargs = {}
+                reference_rng = random.Random(seed)
+                reference_policy = always_unreliable_policy
+                if policy == "always_reliable":
+                    kwargs["grey_zone_policy"] = reference_policy = always_reliable_policy
+                elif policy == "probability":
+                    kwargs["grey_zone_edge_probability"] = 0.4
+
+                    def reference_policy(u, v, d, _rng=reference_rng):
+                        return "unreliable" if _rng.random() < 0.4 else "none"
+
+                graph, embedding, attempts = self._attempt_loop(
+                    n, side, r, reference_rng, reference_policy, max_attempts
+                )
+                rng = random.Random(seed)
+                build = lambda: random_geographic_network(  # noqa: E731
+                    n, side=side, r=r, rng=rng, require_connected=True,
+                    max_attempts=max_attempts, **kwargs,
+                )
+                if graph is None:
+                    with pytest.raises(RuntimeError):
+                        build()
+                else:
+                    got, got_embedding = build()
+                    assert got.reliable_edges == graph.reliable_edges
+                    assert got.unreliable_edges == graph.unreliable_edges
+                    assert dict(got_embedding.items()) == dict(embedding.items())
+                assert rng.getstate() == reference_rng.getstate()
+                outcomes.add("exhausted" if graph is None else attempts > 1)
+        assert outcomes == {False, True, "exhausted"}
 
     def test_grey_zone_edge_probability_zero_means_no_unreliable_edges(self):
         graph, _ = random_geographic_network(

@@ -1000,6 +1000,10 @@ class TestSilentRounds:
         assert _lb_stats(kernel) == _lb_stats(reference)
 
     def test_phase_ends_are_never_skipped(self, monkeypatch):
+        """Leaderless stretches of a preamble are skipped; the phase start,
+        every seed-phase start that elects, the preamble end, the body start
+        and the phase end still run."""
+        from repro.core.seed_agreement import STATUS_ACTIVE, SeedAgreementProcess
         from repro.core.seed_groups import LocalBroadcastBatchDriver
 
         stepped = []
@@ -1009,18 +1013,49 @@ class TestSilentRounds:
             stepped.append(round_number)
             return transmit_round(driver, round_number, out)
 
+        # The reference steps every member through every seed-phase start;
+        # the rounds where some member is still active hold an election.
+        electing = set()
+        begin_phase = SeedAgreementProcess._begin_phase
+
+        def election_spy(sub, phase, global_round):
+            if sub._status == STATUS_ACTIVE:
+                electing.add(global_round)
+            return begin_phase(sub, phase, global_round)
+
         monkeypatch.setattr(LocalBroadcastBatchDriver, "transmit_round", spy)
+        monkeypatch.setattr(SeedAgreementProcess, "_begin_phase", election_spy)
         kernel, params = self._lb("null")
-        kernel.run(4 * params.phase_length)
+        reference, _ = self._lb("null", reference=True)
+        rounds = 4 * params.phase_length
+        _assert_same_execution(kernel.run(rounds), reference.run(rounds))
         assert kernel.perf_stats["rounds_skipped"] > 0
+        stepped = set(stepped)
         length = params.phase_length
+        preamble = set()
         for phase in range(4):
             start = phase * length
-            # Every preamble round, the body start and the phase end run.
-            assert set(range(start + 1, start + params.ts + 2)) <= set(stepped)
-            assert start + length in stepped
+            preamble.update(range(start + 1, start + params.ts + 1))
+            for offset in (1, params.ts, params.ts + 1, length):
+                assert start + offset in stepped
+        assert electing and electing <= stepped
+        # Seed phases elect at their starts only, so leaderless preamble
+        # rounds in between are skipped.
+        assert preamble - stepped
 
-    def test_queued_environment_never_skips(self):
+    @pytest.mark.parametrize(
+        "arrival, args, capacity",
+        [
+            ("periodic", {"period": 40}, 0),
+            ("poisson", {"rate": 0.02}, 0),
+            ("poisson", {"rate": 0.2}, 2),
+        ],
+    )
+    def test_queued_environment_skips_and_matches_reference(self, arrival, args, capacity):
+        """A queued run skips the rounds with no arrival at an idle vertex;
+        split into several runs it still observes the reference execution,
+        and the skipped rounds' arrivals, drops and backlog samples are what
+        stepping them records."""
         from repro.traffic.arrivals import build_arrival_process
         from repro.traffic.environment import QueuedEnvironment
 
@@ -1028,17 +1063,50 @@ class TestSilentRounds:
         params = LBParams.small_for_testing(
             delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
         )
-        arrival = build_arrival_process(
-            "periodic", {"period": 40}, sources=sorted(graph.vertices)[:2], sinks=(), seed=3
-        )
-        simulator = Simulator(
-            graph,
-            make_lb_processes(graph, params, random.Random(71)),
-            environment=QueuedEnvironment(graph, arrival),
-        )
-        assert simulator.lane == "kernel" and simulator.uses_batch_stepping
-        simulator.run(3 * params.phase_length)
-        assert simulator.perf_stats["rounds_skipped"] == 0
+
+        def build(reference):
+            process = build_arrival_process(
+                arrival, args, sources=sorted(graph.vertices)[:6], sinks=(), seed=3
+            )
+            return Simulator(
+                graph,
+                make_lb_processes(graph, params, random.Random(71)),
+                scheduler=IIDScheduler(graph, probability=0.5, seed=7),
+                environment=QueuedEnvironment(graph, process, capacity=capacity),
+                fast_path=not reference,
+                batch_path=not reference,
+            )
+
+        kernel, reference = build(False), build(True)
+        assert kernel.lane == "kernel" and kernel.uses_batch_stepping
+        # Long enough for acks, which free vertices with a backlog.
+        rounds = 6 * params.phase_length
+        done = 0
+        for step in [5, params.phase_length - 2, 17] * rounds:
+            step = min(step, rounds - done)
+            kernel.run(step)
+            done += step
+            if done == rounds:
+                break
+        assert kernel.perf_stats["rounds_skipped"] > 0
+        _assert_same_execution(kernel.trace, reference.run(rounds))
+        queued = [sim.environment for sim in (kernel, reference)]
+        assert len(queued[0].backlog_samples) == rounds
+        for name in (
+            "offered",
+            "enqueued",
+            "dropped",
+            "acked",
+            "delivered_before_ack",
+            "rounds_observed",
+            "backlog_samples",
+            "wait_samples",
+            "delivery_latencies",
+            "ack_latencies",
+        ):
+            assert getattr(queued[0], name) == getattr(queued[1], name), name
+        assert queued[0].acked > 0
+        assert (queued[0].dropped > 0) == (capacity > 0)
 
     def test_inherited_answer_never_skips(self):
         """A subclass that changes submissions inherits its parent's
@@ -1187,3 +1255,30 @@ class TestNoUnreliableBinding:
         assert asked == []
         assert kernel_trace.num_transmissions > 0
         _assert_same_execution(kernel_trace, build(False).run(rounds))
+
+    def test_full_scheduler_mask_is_bound_once(self, monkeypatch):
+        """``full`` schedules every unreliable edge in every round: the
+        kernel binds that mask once and never decodes a round's delta."""
+        graph = GRAPH_FACTORIES["geometric"]()
+        assert graph.unreliable_edges
+        decoded = []
+        edge_mask = Simulator._edge_mask
+        monkeypatch.setattr(
+            Simulator,
+            "_edge_mask",
+            lambda self, round_number: decoded.append(round_number)
+            or edge_mask(self, round_number),
+        )
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        kernel = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(71)),
+            scheduler=FullInclusionScheduler(graph),
+            environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
+        )
+        assert kernel.lane == "kernel"
+        kernel_trace = kernel.run(2 * params.phase_length)
+        assert decoded == []
+        assert kernel_trace.num_receptions > 0

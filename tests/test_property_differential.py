@@ -2,13 +2,14 @@
 
 Hypothesis draws random :class:`~repro.scenarios.spec.ScenarioSpec` trees
 from the component registries' ``sample_args`` -- topology x scheduler x
-algorithm x environment (``queued`` included) x trace mode -- and checks
-that the production engine (bitmask kernel resolver, batched cohort
-stepping) observes exactly the execution of the
-``engine.fast_path=False`` reference, that every ``lbalg`` execution meets the
-deterministic half of the LB specification (timely ack and validity), that
-every ``seed_agreement`` execution meets the deterministic conditions of
-``Seed(δ, ε)`` (consistency, at most one decide per vertex, and
+algorithm x environment (``queued`` included, with a drawn arrival kind and
+queue capacity) x trace mode -- and checks that the production engine
+(bitmask kernel resolver, batched cohort stepping) observes exactly the
+execution of the ``engine.fast_path=False`` reference, and a queued trial
+gives the same ``queue`` metric columns; that every ``lbalg`` execution meets
+the deterministic half of the LB specification (timely ack and validity),
+that every ``seed_agreement`` execution meets the deterministic conditions
+of ``Seed(δ, ε)`` (consistency, at most one decide per vertex, and
 well-formedness once the run covers SeedAlg's rounds), and that the spec
 survives a JSON round trip with its fingerprint.  The production side runs
 in two ``run()`` calls split at a drawn round, so silent-round skipping is
@@ -25,11 +26,13 @@ from repro.core.seed_spec import check_seed_execution
 from repro.scenarios import (
     ALGORITHMS,
     ENVIRONMENTS,
+    METRICS,
     SCHEDULERS,
     TOPOLOGIES,
     AlgorithmSpec,
     EngineConfig,
     EnvironmentSpec,
+    MetricContext,
     RunPolicy,
     ScenarioSpec,
     SchedulerSpec,
@@ -99,7 +102,17 @@ def scenario_specs(draw) -> ScenarioSpec:
             "count": draw(st.integers(1, 4)),
         }
     elif environment_name == "queued":
-        environment_args["arrival"]["args"]["period"] = draw(st.integers(2, 12))
+        kind = draw(st.sampled_from(("poisson", "periodic", "bursty", "convergecast")))
+        if kind in ("poisson", "convergecast"):
+            arrival_args = {"rate": draw(st.sampled_from((0.01, 0.05, 0.2, 0.6)))}
+        else:
+            arrival_args = {"period": draw(st.integers(2, 12))}
+            if kind == "bursty":
+                arrival_args["burst"] = draw(st.integers(1, 4))
+        environment_args["arrival"] = {"name": kind, "args": arrival_args}
+        environment_args["capacity"] = draw(st.integers(0, 3))
+        if kind == "convergecast":
+            environment_args["sinks"] = [0]
 
     return ScenarioSpec(
         name="differential",
@@ -115,6 +128,14 @@ def scenario_specs(draw) -> ScenarioSpec:
         ),
         engine=EngineConfig(trace_mode=draw(st.sampled_from(TRACE_MODES))),
     )
+
+
+def _queue_row(built, trace):
+    """The ``queue`` metric columns of one executed queued trial."""
+    context = MetricContext(
+        trace=trace, graph=built.graph, rounds=trace.num_rounds, environment=built.environment
+    )
+    return METRICS.get("queue")(context)
 
 
 def _execute(spec: ScenarioSpec, split_round: int = 0):
@@ -140,6 +161,10 @@ def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, split_r
     assert built.simulator.lane in ("reference", "kernel")
 
     assert production.num_rounds == reference.num_rounds
+    if spec.environment.name == "queued":
+        # Skipped rounds realize their arrivals and backlog samples through
+        # the environment, which trace identity alone never sees.
+        assert _queue_row(built, production) == _queue_row(reference_built, reference)
     assert production.event_counts == reference.event_counts
     assert production.num_transmissions == reference.num_transmissions
     assert production.num_receptions == reference.num_receptions

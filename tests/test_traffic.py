@@ -23,8 +23,11 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import AckOutput
+from repro.core.seedbits import SeedBitStream
 from repro.dualgraph.generators import two_clusters_network
 from repro.dualgraph.graph import DualGraph, normalize_edge
 from repro.scenarios.components import network_with_target_degree
@@ -55,6 +58,7 @@ from repro.traffic import (
     derive_stream_seed,
     subtree_loads,
 )
+from repro.traffic.arrivals import _WINDOW
 
 
 def _traffic_spec(scheduler="tasa", scheduler_args=None, rate=0.05, trials=2, **over):
@@ -145,6 +149,88 @@ class TestArrivalProcesses:
             process.arrivals_for_round(1)
         with pytest.raises(KeyError, match="unknown arrival kind"):
             build_arrival_process("nope", {}, sources=[0], sinks=(), seed=0)
+
+
+class TestDecodedArrivals:
+    """Streamed processes decode windows of rounds ahead; the realization
+    and the ``next_arrival`` peeks must match one 16-bit draw per source per
+    round."""
+
+    @staticmethod
+    def _shadow(sources, seed, rate, rounds):
+        streams = [
+            (v, SeedBitStream(derive_stream_seed(seed, v), 256)) for v in sources
+        ]
+        cut = int(round(rate * 2**16))
+        return [
+            [(v, 1) for v, stream in streams if stream.consume_int(16) < cut]
+            for _ in range(rounds)
+        ]
+
+    @given(
+        seed=st.integers(0, 2**32),
+        rate=st.sampled_from((0.0, 0.004, 0.05, 0.3, 1.0)),
+        sources=st.lists(st.integers(0, 30), unique=True, max_size=8),
+        convergecast=st.booleans(),
+        rounds=st.integers(1, 300),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_realization_and_peeks_match_per_round_draws(
+        self, seed, rate, sources, convergecast, rounds, data
+    ):
+        if convergecast:
+            sinks = sources[:1] or [0]
+            process = ConvergecastArrivals(sources, sinks, seed, rate=rate)
+            sources = [v for v in sources if v not in sinks]
+        else:
+            process = PoissonArrivals(sources, (), seed, rate=rate)
+        # Enough shadow rounds to cover a peek past the last decoded window.
+        horizon = rounds + 200
+        shadow = self._shadow(sources, seed, rate, horizon)
+        for round_number in range(1, rounds + 1):
+            if data.draw(st.booleans()):
+                busy = set(data.draw(st.lists(st.sampled_from(sources)))) if sources else set()
+                answer = process.next_arrival(round_number, busy)
+                first = next(
+                    (
+                        t
+                        for t in range(round_number, horizon + 1)
+                        if any(v not in busy for v, _ in shadow[t - 1])
+                    ),
+                    None,
+                )
+                if rate == 0.0:
+                    assert answer is None
+                else:
+                    assert answer is not None and answer >= round_number
+                    if first is not None:
+                        assert answer <= first
+                    # Exact, or the first round past a decoded window.
+                    assert answer == first or (answer - 1) % _WINDOW == 0
+            assert process.arrivals_for_round(round_number) == shadow[round_number - 1]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PeriodicArrivals(sources=range(5), sinks=(), seed=4, period=7),
+            lambda: BurstyArrivals(sources=range(3), sinks=(), seed=4, burst=2, period=9),
+        ],
+        ids=["periodic", "bursty"],
+    )
+    def test_phased_processes_answer_their_next_arrival(self, make):
+        process, twin = make(), make()
+        realization = [twin.arrivals_for_round(r) for r in range(1, 61)]
+        for round_number in range(1, 41):
+            busy = {round_number % len(process.sources)}
+            expected = next(
+                t
+                for t in range(round_number, 61)
+                if any(v not in busy for v, _ in realization[t - 1])
+            )
+            assert process.next_arrival(round_number, busy) == expected
+            assert process.arrivals_for_round(round_number) == realization[round_number - 1]
+        assert process.next_arrival(41, set(process.sources)) is None
 
 
 # ----------------------------------------------------------------------
