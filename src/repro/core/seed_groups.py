@@ -23,17 +23,21 @@ This module packages those observations as the batch group driver protocol of
 * :class:`_SeedCohort` bulk-decodes one ``(seed, cursor)`` cohort's body
   decisions into the sparse list of its participant rounds, from which the
   driver settles its members' streams with one cursor
-  :meth:`~repro.core.seedbits.SeedBitStream.skip` each at flush time;
+  :meth:`~repro.core.seedbits.SeedBitStream.skip` each at flush time, and
+  draws its members' private coins for those rounds up front, so only the
+  rounds in which someone transmits need stepping;
 * :class:`SeedAgreementCohort` steps a phase's embedded
   :class:`~repro.core.seed_agreement.SeedAgreementProcess` instances as one
-  unit, through their own election, leader-draw and phase-end methods;
+  unit, through their own election, leader-draw and phase-end methods, and
+  draws each leader's broadcast coins at its election;
 * :class:`LocalBroadcastBatchDriver` is the engine-facing driver gluing both
   together for a cohort of :class:`~repro.core.local_broadcast.LocalBroadcastProcess`.
 
 The invariant every method here preserves: for a fixed seed, the batched
-execution performs exactly the same private RNG draws, emits exactly the same
-events, and produces exactly the same per-round frames as per-process
-stepping -- the regression tests in ``tests/test_fast_engine.py`` pin this
+execution performs exactly the same private RNG draws (drawn ahead, but never
+past the run's last round, so every RNG is exact at a run boundary), emits
+exactly the same events, and produces exactly the same per-round frames as
+per-process stepping -- the regression tests in ``tests/test_fast_engine.py`` pin this
 against the reference engine (``fast_path=False, batch_path=False``).
 """
 
@@ -78,11 +82,6 @@ class _SeedCohort:
     streams; within one body they stay in lockstep (identical shared draws
     every round), so the cohort carries everything a round needs:
 
-    * ``actors`` -- one ``(rng.random, vertex, frame, member)`` tuple per
-      member, precomputed so the participant-round hot loop does no attribute
-      lookups (the ``DataFrame`` is value-equal to the per-round instances the
-      unbatched path builds, and a member's message is constant for the whole
-      body);
     * ``active`` -- the body's remaining shared decisions, bulk-decoded in
       one pass over a shadow stream at build time as the sparse sorted list
       of ``(served round, b)`` participant rounds.  Every cohort is decoded,
@@ -98,13 +97,12 @@ class _SeedCohort:
     per-member stepping.
     """
 
-    __slots__ = ("seed", "start_cursor", "members", "actors", "active")
+    __slots__ = ("seed", "start_cursor", "members", "active")
 
     def __init__(self, seed: int, start_cursor: int) -> None:
         self.seed = seed
         self.start_cursor = start_cursor
         self.members: List[LocalBroadcastProcess] = []
-        self.actors: List[tuple] = []
         self.active: Optional[List[Tuple[int, int]]] = None
 
     def bulk_decode(self, params: LBParams, rounds: int) -> None:
@@ -162,6 +160,34 @@ class _SeedCohort:
         self.active = active
         bounded_put(_DECODE_CACHE, key, active, _DECODE_CACHE_MAXSIZE)
 
+    def draw_coins(self, sending: Dict[int, List[tuple]], rounds: int) -> None:
+        """Draw every member's private coins for the decoded participant
+        rounds among the first ``rounds`` served ones, up front.
+
+        In a participant round with selection ``b`` a member flips up to
+        ``b`` coins from its own RNG, stopping at the first 1, and transmits
+        iff all ``b`` are 0 (probability ``2^-b``) -- the per-process draw
+        order, since nothing else draws from a sender's RNG during a body.
+        Each round a member transmits in gets its ``(vertex, frame, member)``
+        appended to ``sending[served]``, in cohort member order; the rounds
+        in between are coin-only, and the engine may skip them.  ``rounds``
+        never reaches past the run's last round, so every coin drawn is
+        spent by the run boundary and no RNG state needs restoring there.
+        """
+        active = self.active
+        drawn = active[: bisect_left(active, (rounds,))]
+        if not drawn:
+            return
+        for member in self.members:
+            rand = member.ctx.rng.random
+            sent = (member.vertex, DataFrame(message=member._current_message), member)
+            for served, b in drawn:
+                for _ in range(b):
+                    if rand() >= 0.5:
+                        break
+                else:
+                    sending.setdefault(served, []).append(sent)
+
 
 class SeedAgreementCohort:
     """One phase's embedded SeedAlg subroutines, stepped as a unit.
@@ -170,29 +196,57 @@ class SeedAgreementCohort:
     local round per preamble round, so their round-position arithmetic is
     identical; the cohort computes it once and dispatches only to members
     with per-round work: actives at seed-phase starts (leader election),
-    leaders every round (the broadcast draw), and phase-end bookkeeping.
-    Inactive members draw nothing in the per-process path, so skipping their
-    dispatch entirely preserves RNG draw order.  Every piece of per-member
-    work is the member's own method (``_begin_phase``, ``_leader_frame``,
-    ``_commit``, ``_end_phase``), so there is one implementation of each
-    SeedAlg decision.
+    leaders (the broadcast draw), and phase-end bookkeeping.  Inactive
+    members draw nothing in the per-process path, so skipping their dispatch
+    entirely preserves RNG draw order.  Every piece of per-member work is the
+    member's own method (``_begin_phase``, ``_leader_frame``, ``_commit``,
+    ``_end_phase``), so there is one implementation of each SeedAlg decision.
+
+    A leader draws nothing else until its phase ends, so its broadcast coins
+    for the rest of the phase are drawn right after the election
+    (:meth:`_draw_leader_coins`), never past the preamble's last offset or
+    the run's last round; the offsets in which one fires are the only leader
+    rounds that may not be skipped.
     """
 
-    __slots__ = ("_sp", "_by_vertex", "_actives", "_leaders")
+    __slots__ = (
+        "_sp",
+        "_by_vertex",
+        "_last_offset",
+        "_actives",
+        "_leaders",
+        "_drawn_until",
+        "_sending",
+        "_firing",
+    )
 
     def __init__(
         self,
         seed_params: SeedParams,
         members: List[LocalBroadcastProcess],
         by_vertex: Dict[Vertex, LocalBroadcastProcess],
+        preamble_rounds: int,
     ) -> None:
         self._sp = seed_params
         self._by_vertex = by_vertex
+        self._last_offset = min(preamble_rounds, seed_params.total_rounds)
         self._actives: List[LocalBroadcastProcess] = list(members)
         self._leaders: List[LocalBroadcastProcess] = []
+        # The last offset whose leader coins are drawn; offset -> the
+        # (vertex, frame) pairs transmitted in it, and its sorted keys.
+        self._drawn_until = 0
+        self._sending: Dict[int, List[Tuple[Vertex, SeedFrame]]] = {}
+        self._firing: List[int] = []
 
-    def transmit_round(self, offset: int, global_round: int, out: Dict[Vertex, Any]) -> None:
-        """The cohort's transmissions for preamble offset ``offset`` (1-based)."""
+    def transmit_round(
+        self,
+        offset: int,
+        global_round: int,
+        out: Dict[Vertex, Any],
+        run_end: Optional[int],
+    ) -> None:
+        """The cohort's transmissions for preamble offset ``offset`` (1-based);
+        ``run_end`` is the run's last global round (``None``: unbounded)."""
         sp = self._sp
         if offset > sp.total_rounds:
             # A preamble longer than the subroutine (never produced by
@@ -214,29 +268,54 @@ class SeedAgreementCohort:
                 sub._begin_phase(phase, global_round)
                 (leaders if sub._status == STATUS_LEADER else actives).append(member)
             self._actives = actives
+            self._drawn_until = offset - 1
+        if self._leaders:
+            if offset > self._drawn_until:
+                last = min(offset - within + sp.phase_length, self._last_offset)
+                if run_end is not None:
+                    last = min(last, offset + run_end - global_round)
+                self._draw_leader_coins(offset, last)
+            for vertex, frame in self._sending.get(offset, ()):
+                out[vertex] = frame
+
+    def _draw_leader_coins(self, offset: int, last: int) -> None:
+        """Draw each leader's broadcast coins for offsets ``offset..last``
+        through its ``_leader_frame``, one draw per offset, in leader order."""
+        sending: Dict[int, List[Tuple[Vertex, SeedFrame]]] = {}
         for member in self._leaders:
-            frame = member._seed_subroutine._leader_frame()
-            if frame is not None:
-                out[member.vertex] = frame
+            sub = member._seed_subroutine
+            for at in range(offset, last + 1):
+                frame = sub._leader_frame()
+                if frame is not None:
+                    sending.setdefault(at, []).append((member.vertex, frame))
+        self._drawn_until = last
+        self._sending = sending
+        self._firing = sorted(sending)
 
     def next_busy_offset(self, offset: int) -> Optional[int]:
         """The first preamble offset ``>= offset`` (1-based) the cohort may
         act in, or ``None`` when it stays silent for the rest of the preamble.
 
-        With a leader it acts now (the leader's broadcast draw).  Without
-        one, a seed-phase start with actives left elects now, and otherwise
-        the actives only listen until the phase's last round, whose
-        bookkeeping (the final phase's default decisions) runs stepped.
-        With neither, nothing draws or decides again this preamble.
+        With leaders, the next offset in which a drawn coin fires, else the
+        phase's last round, whose bookkeeping retires them (``offset`` when
+        its coins are not drawn yet: a run resumed mid-phase).  Without one,
+        a seed-phase start with actives left elects now, and otherwise the
+        actives only listen until the phase's last round, whose bookkeeping
+        (the final phase's default decisions) runs stepped.  With neither,
+        nothing draws or decides again this preamble.
         """
         sp = self._sp
+        within = (offset - 1) % sp.phase_length + 1
         if self._leaders:
-            return offset
+            if offset > self._drawn_until:
+                return offset
+            firing = self._firing
+            i = bisect_left(firing, offset)
+            return firing[i] if i < len(firing) else offset - within + sp.phase_length
         if offset > sp.total_rounds or not any(
             member._seed_subroutine._status == STATUS_ACTIVE for member in self._actives
         ):
             return None
-        within = (offset - 1) % sp.phase_length + 1
         if within == 1:
             return offset
         return offset - within + sp.phase_length
@@ -272,6 +351,8 @@ class SeedAgreementCohort:
             for member in ending:
                 member._seed_subroutine._end_phase(phase, global_round)
             self._leaders = []
+            self._sending = {}
+            self._firing = []
 
 
 class LocalBroadcastBatchDriver:
@@ -301,8 +382,10 @@ class LocalBroadcastBatchDriver:
         "_cohorts",
         "_body_rounds_elapsed",
         "_body_rounds_built",
-        "_round_active",
+        "_round_sending",
         "_busy_served",
+        "_round",
+        "_run_end",
     )
 
     def __init__(self, params: LBParams) -> None:
@@ -314,10 +397,14 @@ class LocalBroadcastBatchDriver:
         # Body-round state: seed cohorts grouped at body start, flushed at
         # phase ends and run boundaries (see _body_transmit_kernel).
         self._cohorts: Optional[List[_SeedCohort]] = None
-        self._round_active: Dict[int, List[Tuple[List[tuple], int]]] = {}
+        self._round_sending: Dict[int, List[tuple]] = {}
         self._busy_served: List[int] = []
         self._body_rounds_elapsed = 0
         self._body_rounds_built = 0
+        # The round being stepped, and the current run's last round (None
+        # before begin_run): nothing is drawn ahead past it.
+        self._round = 0
+        self._run_end: Optional[int] = None
 
     # ------------------------------------------------------------------
     # registration (engine-facing)
@@ -336,6 +423,7 @@ class LocalBroadcastBatchDriver:
     def transmit_round(self, round_number: int, out: Dict[Vertex, Any]) -> None:
         """Add the cohort's transmissions for ``round_number`` to ``out``."""
         params = self._params
+        self._round = round_number
         phase_m1, index = divmod(round_number - 1, params.phase_length)
         offset, in_preamble, _, body_start, _ = params.phase_offset_table[index]
 
@@ -344,7 +432,7 @@ class LocalBroadcastBatchDriver:
 
         if in_preamble:
             if self._cohort is not None:
-                self._cohort.transmit_round(offset, round_number, out)
+                self._cohort.transmit_round(offset, round_number, out, self._run_end)
             return
 
         if body_start:
@@ -387,9 +475,9 @@ class LocalBroadcastBatchDriver:
 
         Live cohorts exist only inside a body, between the round that built
         them and the phase end (or run boundary) that flushes them.  There
-        the answer is the next served round with a participating cohort,
-        read off the inverted decoded schedule, and never later than the
-        phase-end round, which acks.  Past a phase's first round, a preamble
+        the answer is the next served round in which a member's drawn coins
+        let it transmit, and never later than the phase-end round, which
+        acks.  Past a phase's first round, a preamble
         answers from its SeedAlg cohort
         (:meth:`SeedAgreementCohort.next_busy_offset`): with none left to
         act, the preamble-end round, and with no SeedAlg cohort at all, the
@@ -412,11 +500,18 @@ class LocalBroadcastBatchDriver:
         target = busy[i] if i < len(busy) else self._body_rounds_built - 1
         return round_number + target - served
 
+    def begin_run(self, last_round: int) -> None:
+        """The simulator runs up to ``last_round`` before the next
+        :meth:`flush_kernel_state`: private coins are drawn ahead no further,
+        so each member's RNG is exact at every run boundary."""
+        self._run_end = last_round
+
     def skip_rounds(self, count: int) -> None:
-        """Advance past ``count`` silent rounds.  In a body (no cohort
-        participates) their seed bits and statistics are settled by
-        :meth:`flush_kernel_state` from the elapsed count; a preamble keeps
-        no per-round state."""
+        """Advance past ``count`` silent rounds.  In a body (nobody
+        transmits) their seed bits and statistics are settled by
+        :meth:`flush_kernel_state` from the elapsed count, and their coins
+        were drawn when the cohorts were built; in a preamble the leaders'
+        coins were drawn at their election."""
         if self._cohorts is not None:
             self._body_rounds_elapsed += count
 
@@ -433,8 +528,9 @@ class LocalBroadcastBatchDriver:
         for member in self._members:
             member._begin_phase(phase)
         live = [m for m in self._members if m._seed_subroutine is not None]
+        params = self._params
         self._cohort = (
-            SeedAgreementCohort(self._params.seed_params, live, self._by_vertex)
+            SeedAgreementCohort(params.seed_params, live, self._by_vertex, params.ts)
             if live
             else None
         )
@@ -458,8 +554,10 @@ class LocalBroadcastBatchDriver:
     # body rounds (the hot path)
     # ------------------------------------------------------------------
     def _build_kernel_cohorts(self, rounds_remaining: int) -> None:
-        """Group the body's senders into ``(seed, cursor)`` cohorts and
-        bulk-decode each cohort's shared decisions for the rest of the body.
+        """Group the body's senders into ``(seed, cursor)`` cohorts,
+        bulk-decode each cohort's shared decisions for the rest of the body
+        and draw its members' private coins up to the run's last round
+        (:meth:`_SeedCohort.draw_coins`).
         """
         cohorts: Dict[Tuple[Any, int], _SeedCohort] = {}
         for member in self._senders:
@@ -469,40 +567,32 @@ class LocalBroadcastBatchDriver:
             if cohort is None:
                 cohort = cohorts[key] = _SeedCohort(*key)
             cohort.members.append(member)
-            cohort.actors.append(
-                (
-                    member.ctx.rng.random,
-                    member.vertex,
-                    DataFrame(message=member._current_message),
-                    member,
-                )
-            )
         built = list(cohorts.values())
-        # Invert the decoded schedule: served round -> the cohorts that
-        # participate in it (with their decoded ``b``).  Most body rounds
-        # have no participants, so they are absent: the transmit hot loop
-        # does one lookup instead of scanning every cohort, and the sorted
-        # keys are the rounds next_busy_round may not skip.
-        round_active: Dict[int, List[Tuple[List[tuple], int]]] = {}
+        coin_rounds = rounds_remaining
+        if self._run_end is not None:
+            coin_rounds = min(coin_rounds, self._run_end - self._round + 1)
+        # Served round -> the members that transmit in it.  Most body rounds
+        # have none, so they are absent: the transmit hot loop does one
+        # lookup, and the sorted keys are the rounds next_busy_round may not
+        # skip.
+        sending: Dict[int, List[tuple]] = {}
         params = self._params
         for cohort in built:
             cohort.bulk_decode(params, rounds_remaining)
-            for served, b in cohort.active:
-                round_active.setdefault(served, []).append((cohort.actors, b))
+            cohort.draw_coins(sending, coin_rounds)
         self._cohorts = built
-        self._round_active = round_active
-        self._busy_served = sorted(round_active)
+        self._round_sending = sending
+        self._busy_served = sorted(sending)
         self._body_rounds_elapsed = 0
         self._body_rounds_built = rounds_remaining
 
     def _body_transmit_kernel(self, out: Dict[Vertex, Any], rounds_remaining: int) -> None:
         """One body round served from the cohort buffers.
 
-        Per round the only per-member work left is the private coin flips of
-        participant cohorts (short-circuit draws from each member's own RNG,
-        which byte-identity makes irreducibly per-member); everything shared
-        is one lookup in the inverted decoded schedule.  Member streams and
-        statistics are settled in bulk by :meth:`flush_kernel_state`.
+        The shared decisions and the private coins were all drawn when the
+        cohorts were built, so a round is one lookup of the members that
+        transmit in it.  Member streams and statistics are settled in bulk
+        by :meth:`flush_kernel_state`.
         """
         if self._cohorts is None:
             # (Re)build mid-body after a run-boundary flush: the sender set
@@ -510,14 +600,9 @@ class LocalBroadcastBatchDriver:
             self._build_kernel_cohorts(rounds_remaining)
         served = self._body_rounds_elapsed
         self._body_rounds_elapsed = served + 1
-        for actors, b in self._round_active.get(served, ()):
-            for rand, vertex, frame, member in actors:
-                for _ in range(b):
-                    if rand() >= 0.5:
-                        break
-                else:
-                    member.stats_broadcast_rounds += 1
-                    out[vertex] = frame
+        for vertex, frame, member in self._round_sending.get(served, ()):
+            member.stats_broadcast_rounds += 1
+            out[vertex] = frame
 
     def flush_kernel_state(self) -> None:
         """Settle deferred cohort state (idempotent).
@@ -551,6 +636,6 @@ class LocalBroadcastBatchDriver:
                 if end_cursor > member.stats_max_bits_consumed:
                     member.stats_max_bits_consumed = end_cursor
         self._cohorts = None
-        self._round_active = {}
+        self._round_sending = {}
         self._busy_served = []
         self._body_rounds_elapsed = 0

@@ -13,10 +13,11 @@ The initial κ bits are exactly the committed seed (the paper draws seeds from
 stream keeps going by hashing ``seed || block_index``, which preserves the
 "same seed ⇒ same bits" property that the algorithm depends on.
 
-The stream is stored as a single Python integer (MSB-first accumulator) plus a
-cursor, so :meth:`consume_int` is a shift-and-mask rather than a list slice
-and extension appends 256 bits with one shift -- no per-bit list of ints is
-ever materialized.  This is the hot allocation site of every LBAlg body round.
+The stream is stored as a single Python integer holding only the generated
+bits not yet consumed (MSB-first) plus a cursor, so :meth:`consume_int` is a
+shift-and-mask over a few hundred bits rather than a list slice, and one
+extension appends every missing block with one shift -- no per-bit list of
+ints is ever materialized, and consumed history is never shifted again.
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ class SeedBitStream:
             )
         self._seed = seed
         self._kappa = kappa
-        # The accumulator holds every generated bit MSB-first: the top κ bits
-        # are the seed itself, later extension blocks are appended at the low
-        # end.  `_total_bits` is its logical width (leading zeros included).
+        # The accumulator holds the generated bits from the cursor to
+        # `_total_bits` MSB-first: at first the seed itself, later extension
+        # blocks appended at the low end.  Its logical width is
+        # `_total_bits - _cursor` (leading zeros included); consumed bits are
+        # dropped.
         self._acc = seed
         self._total_bits = kappa
         self._cursor = 0
@@ -69,10 +72,13 @@ class SeedBitStream:
         if count < 0:
             raise ValueError("cannot consume a negative number of bits")
         end = self._cursor + count
-        while end > self._total_bits:
-            self._extend()
+        if end > self._total_bits:
+            self._extend(end)
         self._cursor = end
-        return (self._acc >> (self._total_bits - end)) & ((1 << count) - 1)
+        rest = self._total_bits - end
+        value = self._acc >> rest
+        self._acc &= (1 << rest) - 1
+        return value
 
     def consume_bits(self, count: int) -> List[int]:
         """Consume ``count`` bits and return them as a list of 0/1 ints."""
@@ -99,7 +105,9 @@ class SeedBitStream:
         """
         if count < 0:
             raise ValueError("cannot skip a negative number of bits")
-        self._cursor += count
+        cursor = self._cursor = self._cursor + count
+        rest = self._total_bits - cursor
+        self._acc = self._acc & ((1 << rest) - 1) if rest > 0 else 0
 
     def consume_uniform_index(self, modulus: int, width: int) -> int:
         """Consume ``width`` bits and map them into ``[0, modulus)``.
@@ -142,17 +150,34 @@ class SeedBitStream:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _extend(self) -> None:
-        """Append one deterministic extension block derived from the seed."""
-        self._extension_blocks += 1
-        payload = (
-            self._seed.to_bytes((self._kappa + 7) // 8 or 1, "big")
-            + b"|"
-            + str(self._extension_blocks).encode()
+    def _extend(self, end: int) -> None:
+        """Append every deterministic extension block up to bit ``end``.
+
+        Block ``k`` (1-based) is ``sha256(seed || "|" || k)``.  Blocks that
+        lie wholly before the cursor (skipped over, never read) are counted
+        but not hashed, so the stream is as if extended one block at a time.
+        """
+        block_bits = self._BLOCK_BITS
+        kappa = self._kappa
+        cursor = self._cursor
+        have = self._extension_blocks
+        need = -(-(end - kappa) // block_bits)
+        first = max(have + 1, (cursor - kappa) // block_bits + 1)
+        prefix = self._seed.to_bytes((kappa + 7) // 8 or 1, "big") + b"|"
+        fresh = int.from_bytes(
+            b"".join(
+                hashlib.sha256(prefix + str(index).encode()).digest()
+                for index in range(first, need + 1)
+            ),
+            "big",
         )
-        digest = hashlib.sha256(payload).digest()
-        self._acc = (self._acc << self._BLOCK_BITS) | int.from_bytes(digest, "big")
-        self._total_bits += self._BLOCK_BITS
+        # With first > have + 1 the old accumulator lies before the cursor
+        # (skip() already cleared it).
+        total = kappa + need * block_bits
+        acc = (self._acc << ((need - first + 1) * block_bits)) | fresh
+        self._acc = acc & ((1 << (total - cursor)) - 1)
+        self._total_bits = total
+        self._extension_blocks = need
 
     def __repr__(self) -> str:
         return (

@@ -46,6 +46,7 @@ from repro.simulation.metrics import (
     data_reception_round_sets,
     data_reception_rounds,
     delivery_report,
+    iter_data_reception_rounds,
     progress_report,
     receive_rates,
     unique_seed_owner_counts,
@@ -941,12 +942,13 @@ def _metric_receiver_contention(
         origin = recv.message.origin
         if origin not in heard:
             heard[origin] = recv.round_number
-    first_rounds = data_reception_rounds(ctx.trace, receiver)
     complete = set(heard) >= set(expected)
     return {
         "expected_origins": len(expected),
         "distinct_origins_heard": len(set(heard) & set(expected)),
-        "first_reception_round": first_rounds[0] if first_rounds else ctx.rounds,
+        "first_reception_round": next(
+            iter_data_reception_rounds(ctx.trace, receiver), ctx.rounds
+        ),
         "complete": int(complete),
         "all_heard_round": (
             max(heard[origin] for origin in expected) if complete else -1

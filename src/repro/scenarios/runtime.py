@@ -531,8 +531,20 @@ def _component_rerandomizes_per_trial(registry, component) -> bool:
     return registry.is_trial_seeded(component.name) and "seed" not in component.args
 
 
+def _round_budget(spec: ScenarioSpec, graph: Any) -> int:
+    """Trial 0's round budget on an already-sampled topology ``graph``.
+
+    Derived budgets (``"phases"`` / ``"tack"`` / ``"algorithm"``) resolve
+    through :func:`resolve_params`, without a throwaway process population
+    (a full build only for algorithms without ``params_only``).
+    """
+    if spec.run.rounds_unit == "rounds":
+        return spec.run.rounds
+    return _resolve_total_rounds(spec, resolve_params(spec, graph=graph))
+
+
 def prebuild_delta_table(
-    spec: ScenarioSpec, rounds: Optional[int] = None
+    spec: ScenarioSpec, rounds: Optional[int] = None, graph: Any = None
 ) -> Optional[Dict[Tuple[Hashable, int], Tuple[int, ...]]]:
     """Prebuild the spec's scheduler-delta table, or ``None``.
 
@@ -553,7 +565,8 @@ def prebuild_delta_table(
     the algorithm, and derived budgets (``"phases"`` / ``"tack"`` /
     ``"algorithm"``) resolve through :func:`resolve_params` -- the builder's
     params-only mode -- against the already-sampled topology (one topology
-    sample per call, never a throwaway simulator).
+    sample per call, never a throwaway simulator).  ``graph`` is trial 0's
+    topology when the caller has sampled it already.
     """
     if not spec.engine.fast_path:
         return None
@@ -563,18 +576,13 @@ def prebuild_delta_table(
         if _component_rerandomizes_per_trial(SCHEDULERS, spec.scheduler):
             return None
     trial_seed = spec.run.trial_seed(0)
-    graph, _ = _build_topology(spec, trial_seed)
+    if graph is None:
+        graph, _ = _build_topology(spec, trial_seed)
     scheduler = _build_scheduler(spec, graph, trial_seed)
     if scheduler.decides_edges_independently or scheduler.delta_cache_key() is None:
         return None
     if rounds is None:
-        if spec.run.rounds_unit == "rounds":
-            rounds = spec.run.rounds
-        else:
-            # Derived round lengths without a throwaway process population
-            # (a full build only for algorithms without params_only).
-            algorithm_build = resolve_params(spec, graph=graph)
-            rounds = _resolve_total_rounds(spec, algorithm_build)
+        rounds = _round_budget(spec, graph)
     return prebuild_scheduler_deltas(scheduler, rounds)
 
 

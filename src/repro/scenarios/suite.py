@@ -53,7 +53,9 @@ from repro.scenarios.metrics import aggregate_metric_rows, flatten_aggregates
 from repro.scenarios.runtime import (
     RunResult,
     _aggregate,
+    _build_topology,
     _delta_identity,
+    _round_budget,
     absorb_trial_record,
     prebuild_delta_table,
     trial_record,
@@ -548,8 +550,21 @@ def _assemble_report(
     return report
 
 
+def _trial0_graph(spec: ScenarioSpec, graphs: Dict[str, Any]) -> Any:
+    """Trial 0's topology sample of ``spec``, drawn at most once per delta
+    identity (entries sharing one share the topology spec and seed root)."""
+    identity = _delta_identity(spec)
+    graph = graphs.get(identity)
+    if graph is None:
+        graph, _ = _build_topology(spec, spec.run.trial_seed(0))
+        graphs[identity] = graph
+    return graph
+
+
 def _prebuild_pending_deltas(
-    suite: SuiteSpec, entry_indices: Iterable[int]
+    suite: SuiteSpec,
+    entry_indices: Iterable[int],
+    graphs: Optional[Dict[str, Any]] = None,
 ) -> Dict[Tuple[Hashable, int], Tuple[int, ...]]:
     """The merged scheduler-delta table of the given entries (the one prebuild pass).
 
@@ -559,6 +574,9 @@ def _prebuild_pending_deltas(
     e.g. variants differing only in the environment) are computed once.
     Entries whose scheduler the kernel decides on demand (IID) contribute no
     table (:func:`repro.scenarios.runtime.prebuild_delta_table` is ``None``).
+    With ``graphs`` (delta identity -> trial 0's topology) every entry's
+    topology is sampled through it, so the dispatch weights
+    (:func:`_heaviest_first`) reuse the sample.
     """
     merged: Dict[Tuple[Hashable, int], Tuple[int, ...]] = {}
     seen_identities = set()
@@ -569,7 +587,8 @@ def _prebuild_pending_deltas(
             continue
         seen_identities.add(identity)
         try:
-            table = prebuild_delta_table(spec)
+            graph = None if graphs is None else _trial0_graph(spec, graphs)
+            table = prebuild_delta_table(spec, graph=graph)
         except (KeyError, TypeError, ValueError):
             # A broken entry fails loudly when it actually runs; the prebuild
             # pass is best-effort.
@@ -577,6 +596,33 @@ def _prebuild_pending_deltas(
         if table:
             merged.update(table)
     return merged
+
+
+def _heaviest_first(
+    suite: SuiteSpec,
+    tasks: Sequence[Tuple[int, int]],
+    pending: Sequence[int],
+    graphs: Dict[str, Any],
+) -> List[int]:
+    """``pending`` in pool submission order: heaviest declared work first,
+    canonical order among ties.
+
+    A task's declared work is its entry's round budget
+    (:func:`repro.scenarios.runtime._round_budget`) times its vertex count,
+    both read off trial 0's topology sample (``graphs``, which the prebuild
+    pass fills).  Submitting the long trials first keeps a worker from
+    picking one up last while the others go idle.  An entry whose budget
+    cannot be resolved weighs 0; it fails loudly when it runs.
+    """
+    weights: Dict[int, int] = {}
+    for entry_index in sorted({tasks[index][0] for index in pending}):
+        spec = suite.entries[entry_index].scenario
+        try:
+            graph = _trial0_graph(spec, graphs)
+            weights[entry_index] = _round_budget(spec, graph) * len(graph.vertices)
+        except (KeyError, TypeError, ValueError):
+            weights[entry_index] = 0
+    return sorted(pending, key=lambda index: -weights[tasks[index][0]])
 
 
 def run_suite(
@@ -590,7 +636,8 @@ def run_suite(
     """Execute every trial of every entry and aggregate into a :class:`SuiteReport`.
 
     ``jobs`` above 1 runs the flattened (entry, trial) task list on a process
-    pool (``None`` = all cores, <2 = serial in this process); records land in
+    pool (``None`` = all cores, <2 = serial in this process); the pool is
+    handed them heaviest-first (:func:`_heaviest_first`), and records land in
     canonical task order either way.  ``prebuild`` computes the pending
     entries' scheduler-delta tables once in this process (see
     :func:`_prebuild_pending_deltas`) and ships the merged table to
@@ -641,12 +688,17 @@ def run_suite(
             raise SuiteCancelled(f"cancelled after {len(records)}/{total} tasks{where}")
 
     if pending:
+        workers = min(jobs if jobs is not None else (os.cpu_count() or 1), len(pending))
+        # Trial 0 topology samples, shared by the prebuild pass and the
+        # pool's dispatch weights; a serial run needs no weights.
+        graphs: Dict[str, Any] = {}
         delta_table = (
-            _prebuild_pending_deltas(suite, (tasks[index][0] for index in pending))
+            _prebuild_pending_deltas(
+                suite, (tasks[index][0] for index in pending), graphs if workers > 1 else None
+            )
             if prebuild
             else {}
         )
-        workers = min(jobs if jobs is not None else (os.cpu_count() or 1), len(pending))
         if workers <= 1:
             if delta_table:
                 preload_process_delta_cache(delta_table)
@@ -667,17 +719,19 @@ def run_suite(
                 # Pickled once per worker rather than once per task.
                 pool_kwargs["initializer"] = preload_process_delta_cache
                 pool_kwargs["initargs"] = (delta_table,)
+            # Submitted heaviest first; awaited, hence landed, in canonical order.
+            order = _heaviest_first(suite, tasks, pending, graphs)
             # The platform's default start method (fork on Linux): workers
             # inherit this process's imports and process-wide caches.
             with ProcessPoolExecutor(**pool_kwargs) as pool:
-                futures = [
-                    pool.submit(run_suite_task, index, suite_specs, tasks)
-                    for index in pending
-                ]
+                futures = {
+                    index: pool.submit(run_suite_task, index, suite_specs, tasks)
+                    for index in order
+                }
                 try:
-                    for index, future in zip(pending, futures):
+                    for index in pending:
                         try:
-                            trial = future.result()["trial"]
+                            trial = futures[index].result()["trial"]
                         except BrokenProcessPool as exc:
                             # Every pending future fails alike, so the one
                             # awaited first did not necessarily kill it.
@@ -701,7 +755,7 @@ def run_suite(
                     # A cancelled or failing run should not wait out the whole
                     # queue: drop every not-yet-started task before the pool
                     # shutdown joins the in-flight ones.
-                    for future in futures:
+                    for future in futures.values():
                         future.cancel()
                     raise
     report = _assemble_report(suite, records)

@@ -370,7 +370,8 @@ class Simulator:
         lies ahead, the rounds before it (capped at this run's end) are
         skipped: the trace notes them, no frame is recorded, every driver's
         ``skip_rounds`` is told how many passed and the environment's
-        ``skip_rounds`` which ones.
+        ``skip_rounds`` which ones.  Drivers that draw ahead learn the run's
+        last round first (``begin_run``).
         """
         if rounds < 0:
             raise ValueError("cannot run a negative number of rounds")
@@ -379,6 +380,10 @@ class Simulator:
                 process.on_start()
             self._started = True
         end = self._current_round + rounds
+        for driver in self._batch_drivers:
+            begin_run = getattr(driver, "begin_run", None)
+            if begin_run is not None:
+                begin_run(end)
         sources = self._busy_sources
         while self._current_round < end:
             round_number = self._current_round + 1

@@ -18,7 +18,7 @@ guarantees speak about:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.events import DecideOutput
 from repro.core.messages import Message
@@ -261,9 +261,21 @@ def _covered_windows(intervals, window: int, num_phases: int) -> Set[int]:
     return covered
 
 
+def iter_data_reception_rounds(trace: ExecutionTrace, vertex: Vertex) -> Iterator[int]:
+    """The rounds in which ``vertex`` physically received a data frame,
+    ascending, read lazily off the recorded receptions (so a caller that
+    needs only the first stops there).  Data frames are those
+    :func:`data_reception_round_sets` counts."""
+    for rnd, received in trace.receptions_by_round():
+        frame = received.get(vertex)
+        if frame is not None and getattr(frame, "message", None) is not None:
+            yield rnd
+
+
 def data_reception_rounds(trace: ExecutionTrace, vertex: Vertex) -> List[int]:
-    """Sorted view of :func:`data_reception_round_sets` for one ``vertex``."""
-    return sorted(data_reception_round_sets(trace).get(vertex, ()))
+    """:func:`data_reception_round_sets` for one ``vertex``, as a sorted list
+    (one pass that looks only at ``vertex``)."""
+    return list(iter_data_reception_rounds(trace, vertex))
 
 
 def data_reception_round_sets(trace: ExecutionTrace) -> Dict[Vertex, set]:

@@ -184,7 +184,12 @@ class Process(ABC):
           when only an input can wake it.  Answering ``round_number`` never
           skips;
         * ``skip_rounds(count)`` -- the simulator skipped ``count`` rounds,
-          none of them later than this driver's answer.
+          none of them later than this driver's answer;
+        * ``begin_run(last_round)`` -- called at the start of every
+          ``run()``: a driver that draws private coins ahead (to answer
+          ``next_busy_round`` past rounds where only a coin could fire) draws
+          none for rounds after ``last_round``, so member RNGs are exact at
+          the run boundary.
 
         A driver without ``next_busy_round`` turns skipping off for the run.
         """

@@ -1,6 +1,10 @@
 """Unit tests for the shared seed bit streams."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.seedbits import SeedBitStream
 
@@ -121,6 +125,59 @@ class TestExtension:
         stream.consume_bits(3)
         text = repr(stream)
         assert "kappa=8" in text and "consumed=3" in text
+
+
+class _BlockAtATimeStream:
+    """Oracle: the stream keeping its whole history and extending one block
+    per missing 256 bits, as the extension rule reads literally."""
+
+    def __init__(self, seed, kappa):
+        self.seed, self.kappa = seed, kappa
+        self.acc, self.total, self.cursor, self.blocks = seed, kappa, 0, 0
+
+    def consume_int(self, count):
+        end = self.cursor + count
+        while end > self.total:
+            self.blocks += 1
+            payload = self.seed.to_bytes((self.kappa + 7) // 8 or 1, "big") + b"|"
+            digest = hashlib.sha256(payload + str(self.blocks).encode()).digest()
+            self.acc = (self.acc << 256) | int.from_bytes(digest, "big")
+            self.total += 256
+        self.cursor = end
+        return (self.acc >> (self.total - end)) & ((1 << count) - 1)
+
+    def skip(self, count):
+        self.cursor += count
+
+
+_STREAM_OPS = st.lists(
+    st.tuples(st.sampled_from(["consume", "skip"]), st.integers(0, 700)), max_size=12
+)
+
+
+class TestBatchedExtension:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**20 - 1), kappa=st.integers(20, 300), ops=_STREAM_OPS)
+    def test_matches_block_at_a_time_extension(self, seed, kappa, ops):
+        stream = SeedBitStream(seed, kappa)
+        oracle = _BlockAtATimeStream(seed, kappa)
+        for op, count in ops:
+            if op == "consume":
+                assert stream.consume_int(count) == oracle.consume_int(count)
+            else:
+                stream.skip(count)
+                oracle.skip(count)
+            assert stream.bits_consumed == oracle.cursor
+            assert stream.extension_blocks_used == oracle.blocks
+            assert stream.exhausted_initial_seed == (oracle.cursor > kappa)
+
+    def test_skip_past_the_generated_end_then_consume(self):
+        stream = SeedBitStream(seed=5, kappa=8)
+        oracle = _BlockAtATimeStream(5, 8)
+        for target in (stream, oracle):
+            target.skip(1000)
+        assert stream.consume_int(40) == oracle.consume_int(40)
+        assert stream.extension_blocks_used == oracle.blocks == 5
 
 
 class TestStatisticalSanity:

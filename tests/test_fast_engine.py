@@ -999,6 +999,85 @@ class TestSilentRounds:
         _assert_same_execution(kernel.trace, reference.run(rounds))
         assert _lb_stats(kernel) == _lb_stats(reference)
 
+    def test_coin_only_rounds_are_skipped(self, monkeypatch):
+        """Private coins are drawn ahead (a body's at its start, a leader's
+        at its election), so every round the kernel steps either transmits
+        or holds bookkeeping: a phase start, preamble end, body start or
+        phase end, or a seed phase's election or last round."""
+        from repro.core.seed_groups import LocalBroadcastBatchDriver
+
+        stepped = []
+        transmit_round = LocalBroadcastBatchDriver.transmit_round
+
+        def spy(driver, round_number, out):
+            stepped.append(round_number)
+            return transmit_round(driver, round_number, out)
+
+        monkeypatch.setattr(LocalBroadcastBatchDriver, "transmit_round", spy)
+        kernel, params = self._lb("saturating")
+        reference, _ = self._lb("saturating", reference=True)
+        rounds = 4 * params.phase_length
+        reference_trace = reference.run(rounds)
+        _assert_same_execution(kernel.run(rounds), reference_trace)
+        transmitting = {
+            t for t in range(1, rounds + 1) if reference_trace.transmissions_in_round(t)
+        }
+        length, seed_length = params.phase_length, params.seed_params.phase_length
+        bookkeeping = set()
+        for start in range(0, rounds, length):
+            bookkeeping.update(start + offset for offset in (1, params.ts, params.ts + 1, length))
+            for seed_start in range(start, start + params.ts, seed_length):
+                bookkeeping.update((seed_start + 1, seed_start + seed_length))
+        assert set(stepped) <= transmitting | bookkeeping
+        # Both a body and a leader's seed phase had silent rounds to skip.
+        body = {t for t in range(1, rounds + 1) if (t - 1) % length >= params.ts}
+        assert body - transmitting - set(stepped)
+        assert (set(range(1, rounds + 1)) - body) - transmitting - set(stepped)
+
+    def test_split_runs_keep_member_rngs_exact(self):
+        """Runs split mid-body and mid-leader-phase, just before and just
+        after a round where a drawn-ahead coin fires, observe the reference
+        execution, and every member's RNG state and statistics equal the
+        reference's at each run boundary."""
+        from repro.core.local_broadcast import DataFrame
+        from repro.core.seed_agreement import SeedFrame
+
+        probe, params = self._lb("saturating", reference=True)
+        rounds = 4 * params.phase_length
+        trace = probe.run(rounds)
+        length, seed_length = params.phase_length, params.seed_params.phase_length
+
+        def firing(kind, keep):
+            return [
+                t
+                for t in range(2, rounds)
+                if keep((t - 1) % length + 1)
+                and any(type(f) is kind for f in trace.transmissions_in_round(t).values())
+            ]
+
+        # Leader coins past a seed phase's election round; data frames past
+        # the body's first round.
+        leader = firing(
+            SeedFrame, lambda offset: offset <= params.ts and (offset - 1) % seed_length > 0
+        )
+        body = firing(DataFrame, lambda offset: offset > params.ts + 1)
+        assert leader and body
+        splits = set()
+        for t in (leader[0], leader[-1], body[0], body[len(body) // 2], body[-1]):
+            splits.update((t - 1, t))
+
+        kernel, _ = self._lb("saturating")
+        reference, _ = self._lb("saturating", reference=True)
+        for split in sorted(splits) + [rounds]:
+            for simulator in (kernel, reference):
+                simulator.run(split - simulator.current_round)
+            assert [kernel.process_at(v).rng.getstate() for v in sorted(kernel.graph.vertices)] == [
+                reference.process_at(v).rng.getstate() for v in sorted(reference.graph.vertices)
+            ]
+            assert _lb_stats(kernel) == _lb_stats(reference)
+        assert kernel.perf_stats["rounds_skipped"] > 0
+        _assert_same_execution(kernel.trace, reference.trace)
+
     def test_phase_ends_are_never_skipped(self, monkeypatch):
         """Leaderless stretches of a preamble are skipped; the phase start,
         every seed-phase start that elects, the preamble end, the body start

@@ -11,9 +11,12 @@ the deterministic half of the LB specification (timely ack and validity),
 that every ``seed_agreement`` execution meets the deterministic conditions
 of ``Seed(δ, ε)`` (consistency, at most one decide per vertex, and
 well-formedness once the run covers SeedAlg's rounds), and that the spec
-survives a JSON round trip with its fingerprint.  The production side runs
-in two ``run()`` calls split at a drawn round, so silent-round skipping is
-checked across run-boundary flushes and mid-body cohort rebuilds.
+survives a JSON round trip with its fingerprint.  Both sides run in
+several ``run()`` calls split at the same drawn rounds -- for ``lbalg``
+also inside a body and inside a seed phase, where private coins would be
+drawn ahead of the boundary -- so silent-round and coin-only skipping are
+checked across run-boundary flushes and mid-body cohort rebuilds, and every
+process's RNG state must match the reference's at every boundary.
 """
 
 from __future__ import annotations
@@ -138,25 +141,58 @@ def _queue_row(built, trace):
     return METRICS.get("queue")(context)
 
 
-def _execute(spec: ScenarioSpec, split_round: int = 0):
-    """Materialize and run ``spec``; a positive ``split_round`` (capped at
-    the run's length) splits it into two ``run()`` calls there."""
+def _rng_states(simulator):
+    return {
+        vertex: simulator.process_at(vertex).rng.getstate()
+        for vertex in simulator.graph.vertices
+    }
+
+
+def _execute(spec: ScenarioSpec, splits=()):
+    """Materialize and run ``spec`` in one ``run()`` call per stretch
+    between the ``splits`` (rounds, capped at the run's length); return the
+    build, the trace and every process's RNG state at each boundary."""
     built = materialize(spec)
-    first = min(split_round, built.total_rounds)
-    built.simulator.run(first)
-    return built, built.simulator.run(built.total_rounds - first)
+    simulator = built.simulator
+    states = []
+    for split in sorted(set(splits)):
+        if simulator.current_round < split < built.total_rounds:
+            simulator.run(split - simulator.current_round)
+            states.append(_rng_states(simulator))
+    trace = simulator.run(built.total_rounds - simulator.current_round)
+    states.append(_rng_states(simulator))
+    return built, trace, states
 
 
-def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, split_round: int):
-    """Run ``spec`` on the production engine (split at ``split_round``) and
-    on the reference, assert they observe one execution and that it meets
+def _lbalg_split_anchors(built):
+    """Boundaries inside an LBAlg body (between its start and its phase end)
+    and inside a seed phase (past its election), where a run that went on
+    would have drawn private coins ahead."""
+    params = built.params
+    length, ts = params.phase_length, params.ts
+    seed_length = params.seed_params.phase_length
+    anchors = []
+    for start in range(0, built.total_rounds, length):
+        anchors.extend(range(start + ts + 1, start + length - 1))
+        for seed_start in range(start, start + ts, seed_length):
+            anchors.extend(range(seed_start + 1, min(seed_start + seed_length, start + ts)))
+    return anchors
+
+
+def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, draw_splits):
+    """Run ``spec`` on the production engine and on the reference, split at
+    the same rounds (``draw_splits(built)`` picks them), assert they observe
+    one execution with equal RNG states at every boundary and that it meets
     the deterministic spec clauses; return the production build."""
-    built, production = _execute(spec, split_round)
-    reference_built, reference = _execute(
+    splits = draw_splits(materialize(spec))
+    built, production, states = _execute(spec, splits)
+    reference_built, reference, reference_states = _execute(
         spec.with_overrides(
             {"engine.fast_path": False, "engine.batch_path": reference_batched}
-        )
+        ),
+        splits,
     )
+    assert states == reference_states
     assert reference_built.simulator.lane == "reference"
     assert built.simulator.lane in ("reference", "kernel")
 
@@ -215,15 +251,24 @@ def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, split_r
 
 class TestProductionMatchesReference:
     def test_production_trace_equals_reference(self):
-        """The production side runs in two ``run()`` calls split at a drawn
-        round, so skipped silent rounds cross the run-boundary flush and
-        mid-body cohort rebuilds; some drawn examples must skip."""
+        """Both sides run split at up to three drawn rounds (for ``lbalg``
+        also drawn from inside bodies and seed phases), so skipped silent
+        and coin-only rounds cross the run-boundary flush and mid-body
+        cohort rebuilds; some drawn examples must skip."""
         skipped = []
 
-        @given(scenario_specs(), st.booleans(), st.integers(0, 120))
+        @given(scenario_specs(), st.booleans(), st.data())
         @settings(max_examples=150, deadline=None)
-        def check(spec, reference_batched, split_round):
-            built = _check_production_trace(spec, reference_batched, split_round)
+        def check(spec, reference_batched, data):
+            def draw_splits(built):
+                rounds = st.integers(0, 120)
+                if spec.algorithm.name == "lbalg":
+                    anchors = _lbalg_split_anchors(built)
+                    if anchors:
+                        rounds = rounds | st.sampled_from(anchors)
+                return data.draw(st.lists(rounds, max_size=3), label="splits")
+
+            built = _check_production_trace(spec, reference_batched, draw_splits)
             skipped.append(built.simulator.perf_stats["rounds_skipped"])
 
         check()

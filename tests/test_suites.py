@@ -452,6 +452,79 @@ class TestStoreResume:
         assert det(resumed) == det(run_suite(suite, prebuild=False))
 
 
+def weighted_suite():
+    """Entries of unequal declared work (round budget x vertex count), with
+    ties: a (2 trials) and d weigh the least, b triples the budget, c
+    doubles the vertices."""
+    def entry(entry_id, seed, **overrides):
+        scenario = small_scenario(entry_id, seed=seed).with_overrides(overrides)
+        return SuiteEntry(id=entry_id, scenario=scenario, group="g")
+
+    return SuiteSpec(
+        name="weighted-suite",
+        entries=(
+            entry("a", 3, **{"run.trials": 2, "run.seed_policy": "derived"}),
+            entry("b", 4, **{"run.rounds": 3}),
+            entry("c", 5, **{"topology.args.n": 10}),
+            entry("d", 6),
+        ),
+    )
+
+
+class TestPoolDispatchOrder:
+    def test_heaviest_first_submission_with_canonical_landing(self, tmp_path, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.scenarios import materialize
+
+        suite = weighted_suite()
+        submitted, stored, events = [], [], []
+        submit = ProcessPoolExecutor.submit
+        put = ResultStore.put
+
+        def spy_submit(pool, fn, *args, **kwargs):
+            submitted.append(args[0])
+            return submit(pool, fn, *args, **kwargs)
+
+        def spy_put(store, spec, trial_index, record):
+            stored.append((spec.name, trial_index))
+            return put(store, spec, trial_index, record)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy_submit)
+        monkeypatch.setattr(ResultStore, "put", spy_put)
+        report = run_suite(
+            suite,
+            jobs=2,
+            store=str(tmp_path / "store"),
+            on_progress=lambda e: events.append(e) if e["event"] == "task" else None,
+        )
+
+        # Declared work, derived independently of the dispatcher: the
+        # materialized trial's round budget times its vertex count.
+        work = []
+        for entry in suite.entries:
+            built = materialize(entry.scenario)
+            work += [built.total_rounds * len(built.graph.vertices)] * entry.scenario.run.trials
+        assert len(set(work)) == 3
+        canonical = list(range(len(work)))
+        assert submitted == sorted(canonical, key=lambda index: (-work[index], index))
+        assert submitted[:2] == [2, 3] and submitted != canonical
+        assert stored == [("a", 0), ("a", 1), ("b", 0), ("c", 0), ("d", 0)]
+        assert [(e["entry"], e["trial"]) for e in events] == [
+            (0, 0), (0, 1), (1, 0), (2, 0), (3, 0),
+        ]
+        assert [e["task"] for e in events] == canonical
+        assert det(report) == det(run_suite(suite, jobs=1))
+
+    def test_serial_runs_sample_no_weights(self, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("a serial run computed dispatch weights")
+
+        monkeypatch.setattr(suite_module, "_heaviest_first", no_weights)
+        report = run_suite(weighted_suite(), jobs=1)
+        assert len(report.entries) == 4
+
+
 class TestProgressAndCancellation:
     """The PR-8 service hooks: ``on_progress`` events and ``should_stop``."""
 
