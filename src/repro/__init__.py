@@ -114,7 +114,7 @@ _EXPORTS = {
     "RoundRobinProcess": "repro.baselines.round_robin",
     "make_baseline_processes": "repro.baselines.factory",
     # abstract MAC layer
-    "AbstractMacNode": "repro.mac.adapter",
+    "MacEnvironment": "repro.mac.adapter",
     "MacClient": "repro.mac.spec",
     "FloodClient": "repro.mac.applications.flood",
     "run_flood": "repro.mac.applications.flood",

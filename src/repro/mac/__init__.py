@@ -9,9 +9,9 @@ implementation of the layer in the dual graph model.
 
 * :mod:`repro.mac.spec` -- the client-facing layer interface
   (:class:`MacClient`, :class:`MacLayerGuarantees`).
-* :mod:`repro.mac.adapter` -- :class:`AbstractMacNode`, which hosts an
-  arbitrary local-broadcast-capable process (LBAlg or a baseline) and drives
-  a :class:`MacClient` with MAC-layer events.
+* :mod:`repro.mac.adapter` -- :class:`MacEnvironment`, the environment that
+  hosts the :class:`MacClient` instances over any local-broadcast-capable
+  population (LBAlg or a baseline) and drives them with MAC-layer events.
 * :mod:`repro.mac.applications` -- algorithms written against the layer; the
   flooding / global single-message broadcast of
   :mod:`repro.mac.applications.flood` is the representative example.
@@ -23,8 +23,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "MacClient": "repro.mac.spec",
     "MacLayerGuarantees": "repro.mac.spec",
-    "AbstractMacNode": "repro.mac.adapter",
-    "make_mac_nodes": "repro.mac.adapter",
+    "MacEnvironment": "repro.mac.adapter",
     "FloodClient": "repro.mac.applications.flood",
     "FloodResult": "repro.mac.applications.flood",
     "run_flood": "repro.mac.applications.flood",

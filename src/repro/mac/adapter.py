@@ -1,162 +1,88 @@
 """Hosting MAC clients on top of the local broadcast service.
 
-:class:`AbstractMacNode` is a :class:`~repro.simulation.process.Process` that
-wraps two things:
+The abstract MAC layer's clients hand the layer ``bcast`` inputs and take its
+``rcv`` / ``ack`` outputs, which is exactly the role of the *environment* in
+the Section 2 model.  :class:`MacEnvironment` is therefore an
+:class:`~repro.simulation.environment.Environment`: it starts every
+:class:`~repro.mac.spec.MacClient` with a per-vertex handle, queues the
+payloads a client hands its handle, submits a vertex's next payload as a
+``bcast`` input once the vertex is idle (the base class's one-outstanding-
+message bookkeeping), and turns the ``recv`` / ``ack`` outputs it observes
+into client callbacks.
 
-* an *inner* broadcast process -- normally a
-  :class:`~repro.core.local_broadcast.LocalBroadcastProcess`, but any process
-  speaking the ``Message`` / ``AckOutput`` / ``RecvOutput`` vocabulary (the
-  baselines do too) can back the layer; and
-* a :class:`~repro.mac.spec.MacClient`, the higher-level algorithm.
-
-The adapter translates between the two worlds: client ``mac_bcast`` calls
-become ``bcast`` inputs injected into the inner process (queued while a
-previous payload is outstanding, to honor the one-outstanding-message rule),
-and the inner process's ``recv`` / ``ack`` outputs become client callbacks.
-All inner events are also re-emitted into the execution trace so the usual
-metrics and spec checkers keep working unchanged.
+The processes below it are a plain broadcast population -- normally
+:func:`~repro.core.local_broadcast.make_lb_processes`, but any process
+speaking the ``Message`` / ``AckOutput`` / ``RecvOutput`` vocabulary (the
+baselines do too) can back the layer -- so the engine batches them and skips
+their silent rounds like any other population.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Iterable, Mapping, Optional
 
-from repro.core.events import AckOutput, BcastInput, RecvOutput
-from repro.core.local_broadcast import LocalBroadcastProcess
-from repro.core.messages import Message
-from repro.core.params import LBParams
-from repro.dualgraph.graph import DualGraph
+from repro.core.events import AckOutput, RecvOutput
 from repro.mac.spec import MacClient
-from repro.simulation.process import Process, ProcessContext
+from repro.simulation.environment import Environment
+
+Vertex = Hashable
 
 
-class AbstractMacNode(Process):
-    """A node hosting a MAC client over an inner broadcast process."""
+class _MacHandle:
+    """The :class:`~repro.mac.spec.MacApi` handle a client gets at start-up."""
 
-    def __init__(
-        self,
-        ctx: ProcessContext,
-        inner: Process,
-        client: MacClient,
-    ) -> None:
-        super().__init__(ctx)
-        self._inner = inner
-        self._client = client
-        self._queue: deque = deque()
-        self._outstanding: Optional[Message] = None
-        self._sequence = 0
-        self._current_round = 0
+    __slots__ = ("vertex", "_environment")
 
-    # ------------------------------------------------------------------
-    # MacApi
-    # ------------------------------------------------------------------
+    def __init__(self, environment: "MacEnvironment", vertex: Vertex) -> None:
+        self.vertex = vertex
+        self._environment = environment
+
     def mac_bcast(self, payload: Any) -> bool:
-        """Client-facing submission; queues if the layer is busy."""
-        self._queue.append(payload)
-        return self._outstanding is None and len(self._queue) == 1
-
-    @property
-    def inner(self) -> Process:
-        """The wrapped broadcast process."""
-        return self._inner
-
-    @property
-    def client(self) -> MacClient:
-        return self._client
-
-    @property
-    def outstanding_payload(self) -> Optional[Any]:
-        """The payload currently being broadcast (None when idle)."""
-        return self._outstanding.payload if self._outstanding else None
-
-    @property
-    def queued_payloads(self) -> int:
-        return len(self._queue)
-
-    # ------------------------------------------------------------------
-    # Process hooks
-    # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        self._inner.on_start()
-        self._client.on_mac_start(self)
-
-    def on_round_start(self, round_number: int) -> None:
-        self._current_round = round_number
-        self._inner.on_round_start(round_number)
-        self._maybe_submit(round_number)
-
-    def on_input(self, round_number: int, inp: Any) -> None:
-        # Environments normally do not feed MAC nodes directly, but if one
-        # does, treat the input as a client payload submission.
-        self.mac_bcast(inp.payload if isinstance(inp, Message) else inp)
-
-    def transmit(self, round_number: int) -> Optional[Any]:
-        return self._inner.transmit(round_number)
-
-    def on_receive(self, round_number: int, frame: Optional[Any]) -> None:
-        self._inner.on_receive(round_number, frame)
-
-    def on_round_end(self, round_number: int) -> None:
-        self._inner.on_round_end(round_number)
-        for event in self._inner.drain_outputs():
-            self.emit(event)
-            if isinstance(event, RecvOutput):
-                self._client.on_mac_recv(event.message.payload, round_number)
-            elif isinstance(event, AckOutput):
-                if (
-                    self._outstanding is not None
-                    and event.message.message_id == self._outstanding.message_id
-                ):
-                    self._outstanding = None
-                self._client.on_mac_ack(event.message.payload, round_number)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _maybe_submit(self, round_number: int) -> None:
-        if self._outstanding is not None or not self._queue:
-            return
-        payload = self._queue.popleft()
-        message = Message(origin=self.vertex, sequence=self._sequence, payload=payload)
-        self._sequence += 1
-        self._outstanding = message
-        self._inner.on_input(round_number, message)
-        # Record the submission so traces stay analyzable by the LB checkers.
-        self.emit(BcastInput(vertex=self.vertex, message=message, round_number=round_number))
+        return self._environment._mac_bcast(self.vertex, payload)
 
 
-def make_mac_nodes(
-    graph: DualGraph,
-    params: LBParams,
-    client_factory: Callable[[Hashable], MacClient],
-    rng: random.Random,
-    inner_factory: Optional[Callable[[ProcessContext], Process]] = None,
-) -> Dict[Hashable, AbstractMacNode]:
-    """Build one :class:`AbstractMacNode` per vertex.
+class MacEnvironment(Environment):
+    """The environment that hosts one :class:`MacClient` per vertex.
 
-    Parameters
-    ----------
-    client_factory:
-        Maps a vertex to its :class:`MacClient` instance.
-    inner_factory:
-        Maps a context to the inner broadcast process; defaults to
-        ``LocalBroadcastProcess`` with the supplied ``params``.
+    Every client is started (``on_mac_start``) here, before the first round,
+    with a handle carrying its ``vertex`` and ``mac_bcast``.
     """
-    delta, delta_prime = graph.degree_bounds()
-    if inner_factory is None:
-        def inner_factory(ctx: ProcessContext) -> Process:
-            return LocalBroadcastProcess(ctx, params)
 
-    nodes: Dict[Hashable, AbstractMacNode] = {}
-    for vertex in sorted(graph.vertices, key=repr):
-        ctx = ProcessContext(
-            vertex=vertex,
-            delta=max(delta, params.delta),
-            delta_prime=max(delta_prime, params.delta_prime),
-            r=params.r,
-            rng=random.Random(rng.getrandbits(64)),
-        )
-        nodes[vertex] = AbstractMacNode(ctx, inner_factory(ctx), client_factory(vertex))
-    return nodes
+    def __init__(self, clients: Mapping[Vertex, MacClient]) -> None:
+        super().__init__()
+        self._clients: Dict[Vertex, MacClient] = dict(clients)
+        # Only vertices with at least one payload waiting.
+        self._queues: Dict[Vertex, deque] = {}
+        for vertex, client in self._clients.items():
+            client.on_mac_start(_MacHandle(self, vertex))
+
+    def _mac_bcast(self, vertex: Vertex, payload: Any) -> bool:
+        queue = self._queues.setdefault(vertex, deque())
+        queue.append(payload)
+        return vertex not in self._busy and len(queue) == 1
+
+    def _wanted_submissions(self, round_number: int) -> Iterable[tuple]:
+        busy = self._busy
+        ready = [vertex for vertex in self._queues if vertex not in busy]
+        wanted = []
+        for vertex in ready:
+            queue = self._queues[vertex]
+            wanted.append((vertex, queue.popleft()))
+            if not queue:
+                del self._queues[vertex]
+        return wanted
+
+    def next_busy_round(self, round_number: int) -> Optional[int]:
+        # A queued payload waits for its vertex's ack, which only a stepped
+        # round produces; once the vertex is idle it goes out this round.
+        busy = self._busy
+        if any(vertex not in busy for vertex in self._queues):
+            return round_number
+        return None
+
+    def _on_recv(self, round_number: int, event: RecvOutput) -> None:
+        self._clients[event.vertex].on_mac_recv(event.message.payload, round_number)
+
+    def _on_ack(self, round_number: int, event: AckOutput) -> None:
+        self._clients[event.vertex].on_mac_ack(event.message.payload, round_number)

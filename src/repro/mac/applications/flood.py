@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional
 
+from repro.core.local_broadcast import make_lb_processes
 from repro.core.params import LBParams
 from repro.dualgraph.adversary import LinkScheduler
 from repro.dualgraph.graph import DualGraph
-from repro.mac.adapter import make_mac_nodes
+from repro.mac.adapter import MacEnvironment
 from repro.mac.spec import MacApi, MacClient
 from repro.simulation.engine import Simulator
 
@@ -139,8 +140,12 @@ def run_flood(
         vertex: FloodClient(vertex, is_source=(vertex == source), flood_id=flood_id)
         for vertex in graph.vertices
     }
-    nodes = make_mac_nodes(graph, params, lambda v: clients[v], rng)
-    simulator = Simulator(graph, nodes, scheduler=scheduler)
+    simulator = Simulator(
+        graph,
+        make_lb_processes(graph, params, rng),
+        scheduler=scheduler,
+        environment=MacEnvironment(clients),
+    )
 
     if max_phases is None:
         diameter = graph.reliable_eccentricity(source)

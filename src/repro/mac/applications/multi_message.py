@@ -5,7 +5,7 @@ unreliable links (Ghaffari, Kantor, Lynch, Newport PODC 2014) as one of the
 results that port to the dual graph model once the layer is implemented.
 This module provides the straightforward flood-per-message variant: ``k``
 source nodes each inject their own token; every node relays every token it
-has not seen before, letting the MAC adapter queue relays while a previous
+has not seen before, letting the MAC environment queue relays while a previous
 one is still being acknowledged.
 
 :func:`run_multi_message_broadcast` runs the experiment and reports per-token
@@ -19,10 +19,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional
 
+from repro.core.local_broadcast import make_lb_processes
 from repro.core.params import LBParams
 from repro.dualgraph.adversary import LinkScheduler
 from repro.dualgraph.graph import DualGraph
-from repro.mac.adapter import make_mac_nodes
+from repro.mac.adapter import MacEnvironment
 from repro.mac.spec import MacApi, MacClient
 from repro.simulation.engine import Simulator
 
@@ -38,7 +39,7 @@ class Token:
 
 
 class MultiMessageClient(MacClient):
-    """Relay every token once; the MAC adapter serializes outstanding relays."""
+    """Relay every token once; the MAC environment serializes outstanding relays."""
 
     def __init__(self, vertex: Vertex, own_tokens: Iterable[Token] = ()) -> None:
         self.vertex = vertex
@@ -129,8 +130,12 @@ def run_multi_message_broadcast(
         vertex: MultiMessageClient(vertex, own_tokens=tokens_by_source.get(vertex, ()))
         for vertex in graph.vertices
     }
-    nodes = make_mac_nodes(graph, params, lambda v: clients[v], rng)
-    simulator = Simulator(graph, nodes, scheduler=scheduler)
+    simulator = Simulator(
+        graph,
+        make_lb_processes(graph, params, rng),
+        scheduler=scheduler,
+        environment=MacEnvironment(clients),
+    )
 
     if max_phases is None:
         diameter = max(graph.reliable_eccentricity(source) for source in sources)

@@ -19,10 +19,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Optional, Set
 
+from repro.core.local_broadcast import make_lb_processes
 from repro.core.params import LBParams
 from repro.dualgraph.adversary import LinkScheduler
 from repro.dualgraph.graph import DualGraph
-from repro.mac.adapter import make_mac_nodes
+from repro.mac.adapter import MacEnvironment
 from repro.mac.spec import MacApi, MacClient
 from repro.simulation.engine import Simulator
 
@@ -118,8 +119,12 @@ def run_neighbor_discovery(
     if rng is None:
         rng = random.Random(0)
     clients = {v: NeighborDiscoveryClient(v) for v in graph.vertices}
-    nodes = make_mac_nodes(graph, params, lambda v: clients[v], rng)
-    simulator = Simulator(graph, nodes, scheduler=scheduler)
+    simulator = Simulator(
+        graph,
+        make_lb_processes(graph, params, rng),
+        scheduler=scheduler,
+        environment=MacEnvironment(clients),
+    )
     if phases is None:
         phases = params.tack_phases + 2
     rounds = phases * params.phase_length

@@ -181,9 +181,10 @@ class MacApi(Protocol):
     def mac_bcast(self, payload: Any) -> bool:
         """Hand a payload to the layer.
 
-        Returns True if the layer accepted it now; False if the layer is busy
-        with a previous payload (the adapter queues it and submits it when the
-        outstanding one is acknowledged).
+        Returns True if the layer takes it up at the next round; False if it
+        waits behind a previous payload (the
+        :class:`~repro.mac.adapter.MacEnvironment` queues it and submits it
+        once every earlier one is acknowledged).
         """
 
 

@@ -355,7 +355,9 @@ class AlgorithmBuild:
     :class:`~repro.scenarios.spec.RunPolicy` round units (``"phases"`` /
     ``"tack"`` / ``"algorithm"``); builders leave them ``None`` when the
     algorithm has no such structure (the baselines), in which case only the
-    literal ``"rounds"`` unit applies.
+    literal ``"rounds"`` unit applies.  ``environment`` is set by a builder
+    whose algorithm brings its own environment (``flood``'s MAC clients); the
+    runtime then uses it in place of the spec's, which must be ``null``.
     """
 
     processes: Dict[Hashable, Any]
@@ -364,6 +366,7 @@ class AlgorithmBuild:
     tack_rounds: Optional[int] = None
     natural_rounds: Optional[int] = None
     extras: Dict[str, Any] = field(default_factory=dict)
+    environment: Any = None
 
 
 @register_algorithm("lbalg", sample_args={"epsilon": 0.2, "preset": "small"})
@@ -513,9 +516,10 @@ def _algorithm_flood(
     """Global broadcast by flooding over the LBAlg-backed abstract MAC layer.
 
     The spec-expressible form of :func:`repro.mac.applications.flood.run_flood`:
-    one :class:`~repro.mac.applications.flood.FloodClient` per vertex behind
-    :func:`~repro.mac.adapter.make_mac_nodes`, parameters derived from the
-    measured (Δ, Δ').  ``compact_tack=True`` applies the E8 harness's
+    an LBAlg population under a :class:`~repro.mac.adapter.MacEnvironment`
+    hosting one :class:`~repro.mac.applications.flood.FloodClient` per vertex
+    (returned as the build's ``environment``, so the spec's environment must
+    be ``null``), parameters derived from the measured (Δ, Δ').  ``compact_tack=True`` applies the E8 harness's
     ``tack_phases_override=max(2, delta_prime)`` -- the flood only needs
     delivery to the next hop, so a compact sending period keeps the
     experiment fast while preserving the ``D * f_ack`` shape being measured.
@@ -526,7 +530,7 @@ def _algorithm_flood(
     per-vertex receipt state is fixed once the token lands, so the metric
     row does not depend on where inside the cap the flood completed.
     """
-    from repro.mac.adapter import make_mac_nodes
+    from repro.mac.adapter import MacEnvironment
     from repro.mac.applications.flood import FloodClient
 
     if source not in graph:
@@ -543,15 +547,16 @@ def _algorithm_flood(
         vertex: FloodClient(vertex, is_source=(vertex == source), flood_id=flood_id)
         for vertex in graph.vertices
     }
-    nodes = make_mac_nodes(graph, params, lambda v: clients[v], rng)
+    processes = make_lb_processes(graph, params, rng)
     max_phases = (graph.reliable_eccentricity(source) + 2) * (params.tack_phases + 1)
     return AlgorithmBuild(
-        processes=nodes,
+        processes=processes,
         params=params,
         phase_length=params.phase_length,
         tack_rounds=params.tack_rounds,
         natural_rounds=max_phases * params.phase_length,
         extras={"flood_clients": clients, "flood_source": source},
+        environment=MacEnvironment(clients),
     )
 
 

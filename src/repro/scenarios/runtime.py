@@ -159,7 +159,9 @@ def materialize(spec: ScenarioSpec, trial_index: int = 0) -> BuiltScenario:
     the equivalent hand construction that follows the same order (the
     convention used throughout the examples and benchmarks).  Environments
     receive the trial's ``embedding``, ``traffic`` and ``trial_seed`` when
-    their builders declare those keywords.
+    their builders declare those keywords.  An algorithm build that brings
+    its own environment (``AlgorithmBuild.environment``) replaces the spec's,
+    which must then be ``null``.
     """
     trial_seed = spec.run.trial_seed(trial_index)
     graph, embedding = _build_topology(spec, trial_seed)
@@ -167,16 +169,23 @@ def materialize(spec: ScenarioSpec, trial_index: int = 0) -> BuiltScenario:
         spec.algorithm.name, graph, random.Random(trial_seed), **spec.algorithm.args
     )
     scheduler = _build_scheduler(spec, graph, trial_seed)
-    environment = ENVIRONMENTS.build(
-        spec.environment.name,
-        graph,
-        context={
-            "embedding": embedding,
-            "traffic": spec.traffic,
-            "trial_seed": trial_seed,
-        },
-        **spec.environment.args,
-    )
+    environment = build.environment
+    if environment is None:
+        environment = ENVIRONMENTS.build(
+            spec.environment.name,
+            graph,
+            context={
+                "embedding": embedding,
+                "traffic": spec.traffic,
+                "trial_seed": trial_seed,
+            },
+            **spec.environment.args,
+        )
+    elif spec.environment.name != "null":
+        raise ValueError(
+            f"algorithm {spec.algorithm.name!r} brings its own environment; "
+            f"environment {spec.environment.name!r} cannot drive it (use 'null')"
+        )
 
     engine = spec.engine
     simulator = Simulator(

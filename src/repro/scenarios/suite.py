@@ -637,8 +637,10 @@ def run_suite(
 
     ``jobs`` above 1 runs the flattened (entry, trial) task list on a process
     pool (``None`` = all cores, <2 = serial in this process); the pool is
-    handed them heaviest-first (:func:`_heaviest_first`), and records land in
-    canonical task order either way.  ``prebuild`` computes the pending
+    handed them heaviest-first (:func:`_heaviest_first`) and each record
+    lands as its task completes, while a serial run lands them in canonical
+    task order.  The report absorbs records by task index, so it is the same
+    either way.  ``prebuild`` computes the pending
     entries' scheduler-delta tables once in this process (see
     :func:`_prebuild_pending_deltas`) and ships the merged table to
     pool workers through the pool initializer.
@@ -710,7 +712,7 @@ def run_suite(
                     raise SuiteTaskError(_task_failure(suite, tasks, index, exc)) from exc
                 land(index, trial)
         else:
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor, as_completed
             from concurrent.futures.process import BrokenProcessPool
 
             suite_specs = [spec.to_json(indent=None) for spec in specs]
@@ -719,22 +721,23 @@ def run_suite(
                 # Pickled once per worker rather than once per task.
                 pool_kwargs["initializer"] = preload_process_delta_cache
                 pool_kwargs["initargs"] = (delta_table,)
-            # Submitted heaviest first; awaited, hence landed, in canonical order.
+            # Submitted heaviest first; landed as they complete.
             order = _heaviest_first(suite, tasks, pending, graphs)
             # The platform's default start method (fork on Linux): workers
             # inherit this process's imports and process-wide caches.
             with ProcessPoolExecutor(**pool_kwargs) as pool:
                 futures = {
-                    index: pool.submit(run_suite_task, index, suite_specs, tasks)
+                    pool.submit(run_suite_task, index, suite_specs, tasks): index
                     for index in order
                 }
                 try:
-                    for index in pending:
+                    for future in as_completed(futures):
+                        index = futures[future]
                         try:
-                            trial = futures[index].result()["trial"]
+                            trial = future.result()["trial"]
                         except BrokenProcessPool as exc:
                             # Every pending future fails alike, so the one
-                            # awaited first did not necessarily kill it.
+                            # seen first did not necessarily kill it.
                             unfinished = sum(1 for i in pending if i not in records)
                             raise SuiteTaskError(
                                 {
@@ -755,7 +758,7 @@ def run_suite(
                     # A cancelled or failing run should not wait out the whole
                     # queue: drop every not-yet-started task before the pool
                     # shutdown joins the in-flight ones.
-                    for future in futures.values():
+                    for future in futures:
                         future.cancel()
                     raise
     report = _assemble_report(suite, records)

@@ -49,8 +49,6 @@ stepping mode and every trace mode runs through one round loop; the
 :class:`~repro.simulation.trace.TraceMode` only decides what the trace
 retains.  The loop times its sections (``inputs`` / ``transmit`` /
 ``resolve`` / ``deliver`` / ``outputs``) into :attr:`Simulator.perf_stats`.
-The ``on_round_start`` / ``on_round_end`` hook loops only visit processes
-whose class overrides those hooks.
 
 On the kernel lane, :meth:`Simulator.run` also skips *silent rounds*: every
 batch driver and the environment report their next busy round
@@ -148,7 +146,6 @@ class Simulator:
         self._environment = environment if environment is not None else NullEnvironment()
         self._trace = ExecutionTrace(mode=trace_mode)
         self._current_round = 0
-        self._started = False
         #: Wall-clock seconds spent per round-loop section, always collected,
         #: plus ``rounds_skipped``: the silent rounds run() jumped over.
         self.perf_stats: Dict[str, Any] = dict.fromkeys(_SECTIONS, 0.0)
@@ -175,20 +172,6 @@ class Simulator:
         self._ungrouped: Dict[Vertex, Process] = self._processes
         if batch_path:
             self._build_batch_groups()
-
-        # Hook-override detection: the on_round_start/on_round_end loops are
-        # pure overhead for populations that never override them (two full
-        # scans per round); visit only actual overriders.
-        self._round_start_hooks: List[Process] = [
-            p
-            for p in self._ordered_processes
-            if type(p).on_round_start is not Process.on_round_start
-        ]
-        self._round_end_hooks: List[Process] = [
-            p
-            for p in self._ordered_processes
-            if type(p).on_round_end is not Process.on_round_end
-        ]
         self._busy_sources = self._silent_round_sources()
 
     def _build_batch_groups(self) -> None:
@@ -240,9 +223,9 @@ class Simulator:
         """The ``next_busy_round`` callables :meth:`run` consults to skip
         silent rounds, or ``None`` when it steps every round.
 
-        Skipping needs the kernel lane, no per-process (ungrouped) process
-        and no round hook, since neither reports a next busy round; every
-        batch driver must offer ``next_busy_round``; and the environment's
+        Skipping needs the kernel lane and no per-process (ungrouped)
+        process, which reports no next busy round; every batch driver must
+        offer ``next_busy_round``; and the environment's
         own class must define
         :meth:`~repro.simulation.environment.Environment.next_busy_round` --
         a subclass that overrides only its submissions inherits an answer
@@ -252,8 +235,6 @@ class Simulator:
         if (
             not self._fast
             or self._ungrouped
-            or self._round_start_hooks
-            or self._round_end_hooks
             or "next_busy_round" not in vars(type(self._environment))
         ):
             return None
@@ -375,10 +356,6 @@ class Simulator:
         """
         if rounds < 0:
             raise ValueError("cannot run a negative number of rounds")
-        if not self._started:
-            for process in self._processes.values():
-                process.on_start()
-            self._started = True
         end = self._current_round + rounds
         for driver in self._batch_drivers:
             begin_run = getattr(driver, "begin_run", None)
@@ -462,8 +439,6 @@ class Simulator:
 
         # 1. environment inputs
         t0 = clock()
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
         self._apply_inputs(round_number)
         t1 = clock()
 
@@ -491,8 +466,6 @@ class Simulator:
         t4 = clock()
 
         # 4. outputs
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
         round_outputs = []
         for process in self._ordered_processes:
             if process._pending_outputs:

@@ -7,9 +7,10 @@ identity mapping, or the link schedule.  That knowledge boundary is encoded in
 :class:`ProcessContext`, which is the only information the simulator hands a
 process at construction time.
 
-Concrete algorithms (``SeedAlg``, ``LBAlg``, the baselines, the MAC adapter)
-subclass :class:`Process` and implement the per-round hooks.  The simulator
-drives them in lock step:
+Concrete algorithms (``SeedAlg``, ``LBAlg``, the baselines) subclass
+:class:`Process`: the Section 2 automaton is exactly its inputs, its
+transmit decision, its receptions and its outputs, and the simulator drives
+them in lock step:
 
 1. :meth:`Process.on_input` for each environment input of the round,
 2. :meth:`Process.transmit` -- return a frame to broadcast, or ``None`` to
@@ -18,6 +19,10 @@ drives them in lock step:
    for silence or collision; transmitters always get ``None`` because a radio
    cannot transmit and receive simultaneously),
 4. :meth:`Process.drain_outputs` -- the outputs generated this round.
+
+Whatever lives above the automaton -- the local broadcast environment, or
+the abstract MAC layer's clients (:class:`repro.mac.adapter.MacEnvironment`)
+-- talks to it only through those inputs and outputs.
 """
 
 from __future__ import annotations
@@ -109,12 +114,6 @@ class Process(ABC):
     # ------------------------------------------------------------------
     # hooks driven by the simulator (override as needed)
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        """Called once before round 1."""
-
-    def on_round_start(self, round_number: int) -> None:
-        """Called at the very beginning of each round, before inputs."""
-
     def on_input(self, round_number: int, inp: Any) -> None:
         """Called once per environment input delivered to this process."""
 
@@ -130,9 +129,6 @@ class Process(ABC):
         collision, or this process transmitted).  There is no collision
         detection: the three ``None`` cases are indistinguishable.
         """
-
-    def on_round_end(self, round_number: int) -> None:
-        """Called at the end of each round, after receptions."""
 
     # ------------------------------------------------------------------
     # batch stepping protocol (opt-in; see Simulator)

@@ -878,40 +878,6 @@ class TestKernelLane:
         _assert_identical_traces(whole_trace, split_trace, rounds)
 
 
-class TestRoundHookSkipping:
-    class HookCountingProcess(SilentProcess):
-        def __init__(self, ctx):
-            super().__init__(ctx)
-            self.starts = 0
-            self.ends = 0
-
-        def on_round_start(self, round_number):
-            self.starts += 1
-
-        def on_round_end(self, round_number):
-            self.ends += 1
-
-    def _simulator(self, with_hooks):
-        graph = DualGraph([0, 1], reliable_edges=[(0, 1)])
-        cls = self.HookCountingProcess if with_hooks else SilentProcess
-        processes = {
-            v: cls(ProcessContext(vertex=v, delta=2, delta_prime=2)) for v in (0, 1)
-        }
-        return Simulator(graph, processes), processes
-
-    def test_overriding_processes_still_get_hooks(self):
-        simulator, processes = self._simulator(with_hooks=True)
-        simulator.run(7)
-        assert all(p.starts == 7 and p.ends == 7 for p in processes.values())
-
-    def test_hookless_population_skips_the_loops(self):
-        simulator, _ = self._simulator(with_hooks=False)
-        assert simulator._round_start_hooks == []
-        assert simulator._round_end_hooks == []
-        simulator.run(3)  # runs without error
-        assert simulator.trace.num_rounds == 3
-
-
 def _assert_same_execution(trace_a, trace_b):
     """Counters always; events unless COUNTERS; frames when FULL."""
     assert trace_a.num_rounds == trace_b.num_rounds
@@ -1208,22 +1174,20 @@ class TestSilentRounds:
         assert simulator.perf_stats["rounds_skipped"] == 0
         assert simulator.trace.event_counts["bcast"] > 0
 
-    def test_round_hook_process_never_skips(self):
+    def test_ungrouped_process_never_skips(self):
+        """A process stepped on its own reports no next busy round, so one
+        such process keeps the whole run stepping every round."""
         graph = GRAPH_FACTORIES["geometric"]()
         params = LBParams.small_for_testing(
             delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
         )
         processes = make_lb_processes(graph, params, random.Random(71))
-        hooked = sorted(graph.vertices)[-1]
-        processes[hooked] = TestRoundHookSkipping.HookCountingProcess(
-            processes[hooked].ctx
-        )
+        loner = sorted(graph.vertices)[-1]
+        processes[loner] = SilentProcess(processes[loner].ctx)
         simulator = Simulator(graph, processes, environment=NullEnvironment())
         assert simulator.lane == "kernel" and simulator.uses_batch_stepping
-        rounds = 2 * params.phase_length
-        simulator.run(rounds)
+        simulator.run(2 * params.phase_length)
         assert simulator.perf_stats["rounds_skipped"] == 0
-        assert processes[hooked].starts == rounds
 
     @pytest.mark.parametrize("environment", ["single_shot", "null"])
     def test_reference_lane_never_skips(self, environment):

@@ -133,3 +133,43 @@ class TestRunFlood:
         graph, _ = line_network(5, spacing=0.9)
         result = run_flood(graph, params, source=0, rng=random.Random(7), max_phases=1)
         assert result.rounds_run <= params.phase_length
+
+
+class TestFloodScenario:
+    def _spec(self, environment):
+        from repro.scenarios import (
+            AlgorithmSpec,
+            EnvironmentSpec,
+            RunPolicy,
+            ScenarioSpec,
+            SchedulerSpec,
+            TopologySpec,
+        )
+
+        return ScenarioSpec(
+            name="flood-scenario",
+            topology=TopologySpec("line", {"n": 4}),
+            algorithm=AlgorithmSpec("flood", {"epsilon": 0.2, "compact_tack": True}),
+            scheduler=SchedulerSpec("iid", {"probability": 0.5, "seed": 1}),
+            environment=environment,
+            run=RunPolicy(rounds=1, rounds_unit="algorithm", master_seed=1, seed_policy="fixed"),
+        )
+
+    def test_the_mac_environment_drives_the_population(self):
+        from repro.mac.adapter import MacEnvironment
+        from repro.scenarios import EnvironmentSpec, materialize
+
+        built = materialize(self._spec(EnvironmentSpec("null", {})))
+        assert isinstance(built.environment, MacEnvironment)
+        assert built.simulator.environment is built.environment
+        built.simulator.run(built.total_rounds)
+        clients = built.algorithm_build.extras["flood_clients"]
+        assert all(c.received_round is not None for c in clients.values())
+        assert built.simulator.perf_stats["rounds_skipped"] > 0
+
+    def test_a_spec_environment_is_rejected(self):
+        from repro.scenarios import EnvironmentSpec, materialize
+
+        spec = self._spec(EnvironmentSpec("saturating", {"senders": [0]}))
+        with pytest.raises(ValueError, match="'flood'.*'saturating'"):
+            materialize(spec)

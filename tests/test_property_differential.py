@@ -6,13 +6,17 @@ algorithm x environment (``queued`` included, with a drawn arrival kind and
 queue capacity) x trace mode -- and checks that the production engine
 (bitmask kernel resolver, batched cohort stepping) observes exactly the
 execution of the ``engine.fast_path=False`` reference, and a queued trial
-gives the same ``queue`` metric columns; that every ``lbalg`` execution meets
-the deterministic half of the LB specification (timely ack and validity),
+gives the same ``queue`` metric columns; that every ``lbalg`` and ``flood``
+execution meets the deterministic half of the LB specification (timely ack
+and validity),
 that every ``seed_agreement`` execution meets the deterministic conditions
 of ``Seed(δ, ε)`` (consistency, at most one decide per vertex, and
 well-formedness once the run covers SeedAlg's rounds), and that the spec
-survives a JSON round trip with its fingerprint.  Both sides run in
-several ``run()`` calls split at the same drawn rounds -- for ``lbalg``
+survives a JSON round trip with its fingerprint.  Half the draws are
+``lbalg`` or ``flood`` (LBAlg under the MAC clients' environment), run for
+whole phases, so bodies, coin-only rounds, acknowledgments and the
+submissions that follow them are covered.  Both sides run in
+several ``run()`` calls split at the same drawn rounds -- for those two
 also inside a body and inside a seed phase, where private coins would be
 drawn ahead of the boundary -- so silent-round and coin-only skipping are
 checked across run-boundary flushes and mid-body cohort rebuilds, and every
@@ -56,6 +60,8 @@ SCHEDULER_NAMES = (
 )
 TRACE_MODES = tuple(mode.value for mode in TraceMode)
 SENDER_ENVIRONMENTS = ("single_shot", "saturating", "bursty")
+#: The algorithms whose processes are LBAlg (``flood`` under MAC clients).
+LB_ALGORITHMS = ("lbalg", "flood")
 
 
 def _sample_graph(topology: TopologySpec, master_seed: int):
@@ -91,13 +97,30 @@ def scenario_specs(draw) -> ScenarioSpec:
                 )
             )
 
-    algorithm_name = draw(st.sampled_from(ALGORITHMS.names()))
+    # Half the draws are LBAlg populations (bare or under the flood's MAC
+    # clients), whose bodies and coin-only rounds are the subtlest to skip.
+    algorithm_name = draw(
+        st.sampled_from(LB_ALGORITHMS) | st.sampled_from(ALGORITHMS.names())
+    )
     algorithm_args = ALGORITHMS.sample_args(algorithm_name)
     if algorithm_name == "lbalg":
         # Reuse factors above 1 put same-seed senders at different cursors
         # in one body (cohorts that start sending in a reused-seed phase).
         algorithm_args["seed_reuse_phases"] = draw(st.sampled_from((1, 2, 3)))
-    environment_name = draw(st.sampled_from(ENVIRONMENTS.names()))
+    elif algorithm_name == "flood":
+        # A compact sending period lets small networks relay and acknowledge
+        # within the drawn phases.
+        algorithm_args["compact_tack"] = True
+    if algorithm_name in LB_ALGORITHMS:
+        # Whole phases: every run covers seed phases and bodies, and past
+        # tack_phases + 1 of them acknowledgments and the submissions after.
+        run_rounds, run_unit = draw(st.sampled_from(range(1, 9))), "phases"
+    else:
+        run_rounds, run_unit = draw(st.integers(1, 120)), "rounds"
+    # The flood brings its own environment (the MAC clients).
+    environment_name = (
+        "null" if algorithm_name == "flood" else draw(st.sampled_from(ENVIRONMENTS.names()))
+    )
     environment_args = ENVIRONMENTS.sample_args(environment_name)
     if environment_name in SENDER_ENVIRONMENTS:
         environment_args["senders"] = {
@@ -124,8 +147,8 @@ def scenario_specs(draw) -> ScenarioSpec:
         scheduler=SchedulerSpec(scheduler_name, scheduler_args),
         environment=EnvironmentSpec(environment_name, environment_args),
         run=RunPolicy(
-            rounds=draw(st.integers(1, 120)),
-            rounds_unit="rounds",
+            rounds=run_rounds,
+            rounds_unit=run_unit,
             master_seed=master_seed,
             seed_policy="fixed",
         ),
@@ -219,7 +242,7 @@ def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, draw_sp
     # included); adaptive_collision reads the round's transmitters, so it
     # is left out.  A counters trace records no events to check.
     if (
-        spec.algorithm.name == "lbalg"
+        spec.algorithm.name in LB_ALGORITHMS
         and spec.scheduler.name != "adaptive_collision"
         and spec.engine.trace_mode != "counters"
     ):
@@ -252,9 +275,9 @@ def _check_production_trace(spec: ScenarioSpec, reference_batched: bool, draw_sp
 class TestProductionMatchesReference:
     def test_production_trace_equals_reference(self):
         """Both sides run split at up to three drawn rounds (for ``lbalg``
-        also drawn from inside bodies and seed phases), so skipped silent
-        and coin-only rounds cross the run-boundary flush and mid-body
-        cohort rebuilds; some drawn examples must skip."""
+        and ``flood`` also drawn from inside bodies and seed phases), so
+        skipped silent and coin-only rounds cross the run-boundary flush and
+        mid-body cohort rebuilds; some drawn examples must skip."""
         skipped = []
 
         @given(scenario_specs(), st.booleans(), st.data())
@@ -262,7 +285,7 @@ class TestProductionMatchesReference:
         def check(spec, reference_batched, data):
             def draw_splits(built):
                 rounds = st.integers(0, 120)
-                if spec.algorithm.name == "lbalg":
+                if spec.algorithm.name in LB_ALGORITHMS:
                     anchors = _lbalg_split_anchors(built)
                     if anchors:
                         rounds = rounds | st.sampled_from(anchors)

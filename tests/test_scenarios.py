@@ -122,12 +122,20 @@ class TestSpecSerialization:
 
     @pytest.mark.parametrize("name", ALGORITHMS.names())
     def test_every_algorithm_round_trips_and_materializes(self, name):
+        # flood brings its own (MAC client) environment; the spec's is null.
+        environment = (
+            {"environment.name": "null", "environment.args": {}}
+            if name == "flood"
+            else {
+                "environment.name": "saturating",
+                "environment.args": {"senders": {"select": "first", "count": 2}},
+            }
+        )
         spec = small_spec(
             **{
                 "algorithm.name": name,
                 "algorithm.args": ALGORITHMS.sample_args(name),
-                "environment.name": "saturating",
-                "environment.args": {"senders": {"select": "first", "count": 2}},
+                **environment,
                 "run.rounds_unit": "rounds",
                 "run.rounds": 4,
             }

@@ -155,19 +155,6 @@ class TestEngineBookkeeping:
         sim.run(2)
         assert sim.current_round == 5
 
-    def test_on_start_called_once(self):
-        calls = []
-
-        class Starter(SilentProcess):
-            def on_start(self):
-                calls.append("start")
-
-        graph = DualGraph(vertices=[0])
-        sim = build(graph, {0: Starter(_ctx(0))})
-        sim.run(2)
-        sim.run(2)
-        assert calls == ["start"]
-
     def test_environment_inputs_reach_processes_and_trace(self):
         received_inputs = []
 
@@ -220,7 +207,7 @@ class TestEngineBookkeeping:
         from repro.core.messages import make_message
 
         class Emitter(SilentProcess):
-            def on_round_end(self, round_number):
+            def on_receive(self, round_number, frame):
                 if round_number == 2:
                     self.emit(RecvOutput(vertex=self.vertex, message=make_message(9), round_number=2))
 

@@ -61,11 +61,8 @@ class TestProcessBase:
     def test_default_hooks_are_noops(self):
         ctx = ProcessContext(vertex=0, delta=2, delta_prime=2)
         process = SilentProcess(ctx)
-        process.on_start()
-        process.on_round_start(1)
         process.on_input(1, make_message(0))
         process.on_receive(1, None)
-        process.on_round_end(1)
         assert process.drain_outputs() == []
 
     def test_abstract_base_cannot_be_instantiated(self):

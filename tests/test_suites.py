@@ -472,7 +472,9 @@ def weighted_suite():
 
 
 class TestPoolDispatchOrder:
-    def test_heaviest_first_submission_with_canonical_landing(self, tmp_path, monkeypatch):
+    def test_heaviest_first_submission_lands_records_as_they_complete(
+        self, tmp_path, monkeypatch
+    ):
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.scenarios import materialize
@@ -481,6 +483,10 @@ class TestPoolDispatchOrder:
         submitted, stored, events = [], [], []
         submit = ProcessPoolExecutor.submit
         put = ResultStore.put
+        # The heaviest task (b) finishes only once the canonically last,
+        # light task (d) is in the store: a run that landed records in
+        # canonical order would hold d back until b finished.
+        light_stored = tmp_path / "light-stored"
 
         def spy_submit(pool, fn, *args, **kwargs):
             submitted.append(args[0])
@@ -488,10 +494,22 @@ class TestPoolDispatchOrder:
 
         def spy_put(store, spec, trial_index, record):
             stored.append((spec.name, trial_index))
-            return put(store, spec, trial_index, record)
+            result = put(store, spec, trial_index, record)
+            if spec.name == "d":
+                light_stored.touch()
+            return result
+
+        def gated_trial_record(spec, trial_index):
+            if spec.name == "b":
+                deadline = time.monotonic() + 60
+                while not light_stored.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return trial_record(spec, trial_index)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", spy_submit)
         monkeypatch.setattr(ResultStore, "put", spy_put)
+        # Pool workers fork from this process, so they run the gated copy.
+        monkeypatch.setattr(suite_module, "trial_record", gated_trial_record)
         report = run_suite(
             suite,
             jobs=2,
@@ -509,11 +527,11 @@ class TestPoolDispatchOrder:
         canonical = list(range(len(work)))
         assert submitted == sorted(canonical, key=lambda index: (-work[index], index))
         assert submitted[:2] == [2, 3] and submitted != canonical
-        assert stored == [("a", 0), ("a", 1), ("b", 0), ("c", 0), ("d", 0)]
-        assert [(e["entry"], e["trial"]) for e in events] == [
-            (0, 0), (0, 1), (1, 0), (2, 0), (3, 0),
-        ]
-        assert [e["task"] for e in events] == canonical
+        assert stored.index(("d", 0)) < stored.index(("b", 0))
+        assert sorted(stored) == [("a", 0), ("a", 1), ("b", 0), ("c", 0), ("d", 0)]
+        # One task event per landed record, in landing order.
+        assert [(suite.entries[e["entry"]].id, e["trial"]) for e in events] == stored
+        assert [e["done"] for e in events] == [1, 2, 3, 4, 5]
         assert det(report) == det(run_suite(suite, jobs=1))
 
     def test_serial_runs_sample_no_weights(self, monkeypatch):
@@ -537,10 +555,12 @@ class TestProgressAndCancellation:
         assert [e["event"] for e in task_events] == ["task"] * 4
         assert [e["done"] for e in task_events] == [1, 2, 3, 4]
         assert all(e["total"] == 4 for e in task_events)
-        # Tasks complete in canonical (entry, trial) order, serial or pooled.
-        assert [(e["entry"], e["trial"]) for e in task_events] == [
+        # One event per task; a pooled run (jobs=None on a multi-core host)
+        # reports them as they complete, a serial one in canonical order.
+        assert sorted((e["entry"], e["trial"]) for e in task_events) == [
             (0, 0), (0, 1), (1, 0), (1, 1),
         ]
+        assert sorted(e["task"] for e in task_events) == [0, 1, 2, 3]
 
     def test_on_progress_counts_store_hits_in_the_plan(self, tmp_path):
         suite = small_suite(trials=1)
